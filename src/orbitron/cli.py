@@ -74,8 +74,12 @@ NO_SOLUTION_ERRORS = (
 
 
 def fmt17(x: float) -> str:
-    """A float with 17 significant digits (shortest round-trip superset)."""
-    return format(float(x), ".17g")
+    """A float with 17 significant digits (shortest round-trip superset).
+
+    Negative zero prints as 0, so the sign of a zero never shows.
+    """
+    x = float(x)
+    return format(0.0 if x == 0.0 else x, ".17g")
 
 
 def _json_scalar(x) -> str:
@@ -151,12 +155,23 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _float(value, where: str) -> float:
+    """A config value as a finite float; JSON admits NaN and Infinity."""
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where} is out of the float range") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
+    return x
+
+
 def _require(cfg: dict, key: str, kind, where: str):
     if key not in cfg:
         raise ConfigError(f"missing {key!r} in {where}")
     value = cfg[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _float(value, f"{where}.{key}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if not isinstance(value, kind):
@@ -171,7 +186,7 @@ def _body_from_config(cfg: dict) -> BodyParams:
     if unknown:
         raise ConfigError(f"unknown body keys {sorted(unknown)}; known: {sorted(known)}")
     try:
-        return BodyParams(**{k: float(v) for k, v in rec.items()})
+        return BodyParams(**{k: _float(v, f"body.{k}") for k, v in rec.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad body record: {exc}") from exc
 
@@ -184,7 +199,17 @@ def _vector(rec, key: str, where: str) -> np.ndarray:
     v = _require(rec, key, list, where)
     if len(v) != 3 or not all(isinstance(c, (int, float)) for c in v):
         raise ConfigError(f"{where}.{key} must be a list of 3 numbers")
-    return np.array([float(c) for c in v])
+    return np.array([_float(c, f"{where}.{key}") for c in v])
+
+
+def _pick_branch(eqs: list[Equilibrium], spec: dict, where: str) -> Equilibrium:
+    """The equilibrium branch selected by the spec's optional ``branch`` index."""
+    branch = _require(spec, "branch", int, where) if "branch" in spec else 0
+    if not 0 <= branch < len(eqs):
+        raise ConfigError(
+            f"{where}.branch = {branch} is out of range: the solver found {len(eqs)} branch(es)"
+        )
+    return eqs[branch]
 
 
 def _levitation_context(model: AxiFieldModel, b: BodyParams, r0: float):
@@ -260,9 +285,8 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
             pi=_vector(rec, "pi", "state"),
         )
     elif "from_equilibrium" in sec:
-        eq = _solve_from_spec(sec["from_equilibrium"], model, b)[
-            int(sec["from_equilibrium"].get("branch", 0))
-        ]
+        spec = _require(sec, "from_equilibrium", dict, "simulate")
+        eq = _pick_branch(_solve_from_spec(spec, model, b), spec, "simulate.from_equilibrium")
         s0 = build_support_state(eq)
     else:
         raise ConfigError("simulate needs a 'state' or 'from_equilibrium' section")
@@ -273,7 +297,7 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
         # otherwise a fixed 1 ms default.
         dt = 1e-3 if eq is None else (2.0 * math.pi / abs(eq.mult.omega)) / 2000.0
     icfg = IntegratorConfig(
-        dt=float(dt),
+        dt=_float(dt, "simulate.dt"),
         steps=_require(sec, "steps", int, "simulate"),
         scheme=str(sec.get("scheme", "rk4")),
         record_every=int(sec.get("record_every", 1)),
@@ -336,7 +360,7 @@ def cmd_certify(cfg: dict, out: str, oracle: bool) -> int:
     except NO_SOLUTION_ERRORS as exc:
         _write_json(out, {"certificate": None, "reason": type(exc).__name__})
         return 0
-    eq = eqs[int(spec.get("branch", 0))]
+    eq = _pick_branch(eqs, spec, "certify.equilibrium")
 
     if method == "closed_form":
         blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
@@ -375,17 +399,18 @@ def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
         q = _require(sec, "q", float, "scan")
         h = _require(sec, "h", float, "scan")
         lo, hi = sec.get("ratio_range", (0.3, 1.5))
+        ratio_range = (_float(lo, "scan.ratio_range"), _float(hi, "scan.ratio_range"))
         rows = dipoletron_window(
             q,
             h,
             b,
-            ratio_range=(float(lo), float(hi)),
+            ratio_range=ratio_range,
             n=int(sec.get("n", 121)),
             sigma=int(sec.get("sigma", 1)),
         )
         if refine:
             lower, upper = window_endpoints(
-                q, h, sigma=int(sec.get("sigma", 1)), ratio_range=(float(lo), float(hi))
+                q, h, sigma=int(sec.get("sigma", 1)), ratio_range=ratio_range
             )
             _write_json(out + ".endpoints.json", {"lower": lower, "upper": upper})
     elif kind == "levitation_sweep":
@@ -393,7 +418,7 @@ def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
         rows = levitation_sweep(
             model,
             b,
-            [float(k) for k in _require(sec, "kappa_values", list, "scan")],
+            [_float(k, "scan.kappa_values") for k in _require(sec, "kappa_values", list, "scan")],
             _require(sec, "beta", float, "scan"),
         )
     elif kind == "stability_map":
@@ -407,10 +432,11 @@ def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
                 n=_require(rec, "n", int, where),
             )
 
+        fixed = _require(sec, "fixed", dict, "scan") if "fixed" in sec else {}
         spec = ScanSpec(
             axis1=axis(_require(sec, "axis1", dict, "scan"), "scan.axis1"),
             axis2=axis(_require(sec, "axis2", dict, "scan"), "scan.axis2"),
-            fixed={k: float(v) for k, v in sec.get("fixed", {}).items()},
+            fixed={k: _float(v, f"scan.fixed.{k}") for k, v in fixed.items()},
         )
         rows = stability_map(spec, model, b)
     else:
@@ -475,7 +501,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OrbitronError as exc:

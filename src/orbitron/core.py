@@ -105,7 +105,7 @@ class Multipliers:
     @staticmethod
     def from_lambda(omega: float, lambda_: float, lambda2: float, I_perp: float) -> "Multipliers":
         """Build from the derived combination, solving for lambda1."""
-        return Multipliers(omega, 0.5 * (lambda_ + lambda2**2 * I_perp), lambda2, lambda_)
+        return Multipliers(omega, 0.5 * (lambda_ + lambda2 * lambda2 * I_perp), lambda2, lambda_)
 
 
 class Potential(Protocol):

@@ -37,6 +37,8 @@ __all__ = [
     "build_support_state",
     "first_order_residual",
     "solve_orbitron_equatorial",
+    "equatorial_rate",
+    "equatorial_multipliers",
     "solve_dipole_equilibrium",
     "solve_levitation",
     "build_levitation_equilibrium",
@@ -161,6 +163,46 @@ def _mirrored(eq: Equilibrium) -> Equilibrium:
     )
 
 
+def equatorial_rate(
+    model: AxiFieldModel, b: BodyParams, r0: float, sigma: int
+) -> tuple[float, FieldJet]:
+    """Orbit rate of the equatorial branch at r0, and the field jet there.
+
+    The axis is locked to sigma e3 and the orbit rate balances the magnetic
+    pull: omega^2 = -sigma (mu / M) Bz_r / r0.  Raises ValueError unless
+    sigma is +1 or -1, r0 > 0 and g = 0; NotMirrorSymmetric if the field
+    has a radial component or an axial gradient at (r0, 0); and
+    WrongFieldSign if omega^2 is not positive.
+    """
+    if sigma not in (-1, 1):
+        raise ValueError("sigma must be +1 or -1")
+    if r0 <= 0.0:
+        raise ValueError("orbit radius must be positive")
+    if b.g != 0.0:
+        raise ValueError("equatorial solver requires g = 0; use solve_dipole_equilibrium")
+    jet = eval_jet(model, r0, 0.0)
+    bnorm = math.hypot(jet.Br, jet.Bz)
+    dnorm = max(abs(jet.Br_r), abs(jet.Br_z), abs(jet.Bz_r), abs(jet.Bz_z))
+    if abs(jet.Br) > 1e-9 * max(bnorm, 1e-300) or abs(jet.Bz_z) > 1e-9 * max(dnorm, 1e-300):
+        raise NotMirrorSymmetric(f"field is not mirror symmetric at r = {r0:g}")
+    w2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+    if w2 <= 0.0:
+        raise WrongFieldSign(
+            f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+d}, Bz_r = {jet.Bz_r:g}"
+        )
+    return math.sqrt(w2), jet
+
+
+def equatorial_multipliers(b: BodyParams, Bz, omega, pi0, sigma) -> Multipliers:
+    """Multipliers of the equatorial branch with spin pi0 along the axis.
+
+    Elementwise, so the arguments may be floats or arrays of equatorial cells.
+    """
+    lambda2 = sigma * (omega - pi0 / b.I_perp)
+    lam = sigma * b.mu * Bz + omega * (pi0 - b.I_perp * omega)
+    return Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
+
+
 def _equatorial_equilibrium(
     jet: FieldJet,
     b: BodyParams,
@@ -170,11 +212,9 @@ def _equatorial_equilibrium(
     sigma: int,
     model: AxiFieldModel,
 ) -> Equilibrium:
-    lambda2 = sigma * (omega - pi0_scalar / b.I_perp)
-    lam = sigma * b.mu * jet.Bz + omega * (pi0_scalar - b.I_perp * omega)
-    mult = Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
+    mult = equatorial_multipliers(b, jet.Bz, omega, pi0_scalar, sigma)
     nu0 = np.array([0.0, 0.0, float(sigma)])
-    pi0 = b.I_perp * omega * E3 - lambda2 * b.I_perp * nu0
+    pi0 = b.I_perp * omega * E3 - mult.lambda2 * b.I_perp * nu0
     eq = Equilibrium(
         r0=r0,
         omega=omega,
@@ -242,23 +282,8 @@ def solve_orbitron_equatorial(
     not positive.  Gravity must be zero; a nonzero g makes the z balance
     unsatisfiable on an equatorial branch and is reported as a ValueError.
     """
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be +1 or -1")
-    if r0 <= 0.0:
-        raise ValueError("orbit radius must be positive")
-    if b.g != 0.0:
-        raise ValueError("equatorial solver requires g = 0; use solve_dipole_equilibrium")
-    jet = eval_jet(model, r0, 0.0)
-    bnorm = math.hypot(jet.Br, jet.Bz)
-    dnorm = max(abs(jet.Br_r), abs(jet.Br_z), abs(jet.Bz_r), abs(jet.Bz_z))
-    if abs(jet.Br) > 1e-9 * max(bnorm, 1e-300) or abs(jet.Bz_z) > 1e-9 * max(dnorm, 1e-300):
-        raise NotMirrorSymmetric(f"field is not mirror symmetric at r = {r0:g}")
-    w2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
-    if w2 <= 0.0:
-        raise WrongFieldSign(
-            f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+d}, Bz_r = {jet.Bz_r:g}"
-        )
-    eq = _equatorial_equilibrium(jet, b, r0, math.sqrt(w2), pi0, sigma, model)
+    omega, jet = equatorial_rate(model, b, r0, sigma)
+    eq = _equatorial_equilibrium(jet, b, r0, omega, pi0, sigma, model)
     return _mirrored(eq) if negative_omega else eq
 
 

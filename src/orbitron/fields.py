@@ -301,14 +301,21 @@ def model_from_config(cfg: dict) -> AxiFieldModel:
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError("field record must be an object with a 'type' key")
     kind = cfg["type"]
+
+    def number(key: str) -> float:
+        x = float(cfg[key])
+        if not math.isfinite(x):
+            raise ValueError(f"{key} must be finite, got {x!r}")
+        return x
+
     try:
         if kind == "dipole_pair":
-            return DipolePair(q=float(cfg["q"]), h=float(cfg["h"]))
+            return DipolePair(q=number("q"), h=number("h"))
         if kind == "linear":
-            return Linear(B0=float(cfg["B0"]), Bp=float(cfg["Bprime"]))
+            return Linear(B0=number("B0"), Bp=number("Bprime"))
         if kind == "composite":
             return Composite(tuple(model_from_config(p) for p in cfg["parts"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad field record: {exc}") from exc
     raise ConfigError(f"unknown field type {kind!r}")
 

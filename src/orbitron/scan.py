@@ -3,16 +3,12 @@
 Scans evaluate the certificate machinery over parameter grids and return
 plain row dictionaries ready for CSV serialization.  Rows that fail with a
 domain error carry the error name in an ``error`` column and the scan
-continues.  The worker count is controlled by the ORBITRON_THREADS
-environment variable (unset = serial, 0 = one worker per CPU); results are
-assembled in input order either way.
+continues.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -21,13 +17,20 @@ from .core import BodyParams
 from .equilibrium import (
     LevitationParams,
     build_levitation_equilibrium,
+    equatorial_multipliers,
+    equatorial_rate,
     solve_levitation,
-    solve_orbitron_equatorial,
 )
 from .errors import BadSign, ConfigError, OrbitronError
 from .fields import AxiFieldModel, Composite, DipolePair, Linear, eval_jet
 from .potential import hessian_blocks
-from .stability import closed_form_conditions, levitation_conditions
+from .stability import (
+    CERTIFICATE_FIELDS,
+    _Cells,
+    _certify,
+    _stack_blocks,
+    levitation_conditions,
+)
 
 __all__ = [
     "ScanAxis",
@@ -73,35 +76,13 @@ class ScanSpec:
     outputs: tuple = ("verdict", "margin", "A", "B", "C")
 
 
-def _n_workers() -> int:
-    raw = os.environ.get("ORBITRON_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"ORBITRON_THREADS must be an integer, got {raw!r}") from exc
-    if n < 0:
-        raise ConfigError("ORBITRON_THREADS must be >= 0")
-    if n == 0:
-        return os.cpu_count() or 1
-    return n
-
-
-def _map_ordered(fn, items: list) -> list:
-    n = _n_workers()
-    if n <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
-
-
-def _window_conditions(q: float, h: float, sigma: int, r0: float) -> tuple[float, float]:
-    """Field-level stability conditions (-sigma Bz_zz, -sigma (3 Bz_r/r + Bz_rr))."""
+def _window_conditions(q: float, h: float, sigma: int, r0: float) -> tuple[float, float, float]:
+    """Field-level stability conditions (-sigma Bz_zz, -sigma (3 Bz_r/r + Bz_rr))
+    of the dipole pair at r0, and the Bz_r they were taken with."""
     jet = eval_jet(DipolePair(q, h), r0, 0.0)
     axial = -sigma * jet.Bz_zz
     radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
-    return axial, radial
+    return axial, radial, jet.Bz_r
 
 
 def dipoletron_window(
@@ -124,10 +105,8 @@ def dipoletron_window(
     rows = []
     for ratio in np.linspace(ratio_range[0], ratio_range[1], n):
         r0 = float(ratio) * h
-        jet = eval_jet(DipolePair(q, h), r0, 0.0)
-        axial = -sigma * jet.Bz_zz
-        radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
-        omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+        axial, radial, bz_r = _window_conditions(q, h, sigma, r0)
+        omega2 = -sigma * (b.mu / b.M) * bz_r / r0
         rows.append(
             {
                 "ratio": float(ratio),
@@ -157,7 +136,7 @@ def window_endpoints(
     """
 
     def inside(ratio: float) -> bool:
-        axial, radial = _window_conditions(q, h, sigma, ratio * h)
+        axial, radial, _ = _window_conditions(q, h, sigma, ratio * h)
         return axial > 0.0 and radial > 0.0
 
     n = 601
@@ -313,7 +292,7 @@ def levitation_sweep(
         )
         return row
 
-    return _map_ordered(one, [float(k) for k in kappa_values])
+    return [one(float(k)) for k in kappa_values]
 
 
 def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[dict]:
@@ -322,6 +301,11 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     Supported axis and fixed-parameter names are ``r0``, ``pi0`` and
     ``sigma``.  Each cell solves the equatorial equilibrium and runs the
     closed-form certificate; infeasible cells carry the error name.
+
+    The axis is sigma e3 in every cell, so the field jet, the orbit rate and
+    the Hessian blocks depend on (r0, sigma) alone: they are evaluated once
+    per distinct pair, and the spin pi0 enters only through the
+    multipliers.  All cells are then certified together on stacked arrays.
     """
     known = {"r0", "pi0", "sigma"}
     names = {spec.axis1.name, spec.axis2.name} | set(spec.fixed)
@@ -332,34 +316,63 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     if not {"r0", "pi0"} <= ({spec.axis1.name, spec.axis2.name} | set(spec.fixed)):
         raise ConfigError("scan needs r0 and pi0 via an axis or a fixed value")
 
-    cells = [
-        (float(v1), float(v2)) for v1 in spec.axis1.values() for v2 in spec.axis2.values()
-    ]
+    v1, v2 = spec.axis1.values(), spec.axis2.values()
+    grid = {spec.axis1.name: np.repeat(v1, len(v2)), spec.axis2.name: np.tile(v2, len(v1))}
+    n = len(v1) * len(v2)
 
-    def one(cell: tuple[float, float]) -> dict:
-        v1, v2 = cell
-        params = dict(spec.fixed)
-        params[spec.axis1.name] = v1
-        params[spec.axis2.name] = v2
-        row = {spec.axis1.name: v1, spec.axis2.name: v2}
-        for name in spec.outputs:
-            row[name] = math.nan if name not in ("verdict",) else ""
-        row["error"] = ""
+    def param(name: str) -> np.ndarray:
+        if name in grid:
+            return grid[name]
+        return np.full(n, float(spec.fixed.get(name, 1.0)))
+
+    r0, pi0, sigma = param("r0"), param("pi0"), param("sigma")
+    if not (np.isfinite(r0).all() and np.isfinite(pi0).all()):
+        raise ValueError("r0 and pi0 must be finite")
+
+    # Distinct (r0, sigma) pairs in order of first appearance, so a
+    # ValueError names the first offending cell.
+    pairs: dict = {}
+    cell_pairs = zip(r0.tolist(), sigma.tolist())
+    pair_of = np.array([pairs.setdefault(pair, len(pairs)) for pair in cell_pairs])
+    pair_error, pair_slot, branches = [], [], []
+    for r, s in pairs:
+        sig = int(s)
         try:
-            eq = solve_orbitron_equatorial(
-                model, b, params["r0"], params["pi0"], int(params.get("sigma", 1))
-            )
-            blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
-            cert = closed_form_conditions(eq, b, blocks)
+            omega, jet = equatorial_rate(model, b, r, sig)
+            nu0 = np.array([0.0, 0.0, float(sig)])
+            blocks = hessian_blocks(np.array([r, 0.0, 0.0]), nu0, model, b)
         except OrbitronError as exc:
-            row["error"] = type(exc).__name__
-            return row
-        record = cert.to_record()
-        record["abc_ok"] = cert.abc_ok
-        record["lambda_ok"] = cert.lambda_ok
-        for name in spec.outputs:
-            if name in record:
-                row[name] = record[name]
-        return row
+            pair_error.append(type(exc).__name__)
+        else:
+            pair_error.append("")
+            branches.append((float(sig), omega, jet.Bz, blocks))
+        pair_slot.append(len(branches) - 1)
 
-    return _map_ordered(one, cells)
+    errors = [pair_error[p] for p in pair_of.tolist()]
+    live = np.array([k for k, e in enumerate(errors) if not e], dtype=int)
+    certified = []
+    if len(live):
+        slot = np.array(pair_slot)[pair_of[live]]
+        nz, omega, bz = (np.array(values)[slot] for values in list(zip(*branches))[:3])
+        r_live = r0[live]
+        mult = equatorial_multipliers(b, bz, omega, pi0[live], nz)
+        blocks = _stack_blocks([branch[3] for branch in branches], slot)
+        p0 = b.M * omega * r_live
+        certs = _certify(b, _Cells(np.zeros(len(live)), nz, mult, r_live, p0, blocks))
+        for j, (k, zero) in enumerate(zip(live.tolist(), certs.sweep.zero.tolist())):
+            if zero:
+                errors[k] = "ZeroPivot"
+            else:
+                certified.append((j, k))
+
+    outputs = []
+    for name in spec.outputs:
+        col = [math.nan if name != "verdict" else ""] * n
+        if certified and name in CERTIFICATE_FIELDS:
+            values = certs.column(name)
+            for j, k in certified:
+                col[k] = values[j]
+        outputs.append(col)
+    keys = [spec.axis1.name, spec.axis2.name, *spec.outputs, "error"]
+    cells = zip(grid[spec.axis1.name].tolist(), grid[spec.axis2.name].tolist(), *outputs, errors)
+    return [dict(zip(keys, cell)) for cell in cells]

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import BodyParams
+from .core import BodyParams, Multipliers
 from .equilibrium import Equilibrium, LevitationParams
 from .errors import NotEquatorial, PolarDegeneracy, ZeroPivot
 from .fields import AxiFieldModel, eval_jet
@@ -53,6 +54,17 @@ ZERO_PIVOT_REL = 1e-14
 # Verdicts whose margin is within this band of zero are reported as
 # "marginal" rather than "stable" or "not_certified".
 MARGIN_BAND = 1e-10
+
+# Index arrays of the strict lower triangle of the 8 x 8 reduced form.
+_LOWER = np.tril_indices(8, -1)
+
+# Closed-form conditions by failure code; code 0 means all of them hold.
+FAILED_CONDITIONS = (None, "nu2_block", "nu1_block", "A", "C", "det")
+
+# StabilityCertificate fields that hold one value per certified cell.
+CERTIFICATE_FIELDS = (
+    "verdict", "margin", "lambda_ok", "A", "B", "C", "abc_ok", "pivots", "failed_condition"
+)
 
 
 @dataclass(frozen=True)
@@ -179,51 +191,115 @@ def variation_constraints(eq: Equilibrium, b: BodyParams) -> np.ndarray:
     return T
 
 
-def reduced_hessian(
-    eq: Equilibrium, b: BodyParams, blocks: PotentialHessianBlocks
-) -> ReducedQuadraticForm:
-    """Assemble the reduced 8 x 8 second variation at the support state.
+class _Cells(NamedTuple):
+    """Support states for the certificate core: one, or K stacked ones.
 
-    Kinetic and multiplier terms are written directly in the constrained
-    variables; the potential enters through its Hessian blocks in the
-    rotated basis.
+    For one state the fields are floats and the blocks of
+    :func:`hessian_blocks`.  For K states nperp, nz, r0, p0 and the fields
+    of ``mult`` are arrays of shape (K,), and the arrays of ``blocks``
+    carry a trailing cell axis.  The formulas index blocks as ``[i, j]``
+    and square by multiplication, so a cell gets the same numbers in
+    either form.
     """
-    nperp, nz = _nu_split(eq)
-    M, I = b.M, b.I_perp
-    om = eq.mult.omega
-    l1 = eq.mult.lambda1
-    l2 = eq.mult.lambda2
-    r0 = eq.r0
-    Vxx, VxN, Vx3 = blocks.Vxx, blocks.VxN, blocks.Vx3
-    VNN, VN3, V33 = blocks.VNN, blocks.VN3, blocks.V33
 
-    Q = np.zeros((8, 8))
+    nperp: float | np.ndarray
+    nz: float | np.ndarray
+    mult: Multipliers
+    r0: float | np.ndarray
+    p0: float | np.ndarray
+    blocks: PotentialHessianBlocks
+
+
+def _reduced_forms(b: BodyParams, cells: _Cells) -> np.ndarray:
+    """Reduced forms Q of the cells, of shape (8, 8) or (8, 8, K)."""
+    nperp, nz, r0 = cells.nperp, cells.nz, cells.r0
+    M, I = b.M, b.I_perp
+    om, l1, l2 = cells.mult.omega, cells.mult.lambda1, cells.mult.lambda2
+    Vxx, VxN, Vx3 = cells.blocks.Vxx, cells.blocks.VxN, cells.blocks.Vx3
+    VNN, VN3, V33 = cells.blocks.VNN, cells.blocks.VN3, cells.blocks.V33
+    tilt = nperp / nz
+
+    Q = np.zeros((8, 8) + np.shape(r0))
     Q[0, 0] = 1.0 / M
     Q[1, 1] = 1.0 / M
     Q[2, 2] = 1.0 / I
     Q[2, 4] = l2
-    Q[3, 3] = nperp**2 / (M * r0**2 * nz**2) + 1.0 / (I * nz**2)
-    Q[3, 5] = om / nz + l2 / nz**2
+    Q[3, 3] = (nperp * nperp) / (M * (r0 * r0) * (nz * nz)) + 1.0 / (I * (nz * nz))
+    Q[3, 5] = om / nz + l2 / (nz * nz)
     Q[3, 6] = -2.0 * om * nperp / (r0 * nz)
     Q[4, 4] = 2.0 * l1 + VNN[1, 1]
-    Q[4, 5] = VNN[0, 1] - (nperp / nz) * VN3[1]
+    Q[4, 5] = VNN[0, 1] - tilt * VN3[1]
     Q[4, 6] = VxN[0, 1]
     Q[4, 7] = VxN[2, 1]
     Q[5, 5] = (
-        I * om**2 / nz**2
+        I * (om * om) / (nz * nz)
         + 2.0 * l2 * I * om / nz
-        + 2.0 * l1 / nz**2
+        + 2.0 * l1 / (nz * nz)
         + VNN[0, 0]
-        - 2.0 * (nperp / nz) * VN3[0]
-        + (nperp**2 / nz**2) * V33
+        - 2.0 * tilt * VN3[0]
+        + ((nperp * nperp) / (nz * nz)) * V33
     )
-    Q[5, 6] = VxN[0, 0] - (nperp / nz) * Vx3[0]
-    Q[5, 7] = VxN[2, 0] - (nperp / nz) * Vx3[2]
-    Q[6, 6] = 3.0 * M * om**2 + Vxx[0, 0]
+    Q[5, 6] = VxN[0, 0] - tilt * Vx3[0]
+    Q[5, 7] = VxN[2, 0] - tilt * Vx3[2]
+    Q[6, 6] = 3.0 * M * (om * om) + Vxx[0, 0]
     Q[6, 7] = Vxx[0, 2]
     Q[7, 7] = Vxx[2, 2]
-    Q = Q + np.triu(Q, 1).T
-    return ReducedQuadraticForm(Q=Q)
+    Q[_LOWER] = Q[_LOWER[::-1]]
+    return Q
+
+
+class _Sweep(NamedTuple):
+    """Isolated-squares elimination of K stacked forms.
+
+    pivots[k, i] is the pivot of step i in cell k, NaN past the last step
+    taken; stop[k] is that last step.  A cell is ``completed`` when every
+    pivot was positive; otherwise its last pivot is the first non-positive
+    one, and ``zero`` flags the cells where it was zero to working
+    precision.  x_block holds the trailing 2 x 2 block just before the last
+    two eliminations, NaN where the sweep stopped earlier.
+    """
+
+    pivots: np.ndarray
+    stop: np.ndarray
+    completed: np.ndarray
+    zero: np.ndarray
+    qnorm: np.ndarray
+    x_block: np.ndarray
+
+
+def _eliminate(S: np.ndarray) -> _Sweep:
+    """Eliminate the variables of K stacked forms (n, n, K) in index order.
+
+    Every step is one vectorized Schur-complement update, done in place on
+    S.  All cells run all n steps; what follows a cell's first
+    non-positive pivot is then discarded, since the sweep stops there.
+    """
+    n, _, K = S.shape
+    qnorm = np.sqrt(np.einsum("ijk,ijk->k", S, S))
+    pivots = np.empty((n, K))
+    x_block = np.full((2, 2, K), np.nan)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n):
+            if k == n - 2:
+                x_block[:] = S[k:, k:]
+            pivots[k] = S[k, k]
+            col = S[k + 1 :, k]
+            outer = col[:, None] * col[None, :]
+            outer /= pivots[k]
+            S[k + 1 :, k + 1 :] -= outer
+            del outer  # so that no two steps' products are alive at once
+        small = np.abs(pivots) < ZERO_PIVOT_REL * np.maximum(qnorm, 1e-300)
+        ended = small | (pivots <= 0.0)
+    completed = ~ended.any(axis=0)
+    stop = np.where(completed, n - 1, ended.argmax(axis=0))
+    pivots[np.arange(n)[:, None] > stop] = np.nan
+    x_block[..., stop < n - 2] = np.nan
+    zero = ~completed & small[stop, np.arange(K)]
+    return _Sweep(pivots.T, stop, completed, zero, qnorm, np.moveaxis(x_block, -1, 0))
+
+
+def _zero_pivot(piv: float, idx: int) -> ZeroPivot:
+    return ZeroPivot(f"pivot {piv:g} for variable {idx} is zero to working precision")
 
 
 def isolated_squares_reduce(Q: np.ndarray, order: tuple | None = None) -> EliminationResult:
@@ -246,41 +322,155 @@ def isolated_squares_reduce(Q: np.ndarray, order: tuple | None = None) -> Elimin
     order = tuple(order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of all variable indices")
-    qnorm = float(np.linalg.norm(S))
-    active = list(range(n))
-    pivots: list[float] = []
-    x_block = None
-    x_indices = None
-    for step, idx in enumerate(order):
-        if len(active) == 2:
-            x_block = S.copy()
-            x_indices = tuple(active)
-        j = active.index(idx)
-        piv = float(S[j, j])
-        pivots.append(piv)
-        if abs(piv) < ZERO_PIVOT_REL * max(qnorm, 1e-300):
-            raise ZeroPivot(f"pivot {piv:g} for variable {idx} is zero to working precision")
-        if piv <= 0.0:
-            return EliminationResult(
-                pivots=tuple(pivots),
-                completed=False,
-                failed_index=step,
-                order=order,
-                x_block=x_block,
-                x_indices=x_indices,
-            )
-        keep = [k for k in range(len(active)) if k != j]
-        col = S[keep, j]
-        S = S[np.ix_(keep, keep)] - np.outer(col, col) / piv
-        active = [active[k] for k in keep]
+    sweep = _eliminate(S[np.ix_(order, order)][:, :, None])
+    last = int(sweep.stop[0])
+    pivots = tuple(float(p) for p in sweep.pivots[0, : last + 1])
+    if sweep.zero[0]:
+        raise _zero_pivot(pivots[-1], order[last])
+    x_block = x_indices = None
+    if n >= 2 and last >= n - 2:
+        # The trailing block in ascending variable order.
+        flip = slice(None, None, -1) if order[-2] > order[-1] else slice(None)
+        x_block = sweep.x_block[0][flip, flip].copy()
+        x_indices = tuple(sorted(order[-2:]))
+    completed = bool(sweep.completed[0])
     return EliminationResult(
-        pivots=tuple(pivots),
-        completed=True,
-        failed_index=None,
+        pivots=pivots,
+        completed=completed,
+        failed_index=None if completed else last,
         order=order,
         x_block=x_block,
         x_indices=x_indices,
     )
+
+
+def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
+    """(den1, cond2, A, B, C, failed) of the cells.
+
+    failed indexes FAILED_CONDITIONS.  cond2 is NaN where den1 <= 0, and
+    A, B, C are NaN where either denominator is non-positive.
+    """
+    nperp, nz, r0, p0 = cells.nperp, cells.nz, cells.r0, cells.p0
+    M, I = b.M, b.I_perp
+    om, l2, lam = cells.mult.omega, cells.mult.lambda2, cells.mult.lambda_
+    Vxx, VxN, Vx3 = cells.blocks.Vxx, cells.blocks.VxN, cells.blocks.Vx3
+    VNN, VN3, V33 = cells.blocks.VNN, cells.blocks.VN3, cells.blocks.V33
+    V_e1E2, V_e3E2 = VxN[0, 1], VxN[2, 1]
+
+    # Contractions against nu_top = nu_z E1 - |nu_perp| e3.
+    d2_E2_top = nz * VNN[0, 1] - nperp * VN3[1]
+    d2_top_top = (nz * nz) * VNN[0, 0] - 2.0 * nz * nperp * VN3[0] + (nperp * nperp) * V33
+    d2_e1_top = nz * VxN[0, 0] - nperp * Vx3[0]
+    d2_e3_top = nz * VxN[2, 0] - nperp * Vx3[2]
+
+    spin = nz * om + l2
+    denom_c = I * (nperp * nperp) + M * (r0 * r0)
+    den1 = lam + VNN[1, 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond2 = (
+            lam
+            + d2_top_top
+            + ((I * I) * (nperp * nperp) / denom_c) * (spin * spin)
+            + (nperp * nperp) * I * (om * om)
+            - (d2_E2_top * d2_E2_top) / den1
+        )
+        cond2 = np.where(den1 <= 0.0, np.nan, cond2)
+        num_a = 2.0 * I * nperp * p0 * spin / denom_c + d2_e1_top - V_e1E2 * d2_E2_top / den1
+        num_b = d2_e3_top - V_e3E2 * d2_E2_top / den1
+        A = (
+            M * (om * om) * (3.0 * M * (r0 * r0) - I * (nperp * nperp)) / denom_c
+            + Vxx[0, 0]
+            - (V_e1E2 * V_e1E2) / den1
+            - (num_a * num_a) / cond2
+        )
+        B = Vxx[0, 2] - V_e1E2 * V_e3E2 / den1 - num_a * num_b / cond2
+        C = Vxx[2, 2] - (V_e3E2 * V_e3E2) / den1 - (num_b * num_b) / cond2
+        undefined = (den1 <= 0.0) | (cond2 <= 0.0)
+        A, B, C = (np.where(undefined, np.nan, v) for v in (A, B, C))
+        failed = np.select(
+            [den1 <= 0.0, cond2 <= 0.0, A <= 0.0, C <= 0.0, A * C - B * B <= 0.0],
+            [1, 2, 3, 4, 5],
+            0,
+        )
+    return den1, cond2, A, B, C, failed
+
+
+@dataclass(frozen=True)
+class _Certificates:
+    """Closed-form certificates of K cells, as arrays over the cells."""
+
+    margin: np.ndarray
+    sweep: _Sweep
+    den1: np.ndarray
+    cond2: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    failed: np.ndarray
+
+    def column(self, name: str) -> list:
+        """Per-cell values of the StabilityCertificate field ``name``."""
+        if name == "verdict":
+            return [_classify(m) for m in self.margin.tolist()]
+        if name == "lambda_ok":
+            return (self.den1 > 0.0).tolist()
+        if name == "abc_ok":
+            return (self.failed == 0).tolist()
+        if name == "pivots":
+            rows = zip(self.sweep.pivots.tolist(), self.sweep.stop.tolist())
+            return [row[: s + 1] for row, s in rows]
+        if name == "failed_condition":
+            return [FAILED_CONDITIONS[c] for c in self.failed.tolist()]
+        return getattr(self, name).tolist()
+
+
+def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
+    """Closed-form conditions and elimination verdicts of the cells.
+
+    The margin is the smallest pivot over |Q| when the sweep completes,
+    else the first non-positive pivot over |Q|.  Cells flagged in
+    ``sweep.zero`` hit a zero pivot and carry no verdict.
+    """
+    den1, cond2, A, B, C, failed = (np.reshape(v, -1) for v in _closed_form(b, cells))
+    sweep = _eliminate(_reduced_forms(b, cells).reshape(8, 8, -1))
+    last = sweep.pivots[np.arange(len(sweep.stop)), sweep.stop]
+    pivot = np.where(sweep.completed, sweep.pivots.min(axis=1), last)
+    margin = pivot / np.maximum(sweep.qnorm, 1e-300)
+    return _Certificates(margin, sweep, den1, cond2, A, B, C, failed)
+
+
+def _stack_blocks(blocks: list, index) -> PotentialHessianBlocks:
+    """Hessian blocks picked from ``blocks`` by ``index``, stacked along a trailing cell axis."""
+
+    def pick(name: str) -> np.ndarray:
+        return np.moveaxis(np.array([getattr(blk, name) for blk in blocks], dtype=float)[index], 0, -1)
+
+    return PotentialHessianBlocks(
+        Vxx=pick("Vxx"),
+        VxN=pick("VxN"),
+        Vx3=pick("Vx3"),
+        VNN=pick("VNN"),
+        VN3=pick("VN3"),
+        V33=pick("V33"),
+        basis=None,
+    )
+
+
+def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
+    nperp, nz = _nu_split(eq)
+    return _Cells(nperp, nz, eq.mult, eq.r0, eq.p0, blocks)
+
+
+def reduced_hessian(
+    eq: Equilibrium, b: BodyParams, blocks: PotentialHessianBlocks
+) -> ReducedQuadraticForm:
+    """Assemble the reduced 8 x 8 second variation at the support state.
+
+    Kinetic and multiplier terms are written directly in the constrained
+    variables; the potential enters through its Hessian blocks in the
+    rotated basis.
+    """
+    return ReducedQuadraticForm(Q=_reduced_forms(b, _one_cell(eq, blocks)))
 
 
 def closed_form_conditions(
@@ -298,83 +488,18 @@ def closed_form_conditions(
 
     with nu_top = nu_z E1 - |nu_perp| e3.  A non-positive denominator makes
     the remaining expressions inconclusive; this is recorded in the
-    certificate rather than raised.
+    certificate rather than raised.  The verdict and margin come from the
+    isolated-squares pivots, which raise ZeroPivot when one vanishes.
     """
-    nperp, nz = _nu_split(eq)
-    M, I = b.M, b.I_perp
-    om = eq.mult.omega
-    l2 = eq.mult.lambda2
-    lam = eq.mult.lambda_
-    r0 = eq.r0
-    Vxx, VxN, Vx3 = blocks.Vxx, blocks.VxN, blocks.Vx3
-    VNN, VN3, V33 = blocks.VNN, blocks.VN3, blocks.V33
-
-    # Contractions against nu_top = nu_z E1 - |nu_perp| e3.
-    d2_E2_top = nz * VNN[0, 1] - nperp * VN3[1]
-    d2_top_top = nz**2 * VNN[0, 0] - 2.0 * nz * nperp * VN3[0] + nperp**2 * V33
-    d2_e1_top = nz * VxN[0, 0] - nperp * Vx3[0]
-    d2_e3_top = nz * VxN[2, 0] - nperp * Vx3[2]
-
-    denom_c = I * nperp**2 + M * r0**2
-    den1 = lam + VNN[1, 1]
-    cond2 = math.nan
-    A = B = C = math.nan
-    failed: str | None = None
-    if den1 <= 0.0:
-        failed = "nu2_block"
-    else:
-        cond2 = (
-            lam
-            + d2_top_top
-            + (I**2 * nperp**2 / denom_c) * (nz * om + l2) ** 2
-            + nperp**2 * I * om**2
-            - d2_E2_top**2 / den1
-        )
-        if cond2 <= 0.0:
-            failed = "nu1_block"
-        else:
-            num_a = (
-                2.0 * I * nperp * eq.p0 * (nz * om + l2) / denom_c
-                + d2_e1_top
-                - VxN[0, 1] * d2_E2_top / den1
-            )
-            num_b = d2_e3_top - VxN[2, 1] * d2_E2_top / den1
-            A = (
-                M * om**2 * (3.0 * M * r0**2 - I * nperp**2) / denom_c
-                + Vxx[0, 0]
-                - VxN[0, 1] ** 2 / den1
-                - num_a**2 / cond2
-            )
-            B = Vxx[0, 2] - VxN[0, 1] * VxN[2, 1] / den1 - num_a * num_b / cond2
-            C = Vxx[2, 2] - VxN[2, 1] ** 2 / den1 - num_b**2 / cond2
-            for name, value in (("A", A), ("C", C), ("det", A * C - B * B)):
-                if value <= 0.0:
-                    failed = name
-                    break
-
-    form = reduced_hessian(eq, b, blocks)
-    qnorm = max(float(np.linalg.norm(form.Q)), 1e-300)
-    elim = isolated_squares_reduce(form.Q)
-    if elim.completed:
-        margin = min(elim.pivots) / qnorm
-    else:
-        margin = elim.pivots[-1] / qnorm
-
-    details = {"den1": den1, "cond2": cond2}
-    if failed in ("nu2_block", "nu1_block"):
-        details["indefinite_denominator"] = failed
-    return StabilityCertificate(
-        verdict=_classify(margin),
-        margin=margin,
-        lambda_ok=den1 > 0.0,
-        A=A,
-        B=B,
-        C=C,
-        abc_ok=failed is None,
-        pivots=elim.pivots,
-        failed_condition=failed,
-        details=details,
-    )
+    certs = _certify(b, _one_cell(eq, blocks))
+    if certs.sweep.zero[0]:
+        last = int(certs.sweep.stop[0])
+        raise _zero_pivot(float(certs.sweep.pivots[0, last]), last)
+    cell = {name: certs.column(name)[0] for name in CERTIFICATE_FIELDS}
+    details = {"den1": float(certs.den1[0]), "cond2": float(certs.cond2[0])}
+    if cell["failed_condition"] in ("nu2_block", "nu1_block"):
+        details["indefinite_denominator"] = cell["failed_condition"]
+    return StabilityCertificate(**dict(cell, pivots=tuple(cell["pivots"])), details=details)
 
 
 def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:

@@ -376,6 +376,10 @@ def test_scan_stability_map(tmp_path):
         "stable",
         "not_certified",
     ]
+    # byte-identical rerun
+    first = (tmp_path / "map.csv").read_bytes()
+    assert main(["scan", "--config", cfg, "--out", out]) == 0
+    assert (tmp_path / "map.csv").read_bytes() == first
 
 
 def test_config_error_exit_codes(tmp_path):
@@ -460,3 +464,89 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "eq.json").read_text())
     assert doc["equilibria"][0]["sigma"] == 1
+
+
+def test_branch_index_out_of_range(tmp_path, capsys):
+    out = str(tmp_path / "o.json")
+    spec = {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}
+    for branch in (2, -1):
+        sections = (
+            ("certify", {"method": "closed_form", "equilibrium": dict(spec, branch=branch)}),
+            ("simulate", {"from_equilibrium": dict(spec, branch=branch), "steps": 5}),
+        )
+        for command, section in sections:
+            cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, command: section})
+            assert main([command, "--config", cfg, "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert f"branch = {branch} is out of range" in err
+            assert "found 1 branch" in err
+            assert "Traceback" not in err
+
+
+def test_nonfinite_config_values_rejected(tmp_path, capsys):
+    out = tmp_path / "o.json"
+    eq = {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}
+    linear = {"type": "linear", "B0": 1.0, "Bprime": 0.0}
+    cases = [
+        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(eq, r0=math.nan)}),
+        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(eq, r0=math.inf)}),
+        ("equilibrium", {"body": dict(BODY, M=math.nan), "field": PAIR, "equilibrium": eq}),
+        (
+            "certify",
+            {
+                "body": BODY,
+                "field": {"type": "composite", "parts": [PAIR, dict(linear, B0=math.inf)]},
+                "certify": {"equilibrium": eq},
+            },
+        ),
+        (
+            "scan",
+            {
+                "body": BODY,
+                "field": PAIR,
+                "scan": {
+                    "kind": "stability_map",
+                    "axis1": {"name": "r0", "lo": 0.5, "hi": 1.2, "n": 3},
+                    "axis2": {"name": "sigma", "lo": 1.0, "hi": 1.0, "n": 1},
+                    "fixed": {"pi0": -math.inf},
+                },
+            },
+        ),
+        (
+            "simulate",
+            {
+                "body": BODY,
+                "field": PAIR,
+                "simulate": {"state": dict(TILTED_STATE, x=[math.nan, 0.0, 0.0]), "steps": 2},
+            },
+        ),
+    ]
+    for command, doc in cases:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))  # writes the NaN / Infinity tokens json.load accepts
+        assert main([command, "--config", str(path), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert not out.exists()
+
+
+def test_negative_zero_prints_as_zero(tmp_path):
+    from orbitron.cli import fmt17
+
+    assert fmt17(-0.0) == fmt17(0.0) == "0"
+    cfg = _cfg(
+        tmp_path,
+        {
+            "body": BODY,
+            "field": PAIR,
+            "certify": {
+                "method": "closed_form",
+                "equilibrium": {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1},
+            },
+        },
+    )
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"B": 0,' in text
+    assert "-0," not in text and "-0\n" not in text

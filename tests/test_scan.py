@@ -1,12 +1,13 @@
 """Tests for window scans, levitation sweeps, and stability maps."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from orbitron.core import BodyParams
-from orbitron.errors import BadSign, ConfigError
+from orbitron.errors import BadSign, ConfigError, OrbitronError
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import hessian_blocks
 from orbitron.scan import (
@@ -20,7 +21,7 @@ from orbitron.scan import (
     window_endpoints,
 )
 from orbitron.stability import closed_form_conditions
-from orbitron.equilibrium import solve_orbitron_equatorial
+from orbitron.equilibrium import equatorial_rate, solve_orbitron_equatorial
 
 
 def _body():
@@ -200,24 +201,86 @@ def test_stability_map_config_errors():
         stability_map(ScanSpec(axis1=ax, axis2=ScanAxis("sigma", 1.0, 1.0, 1)), model, b)
 
 
-def test_thread_pool_matches_serial(monkeypatch):
-    b = _body()
-    model = DipolePair(1.0, 1.0)
-    spec = ScanSpec(axis1=ScanAxis("r0", 0.5, 1.2, 4), axis2=ScanAxis("pi0", 5.0, 15.0, 3))
-    monkeypatch.delenv("ORBITRON_THREADS", raising=False)
-    serial = stability_map(spec, model, b)
-    monkeypatch.setenv("ORBITRON_THREADS", "3")
-    threaded = stability_map(spec, model, b)
-    assert serial == threaded
+OUTPUTS = ("verdict", "margin", "A", "B", "C", "lambda_ok", "abc_ok", "failed_condition", "pivots")
 
 
-def test_thread_env_validation(monkeypatch):
+def _per_cell(spec, model, b):
+    """stability_map's rows computed one cell at a time through the scalar route."""
+    rows = []
+    for v1 in spec.axis1.values():
+        for v2 in spec.axis2.values():
+            params = {**spec.fixed, spec.axis1.name: float(v1), spec.axis2.name: float(v2)}
+            try:
+                eq = solve_orbitron_equatorial(
+                    model, b, params["r0"], params["pi0"], int(params.get("sigma", 1))
+                )
+                blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+                cert = closed_form_conditions(eq, b, blocks)
+            except OrbitronError as exc:
+                rows.append({"error": type(exc).__name__})
+            else:
+                rows.append(dict(cert.to_record(), abc_ok=cert.abc_ok, error=""))
+    return rows
+
+
+def _assert_map_matches_cells(spec, model, b):
+    rows = stability_map(replace(spec, outputs=OUTPUTS), model, b)
+    ref = _per_cell(spec, model, b)
+    assert len(rows) == len(ref)
+    for row, want in zip(rows, ref):
+        assert row["error"] == want["error"]
+        if want["error"]:
+            assert row["verdict"] == ""
+            assert all(math.isnan(row[k]) for k in ("margin", "A", "B", "C"))
+            continue
+        for key in ("verdict", "lambda_ok", "abc_ok", "failed_condition"):
+            assert row[key] == want[key]
+        for key in ("A", "B", "C"):
+            assert row[key] == want[key] or (math.isnan(row[key]) and math.isnan(want[key]))
+        assert math.isclose(row["margin"], want["margin"], rel_tol=1e-12)
+        assert len(row["pivots"]) == len(want["pivots"])
+        np.testing.assert_allclose(row["pivots"], want["pivots"], rtol=1e-12)
+    return rows
+
+
+def test_stability_map_matches_per_cell_route():
     b = _body()
-    model = DipolePair(1.0, 1.0)
-    spec = ScanSpec(axis1=ScanAxis("r0", 0.8, 0.9, 2), axis2=ScanAxis("pi0", 10.0, 10.0, 1))
-    monkeypatch.setenv("ORBITRON_THREADS", "abc")
-    with pytest.raises(ConfigError):
-        stability_map(spec, model, b)
-    monkeypatch.setenv("ORBITRON_THREADS", "-1")
-    with pytest.raises(ConfigError):
-        stability_map(spec, model, b)
+    pair = DipolePair(1.0, 1.0)
+    composite = Composite((pair, DipolePair(0.3, 1.6)))
+    cases = [
+        (ScanSpec(ScanAxis("r0", 0.5, 2.6, 8), ScanAxis("pi0", 2.0, 20.0, 5)), pair),
+        (
+            ScanSpec(ScanAxis("pi0", 2.0, 20.0, 4), ScanAxis("r0", 0.6, 3.0, 7), fixed={"sigma": -1.0}),
+            pair,
+        ),
+        (
+            ScanSpec(ScanAxis("sigma", -1.0, 1.0, 2), ScanAxis("r0", 0.5, 3.0, 6), fixed={"pi0": 8.0}),
+            composite,
+        ),
+    ]
+    seen = set()
+    for spec, model in cases:
+        rows = _assert_map_matches_cells(spec, model, b)
+        seen |= {row["error"] for row in rows} | {row["verdict"] for row in rows}
+    assert {"", "WrongFieldSign", "stable", "not_certified"} <= seen
+
+
+def test_stability_map_error_semantics():
+    b = _body()
+    pair = DipolePair(1.0, 1.0)
+    spec = ScanSpec(ScanAxis("r0", 0.6, 0.9, 3), ScanAxis("pi0", 5.0, 15.0, 2))
+    # a linear part with a gradient gives every cell a radial field
+    tilted = Composite((pair, Linear(0.5, 2.0)))
+    rows = _assert_map_matches_cells(spec, tilted, b)
+    assert {row["error"] for row in rows} == {"NotMirrorSymmetric"}
+    # at lambda = 0 the fifth pivot vanishes
+    omega, jet = equatorial_rate(pair, b, 0.8, 1)
+    pi0 = (b.I_perp * omega**2 - b.mu * jet.Bz) / omega
+    zero = ScanSpec(ScanAxis("r0", 0.8, 0.8, 1), ScanAxis("pi0", pi0, pi0, 1))
+    assert [row["error"] for row in _assert_map_matches_cells(zero, pair, b)] == ["ZeroPivot"]
+    # arguments outside the domain abort the whole call, as they do cell by cell
+    for bad_spec, bad_b in ((spec, replace(b, g=1.0)), (replace(spec, fixed={"sigma": 0.5}), b)):
+        with pytest.raises(ValueError):
+            stability_map(bad_spec, pair, bad_b)
+        with pytest.raises(ValueError):
+            _per_cell(bad_spec, pair, bad_b)

@@ -216,6 +216,37 @@ def test_isolated_squares_order_independent_verdict():
         assert len(verdicts) == 1
 
 
+def _loop_eliminate(S, order):
+    """Reference sweep: one Schur complement per step on a shrinking matrix."""
+    S = np.array(S, dtype=float)
+    active = list(range(len(S)))
+    pivots = []
+    for idx in order:
+        j = active.index(idx)
+        piv = S[j, j]
+        pivots.append(piv)
+        if piv <= 0.0:
+            return pivots, False
+        keep = [k for k in range(len(active)) if k != j]
+        col = S[keep, j]
+        S = S[np.ix_(keep, keep)] - np.outer(col, col) / piv
+        active = [active[k] for k in keep]
+    return pivots, True
+
+
+def test_vectorized_elimination_matches_loop():
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        a = rng.normal(size=(6, 6))
+        S = a @ a.T + rng.uniform(-2.0, 1.0) * np.eye(6)
+        order = tuple(rng.permutation(6))
+        pivots, completed = _loop_eliminate(S, order)
+        res = isolated_squares_reduce(S, order=order)
+        assert res.pivots == tuple(pivots)
+        assert res.completed == completed
+        assert res.failed_index == (None if completed else len(pivots) - 1)
+
+
 def test_elimination_block_equals_closed_form_abc():
     for eq, b, model in _cases():
         blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
