@@ -1,95 +1,8 @@
 """Reduced dynamics, relative equilibria, and stability certificates for a
-magnetized symmetric top in axisymmetric magnetic and gravity fields."""
+magnetized symmetric top in axisymmetric magnetic and gravity fields.
 
-from .core import (
-    BodyParams,
-    Multipliers,
-    ReducedState,
-    augmented_hamiltonian,
-    axial_symmetry_residual,
-    casimirs,
-    hamiltonian,
-    momentum_j3,
-)
-from .dynamics import (
-    IntegratorConfig,
-    TrajectorySample,
-    distance_to_orbit,
-    eom_rhs,
-    integrate,
-    relative_equilibrium_orbit,
-)
-from .equilibrium import (
-    Equilibrium,
-    LevitationParams,
-    build_levitation_equilibrium,
-    build_support_state,
-    first_order_residual,
-    solve_dipole_equilibrium,
-    solve_levitation,
-    solve_orbitron_equatorial,
-)
-from .errors import (
-    AxisDegeneracy,
-    BadSign,
-    ConfigError,
-    IndefiniteDenominator,
-    NegativeCentrifugal,
-    NoEquilibrium,
-    NonFinite,
-    NoRealSolution,
-    NotEquatorial,
-    NotMirrorSymmetric,
-    OrbitronError,
-    PolarDegeneracy,
-    SourceSingularity,
-    WrongFieldSign,
-    ZeroPivot,
-)
-from .fields import (
-    AxiFieldModel,
-    Composite,
-    DipolePair,
-    FieldJet,
-    Linear,
-    cartesian_field,
-    cartesian_hessian,
-    cartesian_jacobian,
-    dipole_pair_midplane,
-    eval_jet,
-    maxwell_residual,
-    model_from_config,
-    model_to_config,
-)
-from .potential import (
-    DipolePotential,
-    FiniteDifferencePotential,
-    PotentialHessianBlocks,
-    RotatedBasis,
-    hessian_blocks,
-    make_rotated_basis,
-)
-from .scan import (
-    ScanAxis,
-    ScanSpec,
-    dipoletron_window,
-    levitation_sweep,
-    radius_for_beta,
-    stability_map,
-    window_endpoints,
-)
-from .stability import (
-    EigenCertificate,
-    EliminationResult,
-    ReducedQuadraticForm,
-    StabilityCertificate,
-    closed_form_conditions,
-    eigen_certificate,
-    isolated_squares_reduce,
-    levitation_conditions,
-    orbitron_conditions,
-    reduced_hessian,
-    variation_constraints,
-)
+The API lives in the submodules: ``fields``, ``potential``, ``core``,
+``dynamics``, ``equilibrium``, ``stability``, ``scan``, ``errors`` and ``cli``.
+"""
 
 __version__ = "0.1.0"

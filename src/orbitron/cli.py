@@ -229,7 +229,7 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
         r0 = _require(spec, "r0", float, "equilibrium")
         pi0 = _require(spec, "pi0", float, "equilibrium")
         if "sigma" in spec:
-            sigma = int(spec["sigma"])
+            sigma = _require(spec, "sigma", int, "equilibrium")
             return [solve_orbitron_equatorial(model, b, r0, pi0, sigma, negative_omega)]
         # No explicit orientation: return one branch per admissible sigma.
         eqs = []
@@ -269,6 +269,16 @@ def _one_task(cfg: dict) -> str:
     return present[0]
 
 
+TRAJECTORY_HEADER = (
+    ["t"]
+    + [f"x{i}" for i in (1, 2, 3)]
+    + [f"p{i}" for i in (1, 2, 3)]
+    + [f"nu{i}" for i in (1, 2, 3)]
+    + [f"pi{i}" for i in (1, 2, 3)]
+    + ["h", "J3", "C1", "C2"]
+)
+
+
 def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
     b = _body_from_config(cfg)
     model = _model_from_config(cfg)
@@ -286,7 +296,13 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
         )
     elif "from_equilibrium" in sec:
         spec = _require(sec, "from_equilibrium", dict, "simulate")
-        eq = _pick_branch(_solve_from_spec(spec, model, b), spec, "simulate.from_equilibrium")
+        try:
+            eqs = _solve_from_spec(spec, model, b)
+        except NO_SOLUTION_ERRORS as exc:
+            _write_csv(out, TRAJECTORY_HEADER, [])
+            _write_json(out + ".summary.json", {"reason": type(exc).__name__})
+            return 0
+        eq = _pick_branch(eqs, spec, "simulate.from_equilibrium")
         s0 = build_support_state(eq)
     else:
         raise ConfigError("simulate needs a 'state' or 'from_equilibrium' section")
@@ -300,23 +316,14 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
         dt=_float(dt, "simulate.dt"),
         steps=_require(sec, "steps", int, "simulate"),
         scheme=str(sec.get("scheme", "rk4")),
-        record_every=int(sec.get("record_every", 1)),
+        record_every=_require(sec, "record_every", int, "simulate") if "record_every" in sec else 1,
     )
     samples = integrate(s0, icfg, b, V, include_casimir=include_casimir)
-
-    header = (
-        ["t"]
-        + [f"x{i}" for i in (1, 2, 3)]
-        + [f"p{i}" for i in (1, 2, 3)]
-        + [f"nu{i}" for i in (1, 2, 3)]
-        + [f"pi{i}" for i in (1, 2, 3)]
-        + ["h", "J3", "C1", "C2"]
-    )
     rows = (
         [s.t, *s.state.x, *s.state.p, *s.state.nu, *s.state.pi, s.h, s.J3, s.C1, s.C2]
         for s in samples
     )
-    _write_csv(out, header, rows)
+    _write_csv(out, TRAJECTORY_HEADER, rows)
 
     first = samples[0]
     drift = {}
@@ -400,18 +407,11 @@ def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
         h = _require(sec, "h", float, "scan")
         lo, hi = sec.get("ratio_range", (0.3, 1.5))
         ratio_range = (_float(lo, "scan.ratio_range"), _float(hi, "scan.ratio_range"))
-        rows = dipoletron_window(
-            q,
-            h,
-            b,
-            ratio_range=ratio_range,
-            n=int(sec.get("n", 121)),
-            sigma=int(sec.get("sigma", 1)),
-        )
+        n = _require(sec, "n", int, "scan") if "n" in sec else 121
+        sigma = _require(sec, "sigma", int, "scan") if "sigma" in sec else 1
+        rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
         if refine:
-            lower, upper = window_endpoints(
-                q, h, sigma=int(sec.get("sigma", 1)), ratio_range=ratio_range
-            )
+            lower, upper = window_endpoints(q, h, sigma=sigma, ratio_range=ratio_range)
             _write_json(out + ".endpoints.json", {"lower": lower, "upper": upper})
     elif kind == "levitation_sweep":
         model = _model_from_config(cfg)
@@ -480,7 +480,7 @@ def main(argv=None) -> int:
             p.add_argument(
                 "--refine",
                 action="store_true",
-                help="bisect window endpoints and write an .endpoints.json sidecar",
+                help="write closed-form window endpoints to an .endpoints.json sidecar",
             )
 
     args = parser.parse_args(argv)

@@ -160,22 +160,20 @@ def relative_equilibrium_orbit(eq: Equilibrium, t: float) -> ReducedState:
     return ReducedState(x=R @ s0.x, p=R @ s0.p, nu=R @ s0.nu, pi=R @ s0.pi)
 
 
-def distance_to_orbit(s: ReducedState, eq: Equilibrium, n_phase: int = 1024) -> float:
+def distance_to_orbit(s: ReducedState, eq: Equilibrium) -> float:
     """Blockwise relative distance from s to the equilibrium circle.
 
     The four blocks (x, p, nu, pi) are compared in the Euclidean norm, each
     scaled by the corresponding block norm of the reference state (with a
     floor of 1), and the root mean square over blocks is minimized over the
-    rotation phase.  As a function of the phase the squared distance is a
-    single-harmonic trigonometric polynomial, so on top of the ``n_phase``
-    grid the analytic minimizer is evaluated as well; the grid can never
-    beat it, but it is kept as a cross-check against the closed form.
+    rotation phase.  As a function of the phase phi the squared distance is
+    K - 2 (P cos phi + Q sin phi), so its minimum K - 2 sqrt(P^2 + Q^2) is
+    taken in closed form.
     """
     s0 = build_support_state(eq)
     ref = [s0.x, s0.p, s0.nu, s0.pi]
     scales = [max(float(np.linalg.norm(v)), 1.0) for v in ref]
     cur = [s.x, s.p, s.nu, s.pi]
-    # d^2(phi) = K - 2 (P cos phi + Q sin phi), accumulated over blocks.
     K = 0.0
     P = 0.0
     Q = 0.0
@@ -185,7 +183,4 @@ def distance_to_orbit(s: ReducedState, eq: Equilibrium, n_phase: int = 1024) -> 
         P += w * (u[0] * v[0] + u[1] * v[1])
         Q += w * (u[1] * v[0] - u[0] * v[1])
     best = K - 2.0 * math.hypot(P, Q)
-    for k in range(n_phase):
-        phi = 2.0 * math.pi * k / n_phase
-        best = min(best, K - 2.0 * (P * math.cos(phi) + Q * math.sin(phi)))
     return math.sqrt(max(best, 0.0) / 4.0)

@@ -6,10 +6,11 @@ direction nu keeps a fixed tilt (nu_r, 0, nu_z) in the co-rotating frame,
 and the multipliers (omega, lambda1, lambda2) make the support state a
 critical point of the augmented Hamiltonian.
 
-Three solvers are provided: a damped Newton search over (nu_r, nu_z, omega^2)
-for a general axisymmetric field, the classic equatorial branch for
-mirror-symmetric fields without gravity, and the closed-form levitation
-branch for a linear field superposed on a mirror-symmetric one.
+Three solvers are provided, all in closed form: the line-circle
+intersection that gives every branch of a general axisymmetric field, the
+classic equatorial branch for mirror-symmetric fields without gravity, and
+the levitation branch for a linear field superposed on a mirror-symmetric
+one.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ __all__ = [
 
 E3 = np.array([0.0, 0.0, 1.0])
 
-# Tilt magnitudes below this are treated as exactly equatorial by the Newton
-# solver when classifying converged branches.
+# Tilt magnitudes below this are treated as exactly equatorial when
+# solve_dipole_equilibrium classifies its branches.
 EQUATORIAL_TOL = 1e-9
 
 
@@ -296,76 +297,41 @@ def solve_dipole_equilibrium(
 ) -> list[Equilibrium]:
     """All relative-equilibrium branches at radius r0 for a general field.
 
-    Runs a damped Newton iteration on the force balance for the unknowns
-    (nu_r, nu_z, omega^2) from eight starts around the unit circle, each with
-    two omega^2 seeds taken from the equatorial estimate.  Converged roots
-    with omega^2 > 0 are deduplicated and classified: equatorial branches use
-    the supplied spin invariant C2, tilted branches have C2 determined by the
-    tilt.  Branches are returned sorted by descending nu_z.
+    At the support point the force balance is linear in the axis direction:
 
-    Raises NoEquilibrium when no branch survives.
+        Br_z nu_r + Bz_z nu_z = M g / mu
+        Br_r nu_r + Br_z nu_z = -(M r0 / mu) omega^2
+
+    so the branches are the points where the line of the first row meets
+    the unit circle nu_r^2 + nu_z^2 = 1, two at most, and each takes its
+    omega^2 from the second row.  Roots with omega^2 > 0 are classified:
+    equatorial branches use the supplied spin invariant C2, tilted branches
+    have C2 determined by the tilt.  Branches are returned sorted by
+    descending nu_z.
+
+    Raises NoEquilibrium when no branch survives, and when Br_z = Bz_z = 0
+    leaves the axis direction undetermined.
     """
     if r0 <= 0.0:
         raise ValueError("orbit radius must be positive")
     jet = eval_jet(model, r0, 0.0)
-    a1 = jet.Bz_z
-    a2 = jet.Br_z
-    a3 = jet.Br_r
-    gg = b.M * b.g / b.mu
+    norm = math.hypot(jet.Br_z, jet.Bz_z)
+    if norm == 0.0:
+        raise NoEquilibrium(f"Br_z = Bz_z = 0 at r = {r0:g} leaves the axis direction free")
+    # The line is (nu_r, nu_z) . (ur, uz) = d: its point nearest the origin
+    # is d (ur, uz), and it meets the circle a half chord away along (-uz, ur).
+    ur, uz = jet.Br_z / norm, jet.Bz_z / norm
+    d = b.M * b.g / (b.mu * norm)
     c = b.M * r0 / b.mu
-    ftol = 1e-13 * max(1.0, abs(a1), abs(a2), abs(a3), abs(gg))
-
-    def F(u: np.ndarray) -> np.ndarray:
-        nr, nz, w = u
-        return np.array(
-            [
-                nr * a2 + nz * a1 - gg,
-                nr * a3 + nz * a2 + c * w,
-                nr * nr + nz * nz - 1.0,
-            ]
-        )
-
-    def Jac(u: np.ndarray) -> np.ndarray:
-        nr, nz, _ = u
-        return np.array([[a2, a1, 0.0], [a3, a2, c], [2.0 * nr, 2.0 * nz, 0.0]])
-
     w_orb = abs(b.mu * jet.Bz_r / (b.M * r0))
-    if w_orb == 0.0:
-        w_orb = 1.0
-    roots: list[np.ndarray] = []
-    for k in range(8):
-        theta = 2.0 * math.pi * k / 8.0
-        for w_seed in (w_orb, -w_orb):
-            u = np.array([math.cos(theta), math.sin(theta), w_seed])
-            fu = F(u)
-            for _ in range(100):
-                if np.max(np.abs(fu)) <= ftol:
-                    break
-                try:
-                    step = np.linalg.solve(Jac(u), -fu)
-                except np.linalg.LinAlgError:
-                    break
-                t = 1.0
-                base = np.max(np.abs(fu))
-                while t > 1e-4:
-                    trial = u + t * step
-                    ftrial = F(trial)
-                    if np.max(np.abs(ftrial)) <= (1.0 - 0.5 * t) * base:
-                        u, fu = trial, ftrial
-                        break
-                    t *= 0.5
-                else:
-                    break
-            if np.max(np.abs(fu)) > ftol:
-                continue
-            if u[2] <= 1e-12 * max(1.0, w_orb):
-                continue
-            if not any(
-                max(abs(u[0] - r[0]), abs(u[1] - r[1]), abs(u[2] - r[2]) / max(1.0, abs(r[2])))
-                < 1e-8
-                for r in roots
-            ):
-                roots.append(u)
+    roots = []
+    if abs(d) <= 1.0:
+        half = math.sqrt((1.0 - d) * (1.0 + d))
+        for s in {half, -half}:  # one point where the line is tangent
+            nr, nz = d * ur - s * uz, d * uz + s * ur
+            w = -(jet.Br_r * nr + jet.Br_z * nz) / c
+            if w > 1e-12 * max(1.0, w_orb):
+                roots.append((nr, nz, w))
 
     bnorm = math.hypot(jet.Br, jet.Bz)
     out: list[Equilibrium] = []

@@ -63,6 +63,3 @@ class NotEquatorial(OrbitronError):
 class ZeroPivot(OrbitronError):
     """An elimination pivot vanished to working precision."""
 
-
-class IndefiniteDenominator(OrbitronError):
-    """A closed-form denominator is non-positive; the certificate is inconclusive."""

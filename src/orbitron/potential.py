@@ -30,7 +30,6 @@ __all__ = [
     "RotatedBasis",
     "PotentialHessianBlocks",
     "DipolePotential",
-    "FiniteDifferencePotential",
     "make_rotated_basis",
     "hessian_blocks",
     "BASIS_EPS",
@@ -100,44 +99,6 @@ class DipolePotential:
 
     def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
         return -self.b.mu * self.field(x)
-
-
-class FiniteDifferencePotential:
-    """Wrap a plain callable V(x, nu) with central-difference gradients.
-
-    Experimental fallback for user-supplied potentials; the analytic path of
-    :class:`DipolePotential` should be preferred whenever it applies.  The
-    step is scaled by the size of the evaluation point.
-    """
-
-    def __init__(self, fn, step: float = 1e-6):
-        self.fn = fn
-        self.step = step
-
-    def value(self, x: np.ndarray, nu: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, float), np.asarray(nu, float)))
-
-    def _grad(self, x: np.ndarray, nu: np.ndarray, wrt: int) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        args = [x.copy(), nu.copy()]
-        scale = max(1.0, float(np.max(np.abs(args[wrt]))))
-        hstep = self.step * scale
-        out = np.empty(3)
-        for k in range(3):
-            args[wrt][k] += hstep
-            fp = self.fn(*args)
-            args[wrt][k] -= 2.0 * hstep
-            fm = self.fn(*args)
-            args[wrt][k] += hstep
-            out[k] = (fp - fm) / (2.0 * hstep)
-        return out
-
-    def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        return self._grad(x, nu, 0)
-
-    def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        return self._grad(x, nu, 1)
 
 
 def make_rotated_basis(nu0_perp: np.ndarray) -> RotatedBasis:

@@ -76,15 +76,6 @@ class ScanSpec:
     outputs: tuple = ("verdict", "margin", "A", "B", "C")
 
 
-def _window_conditions(q: float, h: float, sigma: int, r0: float) -> tuple[float, float, float]:
-    """Field-level stability conditions (-sigma Bz_zz, -sigma (3 Bz_r/r + Bz_rr))
-    of the dipole pair at r0, and the Bz_r they were taken with."""
-    jet = eval_jet(DipolePair(q, h), r0, 0.0)
-    axial = -sigma * jet.Bz_zz
-    radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
-    return axial, radial, jet.Bz_r
-
-
 def dipoletron_window(
     q: float,
     h: float,
@@ -95,18 +86,22 @@ def dipoletron_window(
 ) -> list[dict]:
     """Tabulate the geometric stability conditions along r0 / h.
 
-    Each row reports the two field-level conditions, the squared orbit rate
-    they imply, and whether both conditions hold.  The conditions are
-    evaluated from the field jet, not from the factored polynomials, so the
-    polynomial form stays available as an independent cross-check.
+    Each row reports the two field-level conditions -sigma Bz_zz and
+    -sigma (3 Bz_r / r0 + Bz_rr), the squared orbit rate they imply, and
+    whether all three are positive.  The conditions are evaluated from the
+    field jet, not from the factored polynomials, so the polynomial form
+    stays available as an independent cross-check.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
+    model = DipolePair(q, h)
     rows = []
     for ratio in np.linspace(ratio_range[0], ratio_range[1], n):
         r0 = float(ratio) * h
-        axial, radial, bz_r = _window_conditions(q, h, sigma, r0)
-        omega2 = -sigma * (b.mu / b.M) * bz_r / r0
+        jet = eval_jet(model, r0, 0.0)
+        axial = -sigma * jet.Bz_zz
+        radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
+        omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
         rows.append(
             {
                 "ratio": float(ratio),
@@ -125,49 +120,26 @@ def window_endpoints(
     h: float,
     sigma: int = 1,
     ratio_range: tuple[float, float] = (0.3, 1.5),
-    tol: float = 1e-12,
 ) -> tuple[float, float]:
-    """Bisect the boundaries of the stability window in r0 / h.
+    """Edges of the stability window in r0 / h, clipped to ``ratio_range``.
 
-    A coarse grid locates the interval where both geometric conditions
-    hold; each boundary is then refined by bisection on the window
-    predicate to within ``tol``.  Raises ValueError when no window lies in
-    ``ratio_range``.
+    In x = (r0 / h)^2 the two geometric conditions are signs of the factored
+    quartics of :func:`fields.dipole_pair_midplane`: the axial one changes
+    sign at the roots 4 -+ 2 sqrt(30) / 3 of 3 x^2 - 24 x + 8, the radial one
+    at the roots 9 -+ sqrt(65) of x^2 - 18 x + 16.  Both hold on
+    4 - sigma 2 sqrt(30) / 3 < x < 9 - sigma sqrt(65), whatever q and h are.
+    Raises ValueError unless sigma is +1 or -1, and when the window does not
+    meet ``ratio_range``.
     """
-
-    def inside(ratio: float) -> bool:
-        axial, radial, _ = _window_conditions(q, h, sigma, ratio * h)
-        return axial > 0.0 and radial > 0.0
-
-    n = 601
-    grid = np.linspace(ratio_range[0], ratio_range[1], n)
-    flags = [inside(float(x)) for x in grid]
-    try:
-        first = flags.index(True)
-    except ValueError:
-        raise ValueError(f"no stability window found in ratio range {ratio_range}") from None
-    last = first
-    while last + 1 < n and flags[last + 1]:
-        last += 1
-
-    def refine(lo: float, hi: float, lo_inside: bool) -> float:
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if inside(mid) == lo_inside:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    if first == 0:
-        lower = float(grid[0])
-    else:
-        lower = refine(float(grid[first - 1]), float(grid[first]), False)
-    if last == n - 1:
-        upper = float(grid[-1])
-    else:
-        upper = refine(float(grid[last]), float(grid[last + 1]), True)
-    return lower, upper
+    DipolePair(q, h)  # validates q > 0 and h > 0
+    if sigma not in (-1, 1):
+        raise ValueError("sigma must be +1 or -1")
+    # The range comes first, so a NaN bound propagates and fails the check.
+    lower = max(ratio_range[0], math.sqrt(4.0 - sigma * 2.0 * math.sqrt(30.0) / 3.0))
+    upper = min(ratio_range[1], math.sqrt(9.0 - sigma * math.sqrt(65.0)))
+    if not lower < upper:
+        raise ValueError(f"no stability window found in ratio range {ratio_range}")
+    return float(lower), float(upper)
 
 
 def split_levitation_model(model: AxiFieldModel) -> tuple[Linear, AxiFieldModel]:
@@ -328,6 +300,8 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     r0, pi0, sigma = param("r0"), param("pi0"), param("sigma")
     if not (np.isfinite(r0).all() and np.isfinite(pi0).all()):
         raise ValueError("r0 and pi0 must be finite")
+    if not np.isin(sigma, (-1.0, 1.0)).all():
+        raise ValueError("sigma must be +1 or -1")
 
     # Distinct (r0, sigma) pairs in order of first appearance, so a
     # ValueError names the first offending cell.

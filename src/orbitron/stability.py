@@ -10,7 +10,7 @@ basis (E1, E2) and dPi1' absorbs the part of dPi1 forced by dN1.  Positive
 definiteness of Q certifies Lyapunov stability of the orbit.  Three routes
 are implemented: successive elimination of isolated squares, the equivalent
 closed-form conditions (a lambda condition, an axis-block condition, and a
-2 x 2 positional block reported as A, B, C), and a Jacobi eigenvalue oracle.
+2 x 2 positional block reported as A, B, C), and an eigenvalue oracle.
 """
 
 from __future__ import annotations
@@ -653,33 +653,6 @@ def levitation_conditions(
     )
 
 
-def _jacobi_spectrum(Q: np.ndarray, tol: float = 1e-13, max_sweeps: int = 100) -> np.ndarray:
-    """Eigenvalues of a symmetric matrix by cyclic Jacobi rotations."""
-    a = np.array(Q, dtype=float, copy=True)
-    n = a.shape[0]
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    for _ in range(max_sweeps):
-        off = math.sqrt(2.0 * float(np.sum(np.triu(a, 1) ** 2)))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = a[p, q]
-                if abs(apq) <= 1e-3 * tol * scale / (n * n):
-                    continue
-                theta = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.sqrt(t * t + 1.0)
-                s = t * c
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
-    return np.sort(np.diag(a))
-
-
 def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     """Definiteness verdict from the spectrum of the reduced form.
 
@@ -688,7 +661,7 @@ def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     reported as marginal, matching the closed-form routes.
     """
     Q = np.asarray(Q, dtype=float)
-    eigs = _jacobi_spectrum(Q)
+    eigs = np.linalg.eigvalsh(Q)
     qnorm = max(float(np.linalg.norm(Q)), 1e-300)
     lam_min = float(eigs[0])
     margin = lam_min / qnorm

@@ -550,3 +550,48 @@ def test_negative_zero_prints_as_zero(tmp_path):
     text = out.read_text()
     assert '"B": 0,' in text
     assert "-0," not in text and "-0\n" not in text
+
+
+WINDOW_SCAN = {"kind": "dipoletron_window", "q": 1.0, "h": 1.0}
+ORBIT = {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}
+
+
+@pytest.mark.parametrize(
+    "command, section, field",
+    [
+        ("equilibrium", dict(ORBIT, sigma=1.7), "equilibrium.sigma"),
+        ("scan", dict(WINDOW_SCAN, n=40.5), "scan.n"),
+        ("scan", dict(WINDOW_SCAN, sigma=1.7), "scan.sigma"),
+        ("simulate", {"from_equilibrium": ORBIT, "steps": 4, "record_every": 2.5}, "simulate.record_every"),
+    ],
+)
+def test_integer_fields_reject_non_integers(tmp_path, capsys, command, section, field):
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, command: section})
+    out = tmp_path / "o.dat"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{field} must be of type int" in err
+    assert not out.exists()
+
+
+def test_stability_map_rejects_non_unit_sigma(tmp_path, capsys):
+    scan = {
+        "kind": "stability_map",
+        "axis1": {"name": "r0", "lo": 0.6, "hi": 0.9, "n": 2},
+        "axis2": {"name": "pi0", "lo": 10.0, "hi": 10.0, "n": 1},
+        "fixed": {"sigma": 1.7},
+    }
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "scan": scan})
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "map.csv")]) == 2
+    assert "sigma must be +1 or -1" in capsys.readouterr().err
+
+
+def test_simulate_no_solution_reports_reason(tmp_path):
+    # the unit dipole pair pulls outward beyond r0 = 2h, so r0 = 3 has no sigma = +1 orbit
+    section = {"from_equilibrium": dict(ORBIT, r0=3.0), "steps": 10}
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "simulate": section})
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    assert out.read_text() == ",".join(CSV_HEADER) + "\n"
+    summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
+    assert summary == {"reason": "WrongFieldSign"}

@@ -228,6 +228,51 @@ def test_dipole_solver_no_equilibrium():
         solve_dipole_equilibrium(model, b, 2.0, 10.0)
 
 
+def test_dipole_solver_branches_are_line_circle_roots():
+    # the first-order conditions put (nu_r, nu_z) on a line and on the unit
+    # circle; count the real intersections with omega^2 > 0 independently,
+    # from the quadratic in nu_r, and compare with the solver's branches
+    rng = np.random.default_rng(11)
+    seen = set()
+    for _ in range(200):
+        dipole = DipolePair(rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0))
+        model = Composite((dipole, Linear(rng.uniform(-2.0, 2.0), rng.uniform(-1.0, 1.0))))
+        r0 = rng.uniform(0.3, 4.0)
+        j = eval_jet(model, r0, 0.0)
+        M, mu = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        # g sets the line's distance d from the origin; half the draws lie
+        # near the tangent line d = 1, where two roots merge and vanish
+        d = rng.uniform(0.0, 1.0) if rng.random() < 0.5 else rng.uniform(0.95, 1.05)
+        g = d * mu * math.hypot(j.Br_z, j.Bz_z) / M
+        b = BodyParams(M=M, I_perp=0.1, I3=0.05, mu=mu, g=g)
+        target = M * g / mu
+        expected = 0
+        for nr in np.roots([j.Bz_z**2 + j.Br_z**2, -2.0 * target * j.Br_z, target**2 - j.Bz_z**2]):
+            if nr.imag == 0.0:
+                nz = (target - j.Br_z * nr.real) / j.Bz_z
+                expected += -(j.Br_r * nr.real + j.Br_z * nz) > 0.0
+        try:
+            branches = solve_dipole_equilibrium(model, b, r0, rng.uniform(-2.0, 2.0))
+        except NoEquilibrium:
+            branches = []
+        assert len(branches) == expected
+        seen.add(expected)
+        scale = max(1.0, mu * math.hypot(j.Br, j.Bz), M * g)
+        for eq in branches:
+            assert first_order_residual(eq, b, model) <= 1e-13 * scale
+    assert seen == {0, 1, 2}
+
+
+@pytest.mark.parametrize("model", [DipolePair(1.0, 1.0), Linear(1.0, 0.0)])
+def test_dipole_solver_degenerate_line(model):
+    # Br_z = Bz_z = 0 (the pair at r0 = 2h, a uniform field) leaves the axis
+    # direction free; with g = 0 there is no line to meet the circle
+    j = eval_jet(model, 2.0, 0.0)
+    assert j.Br_z == 0.0 and j.Bz_z == 0.0
+    with pytest.raises(NoEquilibrium):
+        solve_dipole_equilibrium(model, _body(g=0.0), 2.0, 10.0)
+
+
 def test_solve_levitation_frozen_values():
     nr, nz, xi2 = solve_levitation(-0.5, -1.1)
     assert abs(nr - 0.28) <= 1e-14

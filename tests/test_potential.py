@@ -18,7 +18,6 @@ from orbitron.fields import (
 )
 from orbitron.potential import (
     DipolePotential,
-    FiniteDifferencePotential,
     hessian_blocks,
     make_rotated_basis,
 )
@@ -131,22 +130,6 @@ def test_grad_x_matches_finite_differences():
             e[c] = h
             fd = (V.value(x + e, nu) - V.value(x - e, nu)) / (2.0 * h)
             assert abs(g[c] - fd) <= 1e-6 * max(1.0, abs(g[c]))
-
-
-def test_finite_difference_potential_wrapper():
-    def fn(x, nu):
-        return float(x @ x + 2.0 * (nu @ nu) + x[0] * nu[2])
-
-    V = FiniteDifferencePotential(fn)
-    rng = np.random.default_rng(33)
-    for _ in range(5):
-        x = rng.normal(0.0, 1.0, 3)
-        nu = rng.normal(0.0, 1.0, 3)
-        assert V.value(x, nu) == fn(x, nu)
-        gx = V.grad_x(x, nu)
-        gn = V.grad_nu(x, nu)
-        np.testing.assert_allclose(gx, 2.0 * x + np.array([nu[2], 0.0, 0.0]), atol=1e-8)
-        np.testing.assert_allclose(gn, 4.0 * nu + np.array([0.0, 0.0, x[0]]), atol=1e-8)
 
 
 def test_hessian_blocks_nu_blocks_vanish():

@@ -78,6 +78,26 @@ def test_window_endpoints_no_window():
         dipoletron_window(1.0, 1.0, _body(), sigma=2)
 
 
+def test_window_endpoints_clip_to_ratio_range():
+    lo, hi = window_endpoints(1.0, 1.0)
+    assert window_endpoints(1.0, 1.0, ratio_range=(0.3, 0.8)) == (lo, 0.8)
+    assert window_endpoints(1.0, 1.0, ratio_range=(0.7, 2.0)) == (0.7, hi)
+    assert window_endpoints(1.0, 1.0, ratio_range=(0.7, 0.8)) == (0.7, 0.8)
+    for ratio_range in ((0.3, 0.5), (1.0, 1.5), (0.8, 0.7), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            window_endpoints(1.0, 1.0, ratio_range=ratio_range)
+    with pytest.raises(ValueError):
+        window_endpoints(1.0, 1.0, sigma=2)
+    with pytest.raises(ValueError):
+        window_endpoints(0.0, 1.0)
+
+
+def test_window_endpoints_window_narrower_than_old_grid_step():
+    # a 601-point grid over this range steps by 0.5 and has no point inside
+    # the window, whose width is 0.378
+    assert window_endpoints(1.0, 1.0, ratio_range=(0.55, 300.55)) == window_endpoints(1.0, 1.0)
+
+
 def test_split_levitation_model():
     linear, o_model = split_levitation_model(_lev_model())
     assert linear == Linear(1.0, 3.0)
