@@ -15,6 +15,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .stability import (
 __all__ = ["main"]
 
 TASKS = ("simulate", "equilibrium", "certify", "scan")
+CERTIFY_METHODS = ("closed_form", "orbitron", "levitation")
 
 # Domain errors that mean "the requested solution does not exist" rather
 # than a broken computation; they exit 0 with a reason field.
@@ -284,6 +286,16 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
     model = _model_from_config(cfg)
     sec = _require(cfg, "simulate", dict, "config")
     V = DipolePotential(model, b)
+    # The integrator settings are checked before any solve, so a malformed
+    # section exits 2 whether or not the equilibrium exists.  A missing dt
+    # stands in as 1 until the orbit rate is known.
+    dt = sec.get("dt")
+    icfg = IntegratorConfig(
+        dt=1.0 if dt is None else _float(dt, "simulate.dt"),
+        steps=_require(sec, "steps", int, "simulate"),
+        scheme=str(sec.get("scheme", "rk4")),
+        record_every=_require(sec, "record_every", int, "simulate") if "record_every" in sec else 1,
+    )
 
     eq = None
     if "state" in sec:
@@ -307,17 +319,11 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
     else:
         raise ConfigError("simulate needs a 'state' or 'from_equilibrium' section")
 
-    dt = sec.get("dt")
     if dt is None:
         # One period resolved by 2000 steps when the rotation rate is known,
         # otherwise a fixed 1 ms default.
         dt = 1e-3 if eq is None else (2.0 * math.pi / abs(eq.mult.omega)) / 2000.0
-    icfg = IntegratorConfig(
-        dt=_float(dt, "simulate.dt"),
-        steps=_require(sec, "steps", int, "simulate"),
-        scheme=str(sec.get("scheme", "rk4")),
-        record_every=_require(sec, "record_every", int, "simulate") if "record_every" in sec else 1,
-    )
+        icfg = replace(icfg, dt=_float(dt, "simulate.dt"))
     samples = integrate(s0, icfg, b, V, include_casimir=include_casimir)
     rows = (
         [s.t, *s.state.x, *s.state.p, *s.state.nu, *s.state.pi, s.h, s.J3, s.C1, s.C2]
@@ -362,6 +368,8 @@ def cmd_certify(cfg: dict, out: str, oracle: bool) -> int:
     sec = _require(cfg, "certify", dict, "config")
     spec = _require(sec, "equilibrium", dict, "certify")
     method = str(sec.get("method", "closed_form"))
+    if method not in CERTIFY_METHODS:
+        raise ConfigError(f"unknown certify method {method!r}")
     try:
         eqs = _solve_from_spec(spec, model, b)
     except NO_SOLUTION_ERRORS as exc:
@@ -369,22 +377,22 @@ def cmd_certify(cfg: dict, out: str, oracle: bool) -> int:
         return 0
     eq = _pick_branch(eqs, spec, "certify.equilibrium")
 
+    blocks = None
     if method == "closed_form":
         blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
         cert = closed_form_conditions(eq, b, blocks)
     elif method == "orbitron":
         cert = orbitron_conditions(eq, b, model)
-    elif method == "levitation":
+    else:
         kappa, beta = _levitation_context(model, b, eq.r0)
         xi2 = eq.mult.omega**2 * eq.r0 / b.g
         lev = LevitationParams(beta, kappa, xi2, abs(kappa) - 1.0)
         cert = levitation_conditions(eq, lev, b, model)
-    else:
-        raise ConfigError(f"unknown certify method {method!r}")
 
     result = {"equilibrium": eq.to_record(), "certificate": cert.to_record()}
     if oracle:
-        blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+        if blocks is None:
+            blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
         form = reduced_hessian(eq, b, blocks)
         eig = eigen_certificate(form.Q)
         result["eigen"] = {
@@ -504,7 +512,7 @@ def main(argv=None) -> int:
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except OrbitronError as exc:
+    except (OrbitronError, ArithmeticError) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

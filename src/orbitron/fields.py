@@ -43,6 +43,9 @@ SOURCE_EPS = 1e-9
 class FieldJet:
     """Cylindrical field components and derivatives at one point.
 
+    Each component is a float, or an array holding it at every point of a
+    grid (see :func:`eval_jet`).
+
     Br_z and Bz_r are stored separately even though curl-freeness makes them
     equal; each is computed from its own component so the curl identity stays
     an honest check.
@@ -107,61 +110,80 @@ class Composite:
 AxiFieldModel = Union[DipolePair, Linear, Composite]
 
 
-def _single_dipole_jet(q: float, r: float, Z: float) -> FieldJet:
-    """Jet of one axial point dipole; Z is the height above the source."""
+def _single_dipole_terms(q: float, r, Z) -> list:
+    """Jet components of one axial point dipole; Z is the height above the source."""
     D = r * r + Z * Z
     s5 = D ** -2.5
     s7 = D ** -3.5
     s9 = D ** -4.5
     r2 = r * r
     Z2 = Z * Z
-    return FieldJet(
-        Br=3.0 * q * r * Z * s5,
-        Bz=q * (2.0 * Z2 - r2) * s5,
-        Br_r=3.0 * q * Z * (Z2 - 4.0 * r2) * s7,
-        Br_z=3.0 * q * r * (r2 - 4.0 * Z2) * s7,
-        Bz_r=3.0 * q * r * (r2 - 4.0 * Z2) * s7,
-        Bz_z=3.0 * q * Z * (3.0 * r2 - 2.0 * Z2) * s7,
-        Bz_rr=3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Z2 - 4.0 * Z2 * Z2) * s9,
-        Bz_rz=15.0 * q * r * Z * (4.0 * Z2 - 3.0 * r2) * s9,
-        Bz_zz=3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Z2 + 8.0 * Z2 * Z2) * s9,
-    )
+    return [
+        3.0 * q * r * Z * s5,
+        q * (2.0 * Z2 - r2) * s5,
+        3.0 * q * Z * (Z2 - 4.0 * r2) * s7,
+        3.0 * q * r * (r2 - 4.0 * Z2) * s7,
+        3.0 * q * r * (r2 - 4.0 * Z2) * s7,
+        3.0 * q * Z * (3.0 * r2 - 2.0 * Z2) * s7,
+        3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Z2 - 4.0 * Z2 * Z2) * s9,
+        15.0 * q * r * Z * (4.0 * Z2 - 3.0 * r2) * s9,
+        3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Z2 + 8.0 * Z2 * Z2) * s9,
+    ]
 
 
-def eval_jet(model: AxiFieldModel, r: float, z: float) -> FieldJet:
-    """Evaluate the cylindrical derivative jet of ``model`` at (r, z).
-
-    Raises SourceSingularity if (r, z) lies within ``SOURCE_EPS * h`` of a
-    dipole source point.
-    """
+def _jet_terms(model: AxiFieldModel, r, z) -> list:
+    """The nine components of the jet of ``model`` at (r, z), in FieldJet order."""
     if isinstance(model, DipolePair):
+        # Distances in units of h: squaring them cannot underflow the
+        # threshold for small h, and products overflow to inf (not
+        # OverflowError, as float ** 2 would) for large coordinates.
+        u = r / model.h
         for z_src in (model.h, -model.h):
-            if math.hypot(r, z - z_src) < SOURCE_EPS * model.h:
+            w = (z - z_src) / model.h
+            near = u * u + w * w < SOURCE_EPS * SOURCE_EPS
+            # A bool for floats, a bool array for arrays.
+            if near is not False and np.any(near):
                 raise SourceSingularity(
                     f"field evaluated at distance < {SOURCE_EPS:g} h from the source at z = {z_src:g}"
                 )
-        return _single_dipole_jet(model.q, r, z - model.h) + _single_dipole_jet(
-            model.q, r, z + model.h
-        )
+        top = _single_dipole_terms(model.q, r, z - model.h)
+        bottom = _single_dipole_terms(model.q, r, z + model.h)
+        return [a + b for a, b in zip(top, bottom)]
     if isinstance(model, Linear):
-        return FieldJet(
-            Br=-0.5 * model.Bp * r,
-            Bz=model.B0 + model.Bp * z,
-            Br_r=-0.5 * model.Bp,
-            Br_z=0.0,
-            Bz_r=0.0,
-            Bz_z=model.Bp,
-            Bz_rr=0.0,
-            Bz_rz=0.0,
-            Bz_zz=0.0,
-        )
+        # 1 in the broadcast shape of (r, z), and the float 1.0 for floats;
+        # x ** 0 is 1 also for nan and inf.
+        one = (r * z) ** 0
+        return [
+            -0.5 * model.Bp * r * one,
+            (model.B0 + model.Bp * z) * one,
+            -0.5 * model.Bp * one,
+            0.0 * one,
+            0.0 * one,
+            model.Bp * one,
+            0.0 * one,
+            0.0 * one,
+            0.0 * one,
+        ]
     if isinstance(model, Composite):
-        jets = [eval_jet(p, r, z) for p in model.parts]
-        total = jets[0]
-        for j in jets[1:]:
-            total = total + j
+        total = _jet_terms(model.parts[0], r, z)
+        for part in model.parts[1:]:
+            total = [a + b for a, b in zip(total, _jet_terms(part, r, z))]
         return total
     raise TypeError(f"unknown field model {type(model).__name__}")
+
+
+def eval_jet(model: AxiFieldModel, r, z) -> FieldJet:
+    """Evaluate the cylindrical derivative jet of ``model`` at (r, z).
+
+    r and z are floats or numpy arrays that broadcast against each other;
+    every component of the jet then has the broadcast shape, so a whole grid
+    costs one call.  Python floats in give Python floats out.
+
+    Raises SourceSingularity if (r, z), or any point of the arrays, lies
+    within ``SOURCE_EPS * h`` of a dipole source point.  A NaN coordinate
+    is not near any source and evaluates to NaN components.
+    """
+    return FieldJet(*_jet_terms(model, r, z))
 
 
 def dipole_pair_midplane(q: float, h: float, r0: float) -> tuple[float, float, float, float]:

@@ -90,29 +90,24 @@ def dipoletron_window(
     -sigma (3 Bz_r / r0 + Bz_rr), the squared orbit rate they imply, and
     whether all three are positive.  The conditions are evaluated from the
     field jet, not from the factored polynomials, so the polynomial form
-    stays available as an independent cross-check.
+    stays available as an independent cross-check.  The n ratios are one
+    array :func:`fields.eval_jet` call.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
     model = DipolePair(q, h)
-    rows = []
-    for ratio in np.linspace(ratio_range[0], ratio_range[1], n):
-        r0 = float(ratio) * h
-        jet = eval_jet(model, r0, 0.0)
-        axial = -sigma * jet.Bz_zz
-        radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
-        omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
-        rows.append(
-            {
-                "ratio": float(ratio),
-                "r0": r0,
-                "axial": axial,
-                "radial": radial,
-                "omega2": omega2,
-                "in_window": bool(axial > 0.0 and radial > 0.0 and omega2 > 0.0),
-            }
-        )
-    return rows
+    ratio = np.linspace(ratio_range[0], ratio_range[1], n)
+    if not (ratio > 0.0).all():
+        raise ValueError(f"ratio_range {ratio_range} must lie in r0 / h > 0")
+    r0 = ratio * h
+    jet = eval_jet(model, r0, 0.0)
+    axial = -sigma * jet.Bz_zz
+    radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
+    omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+    in_window = (axial > 0.0) & (radial > 0.0) & (omega2 > 0.0)
+    keys = ("ratio", "r0", "axial", "radial", "omega2", "in_window")
+    columns = (ratio, r0, axial, radial, omega2, in_window)
+    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
 
 
 def window_endpoints(
@@ -172,8 +167,11 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     """Radius at which the mirror part's Br_z matches beta times the gradient.
 
     Only the outer branch (to the right of the most negative Br_z) is
-    searched, since that is where the geometric window can lie.  Raises
-    ValueError when beta is out of reach for the model.
+    searched, since that is where the geometric window can lie.  The
+    4096-point grid on 0.01 h <= r <= 8 h that locates that minimum is one
+    array :func:`fields.eval_jet` call; bisection from the grid minimum to
+    the grid's end then refines the root to 1e-14 h.  Raises ValueError
+    when beta is out of reach for the model.
     """
     linear, o_model = split_levitation_model(model)
     target = beta * linear.Bp
@@ -185,7 +183,7 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
         return eval_jet(o_model, r, 0.0).Br_z - target
 
     grid = np.linspace(0.01 * h, 8.0 * h, 4096)
-    vals = np.array([eval_jet(o_model, float(r), 0.0).Br_z for r in grid])
+    vals = eval_jet(o_model, grid, 0.0).Br_z
     k_min = int(np.argmin(vals))
     if not (vals[k_min] <= target <= 0.0) or target == 0.0:
         raise ValueError(

@@ -595,3 +595,72 @@ def test_simulate_no_solution_reports_reason(tmp_path):
     assert out.read_text() == ",".join(CSV_HEADER) + "\n"
     summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
     assert summary == {"reason": "WrongFieldSign"}
+
+
+# r0 = 3 has no sigma = +1 orbit on the unit pair, so these configs would
+# exit 0 with a reason if the task section were checked only after the solve.
+NO_ORBIT = dict(ORBIT, r0=3.0)
+
+
+@pytest.mark.parametrize(
+    "section, message",
+    [
+        ({"steps": "many"}, "simulate.steps must be of type int"),
+        ({"steps": 10, "scheme": "euler"}, "scheme must be one of"),
+        ({"steps": 0}, "steps must be at least 1"),
+        ({"steps": 10, "record_every": 0}, "record_every must be at least 1"),
+        ({"steps": 10, "dt": -1.0}, "dt must be positive"),
+    ],
+)
+def test_simulate_checks_integrator_before_solving(tmp_path, capsys, section, message):
+    section = dict(section, from_equilibrium=NO_ORBIT)
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "simulate": section})
+    out = tmp_path / "traj.csv"
+    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not out.exists()
+
+
+def test_certify_checks_method_before_solving(tmp_path, capsys):
+    section = {"method": "eigen", "equilibrium": NO_ORBIT}
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "certify": section})
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+    assert "unknown certify method 'eigen'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("method", ["closed_form", "orbitron"])
+def test_certify_oracle_solves_hessian_once(tmp_path, monkeypatch, method):
+    from orbitron import cli
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return hessian_blocks(*args)
+
+    hessian_blocks = cli.hessian_blocks
+    monkeypatch.setattr(cli, "hessian_blocks", counted)
+    section = {"method": method, "equilibrium": ORBIT}
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "certify": section})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json"), "--oracle"]) == 0
+    assert len(calls) == 1
+
+
+def test_scan_window_rejects_nonpositive_ratio(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=[0.0, 1.5])})
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+    assert "r0 / h > 0" in capsys.readouterr().err
+
+
+def test_levitation_precision_loss_is_a_numerical_failure(tmp_path, capsys):
+    # a gradient of 1e-150 makes beta and kappa about 1e150, and the axis
+    # direction of the levitation closed form loses its normalization
+    weak = {"type": "linear", "B0": 1.0, "Bprime": 1e-150}
+    field = {"type": "composite", "parts": [weak, PAIR]}
+    section = {"solver": "levitation", "r0": 0.8}
+    cfg = _cfg(tmp_path, {"body": dict(BODY, g=1.0), "field": field, "equilibrium": section})
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: ArithmeticError")

@@ -378,3 +378,73 @@ def test_config_errors():
         model_from_config([1, 2, 3])
     with pytest.raises(ConfigError):
         model_from_config({"type": "composite", "parts": []})
+
+
+ARRAY_MODELS = (
+    DipolePair(1.3, 0.9),
+    Linear(0.7, -1.3),
+    Composite((DipolePair(1.0, 1.0), DipolePair(0.5, 2.0))),
+    Composite((Linear(1.0, 3.0), DipolePair(1.0, 1.0))),
+)
+
+
+@pytest.mark.parametrize("model", ARRAY_MODELS, ids=lambda m: type(m).__name__)
+@pytest.mark.parametrize(
+    "r, z",
+    [
+        (np.linspace(0.05, 3.0, 7), 0.0),
+        (0.8, np.linspace(-2.5, 2.5, 6)),
+        (np.linspace(0.05, 3.0, 4)[:, None], np.array([-0.3, 0.0, 0.45])),
+        (np.array([[0.2, 1.4], [2.2, 0.6]]), np.array([[0.3, -0.7], [1.5, 0.0]])),
+    ],
+)
+def test_array_jet_matches_pointwise_jets(model, r, z):
+    shape = np.broadcast_shapes(np.shape(r), np.shape(z))
+    jet = eval_jet(model, r, z)
+    rs, zs = np.broadcast_to(r, shape), np.broadcast_to(z, shape)
+    for idx in np.ndindex(shape):
+        ref = eval_jet(model, float(rs[idx]), float(zs[idx]))
+        scale = _jet_scale(ref)
+        for k in JET_FIELDS:
+            got = getattr(jet, k)
+            assert isinstance(got, np.ndarray) and got.shape == shape
+            # numpy's vectorized power may differ from the scalar one in the last bits
+            assert abs(got[idx] - getattr(ref, k)) <= 1e-14 * scale
+
+
+def test_linear_array_jet_takes_broadcast_shape():
+    jet = eval_jet(Linear(2.0, 3.0), np.array([[1.0], [2.0]]), np.array([0.0, 1.0, 2.0]))
+    for k in JET_FIELDS:
+        assert getattr(jet, k).shape == (2, 3)
+    assert jet.Br_r.tolist() == [[-1.5] * 3] * 2
+    assert jet.Bz.tolist() == [[2.0, 5.0, 8.0]] * 2
+    assert not jet.Bz_zz.any()
+
+
+def test_array_jet_source_singularity_guard():
+    model = Composite((Linear(1.0, 3.0), DipolePair(1.0, 1.0)))
+    with pytest.raises(SourceSingularity):
+        eval_jet(model, np.array([0.5, 0.0, 0.7]), np.array([0.0, 1.0, 0.0]))
+    with pytest.raises(SourceSingularity):
+        eval_jet(model, np.array([0.5, 1e-12]), -1.0)
+    eval_jet(model, np.array([0.5, 0.01]), np.array([0.0, 1.0]))
+    # NaN is near no source
+    jet = eval_jet(model, np.array([np.nan, 0.8]), 0.0)
+    assert math.isnan(jet.Bz[0]) and math.isfinite(jet.Bz[1])
+
+
+def test_scalar_jet_returns_python_floats():
+    for model in ARRAY_MODELS:
+        jet = eval_jet(model, 0.8, 0.0)
+        assert all(type(getattr(jet, k)) is float for k in JET_FIELDS)
+
+
+def test_source_guard_at_extreme_scales():
+    # the guard compares distances in units of h, so the squared threshold
+    # neither underflows for a tiny h nor overflows for far points
+    tiny = DipolePair(1.0, 1e-170)
+    with pytest.raises(SourceSingularity):
+        eval_jet(tiny, 0.0, 1e-170)
+    eval_jet(DipolePair(1.0, 1.0), 1e200, 0.0)  # no OverflowError
+    with np.errstate(over="ignore", invalid="ignore"):
+        eval_jet(DipolePair(1.0, 1.0), np.array([0.8, 1e200]), 0.0)

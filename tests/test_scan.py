@@ -304,3 +304,57 @@ def test_stability_map_error_semantics():
             stability_map(bad_spec, pair, bad_b)
         with pytest.raises(ValueError):
             _per_cell(bad_spec, pair, bad_b)
+
+
+def _radius_for_beta_reference(model, beta):
+    """The pointwise grid-plus-bisection search that the array grid replaced."""
+    linear, o_model = split_levitation_model(model)
+    target = beta * linear.Bp
+    h = max(p.h for p in (o_model.parts if isinstance(o_model, Composite) else (o_model,)))
+
+    def f(r):
+        return eval_jet(o_model, r, 0.0).Br_z - target
+
+    grid = np.linspace(0.01 * h, 8.0 * h, 4096)
+    vals = np.array([eval_jet(o_model, float(r), 0.0).Br_z for r in grid])
+    k_min = int(np.argmin(vals))
+    assert vals[k_min] <= target < 0.0
+    lo, hi = float(grid[k_min]), float(grid[-1])
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * h:
+            break
+    return 0.5 * (lo + hi), h
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        _lev_model(),
+        Composite((Linear(0.5, 2.0), DipolePair(1.0, 1.0), DipolePair(0.4, 1.7))),
+    ],
+    ids=["one_pair", "two_pairs"],
+)
+@pytest.mark.parametrize("beta", [-0.05, -0.3, -0.75, -0.9, -1.05])
+def test_radius_for_beta_matches_pointwise_search(model, beta):
+    expected, h = _radius_for_beta_reference(model, beta)
+    assert abs(radius_for_beta(model, beta) - expected) <= 1e-14 * h
+
+
+def test_window_rows_are_python_scalars():
+    rows = dipoletron_window(1.0, 1.0, _body(), n=5)
+    assert list(rows[0]) == ["ratio", "r0", "axial", "radial", "omega2", "in_window"]
+    for row in rows:
+        assert all(type(row[k]) is float for k in ("ratio", "r0", "axial", "radial", "omega2"))
+        assert type(row["in_window"]) is bool
+
+
+def test_window_rejects_nonpositive_ratios():
+    with pytest.raises(ValueError, match="r0 / h > 0"):
+        dipoletron_window(1.0, 1.0, _body(), ratio_range=(0.0, 1.5))
+    with pytest.raises(ValueError, match="r0 / h > 0"):
+        dipoletron_window(1.0, 1.0, _body(), ratio_range=(-1.0, 1.5), n=11)
