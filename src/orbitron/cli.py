@@ -158,7 +158,12 @@ def _load_config(path: str) -> dict:
 
 
 def _float(value, where: str) -> float:
-    """A config value as a finite float; JSON admits NaN and Infinity."""
+    """A config number, a JSON int or float but not a bool, as a finite float.
+
+    float() would also take strings and booleans; JSON admits NaN and Infinity.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be of type float")
     try:
         x = float(value)
     except OverflowError as exc:
@@ -172,7 +177,7 @@ def _require(cfg: dict, key: str, kind, where: str):
     if key not in cfg:
         raise ConfigError(f"missing {key!r} in {where}")
     value = cfg[key]
-    if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
+    if kind is float:
         return _float(value, f"{where}.{key}")
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
@@ -199,7 +204,7 @@ def _model_from_config(cfg: dict) -> AxiFieldModel:
 
 def _vector(rec, key: str, where: str) -> np.ndarray:
     v = _require(rec, key, list, where)
-    if len(v) != 3 or not all(isinstance(c, (int, float)) for c in v):
+    if len(v) != 3:
         raise ConfigError(f"{where}.{key} must be a list of 3 numbers")
     return np.array([_float(c, f"{where}.{key}") for c in v])
 
@@ -226,7 +231,9 @@ def _levitation_context(model: AxiFieldModel, b: BodyParams, r0: float):
 
 def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Equilibrium]:
     solver = _require(spec, "solver", str, "equilibrium")
-    negative_omega = bool(spec.get("negative_omega", False))
+    negative_omega = (
+        _require(spec, "negative_omega", bool, "equilibrium") if "negative_omega" in spec else False
+    )
     if solver == "orbitron":
         r0 = _require(spec, "r0", float, "equilibrium")
         pi0 = _require(spec, "pi0", float, "equilibrium")

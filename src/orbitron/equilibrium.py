@@ -164,6 +164,20 @@ def _mirrored(eq: Equilibrium) -> Equilibrium:
     )
 
 
+def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
+    """Elementwise (asymmetric, omega2) of the equatorial branch, from the jet at (r0, 0).
+
+    asymmetric flags a radial field or an axial gradient; omega2 must be positive.
+    """
+    bnorm = np.hypot(jet.Br, jet.Bz)
+    dnorm = np.max(np.abs([jet.Br_r, jet.Br_z, jet.Bz_r, jet.Bz_z]), axis=0)
+    asymmetric = (np.abs(jet.Br) > 1e-9 * np.maximum(bnorm, 1e-300)) | (
+        np.abs(jet.Bz_z) > 1e-9 * np.maximum(dnorm, 1e-300)
+    )
+    omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+    return asymmetric, omega2
+
+
 def equatorial_rate(
     model: AxiFieldModel, b: BodyParams, r0: float, sigma: int
 ) -> tuple[float, FieldJet]:
@@ -182,11 +196,9 @@ def equatorial_rate(
     if b.g != 0.0:
         raise ValueError("equatorial solver requires g = 0; use solve_dipole_equilibrium")
     jet = eval_jet(model, r0, 0.0)
-    bnorm = math.hypot(jet.Br, jet.Bz)
-    dnorm = max(abs(jet.Br_r), abs(jet.Br_z), abs(jet.Bz_r), abs(jet.Bz_z))
-    if abs(jet.Br) > 1e-9 * max(bnorm, 1e-300) or abs(jet.Bz_z) > 1e-9 * max(dnorm, 1e-300):
+    asymmetric, w2 = _equatorial_tests(jet, b, r0, sigma)
+    if asymmetric:
         raise NotMirrorSymmetric(f"field is not mirror symmetric at r = {r0:g}")
-    w2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
     if w2 <= 0.0:
         raise WrongFieldSign(
             f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+d}, Bz_r = {jet.Bz_r:g}"

@@ -61,19 +61,6 @@ class FieldJet:
     Bz_rz: float
     Bz_zz: float
 
-    def __add__(self, other: "FieldJet") -> "FieldJet":
-        return FieldJet(
-            self.Br + other.Br,
-            self.Bz + other.Bz,
-            self.Br_r + other.Br_r,
-            self.Br_z + other.Br_z,
-            self.Bz_r + other.Bz_r,
-            self.Bz_z + other.Bz_z,
-            self.Bz_rr + other.Bz_rr,
-            self.Bz_rz + other.Bz_rz,
-            self.Bz_zz + other.Bz_zz,
-        )
-
 
 @dataclass(frozen=True)
 class DipolePair:
@@ -111,11 +98,18 @@ AxiFieldModel = Union[DipolePair, Linear, Composite]
 
 
 def _single_dipole_terms(q: float, r, Z) -> list:
-    """Jet components of one axial point dipole; Z is the height above the source."""
+    """Jet components of one axial point dipole; Z is the height above the source.
+
+    The powers of D take one correctly rounded square root, so a float call
+    gives the element of an array call bit for bit; it raises where they overflow.
+    """
     D = r * r + Z * Z
-    s5 = D ** -2.5
-    s7 = D ** -3.5
-    s9 = D ** -4.5
+    root = math.sqrt(D) if isinstance(D, float) else np.sqrt(D)
+    s5 = 1.0 / (D * D * root)
+    s7 = s5 / D
+    s9 = s7 / D
+    if isinstance(s9, float) and s9 == math.inf:
+        raise OverflowError(f"dipole jet overflows at squared distance {D:g} from the source")
     r2 = r * r
     Z2 = Z * Z
     return [
@@ -325,7 +319,10 @@ def model_from_config(cfg: dict) -> AxiFieldModel:
     kind = cfg["type"]
 
     def number(key: str) -> float:
-        x = float(cfg[key])
+        x = cfg[key]
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise TypeError(f"{key} must be a number, got {x!r}")
+        x = float(x)
         if not math.isfinite(x):
             raise ValueError(f"{key} must be finite, got {x!r}")
         return x

@@ -12,19 +12,13 @@ in-plane directions E1 (along the planar part of nu0) and E2 = e3 x E1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .core import BodyParams
 from .errors import AxisDegeneracy
-from .fields import (
-    AxiFieldModel,
-    cartesian_field,
-    cartesian_hessian,
-    cartesian_jacobian,
-    eval_jet,
-)
+from .fields import AxiFieldModel, FieldJet, cartesian_field, cartesian_jacobian, eval_jet
 
 __all__ = [
     "RotatedBasis",
@@ -101,6 +95,14 @@ class DipolePotential:
         return -self.b.mu * self.field(x)
 
 
+def _planar_direction(nx, ny):
+    """(c, s) of E1 = (nx, ny) / |(nx, ny)|, or (1, 0) when |(nx, ny)| <= BASIS_EPS; elementwise."""
+    n = np.hypot(nx, ny)
+    planar = n > BASIS_EPS
+    n = np.where(planar, n, 1.0)
+    return np.where(planar, nx / n, 1.0), np.where(planar, ny / n, 0.0)
+
+
 def make_rotated_basis(nu0_perp: np.ndarray) -> RotatedBasis:
     """Basis (E1, E2) with E1 along nu0_perp and E2 = e3 x E1.
 
@@ -112,14 +114,51 @@ def make_rotated_basis(nu0_perp: np.ndarray) -> RotatedBasis:
         v = v[:2]
     if v.shape != (2,):
         raise ValueError("nu0_perp must be a 2-vector (or a 3-vector with z dropped)")
-    n = math.hypot(v[0], v[1])
-    if n > BASIS_EPS:
-        e1 = v / n
-    else:
-        e1 = np.array([1.0, 0.0])
-    e2 = np.array([-e1[1], e1[0]])
+    c, s = _planar_direction(v[0], v[1])
+    e1 = np.array([c, s])
+    e2 = np.array([-s, c])
     alpha = np.column_stack([e1, e2])
     return RotatedBasis(E1=e1, E2=e2, alpha=alpha)
+
+
+def _support_blocks(jet: FieldJet, r0, nu, mu: float) -> PotentialHessianBlocks:
+    """Hessian blocks at the support point (r0, 0, 0) in closed form; ``basis`` is None.
+
+    ``jet`` is the jet at (r0, 0) and nu = (nu_x, nu_y, nu_z).  They are
+    floats, or arrays of K cells, and the block arrays then end in a cell
+    axis.  There the field Jacobian is [[Br_r, 0, Br_z], [0, Br / r0, 0],
+    [Bz_r, 0, Bz_z]], and Vxx = -mu sum_k nu_k H[k] (H as in
+    :func:`fields.cartesian_hessian`) is linear in nu.
+    """
+    nx, ny, nz = nu
+    c, s = _planar_direction(nx, ny)
+    br_over_r, bzr_over_r = jet.Br / r0, jet.Bz_r / r0
+    T = (jet.Bz_z + 2.0 * br_over_r) / r0
+    v11 = nx * (T - jet.Bz_rz) + nz * jet.Bz_rr
+    v13 = nx * jet.Bz_rr + nz * jet.Bz_rz
+    v33 = nx * jet.Bz_rz + nz * jet.Bz_zz
+    Vxx = -mu * np.array(
+        [
+            [v11, -ny * T, v13],
+            [-ny * T, nz * bzr_over_r - nx * T, ny * bzr_over_r],
+            [v13, ny * bzr_over_r, v33],
+        ]
+    )
+    # d^2 V / dx_i dnu_k = -mu J[i, k], with the planar nu columns turned
+    # into the rotated basis E1 = (c, s), E2 = (-s, c).
+    VxN = -mu * np.array(
+        [
+            [jet.Br_r * c, -jet.Br_r * s],
+            [br_over_r * s, br_over_r * c],
+            [jet.Bz_r * c, -jet.Bz_r * s],
+        ]
+    )
+    Vx3 = -mu * np.array([jet.Br_z, np.zeros_like(jet.Br_z), jet.Bz_z])
+    # V is linear in nu, so the pure axis blocks are identically zero.
+    shape = np.shape(r0)
+    VNN, VN3 = np.zeros((2, 2) + shape), np.zeros((2,) + shape)
+    V33 = np.zeros(shape) if shape else 0.0
+    return PotentialHessianBlocks(Vxx, VxN, Vx3, VNN, VN3, V33, None)
 
 
 def hessian_blocks(
@@ -131,9 +170,11 @@ def hessian_blocks(
     """Second derivatives of the dipole potential at a support point.
 
     ``x0`` must have the support form (r0, 0, 0) with r0 > 0; ``nu0`` is the
-    unit axis direction there.  For this potential the pure nu blocks vanish
-    (V is linear in nu), but they are carried explicitly so downstream code
-    is written against the general shape.
+    unit axis direction there.  The field's Jacobian and Hessian have few
+    non-zero entries there, so the blocks are closed forms in the jet at
+    (r0, 0).  For this potential the pure nu blocks vanish (V is linear in
+    nu), but they are carried explicitly so downstream code is written
+    against the general shape.
     """
     x0 = np.asarray(x0, dtype=float)
     nu0 = np.asarray(nu0, dtype=float)
@@ -144,23 +185,5 @@ def hessian_blocks(
     r0 = float(x0[0])
     if r0 <= 0.0:
         raise AxisDegeneracy("support point must lie off the symmetry axis")
-
-    jet = eval_jet(model, r0, 0.0)
-    J = cartesian_jacobian(jet, x0)
-    H = cartesian_hessian(jet, x0)
-    basis = make_rotated_basis(nu0[:2])
-
-    # Vxx[i, j] = -mu sum_k nu0_k H[k, i, j]; gravity is linear and drops out.
-    Vxx = -b.mu * np.einsum("k,kij->ij", nu0, H)
-
-    # Mixed block d^2 V / dx_i dnu_k = -mu J[k, i] (J is symmetric).
-    mixed = -b.mu * J
-    VxN = mixed[:, :2] @ basis.alpha
-    Vx3 = mixed[:, 2].copy()
-
-    # V is linear in nu, so the pure axis blocks are identically zero.
-    VNN = np.zeros((2, 2))
-    VN3 = np.zeros(2)
-    V33 = 0.0
-
-    return PotentialHessianBlocks(Vxx=Vxx, VxN=VxN, Vx3=Vx3, VNN=VNN, VN3=VN3, V33=V33, basis=basis)
+    blocks = _support_blocks(eval_jet(model, r0, 0.0), r0, nu0.tolist(), b.mu)
+    return replace(blocks, basis=make_rotated_basis(nu0[:2]))

@@ -16,21 +16,16 @@ import numpy as np
 from .core import BodyParams
 from .equilibrium import (
     LevitationParams,
+    _equatorial_tests,
     build_levitation_equilibrium,
     equatorial_multipliers,
     equatorial_rate,
     solve_levitation,
 )
 from .errors import BadSign, ConfigError, OrbitronError
-from .fields import AxiFieldModel, Composite, DipolePair, Linear, eval_jet
-from .potential import hessian_blocks
-from .stability import (
-    CERTIFICATE_FIELDS,
-    _Cells,
-    _certify,
-    _stack_blocks,
-    levitation_conditions,
-)
+from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, eval_jet
+from .potential import _support_blocks
+from .stability import CERTIFICATE_FIELDS, _Cells, _certify, levitation_conditions
 
 __all__ = [
     "ScanAxis",
@@ -272,10 +267,11 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     ``sigma``.  Each cell solves the equatorial equilibrium and runs the
     closed-form certificate; infeasible cells carry the error name.
 
-    The axis is sigma e3 in every cell, so the field jet, the orbit rate and
-    the Hessian blocks depend on (r0, sigma) alone: they are evaluated once
-    per distinct pair, and the spin pi0 enters only through the
-    multipliers.  All cells are then certified together on stacked arrays.
+    The axis is sigma e3 in every cell, so the field enters only through
+    its jet at (r0, 0), which is one array :func:`fields.eval_jet` call over
+    all cells.  The branch tests of :func:`equilibrium.equatorial_rate` and
+    the closed-form blocks of :func:`potential.hessian_blocks` are then
+    elementwise, and all cells are certified together on stacked arrays.
     """
     known = {"r0", "pi0", "sigma"}
     names = {spec.axis1.name, spec.axis2.name} | set(spec.fixed)
@@ -298,53 +294,33 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     r0, pi0, sigma = param("r0"), param("pi0"), param("sigma")
     if not (np.isfinite(r0).all() and np.isfinite(pi0).all()):
         raise ValueError("r0 and pi0 must be finite")
-    if not np.isin(sigma, (-1.0, 1.0)).all():
-        raise ValueError("sigma must be +1 or -1")
+    outside = ~np.isin(sigma, (-1.0, 1.0)) | (r0 <= 0.0) | (b.g != 0.0)
+    if outside.any():
+        k = int(outside.argmax())  # raises the first offending cell's ValueError, before any jet
+        equatorial_rate(model, b, float(r0[k]), sigma[k])
 
-    # Distinct (r0, sigma) pairs in order of first appearance, so a
-    # ValueError names the first offending cell.
-    pairs: dict = {}
-    cell_pairs = zip(r0.tolist(), sigma.tolist())
-    pair_of = np.array([pairs.setdefault(pair, len(pairs)) for pair in cell_pairs])
-    pair_error, pair_slot, branches = [], [], []
-    for r, s in pairs:
-        sig = int(s)
-        try:
-            omega, jet = equatorial_rate(model, b, r, sig)
-            nu0 = np.array([0.0, 0.0, float(sig)])
-            blocks = hessian_blocks(np.array([r, 0.0, 0.0]), nu0, model, b)
-        except OrbitronError as exc:
-            pair_error.append(type(exc).__name__)
-        else:
-            pair_error.append("")
-            branches.append((float(sig), omega, jet.Bz, blocks))
-        pair_slot.append(len(branches) - 1)
-
-    errors = [pair_error[p] for p in pair_of.tolist()]
-    live = np.array([k for k, e in enumerate(errors) if not e], dtype=int)
-    certified = []
-    if len(live):
-        slot = np.array(pair_slot)[pair_of[live]]
-        nz, omega, bz = (np.array(values)[slot] for values in list(zip(*branches))[:3])
-        r_live = r0[live]
-        mult = equatorial_multipliers(b, bz, omega, pi0[live], nz)
-        blocks = _stack_blocks([branch[3] for branch in branches], slot)
-        p0 = b.M * omega * r_live
-        certs = _certify(b, _Cells(np.zeros(len(live)), nz, mult, r_live, p0, blocks))
-        for j, (k, zero) in enumerate(zip(live.tolist(), certs.sweep.zero.tolist())):
-            if zero:
-                errors[k] = "ZeroPivot"
-            else:
-                certified.append((j, k))
+    jet = eval_jet(model, r0, 0.0)
+    asymmetric, omega2 = _equatorial_tests(jet, b, r0, sigma)
+    errors = np.where(asymmetric, "NotMirrorSymmetric", np.where(omega2 <= 0.0, "WrongFieldSign", ""))
+    live = np.flatnonzero(errors == "")
+    jet = FieldJet(**{name: value[live] for name, value in vars(jet).items()})
+    nz, r_live, omega = sigma[live], r0[live], np.sqrt(omega2[live])
+    mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
+    blocks = _support_blocks(jet, r_live, (0.0, 0.0, nz), b.mu)
+    p0 = b.M * omega * r_live
+    certs = _certify(b, _Cells(np.zeros(len(live)), nz, mult, r_live, p0, blocks))
+    errors[live[certs.sweep.zero]] = "ZeroPivot"
+    certified = [(j, k) for j, k in enumerate(live.tolist()) if not errors[k]]
 
     outputs = []
     for name in spec.outputs:
         col = [math.nan if name != "verdict" else ""] * n
-        if certified and name in CERTIFICATE_FIELDS:
+        if name in CERTIFICATE_FIELDS:
             values = certs.column(name)
             for j, k in certified:
                 col[k] = values[j]
         outputs.append(col)
     keys = [spec.axis1.name, spec.axis2.name, *spec.outputs, "error"]
-    cells = zip(grid[spec.axis1.name].tolist(), grid[spec.axis2.name].tolist(), *outputs, errors)
+    axes = (grid[spec.axis1.name].tolist(), grid[spec.axis2.name].tolist())
+    cells = zip(*axes, *outputs, errors.tolist())
     return [dict(zip(keys, cell)) for cell in cells]

@@ -439,23 +439,6 @@ def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
     return _Certificates(margin, sweep, den1, cond2, A, B, C, failed)
 
 
-def _stack_blocks(blocks: list, index) -> PotentialHessianBlocks:
-    """Hessian blocks picked from ``blocks`` by ``index``, stacked along a trailing cell axis."""
-
-    def pick(name: str) -> np.ndarray:
-        return np.moveaxis(np.array([getattr(blk, name) for blk in blocks], dtype=float)[index], 0, -1)
-
-    return PotentialHessianBlocks(
-        Vxx=pick("Vxx"),
-        VxN=pick("VxN"),
-        Vx3=pick("Vx3"),
-        VNN=pick("VNN"),
-        VN3=pick("VN3"),
-        V33=pick("V33"),
-        basis=None,
-    )
-
-
 def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
     nperp, nz = _nu_split(eq)
     return _Cells(nperp, nz, eq.mult, eq.r0, eq.p0, blocks)

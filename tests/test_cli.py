@@ -3,11 +3,14 @@
 import csv
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import orbitron
 from orbitron.cli import main
 
 BODY = {"M": 1.0, "I_perp": 0.1, "I3": 0.05, "mu": 1.0, "g": 0.0}
@@ -456,10 +459,15 @@ def test_module_entry_point(tmp_path):
         },
     )
     out = str(tmp_path / "eq.json")
+    # the child process imports the package the tests import, also when
+    # only pytest's pythonpath setting put it on sys.path
+    src = str(Path(orbitron.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "orbitron.cli", "equilibrium", "--config", cfg, "--out", out],
         capture_output=True,
         text=True,
+        env=dict(os.environ, PYTHONPATH=path),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "eq.json").read_text())
@@ -572,6 +580,59 @@ def test_integer_fields_reject_non_integers(tmp_path, capsys, command, section, 
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"{field} must be of type int" in err
     assert not out.exists()
+
+
+MAP_SCAN = {
+    "kind": "stability_map",
+    "axis1": {"name": "r0", "lo": 0.6, "hi": 0.9, "n": 2},
+    "axis2": {"name": "pi0", "lo": 5.0, "hi": 10.0, "n": 2},
+}
+SWEEP_SCAN = {"kind": "levitation_sweep", "kappa_values": [1.001, 1.2], "beta": -0.9517125403464043}
+
+
+@pytest.mark.parametrize(
+    "command, doc, field",
+    [
+        ("equilibrium", {"body": dict(BODY, M="2"), "field": PAIR, "equilibrium": ORBIT}, "body.M"),
+        ("equilibrium", {"body": dict(BODY, M=True), "field": PAIR, "equilibrium": ORBIT}, "body.M"),
+        ("equilibrium", {"body": BODY, "field": dict(PAIR, h=True), "equilibrium": ORBIT}, "h must be a number"),
+        (
+            "simulate",
+            {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": 2, "dt": "0.001"}},
+            "simulate.dt",
+        ),
+        (
+            "scan",
+            {"body": LEV_BODY, "field": LEV_FIELD, "scan": dict(SWEEP_SCAN, kappa_values=["1.01", True])},
+            "scan.kappa_values",
+        ),
+        ("scan", {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, fixed={"sigma": "1"})}, "scan.fixed.sigma"),
+        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=["0.3", "1.5"])}, "scan.ratio_range"),
+    ],
+)
+def test_config_numbers_reject_strings_and_booleans(tmp_path, capsys, command, doc, field):
+    # float() takes "2" and True; a config number must be a JSON int or float
+    cfg = _cfg(tmp_path, doc)
+    out = tmp_path / "o.dat"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flag, code, sign", [("false", 2, None), ("no", 2, None), (0, 2, None), (False, 0, 1.0), (True, 0, -1.0)]
+)
+def test_negative_omega_must_be_boolean(tmp_path, capsys, flag, code, sign):
+    # "false" is a true string, so reading it with bool() picked the retrograde branch
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "equilibrium": dict(ORBIT, negative_omega=flag)})
+    out = tmp_path / "eq.json"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == code
+    if code:
+        assert "equilibrium.negative_omega must be of type bool" in capsys.readouterr().err
+        assert not out.exists()
+    else:
+        assert math.copysign(1.0, json.loads(out.read_text())["equilibria"][0]["omega"]) == sign
 
 
 def test_stability_map_rejects_non_unit_sigma(tmp_path, capsys):

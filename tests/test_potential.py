@@ -17,7 +17,9 @@ from orbitron.fields import (
     eval_jet,
 )
 from orbitron.potential import (
+    BASIS_EPS,
     DipolePotential,
+    _support_blocks,
     hessian_blocks,
     make_rotated_basis,
 )
@@ -251,3 +253,33 @@ def test_vxx_from_cartesian_hessian_contraction():
         blocks = hessian_blocks(x0, nu, model, b)
         expected = -b.mu * np.einsum("k,kij->ij", nu, H)
         np.testing.assert_allclose(blocks.Vxx, expected, rtol=0, atol=1e-13)
+
+
+def test_stacked_support_blocks_match_pointwise_blocks():
+    # the closed form on stacked cells gives each cell's hessian_blocks bit for bit
+    b = _body()
+    model = Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0), DipolePair(0.3, 1.6)))
+    nu = np.array(
+        [
+            [0.0, 0.0, 1.0],
+            [0.0, 0.0, -1.0],
+            [0.6, 0.0, 0.8],
+            [-0.28, 0.0, 0.96],
+            [0.36, 0.48, 0.8],
+            [-0.48, -0.36, -0.8],
+            [0.3, -0.9, 0.1],
+            [3e-13, -4e-13, 1.0],
+            [-5e-13, 0.0, -1.0],
+        ]
+    )
+    nu /= np.linalg.norm(nu, axis=1)[:, None]
+    r0 = np.linspace(0.4, 2.5, len(nu))
+    stacked = _support_blocks(eval_jet(model, r0, 0.0), r0, tuple(nu.T), b.mu)
+    for k in range(len(r0)):
+        ref = hessian_blocks(np.array([r0[k], 0.0, 0.0]), nu[k], model, b)
+        for name in ("Vxx", "VxN", "Vx3", "VNN", "VN3", "V33"):
+            got = getattr(stacked, name)
+            assert got.shape[-1] == len(r0)
+            assert np.array_equal(got[..., k], getattr(ref, name))
+        if math.hypot(nu[k, 0], nu[k, 1]) <= BASIS_EPS:
+            assert ref.basis.E1.tolist() == [1.0, 0.0]

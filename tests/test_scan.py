@@ -306,6 +306,37 @@ def test_stability_map_error_semantics():
             _per_cell(bad_spec, pair, bad_b)
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        ScanSpec(ScanAxis("r0", 0.8, 0.8, 1), ScanAxis("pi0", 10.0, 10.0, 1)),
+        ScanSpec(ScanAxis("sigma", -1.0, 1.0, 2), ScanAxis("r0", 0.5, 3.0, 6), fixed={"pi0": 8.0}),
+        ScanSpec(ScanAxis("r0", 0.5, 2.6, 40), ScanAxis("pi0", 2.0, 20.0, 40)),
+    ],
+    ids=["1x1", "2x6", "40x40"],
+)
+def test_stability_map_makes_one_jet_call(monkeypatch, spec):
+    from orbitron import equilibrium, fields, potential, stability
+    from orbitron import scan as scan_module
+
+    calls = {"eval_jet": 0, "hessian_blocks": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (fields, potential, equilibrium, stability, scan_module):
+        for name in calls:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    rows = stability_map(spec, Composite((DipolePair(1.0, 1.0), DipolePair(0.3, 1.6))), _body())
+    assert len(rows) == spec.axis1.n * spec.axis2.n
+    assert calls == {"eval_jet": 1, "hessian_blocks": 0}
+
+
 def _radius_for_beta_reference(model, beta):
     """The pointwise grid-plus-bisection search that the array grid replaced."""
     linear, o_model = split_levitation_model(model)
