@@ -513,10 +513,7 @@ def main(argv=None) -> int:
         if args.command == "certify":
             return cmd_certify(cfg, args.out, args.oracle)
         return cmd_scan(cfg, args.out, args.refine)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (OrbitronError, ArithmeticError) as exc:

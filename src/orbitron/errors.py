@@ -25,7 +25,7 @@ class AxisDegeneracy(OrbitronError):
 
 
 class NonFinite(OrbitronError):
-    """The integrator produced a non-finite state component."""
+    """A computation produced a NaN or infinity: an integrator state, or a scan cell's jet or margin."""
 
 
 class NoEquilibrium(OrbitronError):

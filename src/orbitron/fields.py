@@ -206,94 +206,81 @@ def dipole_pair_midplane(q: float, h: float, r0: float) -> tuple[float, float, f
 
 
 def cartesian_field(jet: FieldJet, x: np.ndarray) -> np.ndarray:
-    """Cartesian field vector at the point whose jet was taken at (r, z) = (|x_perp|, x3)."""
+    """Cartesian field vectors at points x of shape (..., 3), from their jet at (|x_perp|, x3).
+
+    Elementwise, so the result has shape (..., 3).  The in-plane components
+    are zero wherever r = 0.
+    """
     x = np.asarray(x, dtype=float)
-    r = math.hypot(x[0], x[1])
-    out = np.empty(3)
-    if r > 0.0:
-        out[0] = jet.Br * x[0] / r
-        out[1] = jet.Br * x[1] / r
-    else:
-        out[0] = 0.0
-        out[1] = 0.0
-    out[2] = jet.Bz
+    r = np.hypot(x[..., 0], x[..., 1])
+    r = r + (r == 0.0)  # 1 on the axis, where x_perp = 0 zeroes the in-plane components
+    out = np.empty(r.shape + (3,))
+    out[..., 0] = jet.Br * x[..., 0] / r
+    out[..., 1] = jet.Br * x[..., 1] / r
+    out[..., 2] = jet.Bz
     return out
 
 
 def cartesian_jacobian(jet: FieldJet, x: np.ndarray) -> np.ndarray:
-    """Matrix dB_i/dx_j assembled from the cylindrical jet.
+    """Matrices dB_i/dx_j, of shape (..., 3, 3), assembled from the cylindrical jet at points x.
 
-    Symmetric because the field is curl free.  Raises AxisDegeneracy at
-    r = 0 where the chart used here breaks down.
+    Symmetric because the field is curl free.  Raises AxisDegeneracy if any
+    point has r = 0, where the chart used here breaks down.
     """
     x = np.asarray(x, dtype=float)
-    r = math.hypot(x[0], x[1])
-    if r == 0.0:
+    r = np.hypot(x[..., 0], x[..., 1])
+    if (r == 0.0).any():
         raise AxisDegeneracy("Cartesian jacobian is assembled off axis only")
-    n1 = x[0] / r
-    n2 = x[1] / r
+    n1 = x[..., 0] / r
+    n2 = x[..., 1] / r
     f = jet.Br / r
     g = jet.Br_r - f
-    J = np.empty((3, 3))
-    J[0, 0] = f + g * n1 * n1
-    J[0, 1] = g * n1 * n2
-    J[1, 0] = J[0, 1]
-    J[1, 1] = f + g * n2 * n2
-    J[0, 2] = jet.Br_z * n1
-    J[1, 2] = jet.Br_z * n2
-    J[2, 0] = jet.Bz_r * n1
-    J[2, 1] = jet.Bz_r * n2
-    J[2, 2] = jet.Bz_z
+    J = np.empty(r.shape + (3, 3))
+    J[..., 0, 0] = f + g * n1 * n1
+    J[..., 0, 1] = J[..., 1, 0] = g * n1 * n2
+    J[..., 1, 1] = f + g * n2 * n2
+    J[..., 0, 2] = jet.Br_z * n1
+    J[..., 1, 2] = jet.Br_z * n2
+    J[..., 2, 0] = jet.Bz_r * n1
+    J[..., 2, 1] = jet.Bz_r * n2
+    J[..., 2, 2] = jet.Bz_z
     return J
 
 
 def cartesian_hessian(jet: FieldJet, x: np.ndarray) -> np.ndarray:
-    """Array H[i, c, d] = d^2 B_i / dx_c dx_d, totally symmetric in all indices.
+    """Arrays H[..., i, c, d] = d^2 B_i / dx_c dx_d at points x of shape (..., 3).
 
-    The field is a gradient of a harmonic scalar, so the second derivative
-    array inherits full symmetry; the in-plane block is expressed through
-    axial derivatives via the Maxwell identities, which keeps the assembly
-    free of third cylindrical derivatives of Br.
+    The field is a gradient of a harmonic scalar, so each array is totally
+    symmetric in i, c, d; the in-plane block is expressed through axial
+    derivatives via the Maxwell identities, which keeps the assembly free of
+    third cylindrical derivatives of Br.  Raises AxisDegeneracy if any point
+    has r = 0.
     """
     x = np.asarray(x, dtype=float)
-    r = math.hypot(x[0], x[1])
-    if r == 0.0:
+    r = np.hypot(x[..., 0], x[..., 1])
+    if (r == 0.0).any():
         raise AxisDegeneracy("Cartesian hessian is assembled off axis only")
-    n = np.array([x[0] / r, x[1] / r])
-    H = np.empty((3, 3, 3))
-
+    # Index axes trail the point axes, so the jet components get one more axis.
+    r = r[..., None]
+    Br, Bz_r, Bz_z, Bz_rr, Bz_rz = (
+        np.asarray(v)[..., None] for v in (jet.Br, jet.Bz_r, jet.Bz_z, jet.Bz_rr, jet.Bz_rz)
+    )
+    n = x[..., :2] / r
+    n_a, n_c, n_d = n[..., :, None, None], n[..., None, :, None], n[..., None, None, :]
+    nn = n[..., :, None] * n[..., None, :]
+    nnn = nn[..., None] * n_d
+    eye = np.eye(2)
+    H = np.empty(n.shape[:-1] + (3, 3, 3))
     # In-plane block d^2 B_A / dx_C dx_D for A, C, D in {1, 2}.
-    trace_coef = (jet.Bz_z + 2.0 * jet.Br / r) / r
-    for a in range(2):
-        for c in range(2):
-            for d in range(2):
-                sym = (
-                    n[a] * (1.0 if c == d else 0.0)
-                    + n[c] * (1.0 if a == d else 0.0)
-                    + n[d] * (1.0 if a == c else 0.0)
-                )
-                H[a, c, d] = -jet.Bz_rz * n[a] * n[c] * n[d] - trace_coef * (
-                    sym - 4.0 * n[a] * n[c] * n[d]
-                )
-
+    sym = n_a * eye + eye[:, None, :] * n_c + eye[:, :, None] * n_d
+    trace_coef = ((Bz_z + 2.0 * Br / r) / r)[..., None, None]
+    H[..., :2, :2, :2] = -Bz_rz[..., None, None] * nnn - trace_coef * (sym - 4.0 * nnn)
     # One axial index: d^2 B_3 / dx_C dx_D and its symmetric images.
-    for c in range(2):
-        for d in range(2):
-            v = (jet.Bz_r / r) * (1.0 if c == d else 0.0) + (
-                jet.Bz_rr - jet.Bz_r / r
-            ) * n[c] * n[d]
-            H[2, c, d] = v
-            H[c, 2, d] = v
-            H[c, d, 2] = v
-
+    v = (Bz_r / r)[..., None] * eye + (Bz_rr - Bz_r / r)[..., None] * nn
+    H[..., 2, :2, :2] = H[..., :2, 2, :2] = H[..., :2, :2, 2] = v
     # Two axial indices.
-    for c in range(2):
-        v = jet.Bz_rz * n[c]
-        H[2, 2, c] = v
-        H[2, c, 2] = v
-        H[c, 2, 2] = v
-
-    H[2, 2, 2] = jet.Bz_zz
+    H[..., 2, 2, :2] = H[..., 2, :2, 2] = H[..., :2, 2, 2] = Bz_rz * n
+    H[..., 2, 2, 2] = jet.Bz_zz
     return H
 
 

@@ -11,7 +11,6 @@ in-plane directions E1 (along the planar part of nu0) and E2 = e3 x E1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,32 +66,40 @@ class PotentialHessianBlocks:
 
 
 class DipolePotential:
-    """V(x, nu) = -mu <nu, B(x)> + M g x3 for a given field model."""
+    """V(x, nu) = -mu <nu, B(x)> + M g x3 for a given field model.
+
+    The methods take points x and axes nu of shape (..., 3), one state or a
+    stack of them, and evaluate one array field jet per call.
+    """
 
     def __init__(self, model: AxiFieldModel, b: BodyParams):
         self.model = model
         self.b = b
 
-    def field(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        jet = eval_jet(self.model, math.hypot(x[0], x[1]), float(x[2]))
-        return cartesian_field(jet, x)
+    def _jet(self, x: np.ndarray) -> FieldJet:
+        # One point runs on Python floats: numpy scalars would take the jet's
+        # float branch at half the speed, and warn where floats overflow silently.
+        r, z = np.hypot(x[..., 0], x[..., 1]), x[..., 2]
+        if r.ndim == 0:
+            r, z = float(r), float(z)
+        return eval_jet(self.model, r, z)
 
-    def value(self, x: np.ndarray, nu: np.ndarray) -> float:
-        nu = np.asarray(nu, dtype=float)
-        return float(-self.b.mu * (nu @ self.field(x)) + self.b.M * self.b.g * x[2])
+    def value(self, x: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
+        x = np.asarray(x, dtype=float)
+        nu_dot_B = (np.asarray(nu, dtype=float) * cartesian_field(self._jet(x), x)).sum(axis=-1)
+        return -self.b.mu * nu_dot_B + self.b.M * self.b.g * x[..., 2]
 
     def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         nu = np.asarray(nu, dtype=float)
-        jet = eval_jet(self.model, math.hypot(x[0], x[1]), float(x[2]))
-        J = cartesian_jacobian(jet, x)
-        g = -self.b.mu * (J @ nu)
-        g[2] += self.b.M * self.b.g
+        J = cartesian_jacobian(self._jet(x), x)
+        g = -self.b.mu * (J @ nu[..., None])[..., 0]
+        g[..., 2] += self.b.M * self.b.g
         return g
 
     def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        return -self.b.mu * self.field(x)
+        x = np.asarray(x, dtype=float)
+        return -self.b.mu * cartesian_field(self._jet(x), x)
 
 
 def _planar_direction(nx, ny):

@@ -265,7 +265,8 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
 
     Supported axis and fixed-parameter names are ``r0``, ``pi0`` and
     ``sigma``.  Each cell solves the equatorial equilibrium and runs the
-    closed-form certificate; infeasible cells carry the error name.
+    closed-form certificate; infeasible cells carry the error name, and
+    cells whose jet or margin is not finite carry ``NonFinite``.
 
     The axis is sigma e3 in every cell, so the field enters only through
     its jet at (r0, 0), which is one array :func:`fields.eval_jet` call over
@@ -299,17 +300,22 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
         k = int(outside.argmax())  # raises the first offending cell's ValueError, before any jet
         equatorial_rate(model, b, float(r0[k]), sigma[k])
 
-    jet = eval_jet(model, r0, 0.0)
-    asymmetric, omega2 = _equatorial_tests(jet, b, r0, sigma)
-    errors = np.where(asymmetric, "NotMirrorSymmetric", np.where(omega2 <= 0.0, "WrongFieldSign", ""))
-    live = np.flatnonzero(errors == "")
-    jet = FieldJet(**{name: value[live] for name, value in vars(jet).items()})
-    nz, r_live, omega = sigma[live], r0[live], np.sqrt(omega2[live])
-    mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
-    blocks = _support_blocks(jet, r_live, (0.0, 0.0, nz), b.mu)
-    p0 = b.M * omega * r_live
-    certs = _certify(b, _Cells(np.zeros(len(live)), nz, mult, r_live, p0, blocks))
+    # Cells with a non-finite jet or margin are flagged NonFinite, so their arithmetic stays silent.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        jet = eval_jet(model, r0, 0.0)
+        asymmetric, omega2 = _equatorial_tests(jet, b, r0, sigma)
+        nonfinite = ~np.isfinite(list(vars(jet).values())).all(axis=0)
+        errors = np.where(asymmetric, "NotMirrorSymmetric", np.where(omega2 <= 0.0, "WrongFieldSign", ""))
+        live = np.flatnonzero(errors == "")
+        jet = FieldJet(**{name: value[live] for name, value in vars(jet).items()})
+        nz, r_live, omega = sigma[live], r0[live], np.sqrt(omega2[live])
+        mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
+        blocks = _support_blocks(jet, r_live, (0.0, 0.0, nz), b.mu)
+        p0 = b.M * omega * r_live
+        certs = _certify(b, _Cells(np.zeros(len(live)), nz, mult, r_live, p0, blocks))
     errors[live[certs.sweep.zero]] = "ZeroPivot"
+    nonfinite[live] |= ~np.isfinite(certs.margin)
+    errors[nonfinite] = "NonFinite"
     certified = [(j, k) for j, k in enumerate(live.tolist()) if not errors[k]]
 
     outputs = []

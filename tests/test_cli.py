@@ -1,14 +1,19 @@
 """End-to-end tests of the command line interface."""
 
+import contextlib
 import csv
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 
 import orbitron
 from orbitron.cli import main
@@ -725,3 +730,103 @@ def test_levitation_precision_loss_is_a_numerical_failure(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"body": dict(BODY, g=1.0), "field": field, "equilibrium": section})
     assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: ArithmeticError")
+
+
+def test_compute_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # the config is valid; the jet overflows only at the tiny scale of the orbit
+    field = {"type": "dipole_pair", "q": 1, "h": 1e-40}
+    section = {"method": "orbitron", "equilibrium": {"solver": "orbitron", "r0": 0.8e-40, "pi0": 10, "sigma": 1}}
+    cfg = _cfg(tmp_path, {"body": BODY, "field": field, "certify": section})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: OverflowError")
+
+
+@pytest.mark.parametrize("doc", [{"equilibrium": dict(ORBIT, r0=10**400)}, {"field": dict(PAIR, h=10**400)}])
+def test_out_of_range_config_integer_is_a_config_error(tmp_path, capsys, doc):
+    cfg = _cfg(tmp_path, dict({"body": BODY, "field": PAIR, "equilibrium": ORBIT}, **doc))
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+# Valid configs that reach every solver and certificate route; the fuzz
+# mutates up to two of their entries.
+_BASES = [
+    (BODY, PAIR, ORBIT),
+    (BODY, PAIR, dict(ORBIT, negative_omega=True, branch=0)),
+    (LEV_BODY, LEV_FIELD, {"solver": "dipole", "r0": 0.8, "C2": 1.0}),
+    (LEV_BODY, LEV_FIELD, {"solver": "levitation", "r0": 0.8}),
+    (LEV_BODY, LEV_FIELD, {"solver": "levitation", "beta": -0.9}),
+]
+_METHODS = ("closed_form", "orbitron", "levitation")
+# Config values the contract must survive: plausible, extreme and
+# non-finite numbers, zeros, wrong types, nested lists, and a missing key.
+_NUMBERS = st.sampled_from(
+    [0.5, 1.2, -10.0, 1e-40, 1e40, 1, -1, 2, 0, 0.0, -0.0]
+    + [math.nan, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300, 10**400]
+)
+_JUNK = st.one_of(st.text(max_size=3), st.booleans(), st.none())
+_NESTED = st.recursive(_NUMBERS | _JUNK, lambda inner: st.lists(inner, max_size=2), max_leaves=3)
+_MISSING = object()
+_VALUE = st.one_of(_NUMBERS, _NUMBERS, _JUNK, _NESTED, st.just(_MISSING))
+
+
+def _paths(obj, prefix=()):
+    """Paths of every leaf and record of a config, in a fixed order."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj) if isinstance(obj, list) else ()
+    out = [prefix] if prefix else []
+    for key, value in items:
+        out += _paths(value, prefix + (key,))
+    return out
+
+
+@st.composite
+def _configs(draw):
+    body, field, spec = draw(st.sampled_from(_BASES))
+    command = draw(st.sampled_from(["equilibrium", "certify"]))
+    if command == "certify":
+        spec = {"method": draw(st.sampled_from(_METHODS)), "equilibrium": spec}
+    doc = json.loads(json.dumps({"body": body, "field": field, command: spec}))
+    for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
+        path = draw(st.sampled_from(_paths(doc)))
+        value = draw(_VALUE)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        if value is not _MISSING:
+            parent[path[-1]] = value
+        elif isinstance(parent, dict):
+            del parent[path[-1]]
+    flags = ["--oracle"] if command == "certify" and draw(st.booleans()) else []
+    return command, flags, doc
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite number {name} in the output")
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(case=_configs())
+def test_cli_contract_fuzz(case):
+    command, flags, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))  # NaN and Infinity tokens, which json.load accepts
+        runs = []
+        for _ in range(2):
+            out = Path(tmp) / "out.json"
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = main([command, "--config", str(cfg), "--out", str(out), *flags])
+            assert code in (0, 2, 3)
+            assert "Traceback" not in err.getvalue()
+            text = out.read_text() if out.exists() else None
+            if code == 0:
+                json.loads(text, parse_constant=_reject_constant)
+            runs.append((code, text))
+            out.unlink(missing_ok=True)
+        assert runs[0] == runs[1]
+        event(f"{command} exit {code}")

@@ -1,6 +1,7 @@
 """Tests for the reduced equations of motion and the RK4 integrators."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from orbitron.dynamics import (
     relative_equilibrium_orbit,
 )
 from orbitron.equilibrium import build_support_state, solve_orbitron_equatorial
-from orbitron.errors import NonFinite
-from orbitron.fields import DipolePair, Linear
+from orbitron.errors import AxisDegeneracy, NonFinite, SourceSingularity
+from orbitron.fields import Composite, DipolePair, Linear
 from orbitron.potential import DipolePotential
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -78,7 +79,7 @@ def test_free_precession_rhs():
         nu=np.array([1.0, 0.0, 0.0]),
         pi=np.array([0.0, 0.0, 1.0]),
     )
-    ds = eom_rhs(s, b, _zero_potential(b))
+    ds = ReducedState.from_vector(eom_rhs(s.as_vector(), b, _zero_potential(b)))
     np.testing.assert_allclose(ds.nu, [0.0, 1.0, 0.0], atol=1e-15)
     np.testing.assert_array_equal(ds.p, np.zeros(3))
     np.testing.assert_array_equal(ds.pi, np.zeros(3))
@@ -95,7 +96,7 @@ def test_rhs_infinitesimal_invariants():
             nu=rng.normal(0.0, 1.0, 3),
             pi=rng.normal(0.0, 1.0, 3),
         )
-        ds = eom_rhs(s, b, V)
+        ds = ReducedState.from_vector(eom_rhs(s.as_vector(), b, V))
         scale = max(1.0, float(np.max(np.abs(s.as_vector()))), float(np.max(np.abs(ds.as_vector()))))
         # d/dt (nu.nu) = 2 nu . nu_dot = 0 and d/dt (nu.pi) = 0 along the flow
         assert abs(float(s.nu @ ds.nu)) <= 1e-13 * scale**2
@@ -113,13 +114,49 @@ def test_rhs_at_equilibrium_is_rigid_rotation():
     model, b, eq = _dipoletron()
     V = DipolePotential(model, b)
     s = build_support_state(eq)
-    ds = eom_rhs(s, b, V)
+    ds = ReducedState.from_vector(eom_rhs(s.as_vector(), b, V))
     om = eq.mult.omega
     for name in ("x", "p", "nu", "pi"):
         block = getattr(s, name)
         expected = om * np.cross(E3, block)
         np.testing.assert_allclose(getattr(ds, name), expected, rtol=0,
                                    atol=1e-10 * max(1.0, float(np.max(np.abs(expected)))))
+
+
+def test_eom_rhs_on_a_stack_matches_single_states():
+    b = BodyParams(M=1.3, I_perp=0.1, I3=0.05, mu=1.0, g=0.7)
+    V = DipolePotential(Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0))), b)
+    rng = np.random.default_rng(6)
+    Y = np.empty((5, 12))
+    Y[:, 0:3] = rng.uniform(-1.5, 1.5, (5, 3))
+    Y[:, 3:6] = rng.normal(0.0, 1.0, (5, 3))
+    nu = np.column_stack([rng.uniform(-0.6, 0.6, 5), rng.uniform(0.2, 0.6, 5), np.ones(5)])
+    Y[:, 6:9] = nu / np.linalg.norm(nu, axis=1)[:, None]  # tilted, with nu_y != 0
+    Y[:, 9:12] = rng.normal(0.0, 2.0, (5, 3))
+    stacked = eom_rhs(Y, b, V)
+    assert stacked.shape == (5, 12)
+    np.testing.assert_array_equal(stacked, [eom_rhs(y, b, V) for y in Y])
+
+
+@pytest.mark.parametrize(
+    "x, p, error, max_warnings",
+    [
+        ([0.0, 0.0, 0.3], [0.0, 0.0, 0.0], AxisDegeneracy, 0),
+        ([0.0, 0.0, 1.0], [0.0, 0.0, 0.0], SourceSingularity, 0),
+        ([0.8, 0.0, 0.0], [0.0, 1e308, 0.0], NonFinite, 2),
+        ([1e200, 0.0, 0.0], [0.0, 0.0, 0.0], NonFinite, 0),
+    ],
+    ids=["axis", "source", "huge_p", "huge_x"],
+)
+def test_integrate_failures(x, p, error, max_warnings):
+    b = _body()
+    V = DipolePotential(DipolePair(1.0, 1.0), b)
+    s0 = ReducedState(x=np.array(x), p=np.array(p), nu=E3, pi=10.0 * E3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(error):
+            integrate(s0, IntegratorConfig(dt=1e-3, steps=5), b, V)
+    assert len([w for w in caught if issubclass(w.category, RuntimeWarning)]) <= max_warnings
 
 
 def test_one_period_return():

@@ -1,5 +1,6 @@
 """Tests for the axisymmetric field models and their derivative jets."""
 
+import itertools
 import math
 
 import numpy as np
@@ -277,6 +278,29 @@ def test_cartesian_jacobian_axis_degeneracy():
         cartesian_jacobian(j, np.array([0.0, 0.0, 0.3]))
 
 
+def test_cartesian_assembly_broadcasts_over_points():
+    model = Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0)))
+    for x in (np.array([[0.9, -0.4, 0.3], [0.2, 0.7, -0.5]]), np.array([[0.9, -0.4, 0.3], [0.0, 0.0, 0.4]])):
+        jet = eval_jet(model, np.hypot(x[:, 0], x[:, 1]), x[:, 2])
+        rows = [eval_jet(model, float(np.hypot(p[0], p[1])), float(p[2])) for p in x]
+        B = cartesian_field(jet, x)
+        assert B.shape == (2, 3)
+        np.testing.assert_array_equal(B, [cartesian_field(j, p) for j, p in zip(rows, x)])
+        if x[1, 0] == 0.0:
+            # the on-axis row has no in-plane field, and its derivatives are undefined
+            assert B[1, 0] == 0.0 and B[1, 1] == 0.0
+            for assemble in (cartesian_jacobian, cartesian_hessian):
+                with pytest.raises(AxisDegeneracy):
+                    assemble(jet, x)
+        else:
+            J = cartesian_jacobian(jet, x)
+            assert J.shape == (2, 3, 3)
+            np.testing.assert_array_equal(J, [cartesian_jacobian(j, p) for j, p in zip(rows, x)])
+            H = cartesian_hessian(jet, x)
+            assert H.shape == (2, 3, 3, 3)
+            np.testing.assert_array_equal(H, [cartesian_hessian(j, p) for j, p in zip(rows, x)])
+
+
 def test_cartesian_hessian_symmetry_and_support_entries():
     model = DipolePair(1.0, 1.0)
     r = 0.8
@@ -331,6 +355,34 @@ def test_cartesian_hessian_matches_jacobian_differences():
                 jm = eval_jet(model, math.hypot(xm[0], xm[1]), xm[2])
                 fd = (cartesian_jacobian(jp, xp) - cartesian_jacobian(jm, xm)) / (2.0 * h)
                 np.testing.assert_allclose(H[:, :, c], fd, rtol=0, atol=2e-6 * scale)
+
+
+def _loop_hessian(jet, x):
+    """The per-index loop assembly of the Cartesian Hessian, as a reference for the array form."""
+    r = float(np.hypot(x[0], x[1]))
+    n = (x[0] / r, x[1] / r)
+    T = (jet.Bz_z + 2.0 * jet.Br / r) / r
+    H = np.empty((3, 3, 3))
+    for a, c, d in itertools.product(range(2), repeat=3):
+        sym = n[a] * (c == d) + n[c] * (a == d) + n[d] * (a == c)
+        H[a, c, d] = -jet.Bz_rz * n[a] * n[c] * n[d] - T * (sym - 4.0 * n[a] * n[c] * n[d])
+    for c, d in itertools.product(range(2), repeat=2):
+        H[2, c, d] = H[c, 2, d] = H[c, d, 2] = (jet.Bz_r / r) * (c == d) + (jet.Bz_rr - jet.Bz_r / r) * n[c] * n[d]
+    for c in range(2):
+        H[2, 2, c] = H[2, c, 2] = H[c, 2, 2] = jet.Bz_rz * n[c]
+    H[2, 2, 2] = jet.Bz_zz
+    return H
+
+
+def test_cartesian_hessian_matches_loop_assembly():
+    rng = np.random.default_rng(23)
+    model = Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0)))
+    for _ in range(10):
+        r, phi, z = rng.uniform(0.3, 2.2), rng.uniform(0.0, 2.0 * np.pi), rng.uniform(-0.5, 0.5)
+        x = np.array([r * np.cos(phi), r * np.sin(phi), z])
+        jet = eval_jet(model, float(np.hypot(x[0], x[1])), z)
+        H = cartesian_hessian(jet, x)
+        np.testing.assert_allclose(H, _loop_hessian(jet, x), rtol=0, atol=1e-14 * np.abs(H).max())
 
 
 def test_cartesian_hessian_total_symmetry_random_points():

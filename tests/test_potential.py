@@ -111,7 +111,7 @@ def test_grad_nu_is_exactly_minus_mu_B():
     rng = np.random.default_rng(31)
     for _ in range(10):
         x = np.array([rng.uniform(0.3, 2.0), rng.uniform(-1.0, 1.0), rng.uniform(-0.5, 0.5)])
-        r = math.hypot(x[0], x[1])
+        r = float(np.hypot(x[0], x[1]))
         j = eval_jet(model, r, x[2])
         np.testing.assert_array_equal(V.grad_nu(x, E3), -b.mu * cartesian_field(j, x))
 

@@ -1,6 +1,7 @@
 """Tests for window scans, levitation sweeps, and stability maps."""
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -304,6 +305,19 @@ def test_stability_map_error_semantics():
             stability_map(bad_spec, pair, bad_b)
         with pytest.raises(ValueError):
             _per_cell(bad_spec, pair, bad_b)
+
+
+def test_stability_map_flags_non_finite_cells():
+    # r0 ** 2 overflows in the jet of the two far cells
+    spec = ScanSpec(ScanAxis("r0", 0.8, 1e200, 3), ScanAxis("pi0", 10.0, 10.0, 1))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = stability_map(spec, DipolePair(1.0, 1.0), BodyParams())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert [row["error"] for row in rows] == ["", "NonFinite", "NonFinite"]
+    assert [row["verdict"] for row in rows] == ["stable", "", ""]
+    for row in rows[1:]:
+        assert all(math.isnan(row[k]) for k in ("margin", "A", "B", "C"))
 
 
 @pytest.mark.parametrize(
