@@ -64,6 +64,10 @@ __all__ = ["main"]
 TASKS = ("simulate", "equilibrium", "certify", "scan")
 CERTIFY_METHODS = ("closed_form", "orbitron", "levitation")
 
+# Largest scans and runs a config may ask for; larger ones exhaust memory or never end.
+MAX_SCAN_POINTS = 10**6
+MAX_STEPS = 10**7
+
 # Domain errors that mean "the requested solution does not exist" rather
 # than a broken computation; they exit 0 with a reason field.
 NO_SOLUTION_ERRORS = (
@@ -186,6 +190,12 @@ def _require(cfg: dict, key: str, kind, where: str):
     return value
 
 
+def _at_most(value: int, limit: int, what: str) -> int:
+    if value > limit:
+        raise ConfigError(f"{what} must be at most {limit}")
+    return value
+
+
 def _body_from_config(cfg: dict) -> BodyParams:
     rec = _require(cfg, "body", dict, "config")
     known = {"M", "I_perp", "I3", "mu", "g"}
@@ -299,7 +309,7 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
     dt = sec.get("dt")
     icfg = IntegratorConfig(
         dt=1.0 if dt is None else _float(dt, "simulate.dt"),
-        steps=_require(sec, "steps", int, "simulate"),
+        steps=_at_most(_require(sec, "steps", int, "simulate"), MAX_STEPS, "simulate.steps"),
         scheme=str(sec.get("scheme", "rk4")),
         record_every=_require(sec, "record_every", int, "simulate") if "record_every" in sec else 1,
     )
@@ -422,7 +432,7 @@ def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
         h = _require(sec, "h", float, "scan")
         lo, hi = sec.get("ratio_range", (0.3, 1.5))
         ratio_range = (_float(lo, "scan.ratio_range"), _float(hi, "scan.ratio_range"))
-        n = _require(sec, "n", int, "scan") if "n" in sec else 121
+        n = _at_most(_require(sec, "n", int, "scan"), MAX_SCAN_POINTS, "scan.n") if "n" in sec else 121
         sigma = _require(sec, "sigma", int, "scan") if "sigma" in sec else 1
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
         if refine:
@@ -430,12 +440,10 @@ def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
             _write_json(out + ".endpoints.json", {"lower": lower, "upper": upper})
     elif kind == "levitation_sweep":
         model = _model_from_config(cfg)
-        rows = levitation_sweep(
-            model,
-            b,
-            [_float(k, "scan.kappa_values") for k in _require(sec, "kappa_values", list, "scan")],
-            _require(sec, "beta", float, "scan"),
-        )
+        kappas = _require(sec, "kappa_values", list, "scan")
+        _at_most(len(kappas), MAX_SCAN_POINTS, "the length of scan.kappa_values")
+        kappas = [_float(k, "scan.kappa_values") for k in kappas]
+        rows = levitation_sweep(model, b, kappas, _require(sec, "beta", float, "scan"))
     elif kind == "stability_map":
         model = _model_from_config(cfg)
 
@@ -453,6 +461,7 @@ def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
             axis2=axis(_require(sec, "axis2", dict, "scan"), "scan.axis2"),
             fixed={k: _float(v, f"scan.fixed.{k}") for k, v in fixed.items()},
         )
+        _at_most(spec.axis1.n * spec.axis2.n, MAX_SCAN_POINTS, "scan.axis1.n * scan.axis2.n")
         rows = stability_map(spec, model, b)
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")

@@ -28,7 +28,6 @@ __all__ = [
     "eval_jet",
     "dipole_pair_midplane",
     "cartesian_field",
-    "cartesian_jacobian",
     "cartesian_hessian",
     "maxwell_residual",
     "model_from_config",
@@ -205,46 +204,31 @@ def dipole_pair_midplane(q: float, h: float, r0: float) -> tuple[float, float, f
     return bz, bz_r, bz_zz, combo
 
 
+def _components(a) -> list:
+    """The components of a along its last axis: Python floats for one vector, arrays for a stack."""
+    a = np.asarray(a, dtype=float)
+    return a.tolist() if a.ndim == 1 else [a[..., k] for k in range(a.shape[-1])]
+
+
+def _join(components) -> np.ndarray:
+    """Inverse of :func:`_components`: a vector from floats, a stack of shape (..., n) from arrays."""
+    return np.array(components) if isinstance(components[0], float) else np.stack(components, axis=-1)
+
+
+def _field_components(jet: FieldJet, x1, x2, r) -> tuple:
+    """Cartesian components of B at in-plane components (x1, x2), from the jet at r = |x_perp|."""
+    r = r + (r == 0.0)  # 1 on the axis, where x_perp = 0 zeroes the in-plane components
+    return jet.Br * x1 / r, jet.Br * x2 / r, jet.Bz
+
+
 def cartesian_field(jet: FieldJet, x: np.ndarray) -> np.ndarray:
     """Cartesian field vectors at points x of shape (..., 3), from their jet at (|x_perp|, x3).
 
     Elementwise, so the result has shape (..., 3).  The in-plane components
     are zero wherever r = 0.
     """
-    x = np.asarray(x, dtype=float)
-    r = np.hypot(x[..., 0], x[..., 1])
-    r = r + (r == 0.0)  # 1 on the axis, where x_perp = 0 zeroes the in-plane components
-    out = np.empty(r.shape + (3,))
-    out[..., 0] = jet.Br * x[..., 0] / r
-    out[..., 1] = jet.Br * x[..., 1] / r
-    out[..., 2] = jet.Bz
-    return out
-
-
-def cartesian_jacobian(jet: FieldJet, x: np.ndarray) -> np.ndarray:
-    """Matrices dB_i/dx_j, of shape (..., 3, 3), assembled from the cylindrical jet at points x.
-
-    Symmetric because the field is curl free.  Raises AxisDegeneracy if any
-    point has r = 0, where the chart used here breaks down.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.hypot(x[..., 0], x[..., 1])
-    if (r == 0.0).any():
-        raise AxisDegeneracy("Cartesian jacobian is assembled off axis only")
-    n1 = x[..., 0] / r
-    n2 = x[..., 1] / r
-    f = jet.Br / r
-    g = jet.Br_r - f
-    J = np.empty(r.shape + (3, 3))
-    J[..., 0, 0] = f + g * n1 * n1
-    J[..., 0, 1] = J[..., 1, 0] = g * n1 * n2
-    J[..., 1, 1] = f + g * n2 * n2
-    J[..., 0, 2] = jet.Br_z * n1
-    J[..., 1, 2] = jet.Br_z * n2
-    J[..., 2, 0] = jet.Bz_r * n1
-    J[..., 2, 1] = jet.Bz_r * n2
-    J[..., 2, 2] = jet.Bz_z
-    return J
+    x1, x2, _ = _components(x)
+    return _join(_field_components(jet, x1, x2, np.hypot(x1, x2)))
 
 
 def cartesian_hessian(jet: FieldJet, x: np.ndarray) -> np.ndarray:

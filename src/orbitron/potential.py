@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import BodyParams
 from .errors import AxisDegeneracy
-from .fields import AxiFieldModel, FieldJet, cartesian_field, cartesian_jacobian, eval_jet
+from .fields import AxiFieldModel, FieldJet, _components, _field_components, _join, eval_jet
 
 __all__ = [
     "RotatedBasis",
@@ -68,38 +68,48 @@ class PotentialHessianBlocks:
 class DipolePotential:
     """V(x, nu) = -mu <nu, B(x)> + M g x3 for a given field model.
 
-    The methods take points x and axes nu of shape (..., 3), one state or a
-    stack of them, and evaluate one array field jet per call.
+    The methods take points x and axes nu of shape (..., 3) and evaluate one
+    field jet per call.  They work on the components: Python floats for one
+    point, arrays for a stack, so a stacked call equals the single calls bit for bit.
     """
 
     def __init__(self, model: AxiFieldModel, b: BodyParams):
         self.model = model
         self.b = b
 
-    def _jet(self, x: np.ndarray) -> FieldJet:
-        # One point runs on Python floats: numpy scalars would take the jet's
-        # float branch at half the speed, and warn where floats overflow silently.
-        r, z = np.hypot(x[..., 0], x[..., 1]), x[..., 2]
-        if r.ndim == 0:
-            r, z = float(r), float(z)
-        return eval_jet(self.model, r, z)
+    def _jet(self, x: np.ndarray) -> tuple:
+        """Components of x, r = |x_perp| and the jet at (r, x3); r by np.hypot, as for arrays."""
+        x1, x2, x3 = _components(x)
+        r = float(np.hypot(x1, x2)) if isinstance(x1, float) else np.hypot(x1, x2)
+        return x1, x2, x3, r, eval_jet(self.model, r, x3)
 
     def value(self, x: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
-        x = np.asarray(x, dtype=float)
-        nu_dot_B = (np.asarray(nu, dtype=float) * cartesian_field(self._jet(x), x)).sum(axis=-1)
-        return -self.b.mu * nu_dot_B + self.b.M * self.b.g * x[..., 2]
+        x1, x2, x3, r, jet = self._jet(x)
+        B1, B2, B3 = _field_components(jet, x1, x2, r)
+        nu1, nu2, nu3 = _components(nu)
+        return -self.b.mu * (nu1 * B1 + nu2 * B2 + nu3 * B3) + self.b.M * self.b.g * x3
 
     def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        nu = np.asarray(nu, dtype=float)
-        J = cartesian_jacobian(self._jet(x), x)
-        g = -self.b.mu * (J @ nu[..., None])[..., 0]
-        g[..., 2] += self.b.M * self.b.g
-        return g
+        """-mu J nu + M g e3, with the field Jacobian J contracted in closed form.
+
+        With f = Br / r, e = x_perp / r and d = e . nu_perp,
+        J nu = (f nu_perp + e ((Br_r - f) d + Br_z nu3), Bz_r d + Bz_z nu3).
+        Raises AxisDegeneracy if any point has r = 0, where e is undefined.
+        """
+        x1, x2, _, r, jet = self._jet(x)
+        on_axis = r == 0.0
+        if on_axis is not False and np.any(on_axis):
+            raise AxisDegeneracy("the potential gradient is evaluated off axis only")
+        nu1, nu2, nu3 = _components(nu)
+        f, e1, e2 = jet.Br / r, x1 / r, x2 / r
+        d = e1 * nu1 + e2 * nu2
+        w = (jet.Br_r - f) * d + jet.Br_z * nu3
+        g3 = -self.b.mu * (jet.Bz_r * d + jet.Bz_z * nu3) + self.b.M * self.b.g
+        return _join([-self.b.mu * (f * nu1 + e1 * w), -self.b.mu * (f * nu2 + e2 * w), g3])
 
     def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return -self.b.mu * cartesian_field(self._jet(x), x)
+        x1, x2, _, r, jet = self._jet(x)
+        return _join([-self.b.mu * B for B in _field_components(jet, x1, x2, r)])
 
 
 def _planar_direction(nx, ny):

@@ -95,10 +95,12 @@ def dipoletron_window(
     if not (ratio > 0.0).all():
         raise ValueError(f"ratio_range {ratio_range} must lie in r0 / h > 0")
     r0 = ratio * h
-    jet = eval_jet(model, r0, 0.0)
-    axial = -sigma * jet.Bz_zz
-    radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
-    omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+    # A jet that over- or underflows at an extreme scale gives inf, nan or 0 rows, silently.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        jet = eval_jet(model, r0, 0.0)
+        axial = -sigma * jet.Bz_zz
+        radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
+        omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
     in_window = (axial > 0.0) & (radial > 0.0) & (omega2 > 0.0)
     keys = ("ratio", "r0", "axial", "radial", "omega2", "in_window")
     columns = (ratio, r0, axial, radial, omega2, in_window)
@@ -178,7 +180,9 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
         return eval_jet(o_model, r, 0.0).Br_z - target
 
     grid = np.linspace(0.01 * h, 8.0 * h, 4096)
-    vals = eval_jet(o_model, grid, 0.0).Br_z
+    # Grid points where the jet over- or underflows give inf or nan, silently.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        vals = eval_jet(o_model, grid, 0.0).Br_z
     k_min = int(np.argmin(vals))
     if not (vals[k_min] <= target <= 0.0) or target == 0.0:
         raise ValueError(

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 import orbitron
 from orbitron.cli import main
+from orbitron.errors import OrbitronError
 
 BODY = {"M": 1.0, "I_perp": 0.1, "I3": 0.05, "mu": 1.0, "g": 0.0}
 PAIR = {"type": "dipole_pair", "q": 1.0, "h": 1.0}
@@ -746,6 +748,104 @@ def test_out_of_range_config_integer_is_a_config_error(tmp_path, capsys, doc):
     cfg = _cfg(tmp_path, dict({"body": BODY, "field": PAIR, "equilibrium": ORBIT}, **doc))
     assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+def _map(n1, n2):
+    return dict(MAP_SCAN, axis1=dict(MAP_SCAN["axis1"], n=n1), axis2=dict(MAP_SCAN["axis2"], n=n2))
+
+
+# Each sized section at its limit and above it: the scan size of a window,
+# a map and a sweep is capped at 10**6, and a run at 10**7 steps.
+_SIZED = {
+    "window_n": ("scan", "dipoletron_window", lambda n: dict(WINDOW_SCAN, n=n), "scan.n must be at most 1000000"),
+    "map_cells": ("scan", "stability_map", lambda n: _map(*n), "scan.axis1.n * scan.axis2.n must be at most 1000000"),
+    "kappa_values": (
+        "scan",
+        "levitation_sweep",
+        lambda n: dict(SWEEP_SCAN, kappa_values=[1.2] * n),
+        "the length of scan.kappa_values must be at most 1000000",
+    ),
+    "steps": (
+        "simulate",
+        "integrate",
+        lambda n: {"from_equilibrium": ORBIT, "steps": n},
+        "simulate.steps must be at most 10000000",
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case, size, accepted",
+    [
+        ("window_n", 10**6, True),
+        ("window_n", 10**15, False),
+        ("map_cells", (1000, 1000), True),
+        ("map_cells", (101, 9901), False),
+        ("kappa_values", 10**6, True),
+        ("kappa_values", 10**6 + 1, False),
+        ("steps", 10**7, True),
+        ("steps", 10**7 + 1, False),
+        ("steps", 10**400, False),
+    ],
+    ids=lambda v: "10**400" if v == 10**400 else None,
+)
+def test_scan_sizes_and_steps_are_bounded(tmp_path, capsys, monkeypatch, case, size, accepted):
+    from orbitron import cli
+
+    command, compute, section, message = _SIZED[case]
+    reached = []
+
+    def stub(*args, **kwargs):
+        # stands in for the scan or the run, so no array is allocated and no step is run
+        reached.append(args)
+        raise OrbitronError("compute stage reached")
+
+    monkeypatch.setattr(cli, compute, stub)
+    field = LEV_FIELD if case == "kappa_values" else PAIR
+    cfg = _cfg(tmp_path, {"body": BODY, "field": field, command: section(size)})
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o.dat")])
+    err = capsys.readouterr().err
+    if accepted:
+        assert code == 3 and len(reached) == 1
+    else:
+        assert code == 2 and not reached
+        assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "command, doc, flags, code",
+    [
+        # the radius_for_beta grid overflows near the tiny pair before the levitation solve fails
+        (
+            "certify",
+            {
+                "body": dict(BODY, g=3.0),
+                "field": {
+                    "type": "composite",
+                    "parts": [{"type": "linear", "B0": -10, "Bprime": 3}, {"type": "dipole_pair", "q": 1, "h": 1e-40}],
+                },
+                "certify": {"method": "levitation", "equilibrium": {"solver": "levitation", "beta": -0.9}},
+            },
+            ["--oracle"],
+            3,
+        ),
+        # the window jet overflows at every ratio of a pair this small
+        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, h=1e-110, n=3)}, [], 0),
+    ],
+    ids=["radius_for_beta", "dipoletron_window"],
+)
+def test_jet_overflow_prints_no_runtime_warning(tmp_path, command, doc, flags, code):
+    cfg = _cfg(tmp_path, doc)
+    runs = []
+    for _ in range(2):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            assert main([command, "--config", cfg, "--out", str(tmp_path / "o.dat"), *flags]) == code
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        runs.append(err.getvalue())
+    assert runs[0] == runs[1]
+    assert "RuntimeWarning" not in runs[0]
 
 
 def _reject_constant(name):

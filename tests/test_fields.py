@@ -13,7 +13,6 @@ from orbitron.fields import (
     Linear,
     cartesian_field,
     cartesian_hessian,
-    cartesian_jacobian,
     dipole_pair_midplane,
     eval_jet,
     maxwell_residual,
@@ -235,6 +234,32 @@ def test_cartesian_field_rotates_components():
         n = x[:2] / r
         np.testing.assert_allclose(Bvec[:2], j.Br * n, rtol=0, atol=1e-14 * max(1.0, abs(j.Br)))
         assert Bvec[2] == j.Bz
+
+
+def cartesian_jacobian(jet, x):
+    """Matrices dB_i/dx_j, of shape (..., 3, 3), assembled from the cylindrical jet at points x.
+
+    The reference for the closed-form contraction in DipolePotential.grad_x.
+    Raises AxisDegeneracy if any point has r = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.hypot(x[..., 0], x[..., 1])
+    if (r == 0.0).any():
+        raise AxisDegeneracy("Cartesian jacobian is assembled off axis only")
+    n1 = x[..., 0] / r
+    n2 = x[..., 1] / r
+    f = jet.Br / r
+    g = jet.Br_r - f
+    J = np.empty(r.shape + (3, 3))
+    J[..., 0, 0] = f + g * n1 * n1
+    J[..., 0, 1] = J[..., 1, 0] = g * n1 * n2
+    J[..., 1, 1] = f + g * n2 * n2
+    J[..., 0, 2] = jet.Br_z * n1
+    J[..., 1, 2] = jet.Br_z * n2
+    J[..., 2, 0] = jet.Bz_r * n1
+    J[..., 2, 1] = jet.Bz_r * n2
+    J[..., 2, 2] = jet.Bz_z
+    return J
 
 
 def test_cartesian_jacobian_structure_on_xaxis():

@@ -13,7 +13,6 @@ from orbitron.fields import (
     Linear,
     cartesian_field,
     cartesian_hessian,
-    cartesian_jacobian,
     eval_jet,
 )
 from orbitron.potential import (
@@ -23,6 +22,7 @@ from orbitron.potential import (
     hessian_blocks,
     make_rotated_basis,
 )
+from test_fields import cartesian_jacobian
 
 E1, E2, E3 = np.eye(3)
 
@@ -132,6 +132,49 @@ def test_grad_x_matches_finite_differences():
             e[c] = h
             fd = (V.value(x + e, nu) - V.value(x - e, nu)) / (2.0 * h)
             assert abs(g[c] - fd) <= 1e-6 * max(1.0, abs(g[c]))
+
+
+def _tilted_points(rng, k):
+    """k points off the axis and k unit axes with nu_y != 0."""
+    x = np.column_stack([rng.uniform(0.3, 1.8, k), rng.uniform(-1.0, 1.0, k), rng.uniform(-0.5, 0.5, k)])
+    nu = np.column_stack([rng.uniform(-0.6, 0.6, k), rng.uniform(0.2, 0.6, k), np.ones(k)])
+    return x, nu / np.linalg.norm(nu, axis=1)[:, None]
+
+
+def test_potential_on_a_stack_matches_single_points():
+    b = _body(g=1.9)
+    V = DipolePotential(Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0))), b)
+    x, nu = _tilted_points(np.random.default_rng(38), 5)
+    for method, shape in ((V.value, (5,)), (V.grad_x, (5, 3)), (V.grad_nu, (5, 3))):
+        stacked = method(x, nu)
+        assert stacked.shape == shape
+        np.testing.assert_array_equal(stacked, [method(xk, nk) for xk, nk in zip(x, nu)])
+    x[3, :2] = 0.0
+    with pytest.raises(AxisDegeneracy):
+        V.grad_x(x, nu)
+    with pytest.raises(AxisDegeneracy):
+        V.grad_x(x[3], nu[3])
+
+
+def test_potential_at_one_point_gives_a_float_and_vectors():
+    V = DipolePotential(Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0))), _body(g=1.9))
+    x, nu = np.array([0.8, 0.3, 0.1]), np.array([0.6, 0.48, 0.64])
+    assert type(V.value(x, nu)) is float
+    for grad in (V.grad_x(x, nu), V.grad_nu(x, nu)):
+        assert type(grad) is np.ndarray and grad.shape == (3,)
+
+
+def test_grad_x_matches_jacobian_contraction():
+    b = _body(g=1.9)
+    model = Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0)))
+    V = DipolePotential(model, b)
+    x, nu = _tilted_points(np.random.default_rng(39), 20)
+    for xk, nk in zip(x, nu):
+        J = cartesian_jacobian(eval_jet(model, float(np.hypot(xk[0], xk[1])), float(xk[2])), xk)
+        expected = -b.mu * J @ nk + b.M * b.g * E3
+        # the largest a term of the gradient can be, as |nu| = 1
+        scale = b.mu * np.abs(J).max() + b.M * b.g
+        assert np.abs(V.grad_x(xk, nk) - expected).max() <= 1e-15 * scale
 
 
 def test_hessian_blocks_nu_blocks_vanish():
