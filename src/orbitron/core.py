@@ -109,9 +109,15 @@ class Multipliers:
 
 
 class Potential(Protocol):
-    """Anything that can report V(x, nu) and its two gradients."""
+    """Anything that can report V(x, nu) and its two gradients.
+
+    ``gradient_terms`` takes the components of x and nu and returns both
+    gradients at once, as six components: grad_x V, then grad_nu V.
+    """
 
     def value(self, x: np.ndarray, nu: np.ndarray) -> float: ...
+
+    def gradient_terms(self, x1, x2, x3, nu1, nu2, nu3) -> tuple: ...
 
     def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray: ...
 

@@ -77,12 +77,10 @@ def eom_rhs(y: np.ndarray, b: BodyParams, V: Potential) -> np.ndarray:
 
     A state is laid out as :meth:`ReducedState.as_vector`, (x, p, nu, pi);
     a single state is the (12,) case, and a stack of K states costs one
-    pair of gradient calls.  Its outputs are elementwise formulas on the components.
+    field jet.  Its outputs are elementwise formulas on the components.
     """
-    _, _, _, p1, p2, p3, n1, n2, n3, q1, q2, q3 = _components(y)
-    x, nu = y[..., 0:3], y[..., 6:9]
-    g1, g2, g3 = _components(V.grad_x(x, nu))
-    f1, f2, f3 = _components(V.grad_nu(x, nu))
+    x1, x2, x3, p1, p2, p3, n1, n2, n3, q1, q2, q3 = _components(y)
+    g1, g2, g3, f1, f2, f3 = V.gradient_terms(x1, x2, x3, n1, n2, n3)
     M, I = b.M, b.I_perp
     return _join(
         [p1 / M, p2 / M, p3 / M, -g1, -g2, -g3]

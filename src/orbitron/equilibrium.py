@@ -136,11 +136,12 @@ def first_order_residual(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -
     s = build_support_state(eq)
     V = DipolePotential(model, b)
     om = eq.mult.omega
+    grad = V.gradient_terms(*s.x.tolist(), *s.nu.tolist())
     r1 = s.p - b.M * om * np.cross(E3, s.x)
-    r2 = V.grad_x(s.x, s.nu) + om * np.cross(E3, s.p)
+    r2 = np.array(grad[:3]) + om * np.cross(E3, s.p)
     r3 = s.pi - b.I_perp * om * E3 + eq.mult.lambda2 * b.I_perp * s.nu
     r4 = (
-        V.grad_nu(s.x, s.nu)
+        np.array(grad[3:])
         + eq.mult.lambda_ * s.nu
         + eq.mult.lambda2 * b.I_perp * om * E3
     )

@@ -25,7 +25,11 @@ class AxisDegeneracy(OrbitronError):
 
 
 class NonFinite(OrbitronError):
-    """A computation produced a NaN or infinity: an integrator state, or a scan cell's jet or margin."""
+    """A computation produced a NaN or infinity.
+
+    That is an integrator state, a scan cell's jet or margin, or the
+    conditions of a window row.
+    """
 
 
 class NoEquilibrium(OrbitronError):

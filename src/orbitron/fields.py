@@ -17,7 +17,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import AxisDegeneracy, ConfigError, SourceSingularity
+from .errors import ConfigError, SourceSingularity
 
 __all__ = [
     "FieldJet",
@@ -27,8 +27,6 @@ __all__ = [
     "AxiFieldModel",
     "eval_jet",
     "dipole_pair_midplane",
-    "cartesian_field",
-    "cartesian_hessian",
     "maxwell_residual",
     "model_from_config",
     "model_to_config",
@@ -219,53 +217,6 @@ def _field_components(jet: FieldJet, x1, x2, r) -> tuple:
     """Cartesian components of B at in-plane components (x1, x2), from the jet at r = |x_perp|."""
     r = r + (r == 0.0)  # 1 on the axis, where x_perp = 0 zeroes the in-plane components
     return jet.Br * x1 / r, jet.Br * x2 / r, jet.Bz
-
-
-def cartesian_field(jet: FieldJet, x: np.ndarray) -> np.ndarray:
-    """Cartesian field vectors at points x of shape (..., 3), from their jet at (|x_perp|, x3).
-
-    Elementwise, so the result has shape (..., 3).  The in-plane components
-    are zero wherever r = 0.
-    """
-    x1, x2, _ = _components(x)
-    return _join(_field_components(jet, x1, x2, np.hypot(x1, x2)))
-
-
-def cartesian_hessian(jet: FieldJet, x: np.ndarray) -> np.ndarray:
-    """Arrays H[..., i, c, d] = d^2 B_i / dx_c dx_d at points x of shape (..., 3).
-
-    The field is a gradient of a harmonic scalar, so each array is totally
-    symmetric in i, c, d; the in-plane block is expressed through axial
-    derivatives via the Maxwell identities, which keeps the assembly free of
-    third cylindrical derivatives of Br.  Raises AxisDegeneracy if any point
-    has r = 0.
-    """
-    x = np.asarray(x, dtype=float)
-    r = np.hypot(x[..., 0], x[..., 1])
-    if (r == 0.0).any():
-        raise AxisDegeneracy("Cartesian hessian is assembled off axis only")
-    # Index axes trail the point axes, so the jet components get one more axis.
-    r = r[..., None]
-    Br, Bz_r, Bz_z, Bz_rr, Bz_rz = (
-        np.asarray(v)[..., None] for v in (jet.Br, jet.Bz_r, jet.Bz_z, jet.Bz_rr, jet.Bz_rz)
-    )
-    n = x[..., :2] / r
-    n_a, n_c, n_d = n[..., :, None, None], n[..., None, :, None], n[..., None, None, :]
-    nn = n[..., :, None] * n[..., None, :]
-    nnn = nn[..., None] * n_d
-    eye = np.eye(2)
-    H = np.empty(n.shape[:-1] + (3, 3, 3))
-    # In-plane block d^2 B_A / dx_C dx_D for A, C, D in {1, 2}.
-    sym = n_a * eye + eye[:, None, :] * n_c + eye[:, :, None] * n_d
-    trace_coef = ((Bz_z + 2.0 * Br / r) / r)[..., None, None]
-    H[..., :2, :2, :2] = -Bz_rz[..., None, None] * nnn - trace_coef * (sym - 4.0 * nnn)
-    # One axial index: d^2 B_3 / dx_C dx_D and its symmetric images.
-    v = (Bz_r / r)[..., None] * eye + (Bz_rr - Bz_r / r)[..., None] * nn
-    H[..., 2, :2, :2] = H[..., :2, 2, :2] = H[..., :2, :2, 2] = v
-    # Two axial indices.
-    H[..., 2, 2, :2] = H[..., 2, :2, 2] = H[..., :2, 2, 2] = Bz_rz * n
-    H[..., 2, 2, 2] = jet.Bz_zz
-    return H
 
 
 def maxwell_residual(model: AxiFieldModel, r: float, z: float) -> tuple[float, float]:

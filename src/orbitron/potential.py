@@ -68,47 +68,56 @@ class PotentialHessianBlocks:
 class DipolePotential:
     """V(x, nu) = -mu <nu, B(x)> + M g x3 for a given field model.
 
-    The methods take points x and axes nu of shape (..., 3) and evaluate one
-    field jet per call.  They work on the components: Python floats for one
-    point, arrays for a stack, so a stacked call equals the single calls bit for bit.
+    The methods take points x and axes nu of shape (..., 3), or their
+    components in :meth:`gradient_terms`, and evaluate one field jet per
+    call.  They work on the components: Python floats for one point, arrays
+    for a stack, so a stacked call equals the single calls bit for bit.
     """
 
     def __init__(self, model: AxiFieldModel, b: BodyParams):
         self.model = model
         self.b = b
 
-    def _jet(self, x: np.ndarray) -> tuple:
-        """Components of x, r = |x_perp| and the jet at (r, x3); r by np.hypot, as for arrays."""
-        x1, x2, x3 = _components(x)
+    def _jet(self, x1, x2, x3) -> tuple:
+        """r = |x_perp| and the jet at (r, x3); r by np.hypot, as for arrays."""
         r = float(np.hypot(x1, x2)) if isinstance(x1, float) else np.hypot(x1, x2)
-        return x1, x2, x3, r, eval_jet(self.model, r, x3)
+        return r, eval_jet(self.model, r, x3)
 
     def value(self, x: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
-        x1, x2, x3, r, jet = self._jet(x)
+        x1, x2, x3 = _components(x)
+        r, jet = self._jet(x1, x2, x3)
         B1, B2, B3 = _field_components(jet, x1, x2, r)
         nu1, nu2, nu3 = _components(nu)
         return -self.b.mu * (nu1 * B1 + nu2 * B2 + nu3 * B3) + self.b.M * self.b.g * x3
 
-    def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        """-mu J nu + M g e3, with the field Jacobian J contracted in closed form.
+    def gradient_terms(self, x1, x2, x3, nu1, nu2, nu3) -> tuple:
+        """The components of grad_x V and grad_nu V = -mu B, from one field jet.
 
-        With f = Br / r, e = x_perp / r and d = e . nu_perp,
+        grad_x V = -mu J nu + M g e3, with the field Jacobian J contracted in
+        closed form: with f = Br / r, e = x_perp / r and d = e . nu_perp,
         J nu = (f nu_perp + e ((Br_r - f) d + Br_z nu3), Bz_r d + Bz_z nu3).
         Raises AxisDegeneracy if any point has r = 0, where e is undefined.
         """
-        x1, x2, _, r, jet = self._jet(x)
+        r, jet = self._jet(x1, x2, x3)
         on_axis = r == 0.0
         if on_axis is not False and np.any(on_axis):
             raise AxisDegeneracy("the potential gradient is evaluated off axis only")
-        nu1, nu2, nu3 = _components(nu)
+        mu = self.b.mu
         f, e1, e2 = jet.Br / r, x1 / r, x2 / r
         d = e1 * nu1 + e2 * nu2
         w = (jet.Br_r - f) * d + jet.Br_z * nu3
-        g3 = -self.b.mu * (jet.Bz_r * d + jet.Bz_z * nu3) + self.b.M * self.b.g
-        return _join([-self.b.mu * (f * nu1 + e1 * w), -self.b.mu * (f * nu2 + e2 * w), g3])
+        g3 = -mu * (jet.Bz_r * d + jet.Bz_z * nu3) + self.b.M * self.b.g
+        B1, B2, B3 = _field_components(jet, x1, x2, r)
+        return -mu * (f * nu1 + e1 * w), -mu * (f * nu2 + e2 * w), g3, -mu * B1, -mu * B2, -mu * B3
+
+    def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
+        """-mu J nu + M g e3: the first three of :meth:`gradient_terms`."""
+        return _join(self.gradient_terms(*_components(x), *_components(nu))[:3])
 
     def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
-        x1, x2, _, r, jet = self._jet(x)
+        """-mu B, also on the axis."""
+        x1, x2, x3 = _components(x)
+        r, jet = self._jet(x1, x2, x3)
         return _join([-self.b.mu * B for B in _field_components(jet, x1, x2, r)])
 
 
@@ -144,8 +153,8 @@ def _support_blocks(jet: FieldJet, r0, nu, mu: float) -> PotentialHessianBlocks:
     ``jet`` is the jet at (r0, 0) and nu = (nu_x, nu_y, nu_z).  They are
     floats, or arrays of K cells, and the block arrays then end in a cell
     axis.  There the field Jacobian is [[Br_r, 0, Br_z], [0, Br / r0, 0],
-    [Bz_r, 0, Bz_z]], and Vxx = -mu sum_k nu_k H[k] (H as in
-    :func:`fields.cartesian_hessian`) is linear in nu.
+    [Bz_r, 0, Bz_z]], and Vxx = -mu sum_k nu_k H[k], with H[k] the Cartesian
+    Hessian d^2 B_k / dx dx of the field, is linear in nu.
     """
     nx, ny, nz = nu
     c, s = _planar_direction(nx, ny)

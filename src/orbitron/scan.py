@@ -22,7 +22,7 @@ from .equilibrium import (
     equatorial_rate,
     solve_levitation,
 )
-from .errors import BadSign, ConfigError, OrbitronError
+from .errors import BadSign, ConfigError, NonFinite, OrbitronError
 from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, eval_jet
 from .potential import _support_blocks
 from .stability import CERTIFICATE_FIELDS, _Cells, _certify, levitation_conditions
@@ -86,7 +86,9 @@ def dipoletron_window(
     whether all three are positive.  The conditions are evaluated from the
     field jet, not from the factored polynomials, so the polynomial form
     stays available as an independent cross-check.  The n ratios are one
-    array :func:`fields.eval_jet` call.
+    array :func:`fields.eval_jet` call.  Raises NonFinite, naming the first
+    ratio and its r0, if the jet over- or underflows to a condition that is
+    not finite there.
     """
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
@@ -95,12 +97,17 @@ def dipoletron_window(
     if not (ratio > 0.0).all():
         raise ValueError(f"ratio_range {ratio_range} must lie in r0 / h > 0")
     r0 = ratio * h
-    # A jet that over- or underflows at an extreme scale gives inf, nan or 0 rows, silently.
+    # A jet that over- or underflows at an extreme scale gives inf, nan or 0 terms, silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         jet = eval_jet(model, r0, 0.0)
         axial = -sigma * jet.Bz_zz
         radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
         omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+    finite = np.isfinite(axial) & np.isfinite(radial) & np.isfinite(omega2)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        at = f"r0 / h = {float(ratio[k])!r}, r0 = {float(r0[k])!r}"
+        raise NonFinite(f"window conditions are not finite at {at}")
     in_window = (axial > 0.0) & (radial > 0.0) & (omega2 > 0.0)
     keys = ("ratio", "r0", "axial", "radial", "omega2", "in_window")
     columns = (ratio, r0, axial, radial, omega2, in_window)

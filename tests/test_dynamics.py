@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from orbitron import potential
 from orbitron.core import BodyParams, ReducedState, casimirs, hamiltonian, momentum_j3
 from orbitron.dynamics import (
     IntegratorConfig,
@@ -16,7 +17,7 @@ from orbitron.dynamics import (
 )
 from orbitron.equilibrium import build_support_state, solve_orbitron_equatorial
 from orbitron.errors import AxisDegeneracy, NonFinite, SourceSingularity
-from orbitron.fields import Composite, DipolePair, Linear
+from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -136,6 +137,30 @@ def test_eom_rhs_on_a_stack_matches_single_states():
     stacked = eom_rhs(Y, b, V)
     assert stacked.shape == (5, 12)
     np.testing.assert_array_equal(stacked, [eom_rhs(y, b, V) for y in Y])
+
+
+def test_eom_rhs_on_the_axis_raises():
+    b = _body()
+    V = DipolePotential(DipolePair(1.0, 1.0), b)
+    s = ReducedState(x=np.array([0.0, 0.0, 0.3]), p=np.zeros(3), nu=E3, pi=10.0 * E3)
+    with pytest.raises(AxisDegeneracy):
+        eom_rhs(s.as_vector(), b, V)
+
+
+def test_integrate_takes_one_jet_per_rhs_call(monkeypatch):
+    calls = []
+
+    def counted(model, r, z):
+        calls.append(r)
+        return eval_jet(model, r, z)
+
+    model, b, eq = _dipoletron()
+    cfg = IntegratorConfig(dt=1e-3, steps=10, record_every=3)
+    monkeypatch.setattr(potential, "eval_jet", counted)
+    samples = integrate(build_support_state(eq), cfg, b, DipolePotential(model, b))
+    # four RHS calls per RK4 step, and one energy per recorded sample (steps 0, 3, 6, 9, 10)
+    assert len(samples) == 5
+    assert len(calls) == 4 * cfg.steps + len(samples)
 
 
 @pytest.mark.parametrize(

@@ -11,8 +11,9 @@ from orbitron.fields import (
     Composite,
     DipolePair,
     Linear,
-    cartesian_field,
-    cartesian_hessian,
+    _components,
+    _field_components,
+    _join,
     dipole_pair_midplane,
     eval_jet,
     maxwell_residual,
@@ -221,19 +222,18 @@ def test_composite_is_sum_of_parts():
             assert getattr(j, k) == getattr(j1, k) + getattr(j2, k)
 
 
-def test_cartesian_field_rotates_components():
-    model = DipolePair(1.0, 1.0)
-    rng = np.random.default_rng(19)
-    for _ in range(20):
-        r = rng.uniform(0.2, 3.0)
-        phi = rng.uniform(0.0, 2.0 * np.pi)
-        z = rng.uniform(-0.6, 0.6)
-        x = np.array([r * np.cos(phi), r * np.sin(phi), z])
-        j = eval_jet(model, r, z)
-        Bvec = cartesian_field(j, x)
-        n = x[:2] / r
-        np.testing.assert_allclose(Bvec[:2], j.Br * n, rtol=0, atol=1e-14 * max(1.0, abs(j.Br)))
-        assert Bvec[2] == j.Bz
+# Cartesian assemblies of a jet: the references for the potential's gradients
+# and for its closed-form Hessian blocks at the support point.
+
+
+def cartesian_field(jet, x):
+    """Cartesian field vectors at points x of shape (..., 3), from their jet at (|x_perp|, x3).
+
+    Elementwise, so the result has shape (..., 3).  The in-plane components
+    are zero wherever r = 0.
+    """
+    x1, x2, _ = _components(x)
+    return _join(_field_components(jet, x1, x2, np.hypot(x1, x2)))
 
 
 def cartesian_jacobian(jet, x):
@@ -260,6 +260,58 @@ def cartesian_jacobian(jet, x):
     J[..., 2, 1] = jet.Bz_r * n2
     J[..., 2, 2] = jet.Bz_z
     return J
+
+
+def cartesian_hessian(jet, x):
+    """Arrays H[..., i, c, d] = d^2 B_i / dx_c dx_d at points x of shape (..., 3).
+
+    The field is a gradient of a harmonic scalar, so each array is totally
+    symmetric in i, c, d; the in-plane block is expressed through axial
+    derivatives via the Maxwell identities, which keeps the assembly free of
+    third cylindrical derivatives of Br.  Raises AxisDegeneracy if any point
+    has r = 0.
+    """
+    x = np.asarray(x, dtype=float)
+    r = np.hypot(x[..., 0], x[..., 1])
+    if (r == 0.0).any():
+        raise AxisDegeneracy("Cartesian hessian is assembled off axis only")
+    # Index axes trail the point axes, so the jet components get one more axis.
+    r = r[..., None]
+    Br, Bz_r, Bz_z, Bz_rr, Bz_rz = (
+        np.asarray(v)[..., None] for v in (jet.Br, jet.Bz_r, jet.Bz_z, jet.Bz_rr, jet.Bz_rz)
+    )
+    n = x[..., :2] / r
+    n_a, n_c, n_d = n[..., :, None, None], n[..., None, :, None], n[..., None, None, :]
+    nn = n[..., :, None] * n[..., None, :]
+    nnn = nn[..., None] * n_d
+    eye = np.eye(2)
+    H = np.empty(n.shape[:-1] + (3, 3, 3))
+    # In-plane block d^2 B_A / dx_C dx_D for A, C, D in {1, 2}.
+    sym = n_a * eye + eye[:, None, :] * n_c + eye[:, :, None] * n_d
+    trace_coef = ((Bz_z + 2.0 * Br / r) / r)[..., None, None]
+    H[..., :2, :2, :2] = -Bz_rz[..., None, None] * nnn - trace_coef * (sym - 4.0 * nnn)
+    # One axial index: d^2 B_3 / dx_C dx_D and its symmetric images.
+    v = (Bz_r / r)[..., None] * eye + (Bz_rr - Bz_r / r)[..., None] * nn
+    H[..., 2, :2, :2] = H[..., :2, 2, :2] = H[..., :2, :2, 2] = v
+    # Two axial indices.
+    H[..., 2, 2, :2] = H[..., 2, :2, 2] = H[..., :2, 2, 2] = Bz_rz * n
+    H[..., 2, 2, 2] = jet.Bz_zz
+    return H
+
+
+def test_cartesian_field_rotates_components():
+    model = DipolePair(1.0, 1.0)
+    rng = np.random.default_rng(19)
+    for _ in range(20):
+        r = rng.uniform(0.2, 3.0)
+        phi = rng.uniform(0.0, 2.0 * np.pi)
+        z = rng.uniform(-0.6, 0.6)
+        x = np.array([r * np.cos(phi), r * np.sin(phi), z])
+        j = eval_jet(model, r, z)
+        Bvec = cartesian_field(j, x)
+        n = x[:2] / r
+        np.testing.assert_allclose(Bvec[:2], j.Br * n, rtol=0, atol=1e-14 * max(1.0, abs(j.Br)))
+        assert Bvec[2] == j.Bz
 
 
 def test_cartesian_jacobian_structure_on_xaxis():

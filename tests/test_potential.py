@@ -11,8 +11,6 @@ from orbitron.fields import (
     Composite,
     DipolePair,
     Linear,
-    cartesian_field,
-    cartesian_hessian,
     eval_jet,
 )
 from orbitron.potential import (
@@ -22,7 +20,7 @@ from orbitron.potential import (
     hessian_blocks,
     make_rotated_basis,
 )
-from test_fields import cartesian_jacobian
+from test_fields import cartesian_field, cartesian_hessian, cartesian_jacobian
 
 E1, E2, E3 = np.eye(3)
 
@@ -154,6 +152,24 @@ def test_potential_on_a_stack_matches_single_points():
         V.grad_x(x, nu)
     with pytest.raises(AxisDegeneracy):
         V.grad_x(x[3], nu[3])
+
+
+def test_gradient_terms_are_both_gradients_from_one_jet():
+    b = _body(g=1.9)
+    V = DipolePotential(Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0))), b)
+    x, nu = _tilted_points(np.random.default_rng(40), 5)
+    stacked = V.gradient_terms(*x.T, *nu.T)
+    assert len(stacked) == 6 and all(c.shape == (5,) for c in stacked)
+    for k, (xk, nk) in enumerate(zip(x, nu)):
+        single = V.gradient_terms(*xk.tolist(), *nk.tolist())
+        assert all(type(c) is float for c in single)
+        assert single == tuple(float(c[k]) for c in stacked)
+        np.testing.assert_array_equal(np.array(single[:3]), V.grad_x(xk, nk))
+        np.testing.assert_array_equal(np.array(single[3:]), V.grad_nu(xk, nk))
+    np.testing.assert_array_equal(np.stack(stacked[:3], axis=-1), V.grad_x(x, nu))
+    np.testing.assert_array_equal(np.stack(stacked[3:], axis=-1), V.grad_nu(x, nu))
+    with pytest.raises(AxisDegeneracy):
+        V.gradient_terms(0.0, 0.0, 0.3, *nu[0].tolist())
 
 
 def test_potential_at_one_point_gives_a_float_and_vectors():

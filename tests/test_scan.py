@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from orbitron.core import BodyParams
-from orbitron.errors import BadSign, ConfigError, OrbitronError
+from orbitron.errors import BadSign, ConfigError, NonFinite, OrbitronError
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import hessian_blocks
 from orbitron.scan import (
@@ -388,6 +388,16 @@ def _radius_for_beta_reference(model, beta):
 def test_radius_for_beta_matches_pointwise_search(model, beta):
     expected, h = _radius_for_beta_reference(model, beta)
     assert abs(radius_for_beta(model, beta) - expected) <= 1e-14 * h
+
+
+def test_window_with_non_finite_conditions_raises():
+    # the jet overflows at every ratio of a pair this small
+    with pytest.raises(NonFinite, match=r"r0 / h = 0\.3, r0 = 3e-111$"):
+        dipoletron_window(1.0, 1e-110, _body(), n=3)
+    # at this scale only the ratios below 1 overflow; walked downwards, 0.9 is the first
+    with pytest.raises(NonFinite, match=r"r0 / h = 0\.9"):
+        dipoletron_window(1.0, 4e-35, _body(), ratio_range=(1.5, 0.3), n=5)
+    assert len(dipoletron_window(1.0, 4e-35, _body(), ratio_range=(1.5, 1.2), n=2)) == 2
 
 
 def test_window_rows_are_python_scalars():
