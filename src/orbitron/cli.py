@@ -23,7 +23,6 @@ from .core import BodyParams, ReducedState
 from .dynamics import IntegratorConfig, integrate, relative_equilibrium_orbit
 from .equilibrium import (
     Equilibrium,
-    LevitationParams,
     build_levitation_equilibrium,
     build_support_state,
     solve_dipole_equilibrium,
@@ -230,7 +229,10 @@ def _pick_branch(eqs: list[Equilibrium], spec: dict, where: str) -> Equilibrium:
 
 
 def _levitation_context(model: AxiFieldModel, b: BodyParams, r0: float):
-    """(kappa, beta, xi2 helper data) implied by the model and body at r0."""
+    """(kappa, beta) implied by the model and body at r0.
+
+    Raises ConfigError unless the field has exactly one linear part and g > 0.
+    """
     linear, o_model = split_levitation_model(model)
     if b.g <= 0.0:
         raise ConfigError("levitation requires g > 0 in the body record")
@@ -394,22 +396,17 @@ def cmd_certify(cfg: dict, out: str, oracle: bool) -> int:
         return 0
     eq = _pick_branch(eqs, spec, "certify.equilibrium")
 
-    blocks = None
+    blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
     if method == "closed_form":
-        blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
         cert = closed_form_conditions(eq, b, blocks)
     elif method == "orbitron":
         cert = orbitron_conditions(eq, b, model)
     else:
-        kappa, beta = _levitation_context(model, b, eq.r0)
-        xi2 = eq.mult.omega**2 * eq.r0 / b.g
-        lev = LevitationParams(beta, kappa, xi2, abs(kappa) - 1.0)
-        cert = levitation_conditions(eq, lev, b, model)
+        _levitation_context(model, b, eq.r0)
+        cert = levitation_conditions(eq, b, model)
 
     result = {"equilibrium": eq.to_record(), "certificate": cert.to_record()}
     if oracle:
-        if blocks is None:
-            blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
         form = reduced_hessian(eq, b, blocks)
         eig = eigen_certificate(form.Q)
         result["eigen"] = {

@@ -24,7 +24,6 @@ __all__ = [
     "momentum_j3",
     "hamiltonian",
     "augmented_hamiltonian",
-    "axial_symmetry_residual",
 ]
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -169,17 +168,4 @@ def augmented_hamiltonian(
         - m.omega * momentum_j3(s)
         + m.lambda1 * c1
         + m.lambda2 * c2
-    )
-
-
-def axial_symmetry_residual(V: Potential, s: ReducedState) -> float:
-    """Generator of simultaneous rotation of x and nu applied to V.
-
-    Vanishes identically for an axisymmetric potential:
-    x1 dV/dx2 - x2 dV/dx1 + nu1 dV/dnu2 - nu2 dV/dnu1 = 0.
-    """
-    gx = V.grad_x(s.x, s.nu)
-    gn = V.grad_nu(s.x, s.nu)
-    return float(
-        s.x[0] * gx[1] - s.x[1] * gx[0] + s.nu[0] * gn[1] - s.nu[1] * gn[0]
     )

@@ -34,7 +34,6 @@ from .potential import DipolePotential
 
 __all__ = [
     "Equilibrium",
-    "LevitationParams",
     "build_support_state",
     "first_order_residual",
     "solve_orbitron_equatorial",
@@ -86,26 +85,6 @@ class Equilibrium:
             "sigma": self.sigma,
             "residual": self.residual,
         }
-
-
-@dataclass(frozen=True)
-class LevitationParams:
-    """Dimensionless levitation data.
-
-    beta is the ratio of the mirror field's Br_z to the linear gradient;
-    kappa compares gravity with the magnetic lift mu B' / M; xi2 is the
-    centrifugal ratio omega^2 r / g; epsilon = |kappa| - 1 measures how far
-    the balance sits above the levitation threshold.
-    """
-
-    beta: float
-    kappa: float
-    xi2: float
-    epsilon: float
-
-    def __post_init__(self) -> None:
-        if not self.beta < 0:
-            raise BadSign("levitation requires beta < 0")
 
 
 def build_support_state(eq: Equilibrium) -> ReducedState:

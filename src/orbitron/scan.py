@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import BodyParams
 from .equilibrium import (
-    LevitationParams,
     _equatorial_tests,
     build_levitation_equilibrium,
     equatorial_multipliers,
@@ -251,8 +250,7 @@ def levitation_sweep(
             nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
             b_row = replace(b, g=g_row)
             eq = build_levitation_equilibrium(model, b_row, r0, nu_r, nu_z, xi2)
-            lev = LevitationParams(beta, float(kappa), xi2, abs(float(kappa)) - 1.0)
-            cert = levitation_conditions(eq, lev, b_row, model)
+            cert = levitation_conditions(eq, b_row, model)
         except OrbitronError as exc:
             row["error"] = type(exc).__name__
             return row

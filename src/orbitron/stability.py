@@ -22,10 +22,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import BodyParams, Multipliers
-from .equilibrium import Equilibrium, LevitationParams
+from .equilibrium import Equilibrium
 from .errors import NotEquatorial, PolarDegeneracy, ZeroPivot
 from .fields import AxiFieldModel, eval_jet
-from .potential import PotentialHessianBlocks, make_rotated_basis
+from .potential import PotentialHessianBlocks, _support_blocks, make_rotated_basis
 
 __all__ = [
     "ReducedQuadraticForm",
@@ -60,6 +60,10 @@ _LOWER = np.tril_indices(8, -1)
 
 # Closed-form conditions by failure code; code 0 means all of them hold.
 FAILED_CONDITIONS = (None, "nu2_block", "nu1_block", "A", "C", "det")
+
+# The same codes as levitation_conditions names them: there the first
+# condition is lambda itself, as the pure axis blocks vanish.
+LEVITATION_CONDITIONS = (None, "lambda") + FAILED_CONDITIONS[2:]
 
 # StabilityCertificate fields that hold one value per certified cell.
 CERTIFICATE_FIELDS = (
@@ -347,8 +351,9 @@ def isolated_squares_reduce(Q: np.ndarray, order: tuple | None = None) -> Elimin
 def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
     """(den1, cond2, A, B, C, failed) of the cells.
 
-    failed indexes FAILED_CONDITIONS.  cond2 is NaN where den1 <= 0, and
-    A, B, C are NaN where either denominator is non-positive.
+    failed indexes FAILED_CONDITIONS.  A, B, C are NaN where either
+    denominator is non-positive.  cond2 is left as computed where
+    den1 <= 0, where it carries no condition; :func:`_certify` masks it.
     """
     nperp, nz, r0, p0 = cells.nperp, cells.nz, cells.r0, cells.p0
     M, I = b.M, b.I_perp
@@ -374,7 +379,6 @@ def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
             + (nperp * nperp) * I * (om * om)
             - (d2_E2_top * d2_E2_top) / den1
         )
-        cond2 = np.where(den1 <= 0.0, np.nan, cond2)
         num_a = 2.0 * I * nperp * p0 * spin / denom_c + d2_e1_top - V_e1E2 * d2_E2_top / den1
         num_b = d2_e3_top - V_e3E2 * d2_E2_top / den1
         A = (
@@ -432,6 +436,7 @@ def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
     ``sweep.zero`` hit a zero pivot and carry no verdict.
     """
     den1, cond2, A, B, C, failed = (np.reshape(v, -1) for v in _closed_form(b, cells))
+    cond2 = np.where(den1 <= 0.0, np.nan, cond2)
     sweep = _eliminate(_reduced_forms(b, cells).reshape(8, 8, -1))
     last = sweep.pivots[np.arange(len(sweep.stop)), sweep.stop]
     pivot = np.where(sweep.completed, sweep.pivots.min(axis=1), last)
@@ -480,9 +485,44 @@ def closed_form_conditions(
         raise _zero_pivot(float(certs.sweep.pivots[0, last]), last)
     cell = {name: certs.column(name)[0] for name in CERTIFICATE_FIELDS}
     details = {"den1": float(certs.den1[0]), "cond2": float(certs.cond2[0])}
-    if cell["failed_condition"] in ("nu2_block", "nu1_block"):
-        details["indefinite_denominator"] = cell["failed_condition"]
     return StabilityCertificate(**dict(cell, pivots=tuple(cell["pivots"])), details=details)
+
+
+def _normalized_min(vals: list) -> float:
+    """The margin of the field-level routes: min(vals) / max(1, |vals|)."""
+    return min(vals) / max(1.0, *(abs(v) for v in vals))
+
+
+def _support_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> tuple:
+    """The jet at (r0, 0) and the closed-form (den1, cond2, A, B, C, failed) of eq, as floats.
+
+    The conditions are those of :func:`_closed_form` on the support blocks
+    built from that jet.
+    """
+    jet = eval_jet(model, eq.r0, 0.0)
+    blocks = _support_blocks(jet, eq.r0, eq.nu0.tolist(), b.mu)
+    nperp = math.hypot(eq.nu0[0], eq.nu0[1])
+    cells = _Cells(nperp, float(eq.nu0[2]), eq.mult, eq.r0, eq.p0, blocks)
+    den1, cond2, A, B, C, failed = (float(v) for v in _closed_form(b, cells))
+    return jet, den1, cond2, A, B, C, int(failed)
+
+
+def _certificate(
+    margin: float, lam: float, A: float, B: float, C: float, failed, details: dict
+) -> StabilityCertificate:
+    """A field-level certificate: no pivots, verdict from the margin."""
+    return StabilityCertificate(
+        verdict=_classify(margin),
+        margin=margin,
+        lambda_ok=lam > 0.0,
+        A=A,
+        B=B,
+        C=C,
+        abc_ok=failed is None,
+        pivots=(),
+        failed_condition=failed,
+        details=details,
+    )
 
 
 def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:
@@ -497,7 +537,9 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
         omega pi0 > -sigma mu Bz + I_perp omega^2 + mu Bz_r^2 / (-sigma Bz_zz)
 
     The last two are equivalent to A > 0 and (lambda > 0 and C > 0) with
-    B = 0 exactly.  Raises NotEquatorial for tilted equilibria.
+    B = 0 exactly.  lambda and C are those of the general closed form, and
+    A = mu (-sigma (3 Bz_r / r + Bz_rr)).  Raises NotEquatorial for tilted
+    equilibria.
     """
     nperp = math.hypot(eq.nu0[0], eq.nu0[1])
     if nperp > POLAR_EPS:
@@ -505,135 +547,63 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
     sigma = eq.sigma
     om = eq.mult.omega
     pi0 = float(eq.pi0[2])
-    jet = eval_jet(model, eq.r0, 0.0)
-    lam = sigma * b.mu * jet.Bz + om * pi0 - b.I_perp * om**2
+    jet, lam, _, _, _, C, _ = _support_conditions(eq, b, model)
     axial = -sigma * jet.Bz_zz
     radial = -sigma * (3.0 * jet.Bz_r / eq.r0 + jet.Bz_rr)
-    A = 3.0 * b.M * om**2 - b.mu * sigma * jet.Bz_rr
+    A = b.mu * radial
     B = 0.0
-    C = math.nan
     spin_rhs = math.nan
     failed: str | None = None
     if lam <= 0.0:
         failed = "lambda"
+    elif axial <= 0.0:
+        failed = "axial"
+    elif radial <= 0.0:
+        failed = "radial"
     else:
-        C = -sigma * b.mu * jet.Bz_zz - (b.M * om**2 * eq.r0) ** 2 / lam
-        if axial <= 0.0:
-            failed = "axial"
-        elif radial <= 0.0:
-            failed = "radial"
-        else:
-            spin_rhs = (
-                -sigma * b.mu * jet.Bz + b.I_perp * om**2 + b.mu * jet.Bz_r**2 / axial
-            )
-            if not om * pi0 > spin_rhs:
-                failed = "spin"
+        spin_rhs = -sigma * b.mu * jet.Bz + b.I_perp * om**2 + b.mu * jet.Bz_r**2 / axial
+        if not om * pi0 > spin_rhs:
+            failed = "spin"
     vals = [lam, A]
     if math.isfinite(C):
-        vals.append(C)
-        vals.append(A * C - B * B)
-    scale = max(1.0, *(abs(v) for v in vals))
-    margin = min(vals) / scale
-    return StabilityCertificate(
-        verdict=_classify(margin),
-        margin=margin,
-        lambda_ok=lam > 0.0,
-        A=A,
-        B=B,
-        C=C,
-        abc_ok=failed is None,
-        pivots=(),
-        failed_condition=failed,
-        details={
-            "lambda": lam,
-            "axial": axial,
-            "radial": radial,
-            "spin_lhs": om * pi0,
-            "spin_rhs": spin_rhs,
-        },
-    )
+        vals += [C, A * C - B * B]
+    details = {
+        "lambda": lam,
+        "axial": axial,
+        "radial": radial,
+        "spin_lhs": om * pi0,
+        "spin_rhs": spin_rhs,
+    }
+    return _certificate(_normalized_min(vals), lam, A, B, C, failed, details)
 
 
-def levitation_conditions(
-    eq: Equilibrium,
-    lev: LevitationParams,
-    b: BodyParams,
-    model: AxiFieldModel,
-) -> StabilityCertificate:
+def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:
     """Stability conditions specialized to the levitating branch.
 
-    A, B, C are evaluated in the form they take at a levitation support
-    point, where the mixed nu blocks reduce to gravity combinations through
-    the force balance; they agree exactly with the general closed-form
-    route.  The certificate also reports the scaled diagnostics
+    lambda, the axis-block condition and A, B, C are those of the general
+    closed form; at a levitation support point the pure axis blocks of V
+    vanish, so its first condition is lambda > 0 itself.  The margin is the
+    smallest of (lambda, cond2, A, C, A C - B^2) over max(1, |.|).  The
+    certificate also reports the scaled diagnostics
     (a, b, c) = (r0 / M g)(A, B, C) and the spin threshold
     omega pi0 > -sigma mu Bz + I_perp omega^2 + M g r0.
     """
-    nu_r = float(eq.nu0[0])
-    nu_z = float(eq.nu0[2])
+    M, I, mu, g, r0 = b.M, b.I_perp, b.mu, b.g, eq.r0
     om = eq.mult.omega
-    l2 = eq.mult.lambda2
-    lam = eq.mult.lambda_
-    r0 = eq.r0
-    M, I, mu, g = b.M, b.I_perp, b.mu, b.g
-    kappa = lev.kappa
-    jet = eval_jet(model, r0, 0.0)
-
-    denom_c = I * nu_r**2 + M * r0**2
-    cond2 = lam + (I**2 * nu_r**2 / denom_c) * (nu_z * om + l2) ** 2 + nu_r**2 * I * om**2
-    A = B = C = math.nan
-    failed: str | None = None
-    if lam <= 0.0:
-        failed = "lambda"
-    elif cond2 <= 0.0:
-        failed = "nu1_block"
-    else:
-        bracket1 = 2.0 * I * nu_r * eq.p0 * (nu_z * om + l2) / denom_c + M * g * (
-            1.0 - nu_z / (2.0 * kappa)
-        )
-        bracket2 = M * g * (lev.xi2 - M * g * r0 / (4.0 * kappa**2 * lam))
-        A = (
-            M * om**2 * (3.0 * M * r0**2 - I * nu_r**2) / denom_c
-            - mu * nu_z * jet.Bz_rr
-            - bracket1**2 / cond2
-        )
-        B = -mu * nu_r * jet.Bz_rr - bracket1 * bracket2 / cond2
-        C = -mu * nu_z * jet.Bz_zz - bracket2**2 / cond2
-        for name, value in (("A", A), ("C", C), ("det", A * C - B * B)):
-            if value <= 0.0:
-                failed = name
-                break
-
+    jet, lam, cond2, A, B, C, code = _support_conditions(eq, b, model)
     vals = [lam, cond2]
     if math.isfinite(A):
-        vals.extend([A, C, A * C - B * B])
-    scale = max(1.0, *(abs(v) for v in vals))
-    margin = min(vals) / scale
-
-    sigma = eq.sigma
-    pi0_along = sigma * eq.C2
-    dyn_rhs = -sigma * mu * jet.Bz + I * om**2 + M * g * r0
+        vals += [A, C, A * C - B * B]
     details = {
         "cond2": cond2,
-        "a": A * r0 / (M * g) if math.isfinite(A) else math.nan,
-        "b": B * r0 / (M * g) if math.isfinite(B) else math.nan,
-        "c": C * r0 / (M * g) if math.isfinite(C) else math.nan,
-        "dynamic_lhs": om * pi0_along,
-        "dynamic_rhs": dyn_rhs,
+        "a": A * r0 / (M * g),
+        "b": B * r0 / (M * g),
+        "c": C * r0 / (M * g),
+        "dynamic_lhs": om * (eq.sigma * eq.C2),
+        "dynamic_rhs": -eq.sigma * mu * jet.Bz + I * om**2 + M * g * r0,
         "lambda_over_mgr": lam / (M * g * r0),
     }
-    return StabilityCertificate(
-        verdict=_classify(margin),
-        margin=margin,
-        lambda_ok=lam > 0.0,
-        A=A,
-        B=B,
-        C=C,
-        abc_ok=failed is None,
-        pivots=(),
-        failed_condition=failed,
-        details=details,
-    )
+    return _certificate(_normalized_min(vals), lam, A, B, C, LEVITATION_CONDITIONS[code], details)
 
 
 def eigen_certificate(Q: np.ndarray) -> EigenCertificate:

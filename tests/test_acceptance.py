@@ -18,7 +18,6 @@ from orbitron.dynamics import (
     relative_equilibrium_orbit,
 )
 from orbitron.equilibrium import (
-    LevitationParams,
     build_levitation_equilibrium,
     build_support_state,
     first_order_residual,
@@ -295,8 +294,7 @@ def test_criterion_7_levitation_existence():
         assert first_order_residual(eq, b, model) <= 1e-12
         assert abs(float(s.nu @ s.nu) - 1.0) <= 1e-12
 
-        lev = LevitationParams(beta=beta, kappa=kappa, xi2=xi2, epsilon=kappa - 1.0)
-        cert = levitation_conditions(eq, lev, b, model)
+        cert = levitation_conditions(eq, b, model)
         assert cert.verdict == "stable"
         assert cert.details["dynamic_lhs"] > cert.details["dynamic_rhs"]
 

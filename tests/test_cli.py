@@ -273,6 +273,46 @@ def test_certify_orbitron_names_failed_condition(tmp_path):
     assert doc["eigen"]["agrees"] is True
 
 
+def test_certify_orbitron_lambda_failure_keeps_exact_b(tmp_path):
+    cfg = _cfg(
+        tmp_path,
+        {
+            "body": BODY,
+            "field": PAIR,
+            "certify": {
+                "method": "orbitron",
+                "equilibrium": {"solver": "orbitron", "r0": 0.8, "pi0": -10.0, "sigma": 1},
+            },
+        },
+    )
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--config", cfg, "--out", str(out), "--oracle"]) == 0
+    text = out.read_text()
+    assert '"B": 0,' in text
+    cert = json.loads(text)["certificate"]
+    assert cert["failed_condition"] == "lambda"
+    assert cert["margin"] == -1.0
+    assert cert["C"] is None
+
+
+@pytest.mark.parametrize(
+    "field, equilibrium",
+    [
+        (PAIR, {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}),
+        (LEV_FIELD, {"solver": "dipole", "r0": 0.8, "C2": 1.0}),
+    ],
+    ids=["no_linear_part", "no_gravity"],
+)
+def test_certify_levitation_method_needs_a_levitation_setup(tmp_path, capsys, field, equilibrium):
+    cfg = _cfg(
+        tmp_path,
+        {"body": BODY, "field": field, "certify": {"method": "levitation", "equilibrium": equilibrium}},
+    )
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "cert.json")]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "cert.json").exists()
+
+
 def test_certify_levitation_matches_closed_form(tmp_path):
     out_l = str(tmp_path / "lev.json")
     out_c = str(tmp_path / "cf.json")

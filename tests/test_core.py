@@ -10,13 +10,25 @@ from orbitron.core import (
     Multipliers,
     ReducedState,
     augmented_hamiltonian,
-    axial_symmetry_residual,
     casimirs,
     hamiltonian,
     momentum_j3,
 )
 from orbitron.fields import DipolePair
 from orbitron.potential import DipolePotential
+
+
+def axial_symmetry_residual(V, s: ReducedState) -> float:
+    """Generator of simultaneous rotation of x and nu applied to V.
+
+    Vanishes identically for an axisymmetric potential:
+    x1 dV/dx2 - x2 dV/dx1 + nu1 dV/dnu2 - nu2 dV/dnu1 = 0.
+    """
+    gx = V.grad_x(s.x, s.nu)
+    gn = V.grad_nu(s.x, s.nu)
+    return float(
+        s.x[0] * gx[1] - s.x[1] * gx[0] + s.nu[0] * gn[1] - s.nu[1] * gn[0]
+    )
 
 
 class _Quadratic:

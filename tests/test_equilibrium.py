@@ -8,7 +8,6 @@ import pytest
 
 from orbitron.core import BodyParams, casimirs
 from orbitron.equilibrium import (
-    LevitationParams,
     build_levitation_equilibrium,
     build_support_state,
     first_order_residual,
@@ -315,12 +314,6 @@ def test_solve_levitation_errors():
         solve_levitation(-0.5, 0.0)
     with pytest.raises(NoRealSolution):
         solve_levitation(-0.5, 1.2)
-
-
-def test_levitation_params_validation():
-    LevitationParams(beta=-0.5, kappa=-1.1, xi2=0.3, epsilon=0.1)
-    with pytest.raises(BadSign):
-        LevitationParams(beta=0.5, kappa=-1.1, xi2=0.3, epsilon=0.1)
 
 
 def test_build_levitation_equilibrium():

@@ -8,7 +8,6 @@ import pytest
 
 from orbitron.core import BodyParams, ReducedState, augmented_hamiltonian
 from orbitron.equilibrium import (
-    LevitationParams,
     build_levitation_equilibrium,
     build_support_state,
     solve_levitation,
@@ -43,20 +42,50 @@ def _dipoletron(r0=0.8, pi0=10.0):
 
 
 def _levitation():
+    eq, b, model, _ = _levitation_with_xi2(1.001, 0.8)
+    return eq, b, model
+
+
+def _levitation_with_xi2(kappa, r0):
     model = Composite((Linear(1.0, 3.0), DipolePair(1.0, 1.0)))
     linear, o_model = split_levitation_model(model)
-    beta = eval_jet(o_model, 0.8, 0.0).Br_z / linear.Bp
-    kappa = 1.001
+    beta = eval_jet(o_model, r0, 0.0).Br_z / linear.Bp
     b = BodyParams(M=1.0, I_perp=0.1, I3=0.05, mu=1.0, g=kappa * linear.Bp)
     nr, nz, xi2 = solve_levitation(beta, kappa)
-    eq = build_levitation_equilibrium(model, b, 0.8, nr, nz, xi2)
-    lev = LevitationParams(beta=beta, kappa=kappa, xi2=xi2, epsilon=kappa - 1.0)
-    return eq, lev, b, model
+    eq = build_levitation_equilibrium(model, b, r0, nr, nz, xi2)
+    return eq, b, model, xi2
+
+
+def _levitation_reference(eq, b, model, kappa, xi2):
+    """(cond2, A, B, C) in the paper's form at a levitation support point.
+
+    The force balance turns the mixed axis blocks of V into the gravity
+    terms bracket1 and bracket2, so this form shares no code with the
+    general closed form that levitation_conditions reads.
+    """
+    nu_r, nu_z = float(eq.nu0[0]), float(eq.nu0[2])
+    om, l2, lam = eq.mult.omega, eq.mult.lambda2, eq.mult.lambda_
+    r0, M, I, mu, g = eq.r0, b.M, b.I_perp, b.mu, b.g
+    jet = eval_jet(model, r0, 0.0)
+    denom_c = I * nu_r**2 + M * r0**2
+    cond2 = lam + (I**2 * nu_r**2 / denom_c) * (nu_z * om + l2) ** 2 + nu_r**2 * I * om**2
+    bracket1 = 2.0 * I * nu_r * eq.p0 * (nu_z * om + l2) / denom_c + M * g * (
+        1.0 - nu_z / (2.0 * kappa)
+    )
+    bracket2 = M * g * (xi2 - M * g * r0 / (4.0 * kappa**2 * lam))
+    A = (
+        M * om**2 * (3.0 * M * r0**2 - I * nu_r**2) / denom_c
+        - mu * nu_z * jet.Bz_rr
+        - bracket1**2 / cond2
+    )
+    B = -mu * nu_r * jet.Bz_rr - bracket1 * bracket2 / cond2
+    C = -mu * nu_z * jet.Bz_zz - bracket2**2 / cond2
+    return cond2, A, B, C
 
 
 def _cases():
     eq, b, model = _dipoletron()
-    leq, _, lb, lmodel = _levitation()
+    leq, lb, lmodel = _levitation()
     return [(eq, b, model), (leq, lb, lmodel)]
 
 
@@ -335,8 +364,20 @@ def test_orbitron_spin_threshold():
     assert above.failed_condition is None
 
 
+def test_orbitron_conditions_lambda_fails_first():
+    eq, b, model = _dipoletron(0.8, -10.0)
+    cert = orbitron_conditions(eq, b, model)
+    assert cert.failed_condition == "lambda"
+    assert cert.verdict == "not_certified" and not cert.lambda_ok
+    assert cert.B == 0.0
+    assert math.isnan(cert.C)
+    assert math.isfinite(cert.A)
+    assert math.isclose(cert.A, b.mu * cert.details["radial"], rel_tol=1e-12)
+    assert cert.margin == -1.0
+
+
 def test_orbitron_conditions_reject_tilted():
-    leq, _, lb, lmodel = _levitation()
+    leq, lb, lmodel = _levitation()
     with pytest.raises(NotEquatorial):
         orbitron_conditions(leq, lb, lmodel)
 
@@ -354,8 +395,8 @@ def test_orbitron_matches_closed_form():
 
 
 def test_levitation_conditions_agree_with_closed_form():
-    eq, lev, b, model = _levitation()
-    cert = levitation_conditions(eq, lev, b, model)
+    eq, b, model = _levitation()
+    cert = levitation_conditions(eq, b, model)
     blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
     cf = closed_form_conditions(eq, b, blocks)
     assert cert.verdict == cf.verdict == "stable"
@@ -364,9 +405,33 @@ def test_levitation_conditions_agree_with_closed_form():
     assert abs(cert.C - cf.C) <= 1e-12 * max(1.0, abs(cf.C))
 
 
+@pytest.mark.parametrize("kappa", [1.0005, 1.05, 1.1, 1.2])
+@pytest.mark.parametrize("r0", [0.7, 0.8, 0.9])
+def test_levitation_conditions_match_the_paper_form(kappa, r0):
+    eq, b, model, xi2 = _levitation_with_xi2(kappa, r0)
+    cert = levitation_conditions(eq, b, model)
+    ref = _levitation_reference(eq, b, model, kappa, xi2)
+    got = (cert.details["cond2"], cert.A, cert.B, cert.C)
+    for value, expected in zip(got, ref):
+        assert abs(value - expected) <= 1e-12 * max(1.0, abs(expected))
+
+
+def test_levitation_conditions_lambda_fails_first():
+    eq, b, model = _levitation()
+    eq = replace(eq, mult=replace(eq.mult, lambda_=-2.0))
+    cert = levitation_conditions(eq, b, model)
+    assert cert.failed_condition == "lambda"
+    assert cert.verdict == "not_certified" and not cert.lambda_ok
+    assert math.isnan(cert.A) and math.isnan(cert.B) and math.isnan(cert.C)
+    # The margin still takes the finite axis-block value, as when lambda > 0.
+    cond2 = cert.details["cond2"]
+    assert math.isfinite(cond2)
+    assert cert.margin == min(-2.0, cond2) / max(1.0, 2.0, abs(cond2))
+
+
 def test_levitation_conditions_details():
-    eq, lev, b, model = _levitation()
-    cert = levitation_conditions(eq, lev, b, model)
+    eq, b, model = _levitation()
+    cert = levitation_conditions(eq, b, model)
     d = cert.details
     assert sorted(d.keys()) == [
         "a",
