@@ -89,6 +89,7 @@ def eom_rhs(y: np.ndarray, b: BodyParams, V: Potential) -> np.ndarray:
     )
 
 
+@np.errstate(all="ignore")
 def integrate(
     s0: ReducedState,
     cfg: IntegratorConfig,
@@ -101,7 +102,9 @@ def integrate(
     Samples are taken at step 0, every ``record_every`` steps, and at the
     final step.  Invariants in each sample are recomputed from the sampled
     state; ``include_casimir`` only affects the reported energy.  Raises
-    NonFinite as soon as a step produces a NaN or infinity.
+    NonFinite, naming the step, as soon as a step produces a NaN or
+    infinity in the state or a recorded sample has a non-finite state, h,
+    J3, C1 or C2, step 0 included.
     """
     projected = cfg.scheme == "rk4_projected"
     y = s0.as_vector()
@@ -113,17 +116,18 @@ def integrate(
     def record(i: int, c1_preproj: float | None) -> None:
         s = ReducedState.from_vector(y)
         c1, c2 = casimirs(s)
-        samples.append(
-            TrajectorySample(
-                t=i * cfg.dt,
-                state=s,
-                h=hamiltonian(s, b, V, include_casimir),
-                J3=momentum_j3(s),
-                C1=c1,
-                C2=c2,
-                c1_preproj=c1_preproj,
-            )
+        sample = TrajectorySample(
+            t=i * cfg.dt,
+            state=s,
+            h=hamiltonian(s, b, V, include_casimir),
+            J3=momentum_j3(s),
+            C1=c1,
+            C2=c2,
+            c1_preproj=c1_preproj,
         )
+        if not (np.all(np.isfinite(y)) and all(map(math.isfinite, (sample.h, sample.J3, c1, c2)))):
+            raise NonFinite(f"non-finite sample at step {i}")
+        samples.append(sample)
 
     record(0, None)
     dt = cfg.dt
@@ -133,12 +137,12 @@ def integrate(
         k3 = eom_rhs(y + 0.5 * dt * k2, b, V)
         k4 = eom_rhs(y + dt * k3, b, V)
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise NonFinite(f"non-finite state component at step {i}")
         c1_preproj = None
         if projected:
             c1_preproj = float(y[6:9] @ y[6:9])
             y[6:9] /= math.sqrt(c1_preproj)
+        if not np.all(np.isfinite(y)):
+            raise NonFinite(f"non-finite state component at step {i}")
         if i % cfg.record_every == 0 or i == cfg.steps:
             record(i, c1_preproj)
     return samples

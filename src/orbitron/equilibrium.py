@@ -127,23 +127,6 @@ def first_order_residual(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -
     return float(max(np.max(np.abs(r)) for r in (r1, r2, r3, r4)))
 
 
-def _mirrored(eq: Equilibrium) -> Equilibrium:
-    """The time-reversed twin with omega -> -omega and (p, pi) negated.
-
-    The first-order residual is invariant under this reflection, so it is
-    carried over unchanged.
-    """
-    m = eq.mult
-    return replace(
-        eq,
-        omega=-m.omega,
-        pi0=-eq.pi0,
-        p0=-eq.p0,
-        C2=-eq.C2,
-        mult=Multipliers(-m.omega, m.lambda1, -m.lambda2, m.lambda_),
-    )
-
-
 def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
     """Elementwise (asymmetric, omega2) of the equatorial branch, from the jet at (r0, 0).
 
@@ -196,42 +179,40 @@ def equatorial_multipliers(b: BodyParams, Bz, omega, pi0, sigma) -> Multipliers:
     return Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
 
 
-def _equatorial_equilibrium(
-    jet: FieldJet,
-    b: BodyParams,
-    r0: float,
-    omega: float,
-    pi0_scalar: float,
-    sigma: int,
-    model: AxiFieldModel,
+def _equilibrium(
+    model: AxiFieldModel, b: BodyParams, r0: float, nu0: np.ndarray, mult: Multipliers, C2: float
 ) -> Equilibrium:
-    mult = equatorial_multipliers(b, jet.Bz, omega, pi0_scalar, sigma)
-    nu0 = np.array([0.0, 0.0, float(sigma)])
-    pi0 = b.I_perp * omega * E3 - mult.lambda2 * b.I_perp * nu0
+    """The equilibrium with axis nu0 and multipliers mult, with its residual.
+
+    The first-order conditions fix pi0 = I_perp (omega e3 - lambda2 nu0) and
+    p0 = M omega r0, and the sign of nu_z fixes sigma.
+    """
+    om = mult.omega
     eq = Equilibrium(
         r0=r0,
-        omega=omega,
+        omega=om,
         nu0=nu0,
-        pi0=pi0,
-        p0=b.M * omega * r0,
+        pi0=b.I_perp * om * E3 - mult.lambda2 * b.I_perp * nu0,
+        p0=b.M * om * r0,
         mult=mult,
-        C2=sigma * pi0_scalar,
-        sigma=sigma,
+        C2=C2,
+        sigma=1 if nu0[2] >= 0.0 else -1,
         residual=0.0,
     )
     return replace(eq, residual=first_order_residual(eq, b, model))
 
 
-def _tilted_equilibrium(
-    jet: FieldJet,
-    b: BodyParams,
-    r0: float,
-    omega: float,
-    nu_r: float,
-    nu_z: float,
-    model: AxiFieldModel,
+def _equatorial_equilibrium(
+    model: AxiFieldModel, b: BodyParams, r0: float, jet: FieldJet, omega: float, pi0: float, sigma: int
 ) -> Equilibrium:
-    """Multipliers of a tilted branch from the axis-direction conditions.
+    mult = equatorial_multipliers(b, jet.Bz, omega, pi0, sigma)
+    return _equilibrium(model, b, r0, np.array([0.0, 0.0, float(sigma)]), mult, sigma * pi0)
+
+
+def _tilted_equilibrium(
+    model: AxiFieldModel, b: BodyParams, r0: float, jet: FieldJet, omega: float, nu_r: float, nu_z: float
+) -> Equilibrium:
+    """A tilted branch: its multipliers come from the axis-direction conditions.
 
     lambda nu_r = mu Br fixes lambda, and the z component then fixes
     lambda2; the spin invariant C2 follows rather than being prescribed.
@@ -239,21 +220,8 @@ def _tilted_equilibrium(
     lam = b.mu * jet.Br / nu_r
     lambda2 = (b.mu * jet.Bz - lam * nu_z) / (b.I_perp * omega)
     mult = Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
-    nu0 = np.array([nu_r, 0.0, nu_z])
-    pi0 = b.I_perp * omega * E3 - lambda2 * b.I_perp * nu0
     c2 = b.I_perp * (omega * nu_z - lambda2)
-    eq = Equilibrium(
-        r0=r0,
-        omega=omega,
-        nu0=nu0,
-        pi0=pi0,
-        p0=b.M * omega * r0,
-        mult=mult,
-        C2=c2,
-        sigma=1 if nu_z >= 0.0 else -1,
-        residual=0.0,
-    )
-    return replace(eq, residual=first_order_residual(eq, b, model))
+    return _equilibrium(model, b, r0, np.array([nu_r, 0.0, nu_z]), mult, c2)
 
 
 def solve_orbitron_equatorial(
@@ -276,8 +244,9 @@ def solve_orbitron_equatorial(
     unsatisfiable on an equatorial branch and is reported as a ValueError.
     """
     omega, jet = equatorial_rate(model, b, r0, sigma)
-    eq = _equatorial_equilibrium(jet, b, r0, omega, pi0, sigma, model)
-    return _mirrored(eq) if negative_omega else eq
+    if negative_omega:
+        omega, pi0 = -omega, -pi0
+    return _equatorial_equilibrium(model, b, r0, jet, omega, pi0, sigma)
 
 
 def solve_dipole_equilibrium(
@@ -325,20 +294,21 @@ def solve_dipole_equilibrium(
             if w > 1e-12 * max(1.0, w_orb):
                 roots.append((nr, nz, w))
 
+    if negative_omega:
+        C2 = -C2
     bnorm = math.hypot(jet.Br, jet.Bz)
     out: list[Equilibrium] = []
     for nr, nz, w in sorted(roots, key=lambda r: (-r[1], r[0])):
-        omega = math.sqrt(w)
+        omega = -math.sqrt(w) if negative_omega else math.sqrt(w)
         if abs(nr) < EQUATORIAL_TOL:
             if abs(jet.Br) > 1e-9 * max(bnorm, 1e-300):
                 # A vanishing tilt cannot balance a nonzero radial field.
                 continue
             sigma = 1 if nz >= 0.0 else -1
-            eq = _equatorial_equilibrium(jet, b, r0, omega, sigma * C2, sigma, model)
+            out.append(_equatorial_equilibrium(model, b, r0, jet, omega, sigma * C2, sigma))
         else:
             n = math.hypot(nr, nz)
-            eq = _tilted_equilibrium(jet, b, r0, omega, nr / n, nz / n, model)
-        out.append(_mirrored(eq) if negative_omega else eq)
+            out.append(_tilted_equilibrium(model, b, r0, jet, omega, nr / n, nz / n))
     if not out:
         raise NoEquilibrium(f"no relative equilibrium with omega^2 > 0 at r = {r0:g}")
     return out
@@ -407,5 +377,4 @@ def build_levitation_equilibrium(
         raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
     jet = eval_jet(model, r0, 0.0)
     omega = math.sqrt(xi2 * b.g / r0)
-    eq = _tilted_equilibrium(jet, b, r0, omega, nu_r, nu_z, model)
-    return _mirrored(eq) if negative_omega else eq
+    return _tilted_equilibrium(model, b, r0, jet, -omega if negative_omega else omega, nu_r, nu_z)

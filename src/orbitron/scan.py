@@ -53,6 +53,8 @@ class ScanAxis:
                 raise ValueError("a single-point axis needs lo == hi")
         elif not self.hi > self.lo:
             raise ValueError("axis range must be increasing")
+        elif not math.isfinite(self.hi - self.lo):
+            raise ValueError("axis range width must be finite")
 
     def values(self) -> np.ndarray:
         if self.n == 1:

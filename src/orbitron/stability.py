@@ -609,21 +609,18 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
 def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     """Definiteness verdict from the spectrum of the reduced form.
 
-    Stable means the smallest eigenvalue exceeds 1e-12 |Q|; verdicts whose
-    normalized smallest eigenvalue sits inside the marginal band are
-    reported as marginal, matching the closed-form routes.
+    The margin is the smallest eigenvalue over |Q|, and the verdict is the
+    closed-form routes' rule applied to it: marginal inside the marginal
+    band, otherwise stable when positive.
     """
     Q = np.asarray(Q, dtype=float)
     eigs = np.linalg.eigvalsh(Q)
     qnorm = max(float(np.linalg.norm(Q)), 1e-300)
     lam_min = float(eigs[0])
     margin = lam_min / qnorm
-    if abs(margin) < MARGIN_BAND:
-        verdict = "marginal"
-    elif lam_min > 1e-12 * qnorm:
-        verdict = "stable"
-    else:
-        verdict = "not_certified"
     return EigenCertificate(
-        verdict=verdict, lambda_min=lam_min, margin=margin, eigenvalues=tuple(float(e) for e in eigs)
+        verdict=_classify(margin),
+        lambda_min=lam_min,
+        margin=margin,
+        eigenvalues=tuple(float(e) for e in eigs),
     )

@@ -871,8 +871,49 @@ def test_scan_sizes_and_steps_are_bounded(tmp_path, capsys, monkeypatch, case, s
         ),
         # the window jet overflows at every ratio of a pair this small: NonFinite
         ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, h=1e-110, n=3)}, [], 3),
+        # p . p overflows in the energy of the first sample: NonFinite at step 0
+        (
+            "simulate",
+            {
+                "body": BODY,
+                "field": PAIR,
+                "simulate": {
+                    "state": {"x": [0.8, 0, 0], "p": [1e155, 1.2, 0], "nu": [0, 0, 1], "pi": [0, 0, 10]},
+                    "steps": 3,
+                    "dt": 1e-300,
+                },
+            },
+            [],
+            3,
+        ),
+        # a zero axis cannot be projected onto the unit sphere: NonFinite at step 0
+        (
+            "simulate",
+            {
+                "body": BODY,
+                "field": PAIR,
+                "simulate": {"state": dict(TILTED_STATE, nu=[0, 0, 0]), "steps": 3, "scheme": "rk4_projected"},
+            },
+            [],
+            3,
+        ),
+        # the axis width hi - lo overflows: a configuration error before any linspace
+        (
+            "scan",
+            {
+                "body": BODY,
+                "field": PAIR,
+                "scan": {
+                    "kind": "stability_map",
+                    "axis1": {"name": "r0", "lo": 0.7, "hi": 0.9, "n": 3},
+                    "axis2": {"name": "pi0", "lo": -1e308, "hi": 1e308, "n": 3},
+                },
+            },
+            [],
+            2,
+        ),
     ],
-    ids=["radius_for_beta", "dipoletron_window"],
+    ids=["radius_for_beta", "dipoletron_window", "simulate_energy", "simulate_zero_axis", "scan_axis_width"],
 )
 def test_jet_overflow_prints_no_runtime_warning(tmp_path, command, doc, flags, code):
     cfg = _cfg(tmp_path, doc)
@@ -886,10 +927,6 @@ def test_jet_overflow_prints_no_runtime_warning(tmp_path, command, doc, flags, c
         runs.append(err.getvalue())
     assert runs[0] == runs[1]
     assert "RuntimeWarning" not in runs[0]
-
-
-def _reject_constant(name):
-    raise ValueError(f"non-finite number {name} in the output")
 
 
 # Valid configs that reach every solver and certificate route; the fuzz

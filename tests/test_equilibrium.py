@@ -103,17 +103,45 @@ def test_equatorial_argument_validation():
         solve_orbitron_equatorial(Composite((Linear(1.0, 3.0), model)), b, 0.8, 10.0)
 
 
-def test_negative_omega_mirror():
-    b = _body()
-    model = DipolePair(1.0, 1.0)
-    eq = solve_orbitron_equatorial(model, b, 0.8, 10.0)
-    eqm = solve_orbitron_equatorial(model, b, 0.8, 10.0, negative_omega=True)
-    assert eqm.mult.omega == -eq.mult.omega
-    assert eqm.p0 == -eq.p0
-    np.testing.assert_array_equal(eqm.pi0, -eq.pi0)
-    assert eqm.C2 == -eq.C2
-    assert eqm.mult.lambda_ == eq.mult.lambda_
-    assert first_order_residual(eqm, b, model) <= 1e-12
+def _orbitron_both_sigmas(negative_omega):
+    b, model = _body(), DipolePair(1.0, 1.0)
+    return [
+        solve_orbitron_equatorial(model, b, r0, 10.0, sigma, negative_omega=negative_omega)
+        for r0, sigma in ((0.8, 1), (3.0, -1))
+    ]
+
+
+def _dipole_branches(negative_omega):
+    # the tilted branch of the levitation composite and the equatorial branch of the pair
+    model, b, _, _ = _levitation_setup()
+    tilted = solve_dipole_equilibrium(model, b, 0.8, 1.0, negative_omega=negative_omega)
+    equatorial = solve_dipole_equilibrium(DipolePair(1.0, 1.0), _body(), 0.8, 10.0, negative_omega=negative_omega)
+    assert tilted[0].nu0[0] != 0.0 and equatorial[0].nu0[0] == 0.0
+    return tilted + equatorial
+
+
+def _levitation_branch(negative_omega):
+    model, b, beta, kappa = _levitation_setup()
+    nr, nz, xi2 = solve_levitation(beta, kappa)
+    return [build_levitation_equilibrium(model, b, 0.8, nr, nz, xi2, negative_omega=negative_omega)]
+
+
+@pytest.mark.parametrize(
+    "solve", [_orbitron_both_sigmas, _dipole_branches, _levitation_branch], ids=["orbitron", "dipole", "levitation"]
+)
+def test_negative_omega_mirror(solve):
+    # time reversal: the same equilibrium at -omega, with every momentum negated
+    for eq, eqm in zip(solve(False), solve(True), strict=True):
+        assert eqm.mult.omega == eqm.omega == -eq.omega
+        assert eqm.mult.lambda2 == -eq.mult.lambda2
+        np.testing.assert_array_equal(eqm.pi0, -eq.pi0)
+        assert eqm.p0 == -eq.p0
+        assert eqm.C2 == -eq.C2
+        assert eqm.mult.lambda1 == eq.mult.lambda1
+        assert eqm.mult.lambda_ == eq.mult.lambda_
+        assert eqm.residual == eq.residual <= 1e-12
+        np.testing.assert_array_equal(eqm.nu0, eq.nu0)
+        assert eqm.sigma == eq.sigma
 
 
 def test_residual_detects_detuned_rotation():

@@ -176,6 +176,8 @@ def test_scan_axis_validation():
         ScanAxis("r0", 0.5, 1.5, 1)
     with pytest.raises(ValueError):
         ScanAxis("r0", 1.5, 0.5, 3)
+    with pytest.raises(ValueError, match="width"):
+        ScanAxis("pi0", -1e308, 1e308, 3)
 
 
 def test_stability_map_single_cell_matches_certificate():

@@ -18,6 +18,7 @@ from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential, hessian_blocks
 from orbitron.scan import split_levitation_model
 from orbitron.stability import (
+    MARGIN_BAND,
     VARIATION_LABELS,
     closed_form_conditions,
     eigen_certificate,
@@ -463,6 +464,12 @@ def test_eigen_certificate_small_examples():
     cert = eigen_certificate(np.diag([1.0, 0.0]))
     assert cert.verdict == "marginal"
     assert cert.margin == 0.0
+
+    # just inside and just outside the marginal band on either side
+    for scale, verdict in ((0.9, "marginal"), (1.1, "stable"), (-0.9, "marginal"), (-1.1, "not_certified")):
+        cert = eigen_certificate(np.diag([1.0, scale * MARGIN_BAND]))
+        assert math.isclose(cert.margin, scale * MARGIN_BAND, rel_tol=1e-12)
+        assert cert.verdict == verdict
 
 
 def test_eigen_certificate_matches_numpy_spectrum():
