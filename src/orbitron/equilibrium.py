@@ -38,7 +38,9 @@ __all__ = [
     "first_order_residual",
     "solve_orbitron_equatorial",
     "equatorial_rate",
+    "equatorial_conditions",
     "equatorial_multipliers",
+    "tilted_multipliers",
     "solve_dipole_equilibrium",
     "solve_levitation",
     "build_levitation_equilibrium",
@@ -49,6 +51,9 @@ E3 = np.array([0.0, 0.0, 1.0])
 # Tilt magnitudes below this are treated as exactly equatorial when
 # solve_dipole_equilibrium classifies its branches.
 EQUATORIAL_TOL = 1e-9
+
+# Levitation tilts |nu_r| below this cannot balance the linear part's radial field.
+LEVITATION_TILT_MIN = 1e-15
 
 
 @dataclass(frozen=True)
@@ -127,6 +132,14 @@ def first_order_residual(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -
     return float(max(np.max(np.abs(r)) for r in (r1, r2, r3, r4)))
 
 
+def equatorial_conditions(jet: FieldJet, b: BodyParams, r0, sigma) -> tuple:
+    """Elementwise field conditions (axial, radial, omega2) of the equatorial branch at (r0, 0)."""
+    axial = -sigma * jet.Bz_zz
+    radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
+    omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+    return axial, radial, omega2
+
+
 def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
     """Elementwise (asymmetric, omega2) of the equatorial branch, from the jet at (r0, 0).
 
@@ -137,8 +150,7 @@ def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
     asymmetric = (np.abs(jet.Br) > 1e-9 * np.maximum(bnorm, 1e-300)) | (
         np.abs(jet.Bz_z) > 1e-9 * np.maximum(dnorm, 1e-300)
     )
-    omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
-    return asymmetric, omega2
+    return asymmetric, equatorial_conditions(jet, b, r0, sigma)[2]
 
 
 def equatorial_rate(
@@ -179,13 +191,22 @@ def equatorial_multipliers(b: BodyParams, Bz, omega, pi0, sigma) -> Multipliers:
     return Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
 
 
+def tilted_multipliers(b: BodyParams, Br, Bz, omega, nu_r, nu_z) -> Multipliers:
+    """Elementwise multipliers of a tilted branch: lambda nu_r = mu Br, then lambda2 by the z balance."""
+    lam = b.mu * Br / nu_r
+    lambda2 = (b.mu * Bz - lam * nu_z) / (b.I_perp * omega)
+    return Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _equilibrium(
     model: AxiFieldModel, b: BodyParams, r0: float, nu0: np.ndarray, mult: Multipliers, C2: float
 ) -> Equilibrium:
     """The equilibrium with axis nu0 and multipliers mult, with its residual.
 
     The first-order conditions fix pi0 = I_perp (omega e3 - lambda2 nu0) and
-    p0 = M omega r0, and the sign of nu_z fixes sigma.
+    p0 = M omega r0, and the sign of nu_z fixes sigma.  Multipliers too large
+    for them give inf or nan entries, silently, which the outputs print as null.
     """
     om = mult.omega
     eq = Equilibrium(
@@ -212,15 +233,12 @@ def _equatorial_equilibrium(
 def _tilted_equilibrium(
     model: AxiFieldModel, b: BodyParams, r0: float, jet: FieldJet, omega: float, nu_r: float, nu_z: float
 ) -> Equilibrium:
-    """A tilted branch: its multipliers come from the axis-direction conditions.
+    """A tilted branch, with the multipliers of :func:`tilted_multipliers`.
 
-    lambda nu_r = mu Br fixes lambda, and the z component then fixes
-    lambda2; the spin invariant C2 follows rather than being prescribed.
+    The spin invariant C2 follows from them rather than being prescribed.
     """
-    lam = b.mu * jet.Br / nu_r
-    lambda2 = (b.mu * jet.Bz - lam * nu_z) / (b.I_perp * omega)
-    mult = Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
-    c2 = b.I_perp * (omega * nu_z - lambda2)
+    mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
+    c2 = b.I_perp * (omega * nu_z - mult.lambda2)
     return _equilibrium(model, b, r0, np.array([nu_r, 0.0, nu_z]), mult, c2)
 
 
@@ -373,7 +391,7 @@ def build_levitation_equilibrium(
         raise ValueError("orbit radius must be positive")
     if b.g <= 0.0:
         raise ValueError("levitation needs g > 0")
-    if abs(nu_r) < 1e-15:
+    if abs(nu_r) < LEVITATION_TILT_MIN:
         raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
     jet = eval_jet(model, r0, 0.0)
     omega = math.sqrt(xi2 * b.g / r0)

@@ -11,7 +11,7 @@ in-plane directions E1 (along the planar part of nu0) and E2 = e3 x E1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,7 +62,6 @@ class PotentialHessianBlocks:
     VNN: np.ndarray
     VN3: np.ndarray
     V33: float
-    basis: RotatedBasis
 
 
 class DipolePotential:
@@ -147,8 +146,9 @@ def make_rotated_basis(nu0_perp: np.ndarray) -> RotatedBasis:
     return RotatedBasis(E1=e1, E2=e2, alpha=alpha)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _support_blocks(jet: FieldJet, r0, nu, mu: float) -> PotentialHessianBlocks:
-    """Hessian blocks at the support point (r0, 0, 0) in closed form; ``basis`` is None.
+    """Closed-form Hessian blocks at the support point (r0, 0, 0), inf or nan where they overflow.
 
     ``jet`` is the jet at (r0, 0) and nu = (nu_x, nu_y, nu_z).  They are
     floats, or arrays of K cells, and the block arrays then end in a cell
@@ -184,7 +184,7 @@ def _support_blocks(jet: FieldJet, r0, nu, mu: float) -> PotentialHessianBlocks:
     shape = np.shape(r0)
     VNN, VN3 = np.zeros((2, 2) + shape), np.zeros((2,) + shape)
     V33 = np.zeros(shape) if shape else 0.0
-    return PotentialHessianBlocks(Vxx, VxN, Vx3, VNN, VN3, V33, None)
+    return PotentialHessianBlocks(Vxx, VxN, Vx3, VNN, VN3, V33)
 
 
 def hessian_blocks(
@@ -211,5 +211,4 @@ def hessian_blocks(
     r0 = float(x0[0])
     if r0 <= 0.0:
         raise AxisDegeneracy("support point must lie off the symmetry axis")
-    blocks = _support_blocks(eval_jet(model, r0, 0.0), r0, nu0.tolist(), b.mu)
-    return replace(blocks, basis=make_rotated_basis(nu0[:2]))
+    return _support_blocks(eval_jet(model, r0, 0.0), r0, nu0.tolist(), b.mu)

@@ -9,22 +9,24 @@ continues.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import BodyParams
 from .equilibrium import (
+    LEVITATION_TILT_MIN,
     _equatorial_tests,
-    build_levitation_equilibrium,
+    equatorial_conditions,
     equatorial_multipliers,
     equatorial_rate,
     solve_levitation,
+    tilted_multipliers,
 )
-from .errors import BadSign, ConfigError, NonFinite, OrbitronError
+from .errors import BadSign, ConfigError, NoEquilibrium, NonFinite, OrbitronError
 from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, eval_jet
 from .potential import _support_blocks
-from .stability import CERTIFICATE_FIELDS, _Cells, _certify, levitation_conditions
+from .stability import CERTIFICATE_FIELDS, _Cells, _certify, _classify, _closed_form, _levitation_margin
 
 __all__ = [
     "ScanAxis",
@@ -100,10 +102,7 @@ def dipoletron_window(
     r0 = ratio * h
     # A jet that over- or underflows at an extreme scale gives inf, nan or 0 terms, silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        jet = eval_jet(model, r0, 0.0)
-        axial = -sigma * jet.Bz_zz
-        radial = -sigma * (3.0 * jet.Bz_r / r0 + jet.Bz_rr)
-        omega2 = -sigma * (b.mu / b.M) * jet.Bz_r / r0
+        axial, radial, omega2 = equatorial_conditions(eval_jet(model, r0, 0.0), b, r0, sigma)
     finite = np.isfinite(axial) & np.isfinite(radial) & np.isfinite(omega2)
     if not finite.all():
         k = int(np.argmin(finite))
@@ -211,64 +210,55 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def levitation_sweep(
-    model: AxiFieldModel,
-    b: BodyParams,
-    kappa_values,
-    beta: float,
-) -> list[dict]:
+def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: float) -> list[dict]:
     """Certify the levitating branch across a range of kappa at fixed beta.
 
     The orbit radius is chosen once so the mirror part realizes the given
     beta; each kappa then fixes the gravity g = kappa mu B' / M that the
     balance presumes.  Rows with an infeasible kappa carry the error name
-    and empty numerics.
+    and empty numerics.  The others share one jet at r0 and one stacked pass
+    through the closed form, of which :func:`stability.levitation_conditions`
+    is the one-cell view; rows with non-finite multipliers or margin carry NonFinite.
     """
     if beta >= 0.0:
         raise BadSign("levitation requires beta < 0")
     linear, _ = split_levitation_model(model)
     r0 = radius_for_beta(model, beta)
-
-    def one(kappa: float) -> dict:
-        row = {
-            "kappa": float(kappa),
-            "beta": beta,
-            "r0": r0,
-            "nu_r": math.nan,
-            "nu_z": math.nan,
-            "xi2": math.nan,
-            "verdict": "",
-            "margin": math.nan,
-            "A": math.nan,
-            "B": math.nan,
-            "C": math.nan,
-            "error": "",
-        }
-        g_row = kappa * b.mu * linear.Bp / b.M
-        if g_row <= 0.0:
-            row["error"] = "BadSign"
-            return row
+    rows, live = [], []
+    for kappa in map(float, kappa_values):
+        row = dict(kappa=kappa, beta=beta, r0=r0, nu_r=math.nan, nu_z=math.nan, xi2=math.nan, verdict="")
+        row.update(margin=math.nan, A=math.nan, B=math.nan, C=math.nan, error="")
+        rows.append(row)
+        g = kappa * b.mu * linear.Bp / b.M
         try:
+            if g <= 0.0:
+                raise BadSign("levitation requires g > 0")
             nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
-            b_row = replace(b, g=g_row)
-            eq = build_levitation_equilibrium(model, b_row, r0, nu_r, nu_z, xi2)
-            cert = levitation_conditions(eq, b_row, model)
+            if abs(nu_r) < LEVITATION_TILT_MIN:
+                raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
+            live.append((row, nu_r, nu_z, xi2, g))
         except OrbitronError as exc:
             row["error"] = type(exc).__name__
-            return row
-        row.update(
-            nu_r=nu_r,
-            nu_z=nu_z,
-            xi2=xi2,
-            verdict=cert.verdict,
-            margin=cert.margin,
-            A=cert.A,
-            B=cert.B,
-            C=cert.C,
-        )
-        return row
+    if not live:
+        return rows
 
-    return [one(float(k)) for k in kappa_values]
+    # Non-finite multipliers or margins flag a row NonFinite, so the arithmetic stays silent.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        jet = eval_jet(model, r0, 0.0)
+        nu_r, nu_z, xi2, g = np.array([entry[1:] for entry in live]).T
+        omega = np.sqrt(xi2 * g / r0)
+        mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
+        blocks = _support_blocks(jet, r0, (nu_r, np.zeros_like(nu_r), nu_z), b.mu)
+        cells = _Cells(np.abs(nu_r), nu_z, mult, r0, b.M * omega * r0, blocks)
+        conditions = zip(*(v.tolist() for v in _closed_form(b, cells)[:5]))
+        finite = np.isfinite(list(vars(mult).values())).all(axis=0).tolist()
+    for (row, nr, nz, x2, _), ok, (lam, cond2, A, B, C) in zip(live, finite, conditions):
+        margin = _levitation_margin(lam, cond2, A, B, C)
+        if not (ok and math.isfinite(margin)):
+            row["error"] = "NonFinite"
+            continue
+        row.update(nu_r=nr, nu_z=nz, xi2=x2, verdict=_classify(margin), margin=margin, A=A, B=B, C=C)
+    return rows
 
 
 def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[dict]:

@@ -22,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import BodyParams, Multipliers
-from .equilibrium import Equilibrium
+from .equilibrium import Equilibrium, equatorial_conditions
 from .errors import NotEquatorial, PolarDegeneracy, ZeroPivot
 from .fields import AxiFieldModel, eval_jet
 from .potential import PotentialHessianBlocks, _support_blocks, make_rotated_basis
@@ -119,16 +119,8 @@ class StabilityCertificate:
     details: dict = field(default_factory=dict)
 
     def to_record(self) -> dict:
-        return {
-            "verdict": self.verdict,
-            "margin": self.margin,
-            "lambda_ok": self.lambda_ok,
-            "A": self.A,
-            "B": self.B,
-            "C": self.C,
-            "pivots": [float(p) for p in self.pivots],
-            "failed_condition": self.failed_condition,
-        }
+        record = {name: getattr(self, name) for name in CERTIFICATE_FIELDS if name != "abc_ok"}
+        return dict(record, pivots=[float(p) for p in self.pivots])
 
 
 @dataclass(frozen=True)
@@ -199,11 +191,11 @@ class _Cells(NamedTuple):
     """Support states for the certificate core: one, or K stacked ones.
 
     For one state the fields are floats and the blocks of
-    :func:`hessian_blocks`.  For K states nperp, nz, r0, p0 and the fields
-    of ``mult`` are arrays of shape (K,), and the arrays of ``blocks``
-    carry a trailing cell axis.  The formulas index blocks as ``[i, j]``
-    and square by multiplication, so a cell gets the same numbers in
-    either form.
+    :func:`hessian_blocks`.  For K states nperp, nz, r0, p0, the fields of
+    ``mult`` and the block entries are floats or arrays that broadcast to
+    shape (K,), so the arrays of ``blocks`` may carry a trailing cell axis.
+    The formulas index blocks as ``[i, j]`` and square by multiplication,
+    so a cell gets the same numbers in either form.
     """
 
     nperp: float | np.ndarray
@@ -214,8 +206,9 @@ class _Cells(NamedTuple):
     blocks: PotentialHessianBlocks
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _reduced_forms(b: BodyParams, cells: _Cells) -> np.ndarray:
-    """Reduced forms Q of the cells, of shape (8, 8) or (8, 8, K)."""
+    """Reduced forms Q of the cells, (8, 8) or (8, 8, K), with inf or nan where they overflow."""
     nperp, nz, r0 = cells.nperp, cells.nz, cells.r0
     M, I = b.M, b.I_perp
     om, l1, l2 = cells.mult.omega, cells.mult.lambda1, cells.mult.lambda2
@@ -348,8 +341,9 @@ def isolated_squares_reduce(Q: np.ndarray, order: tuple | None = None) -> Elimin
     )
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
-    """(den1, cond2, A, B, C, failed) of the cells.
+    """(den1, cond2, A, B, C, failed) of the cells, silently inf or nan where they overflow.
 
     failed indexes FAILED_CONDITIONS.  A, B, C are NaN where either
     denominator is non-positive.  cond2 is left as computed where
@@ -371,31 +365,30 @@ def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
     spin = nz * om + l2
     denom_c = I * (nperp * nperp) + M * (r0 * r0)
     den1 = lam + VNN[1, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cond2 = (
-            lam
-            + d2_top_top
-            + ((I * I) * (nperp * nperp) / denom_c) * (spin * spin)
-            + (nperp * nperp) * I * (om * om)
-            - (d2_E2_top * d2_E2_top) / den1
-        )
-        num_a = 2.0 * I * nperp * p0 * spin / denom_c + d2_e1_top - V_e1E2 * d2_E2_top / den1
-        num_b = d2_e3_top - V_e3E2 * d2_E2_top / den1
-        A = (
-            M * (om * om) * (3.0 * M * (r0 * r0) - I * (nperp * nperp)) / denom_c
-            + Vxx[0, 0]
-            - (V_e1E2 * V_e1E2) / den1
-            - (num_a * num_a) / cond2
-        )
-        B = Vxx[0, 2] - V_e1E2 * V_e3E2 / den1 - num_a * num_b / cond2
-        C = Vxx[2, 2] - (V_e3E2 * V_e3E2) / den1 - (num_b * num_b) / cond2
-        undefined = (den1 <= 0.0) | (cond2 <= 0.0)
-        A, B, C = (np.where(undefined, np.nan, v) for v in (A, B, C))
-        failed = np.select(
-            [den1 <= 0.0, cond2 <= 0.0, A <= 0.0, C <= 0.0, A * C - B * B <= 0.0],
-            [1, 2, 3, 4, 5],
-            0,
-        )
+    cond2 = (
+        lam
+        + d2_top_top
+        + ((I * I) * (nperp * nperp) / denom_c) * (spin * spin)
+        + (nperp * nperp) * I * (om * om)
+        - (d2_E2_top * d2_E2_top) / den1
+    )
+    num_a = 2.0 * I * nperp * p0 * spin / denom_c + d2_e1_top - V_e1E2 * d2_E2_top / den1
+    num_b = d2_e3_top - V_e3E2 * d2_E2_top / den1
+    A = (
+        M * (om * om) * (3.0 * M * (r0 * r0) - I * (nperp * nperp)) / denom_c
+        + Vxx[0, 0]
+        - (V_e1E2 * V_e1E2) / den1
+        - (num_a * num_a) / cond2
+    )
+    B = Vxx[0, 2] - V_e1E2 * V_e3E2 / den1 - num_a * num_b / cond2
+    C = Vxx[2, 2] - (V_e3E2 * V_e3E2) / den1 - (num_b * num_b) / cond2
+    undefined = (den1 <= 0.0) | (cond2 <= 0.0)
+    A, B, C = (np.where(undefined, np.nan, v) for v in (A, B, C))
+    failed = np.select(
+        [den1 <= 0.0, cond2 <= 0.0, A <= 0.0, C <= 0.0, A * C - B * B <= 0.0],
+        [1, 2, 3, 4, 5],
+        0,
+    )
     return den1, cond2, A, B, C, failed
 
 
@@ -493,6 +486,14 @@ def _normalized_min(vals: list) -> float:
     return min(vals) / max(1.0, *(abs(v) for v in vals))
 
 
+def _levitation_margin(lam: float, cond2: float, A: float, B: float, C: float) -> float:
+    """Normalized minimum of (lambda, cond2), and of (A, C, A C - B^2) where A is finite."""
+    vals = [lam, cond2]
+    if math.isfinite(A):
+        vals += [A, C, A * C - B * B]
+    return _normalized_min(vals)
+
+
 def _support_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> tuple:
     """The jet at (r0, 0) and the closed-form (den1, cond2, A, B, C, failed) of eq, as floats.
 
@@ -548,8 +549,7 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
     om = eq.mult.omega
     pi0 = float(eq.pi0[2])
     jet, lam, _, _, _, C, _ = _support_conditions(eq, b, model)
-    axial = -sigma * jet.Bz_zz
-    radial = -sigma * (3.0 * jet.Bz_r / eq.r0 + jet.Bz_rr)
+    axial, radial, _ = equatorial_conditions(jet, b, eq.r0, sigma)
     A = b.mu * radial
     B = 0.0
     spin_rhs = math.nan
@@ -582,18 +582,14 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
 
     lambda, the axis-block condition and A, B, C are those of the general
     closed form; at a levitation support point the pure axis blocks of V
-    vanish, so its first condition is lambda > 0 itself.  The margin is the
-    smallest of (lambda, cond2, A, C, A C - B^2) over max(1, |.|).  The
-    certificate also reports the scaled diagnostics
+    vanish, so its first condition is lambda > 0 itself.  This is the one-cell
+    view of :func:`scan.levitation_sweep`.  The certificate also reports the scaled diagnostics
     (a, b, c) = (r0 / M g)(A, B, C) and the spin threshold
     omega pi0 > -sigma mu Bz + I_perp omega^2 + M g r0.
     """
     M, I, mu, g, r0 = b.M, b.I_perp, b.mu, b.g, eq.r0
     om = eq.mult.omega
     jet, lam, cond2, A, B, C, code = _support_conditions(eq, b, model)
-    vals = [lam, cond2]
-    if math.isfinite(A):
-        vals += [A, C, A * C - B * B]
     details = {
         "cond2": cond2,
         "a": A * r0 / (M * g),
@@ -603,9 +599,11 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
         "dynamic_rhs": -eq.sigma * mu * jet.Bz + I * om**2 + M * g * r0,
         "lambda_over_mgr": lam / (M * g * r0),
     }
-    return _certificate(_normalized_min(vals), lam, A, B, C, LEVITATION_CONDITIONS[code], details)
+    margin = _levitation_margin(lam, cond2, A, B, C)
+    return _certificate(margin, lam, A, B, C, LEVITATION_CONDITIONS[code], details)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     """Definiteness verdict from the spectrum of the reduced form.
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from orbitron.core import BodyParams, Multipliers
 from orbitron.equilibrium import Equilibrium
-from orbitron.potential import PotentialHessianBlocks, make_rotated_basis
+from orbitron.potential import PotentialHessianBlocks
 
 SEED = 20260825
 
@@ -67,8 +67,5 @@ def draw_synthetic_case(rng):
         sigma=1 if nz >= 0 else -1,
         residual=0.0,
     )
-    basis = make_rotated_basis(nu0[:2])
-    blocks = PotentialHessianBlocks(
-        Vxx=Vxx, VxN=VxN, Vx3=Vx3, VNN=VNN, VN3=VN3, V33=V33, basis=basis
-    )
+    blocks = PotentialHessianBlocks(Vxx=Vxx, VxN=VxN, Vx3=Vx3, VNN=VNN, VN3=VN3, V33=V33)
     return eq, b, blocks

@@ -852,6 +852,17 @@ def test_scan_sizes_and_steps_are_bounded(tmp_path, capsys, monkeypatch, case, s
         assert err == f"config error: {message}\n"
 
 
+_HUGE_PAIR_FIELD = {"type": "composite", "parts": [{"type": "linear", "B0": 1, "Bprime": 3}, dict(PAIR, q=1e300)]}
+
+
+def _huge_pair_certify(method):
+    return {
+        "body": dict(BODY, g=3.3),
+        "field": _HUGE_PAIR_FIELD,
+        "certify": {"method": method, "equilibrium": {"solver": "dipole", "r0": 0.8, "C2": 1}},
+    }
+
+
 @pytest.mark.parametrize(
     "command, doc, flags, code",
     [
@@ -912,8 +923,54 @@ def test_scan_sizes_and_steps_are_bounded(tmp_path, capsys, monkeypatch, case, s
             [],
             2,
         ),
+        # with q = 1e300 the closed form's products overflow: a sweep of NonFinite rows
+        (
+            "scan",
+            {
+                "body": dict(BODY, g=3.3),
+                "field": _HUGE_PAIR_FIELD,
+                "scan": {"kind": "levitation_sweep", "kappa_values": [1.001, 1.2], "beta": -0.95},
+            },
+            [],
+            0,
+        ),
+        # the same products on one tilted cell: a zero pivot in the closed form
+        ("certify", _huge_pair_certify("closed_form"), [], 3),
+        ("certify", _huge_pair_certify("levitation"), [], 0),
+        # the oracle's norm of that cell's reduced form overflows too
+        ("certify", _huge_pair_certify("levitation"), ["--oracle"], 0),
+        # lambda2 I_perp nu0 is inf times 0 in the assembled spin: null entries, no warning
+        (
+            "equilibrium",
+            {"body": dict(BODY, I_perp=1e300, mu=1e300), "field": PAIR, "equilibrium": ORBIT},
+            [],
+            0,
+        ),
+        # the support blocks and the reduced form overflow at omega = inf
+        (
+            "certify",
+            {
+                "body": dict(BODY, mu=1e300),
+                "field": dict(PAIR, q=1e300),
+                "certify": {"method": "closed_form", "equilibrium": ORBIT},
+            },
+            [],
+            0,
+        ),
     ],
-    ids=["radius_for_beta", "dipoletron_window", "simulate_energy", "simulate_zero_axis", "scan_axis_width"],
+    ids=[
+        "radius_for_beta",
+        "dipoletron_window",
+        "simulate_energy",
+        "simulate_zero_axis",
+        "scan_axis_width",
+        "sweep_closed_form",
+        "certify_closed_form",
+        "certify_levitation",
+        "certify_levitation_oracle",
+        "equilibrium_spin",
+        "certify_support_blocks",
+    ],
 )
 def test_jet_overflow_prints_no_runtime_warning(tmp_path, command, doc, flags, code):
     cfg = _cfg(tmp_path, doc)
@@ -939,6 +996,9 @@ _BASES = [
     (LEV_BODY, LEV_FIELD, {"solver": "levitation", "beta": -0.9}),
 ]
 _METHODS = ("closed_form", "orbitron", "levitation")
+# A sweep base whose rows hit lambda, NoEquilibrium, stable, A and NoRealSolution.
+_SWEEP = {"kind": "levitation_sweep", "kappa_values": [0.9, 1.0, 1.001, 1.2, 1.5], "beta": -0.95}
+_SWEEP_HEADER = "kappa,beta,r0,nu_r,nu_z,xi2,verdict,margin,A,B,C,error\n"
 # Config values the contract must survive: plausible, extreme and
 # non-finite numbers, zeros, wrong types, nested lists, and a missing key.
 _NUMBERS = st.sampled_from(
@@ -963,7 +1023,9 @@ def _paths(obj, prefix=()):
 @st.composite
 def _configs(draw):
     body, field, spec = draw(st.sampled_from(_BASES))
-    command = draw(st.sampled_from(["equilibrium", "certify"]))
+    command = draw(st.sampled_from(["equilibrium", "certify", "scan"]))
+    if command == "scan":
+        body, field, spec = LEV_BODY, LEV_FIELD, _SWEEP
     if command == "certify":
         spec = {"method": draw(st.sampled_from(_METHODS)), "equilibrium": spec}
     doc = json.loads(json.dumps({"body": body, "field": field, command: spec}))
@@ -1001,7 +1063,9 @@ def test_cli_contract_fuzz(case):
             assert code in (0, 2, 3)
             assert "Traceback" not in err.getvalue()
             text = out.read_text() if out.exists() else None
-            if code == 0:
+            if code == 0 and command == "scan":
+                assert text.startswith(_SWEEP_HEADER)
+            elif code == 0:
                 json.loads(text, parse_constant=_reject_constant)
             runs.append((code, text))
             out.unlink(missing_ok=True)

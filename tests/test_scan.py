@@ -21,8 +21,13 @@ from orbitron.scan import (
     stability_map,
     window_endpoints,
 )
-from orbitron.stability import closed_form_conditions
-from orbitron.equilibrium import equatorial_rate, solve_orbitron_equatorial
+from orbitron.stability import closed_form_conditions, levitation_conditions
+from orbitron.equilibrium import (
+    build_levitation_equilibrium,
+    equatorial_rate,
+    solve_levitation,
+    solve_orbitron_equatorial,
+)
 
 
 def _body():
@@ -164,6 +169,129 @@ def test_levitation_sweep_deterministic():
 def test_levitation_sweep_rejects_positive_beta():
     with pytest.raises(BadSign):
         levitation_sweep(_lev_model(), _body(), [1.001], 0.5)
+
+
+def _levitation_sweep_reference(model, b, kappa_values, beta):
+    """The per-row route of the stacked sweep, and each certified row's failed condition.
+
+    Each row builds its own Equilibrium at the gravity its kappa presumes and
+    certifies it with levitation_conditions.
+    """
+    linear, _ = split_levitation_model(model)
+    r0 = radius_for_beta(model, beta)
+    rows, failed = [], []
+    for kappa in map(float, kappa_values):
+        row = {"kappa": kappa, "beta": beta, "r0": r0, "nu_r": math.nan, "nu_z": math.nan, "xi2": math.nan}
+        row.update(verdict="", margin=math.nan, A=math.nan, B=math.nan, C=math.nan, error="")
+        rows.append(row)
+        g = kappa * b.mu * linear.Bp / b.M
+        if g <= 0.0:
+            row["error"] = "BadSign"
+            continue
+        try:
+            nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
+            b_row = replace(b, g=g)
+            eq = build_levitation_equilibrium(model, b_row, r0, nu_r, nu_z, xi2)
+            cert = levitation_conditions(eq, b_row, model)
+        except OrbitronError as exc:
+            row["error"] = type(exc).__name__
+            continue
+        row.update(nu_r=nu_r, nu_z=nu_z, xi2=xi2, verdict=cert.verdict, margin=cert.margin)
+        row.update(A=cert.A, B=cert.B, C=cert.C)
+        failed.append(cert.failed_condition)
+    return rows, failed
+
+
+# BadSign (kappa <= 0), lambda (kappa < 1), NoEquilibrium (kappa = 1), stable,
+# A or C failures, and NoRealSolution past the discriminant.
+_SWEEP_KAPPAS = [-1.1, 0.0, 0.9, 1.0, 1.001, 1.01, 1.05, 1.2, 1.5, 2.0]
+
+
+@pytest.mark.parametrize(
+    "model",
+    [_lev_model(), Composite((Linear(0.5, 2.0), DipolePair(1.0, 1.0), DipolePair(0.4, 1.7)))],
+    ids=["one_pair", "two_pairs"],
+)
+@pytest.mark.parametrize("r_beta", [0.6, 0.8, 0.9])
+@pytest.mark.parametrize("b", [_body(), BodyParams(M=1.3, I_perp=0.07, I3=0.05, mu=0.8)], ids=["unit", "scaled"])
+def test_levitation_sweep_matches_per_row_route(model, r_beta, b):
+    linear, o_model = split_levitation_model(model)
+    beta = eval_jet(o_model, r_beta, 0.0).Br_z / linear.Bp
+    expected, failed = _levitation_sweep_reference(model, b, _SWEEP_KAPPAS, beta)
+    assert repr(levitation_sweep(model, b, _SWEEP_KAPPAS, beta)) == repr(expected)
+    assert {"BadSign", "NoEquilibrium"} <= {row["error"] for row in expected}
+    assert "lambda" in failed
+
+
+def test_levitation_sweep_covers_every_row_kind():
+    model = _lev_model()
+    linear, o_model = split_levitation_model(model)
+    beta = eval_jet(o_model, 0.8, 0.0).Br_z / linear.Bp
+    expected, failed = _levitation_sweep_reference(model, _body(), _SWEEP_KAPPAS, beta)
+    errors = [row["error"] for row in expected if row["error"]]
+    assert errors == ["BadSign", "BadSign", "NoEquilibrium", "NoRealSolution", "NoRealSolution"]
+    assert failed == ["lambda", None, None, None, "A"]
+    verdicts = [row["verdict"] for row in expected if row["verdict"]]
+    assert verdicts == ["not_certified", "stable", "stable", "stable", "not_certified"]
+
+
+@pytest.mark.parametrize(
+    "kappas, jets",
+    [(_SWEEP_KAPPAS, 1), ([1.001], 1), ([-1.0, 0.0, 1.0, 1.5], 0), ([], 0)],
+    ids=["mixed", "one_row", "no_live_row", "empty"],
+)
+def test_levitation_sweep_makes_one_jet_call(monkeypatch, kappas, jets):
+    from orbitron import equilibrium, fields, potential, stability
+    from orbitron import scan as scan_module
+
+    calls = {"eval_jet": 0, "first_order_residual": 0, "radius_for_beta": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (fields, potential, equilibrium, stability, scan_module):
+        for name in ("eval_jet", "first_order_residual"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    in_radius = {}
+    radius = scan_module.radius_for_beta
+
+    def radius_counted(*args):
+        before = calls["eval_jet"]
+        out = radius(*args)
+        in_radius["eval_jet"] = calls["eval_jet"] - before
+        return out
+
+    monkeypatch.setattr(scan_module, "radius_for_beta", radius_counted)
+    rows = levitation_sweep(_lev_model(), _body(), kappas, -0.9)
+    assert len(rows) == len(kappas)
+    assert in_radius["eval_jet"] > 0
+    assert calls["eval_jet"] - in_radius["eval_jet"] == jets
+    assert calls["first_order_residual"] == 0
+
+
+def test_levitation_sweep_flags_non_finite_rows():
+    # I_perp omega underflows to 0, so lambda2 is not finite: the per-row
+    # route raised ZeroDivisionError there, the stacked rows carry NonFinite
+    b = BodyParams(M=1.0, I_perp=1e-300, I3=0.05, mu=1e-310, g=0.0)
+    model = Composite((Linear(1.0, 3.0), DipolePair(1.0, 1.0)))
+    with pytest.raises(ZeroDivisionError):
+        _levitation_sweep_reference(model, b, [1.001], -0.9)
+    rows = levitation_sweep(model, b, [0.0, 1.001, 1.2], -0.9)
+    assert [row["error"] for row in rows] == ["BadSign", "NonFinite", "NonFinite"]
+    for row in rows:
+        assert row["verdict"] == "" and math.isnan(row["nu_r"]) and math.isnan(row["margin"])
+    # the closed form's products overflow on a pair this strong: NonFinite, where
+    # the per-row route reported a margin of 0 from an infinite condition
+    model = Composite((Linear(1.0, 3.0), DipolePair(1e300, 1.0)))
+    expected, _ = _levitation_sweep_reference(model, _body(), [1.001, 1.2], -0.95)
+    assert [row["margin"] for row in expected] == [0.0, 0.0]
+    rows = levitation_sweep(model, _body(), [1.001, 1.2], -0.95)
+    assert [row["error"] for row in rows] == ["NonFinite", "NonFinite"]
 
 
 def test_scan_axis_validation():
