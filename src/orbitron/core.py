@@ -23,7 +23,6 @@ __all__ = [
     "casimirs",
     "momentum_j3",
     "hamiltonian",
-    "augmented_hamiltonian",
 ]
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -153,19 +152,3 @@ def hamiltonian(
         h += (0.5 / b.I3 - 0.5 / b.I_perp) * c2**2
     return h
 
-
-def augmented_hamiltonian(
-    s: ReducedState,
-    b: BodyParams,
-    V: Potential,
-    m: Multipliers,
-    include_casimir: bool = False,
-) -> float:
-    """h - omega J3 + lambda1 C1 + lambda2 C2, whose critical points are relative equilibria."""
-    c1, c2 = casimirs(s)
-    return (
-        hamiltonian(s, b, V, include_casimir)
-        - m.omega * momentum_j3(s)
-        + m.lambda1 * c1
-        + m.lambda2 * c2
-    )

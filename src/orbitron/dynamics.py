@@ -72,21 +72,30 @@ class IntegratorConfig:
             raise ValueError("record_every must be at least 1")
 
 
+def _rhs(c: list, b: BodyParams, V: Potential) -> list:
+    """The 12 components of the right-hand side at the 12 components c of a state.
+
+    The components are Python floats for one state and arrays for a stack;
+    the outputs are elementwise formulas on them, from one field jet.
+    """
+    x1, x2, x3, p1, p2, p3, n1, n2, n3, q1, q2, q3 = c
+    g1, g2, g3, f1, f2, f3 = V.gradient_terms(x1, x2, x3, n1, n2, n3)
+    M, I = b.M, b.I_perp
+    return (
+        [p1 / M, p2 / M, p3 / M, -g1, -g2, -g3]
+        + [(q2 * n3 - q3 * n2) / I, (q3 * n1 - q1 * n3) / I, (q1 * n2 - q2 * n1) / I]
+        + [f2 * n3 - f3 * n2, f3 * n1 - f1 * n3, f1 * n2 - f2 * n1]
+    )
+
+
 def eom_rhs(y: np.ndarray, b: BodyParams, V: Potential) -> np.ndarray:
     """Right-hand side of the reduced equations at states y of shape (..., 12).
 
     A state is laid out as :meth:`ReducedState.as_vector`, (x, p, nu, pi);
     a single state is the (12,) case, and a stack of K states costs one
-    field jet.  Its outputs are elementwise formulas on the components.
+    field jet.  This is the ndarray view of :func:`_rhs`.
     """
-    x1, x2, x3, p1, p2, p3, n1, n2, n3, q1, q2, q3 = _components(y)
-    g1, g2, g3, f1, f2, f3 = V.gradient_terms(x1, x2, x3, n1, n2, n3)
-    M, I = b.M, b.I_perp
-    return _join(
-        [p1 / M, p2 / M, p3 / M, -g1, -g2, -g3]
-        + [(q2 * n3 - q3 * n2) / I, (q3 * n1 - q1 * n3) / I, (q1 * n2 - q2 * n1) / I]
-        + [f2 * n3 - f3 * n2, f3 * n1 - f1 * n3, f1 * n2 - f2 * n1]
-    )
+    return _join(_rhs(_components(y), b, V))
 
 
 @np.errstate(all="ignore")
@@ -110,11 +119,14 @@ def integrate(
     y = s0.as_vector()
     if projected:
         y[6:9] /= np.linalg.norm(y[6:9])
+    # The state is carried as its 12 components between stages; an ndarray
+    # is built only for a recorded sample.
+    c = y.tolist()
 
     samples: list[TrajectorySample] = []
 
     def record(i: int, c1_preproj: float | None) -> None:
-        s = ReducedState.from_vector(y)
+        s = ReducedState.from_vector(np.array(c))
         c1, c2 = casimirs(s)
         sample = TrajectorySample(
             t=i * cfg.dt,
@@ -125,23 +137,26 @@ def integrate(
             C2=c2,
             c1_preproj=c1_preproj,
         )
-        if not (np.all(np.isfinite(y)) and all(map(math.isfinite, (sample.h, sample.J3, c1, c2)))):
+        if not all(map(math.isfinite, [*c, sample.h, sample.J3, c1, c2])):
             raise NonFinite(f"non-finite sample at step {i}")
         samples.append(sample)
 
     record(0, None)
-    dt = cfg.dt
+    dt = float(cfg.dt)
+    h2, h6 = 0.5 * dt, dt / 6.0
     for i in range(1, cfg.steps + 1):
-        k1 = eom_rhs(y, b, V)
-        k2 = eom_rhs(y + 0.5 * dt * k1, b, V)
-        k3 = eom_rhs(y + 0.5 * dt * k2, b, V)
-        k4 = eom_rhs(y + dt * k3, b, V)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        k1 = _rhs(c, b, V)
+        k2 = _rhs([a + h2 * k for a, k in zip(c, k1)], b, V)
+        k3 = _rhs([a + h2 * k for a, k in zip(c, k2)], b, V)
+        k4 = _rhs([a + dt * k for a, k in zip(c, k3)], b, V)
+        c = [a + h6 * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
         c1_preproj = None
         if projected:
-            c1_preproj = float(y[6:9] @ y[6:9])
-            y[6:9] /= math.sqrt(c1_preproj)
-        if not np.all(np.isfinite(y)):
+            # the ndarray dot, as casimirs takes it: a sum of float squares rounds differently
+            nu = np.array(c[6:9])
+            c1_preproj = float(nu @ nu)
+            c[6:9] = (nu / math.sqrt(c1_preproj)).tolist()
+        if not all(map(math.isfinite, c)):
             raise NonFinite(f"non-finite state component at step {i}")
         if i % cfg.record_every == 0 or i == cfg.steps:
             record(i, c1_preproj)

@@ -25,6 +25,7 @@ from .errors import (
     BadSign,
     NegativeCentrifugal,
     NoEquilibrium,
+    NonFinite,
     NoRealSolution,
     NotMirrorSymmetric,
     WrongFieldSign,
@@ -206,7 +207,8 @@ def _equilibrium(
 
     The first-order conditions fix pi0 = I_perp (omega e3 - lambda2 nu0) and
     p0 = M omega r0, and the sign of nu_z fixes sigma.  Multipliers too large
-    for them give inf or nan entries, silently, which the outputs print as null.
+    for them overflow silently, and NonFinite names the first of omega, pi0,
+    p0, the multipliers and the residual that is not finite.
     """
     om = mult.omega
     eq = Equilibrium(
@@ -220,7 +222,13 @@ def _equilibrium(
         sigma=1 if nu0[2] >= 0.0 else -1,
         residual=0.0,
     )
-    return replace(eq, residual=first_order_residual(eq, b, model))
+    eq = replace(eq, residual=first_order_residual(eq, b, model))
+    names = ("omega", "pi0", "pi0", "pi0", "p0", "lambda1", "lambda2", "lambda", "residual")
+    values = [om, *eq.pi0.tolist(), eq.p0, mult.lambda1, mult.lambda2, mult.lambda_, eq.residual]
+    for name, value in zip(names, values):
+        if not math.isfinite(value):
+            raise NonFinite(f"equilibrium {name} is not finite at r0 = {r0:g}")
+    return eq
 
 
 def _equatorial_equilibrium(

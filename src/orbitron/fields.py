@@ -6,18 +6,18 @@ values, first derivatives, and the second derivatives of the axial component.
 Supported models are a coaxial pair of point dipoles at z = +h and z = -h
 (both with moment +q along the axis), a linear background field, and a sum of
 such parts.  All models satisfy the source-free Maxwell equations away from
-the dipole points, which :func:`maxwell_residual` checks numerically.
+the dipole points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, SourceSingularity
+from .errors import ConfigError, NonFinite, SourceSingularity
 
 __all__ = [
     "FieldJet",
@@ -27,17 +27,14 @@ __all__ = [
     "AxiFieldModel",
     "eval_jet",
     "dipole_pair_midplane",
-    "maxwell_residual",
     "model_from_config",
-    "model_to_config",
 ]
 
 # Relative distance to a dipole source below which evaluation is refused.
 SOURCE_EPS = 1e-9
 
 
-@dataclass(frozen=True)
-class FieldJet:
+class FieldJet(NamedTuple):
     """Cylindrical field components and derivatives at one point.
 
     Each component is a float, or an array holding it at every point of a
@@ -98,7 +95,7 @@ def _single_dipole_terms(q: float, r, Z) -> list:
     """Jet components of one axial point dipole; Z is the height above the source.
 
     The powers of D take one correctly rounded square root, so a float call
-    gives the element of an array call bit for bit; it raises where they overflow.
+    gives the element of an array call bit for bit; it raises NonFinite where they overflow.
     """
     D = r * r + Z * Z
     root = math.sqrt(D) if isinstance(D, float) else np.sqrt(D)
@@ -106,7 +103,7 @@ def _single_dipole_terms(q: float, r, Z) -> list:
     s7 = s5 / D
     s9 = s7 / D
     if isinstance(s9, float) and s9 == math.inf:
-        raise OverflowError(f"dipole jet overflows at squared distance {D:g} from the source")
+        raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
     r2 = r * r
     Z2 = Z * Z
     return [
@@ -219,21 +216,6 @@ def _field_components(jet: FieldJet, x1, x2, r) -> tuple:
     return jet.Br * x1 / r, jet.Br * x2 / r, jet.Bz
 
 
-def maxwell_residual(model: AxiFieldModel, r: float, z: float) -> tuple[float, float]:
-    """Return (divergence, curl) of the model field at (r, z).
-
-    Both vanish for an exact solution.  On the axis the divergence uses the
-    regular limit Bz_z + 2 Br_r.
-    """
-    jet = eval_jet(model, r, z)
-    if r != 0.0:
-        div = jet.Bz_z + jet.Br_r + jet.Br / r
-    else:
-        div = jet.Bz_z + 2.0 * jet.Br_r
-    curl = jet.Br_z - jet.Bz_r
-    return div, curl
-
-
 def model_from_config(cfg: dict) -> AxiFieldModel:
     """Build a field model from its JSON record."""
     if not isinstance(cfg, dict) or "type" not in cfg:
@@ -260,13 +242,3 @@ def model_from_config(cfg: dict) -> AxiFieldModel:
         raise ConfigError(f"bad field record: {exc}") from exc
     raise ConfigError(f"unknown field type {kind!r}")
 
-
-def model_to_config(model: AxiFieldModel) -> dict:
-    """Inverse of :func:`model_from_config`."""
-    if isinstance(model, DipolePair):
-        return {"type": "dipole_pair", "q": model.q, "h": model.h}
-    if isinstance(model, Linear):
-        return {"type": "linear", "B0": model.B0, "Bprime": model.Bp}
-    if isinstance(model, Composite):
-        return {"type": "composite", "parts": [model_to_config(p) for p in model.parts]}
-    raise TypeError(f"unknown field model {type(model).__name__}")

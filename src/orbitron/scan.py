@@ -305,10 +305,10 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         jet = eval_jet(model, r0, 0.0)
         asymmetric, omega2 = _equatorial_tests(jet, b, r0, sigma)
-        nonfinite = ~np.isfinite(list(vars(jet).values())).all(axis=0)
+        nonfinite = ~np.isfinite(list(jet)).all(axis=0)
         errors = np.where(asymmetric, "NotMirrorSymmetric", np.where(omega2 <= 0.0, "WrongFieldSign", ""))
         live = np.flatnonzero(errors == "")
-        jet = FieldJet(**{name: value[live] for name, value in vars(jet).items()})
+        jet = FieldJet(*(v[live] for v in jet))
         nz, r_live, omega = sigma[live], r0[live], np.sqrt(omega2[live])
         mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
         blocks = _support_blocks(jet, r_live, (0.0, 0.0, nz), b.mu)

@@ -23,7 +23,7 @@ import numpy as np
 
 from .core import BodyParams, Multipliers
 from .equilibrium import Equilibrium, equatorial_conditions
-from .errors import NotEquatorial, PolarDegeneracy, ZeroPivot
+from .errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
 from .fields import AxiFieldModel, eval_jet
 from .potential import PotentialHessianBlocks, _support_blocks, make_rotated_basis
 
@@ -105,6 +105,7 @@ class StabilityCertificate:
     margin is the smallest normalized condition value: positive and outside
     the marginal band for a certified equilibrium, negative when some
     condition fails.  failed_condition names the first violated condition.
+    A route whose margin is not finite raises NonFinite.
     """
 
     verdict: str
@@ -118,6 +119,9 @@ class StabilityCertificate:
     failed_condition: str | None
     details: dict = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        _require_finite(self.margin)
+
     def to_record(self) -> dict:
         record = {name: getattr(self, name) for name in CERTIFICATE_FIELDS if name != "abc_ok"}
         return dict(record, pivots=[float(p) for p in self.pivots])
@@ -125,12 +129,20 @@ class StabilityCertificate:
 
 @dataclass(frozen=True)
 class EigenCertificate:
-    """Spectrum-based verdict on the reduced quadratic form."""
+    """Spectrum-based verdict on the reduced quadratic form; its margin is finite too."""
 
     verdict: str
     lambda_min: float
     margin: float
     eigenvalues: tuple
+
+    def __post_init__(self) -> None:
+        _require_finite(self.margin)
+
+
+def _require_finite(margin: float) -> None:
+    if not math.isfinite(margin):
+        raise NonFinite(f"certificate margin is {margin!r}")
 
 
 def _classify(margin: float) -> str:

@@ -26,7 +26,7 @@ from orbitron.equilibrium import (
     solve_orbitron_equatorial,
 )
 from orbitron.errors import ZeroPivot
-from orbitron.fields import Composite, DipolePair, Linear, eval_jet, maxwell_residual
+from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential, hessian_blocks
 from orbitron.scan import split_levitation_model, window_endpoints
 from orbitron.stability import (
@@ -38,6 +38,7 @@ from orbitron.stability import (
 )
 
 from synthetic import SEED, draw_synthetic_case
+from test_fields import maxwell_residual
 
 
 @contextmanager

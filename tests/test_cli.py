@@ -780,7 +780,7 @@ def test_compute_overflow_is_a_numerical_failure(tmp_path, capsys):
     section = {"method": "orbitron", "equilibrium": {"solver": "orbitron", "r0": 0.8e-40, "pi0": 10, "sigma": 1}}
     cfg = _cfg(tmp_path, {"body": BODY, "field": field, "certify": section})
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 3
-    assert capsys.readouterr().err.startswith("numerical failure: OverflowError")
+    assert capsys.readouterr().err.startswith("numerical failure: NonFinite")
 
 
 @pytest.mark.parametrize("doc", [{"equilibrium": dict(ORBIT, r0=10**400)}, {"field": dict(PAIR, h=10**400)}])
@@ -936,17 +936,17 @@ def _huge_pair_certify(method):
         ),
         # the same products on one tilted cell: a zero pivot in the closed form
         ("certify", _huge_pair_certify("closed_form"), [], 3),
-        ("certify", _huge_pair_certify("levitation"), [], 0),
-        # the oracle's norm of that cell's reduced form overflows too
-        ("certify", _huge_pair_certify("levitation"), ["--oracle"], 0),
-        # lambda2 I_perp nu0 is inf times 0 in the assembled spin: null entries, no warning
+        # the levitation route's margin is nan there: NonFinite, before the oracle runs
+        ("certify", _huge_pair_certify("levitation"), [], 3),
+        ("certify", _huge_pair_certify("levitation"), ["--oracle"], 3),
+        # lambda2 I_perp nu0 is inf times 0 in the assembled spin: NonFinite names pi0
         (
             "equilibrium",
             {"body": dict(BODY, I_perp=1e300, mu=1e300), "field": PAIR, "equilibrium": ORBIT},
             [],
-            0,
+            3,
         ),
-        # the support blocks and the reduced form overflow at omega = inf
+        # omega = inf: NonFinite from the equilibrium, before the support blocks
         (
             "certify",
             {
@@ -955,7 +955,7 @@ def _huge_pair_certify(method):
                 "certify": {"method": "closed_form", "equilibrium": ORBIT},
             },
             [],
-            0,
+            3,
         ),
     ],
     ids=[

@@ -9,13 +9,23 @@ from orbitron.core import (
     BodyParams,
     Multipliers,
     ReducedState,
-    augmented_hamiltonian,
     casimirs,
     hamiltonian,
     momentum_j3,
 )
 from orbitron.fields import DipolePair
 from orbitron.potential import DipolePotential
+
+
+def augmented_hamiltonian(s, b, V, m, include_casimir=False):
+    """h - omega J3 + lambda1 C1 + lambda2 C2, whose critical points are relative equilibria."""
+    c1, c2 = casimirs(s)
+    return (
+        hamiltonian(s, b, V, include_casimir)
+        - m.omega * momentum_j3(s)
+        + m.lambda1 * c1
+        + m.lambda2 * c2
+    )
 
 
 def axial_symmetry_residual(V, s: ReducedState) -> float:

@@ -10,6 +10,7 @@ from orbitron import potential
 from orbitron.core import BodyParams, ReducedState, casimirs, hamiltonian, momentum_j3
 from orbitron.dynamics import (
     IntegratorConfig,
+    TrajectorySample,
     distance_to_orbit,
     eom_rhs,
     integrate,
@@ -145,6 +146,101 @@ def test_eom_rhs_on_the_axis_raises():
     s = ReducedState(x=np.array([0.0, 0.0, 0.3]), p=np.zeros(3), nu=E3, pi=10.0 * E3)
     with pytest.raises(AxisDegeneracy):
         eom_rhs(s.as_vector(), b, V)
+
+
+@np.errstate(all="ignore")
+def _integrate_reference(s0, cfg, b, V, include_casimir=False):
+    """The RK4 loop on a (12,) ndarray state, which integrate runs on the 12 float components."""
+    projected = cfg.scheme == "rk4_projected"
+    y = s0.as_vector()
+    if projected:
+        y[6:9] /= np.linalg.norm(y[6:9])
+    samples = []
+
+    def record(i, c1_preproj):
+        s = ReducedState.from_vector(y)
+        c1, c2 = casimirs(s)
+        h, j3 = hamiltonian(s, b, V, include_casimir), momentum_j3(s)
+        if not (np.all(np.isfinite(y)) and all(map(math.isfinite, (h, j3, c1, c2)))):
+            raise NonFinite(f"non-finite sample at step {i}")
+        samples.append(TrajectorySample(i * cfg.dt, s, h, j3, c1, c2, c1_preproj))
+
+    record(0, None)
+    dt = cfg.dt
+    for i in range(1, cfg.steps + 1):
+        k1 = eom_rhs(y, b, V)
+        k2 = eom_rhs(y + 0.5 * dt * k1, b, V)
+        k3 = eom_rhs(y + 0.5 * dt * k2, b, V)
+        k4 = eom_rhs(y + dt * k3, b, V)
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        c1_preproj = None
+        if projected:
+            c1_preproj = float(y[6:9] @ y[6:9])
+            y[6:9] /= math.sqrt(c1_preproj)
+        if not np.all(np.isfinite(y)):
+            raise NonFinite(f"non-finite state component at step {i}")
+        if i % cfg.record_every == 0 or i == cfg.steps:
+            record(i, c1_preproj)
+    return samples
+
+
+def _sample_reprs(samples):
+    return [
+        repr((x.t, x.state.as_vector().tolist(), x.h, x.J3, x.C1, x.C2, x.c1_preproj))
+        for x in samples
+    ]
+
+
+def _perturbed_equatorial_orbit():
+    """A criterion-8 start: the r0 = 0.8 orbit with each block moved by 1e-4 of its norm."""
+    model, b, eq = _dipoletron()
+    s = build_support_state(eq)
+    rng = np.random.default_rng(42)
+    parts = []
+    for v in (s.x, s.p, s.nu, s.pi):
+        d = rng.standard_normal(3)
+        parts.append(v + 1e-4 * max(float(np.linalg.norm(v)), 1.0) * d / np.linalg.norm(d))
+    om = eq.mult.omega
+    return ReducedState(*parts), b, DipolePotential(model, b), 0.015 / om
+
+
+def _tilted_composite_case():
+    b = BodyParams(M=1.3, I_perp=0.1, I3=0.05, mu=1.0, g=0.7)
+    V = DipolePotential(Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0))), b)
+    return _tilted_state(), b, V, 0.004
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk4_projected"])
+@pytest.mark.parametrize("case", [_tilted_composite_case, _perturbed_equatorial_orbit], ids=["tilted", "criterion_8"])
+def test_integrate_equals_the_ndarray_loop_bit_for_bit(case, scheme):
+    s0, b, V, dt = case()
+    cfg = IntegratorConfig(dt=dt, steps=400, scheme=scheme, record_every=7)
+    for include_casimir in (False, True):
+        got = integrate(s0, cfg, b, V, include_casimir)
+        assert len(got) == 59
+        assert _sample_reprs(got) == _sample_reprs(_integrate_reference(s0, cfg, b, V, include_casimir))
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk4_projected"])
+@pytest.mark.parametrize(
+    "x, p, dt",
+    [
+        ([0.8, 0.0, 0.0], [0.0, 1e308, 0.0], 1e-3),
+        ([1e200, 0.0, 0.0], [0.0, 0.0, 0.0], 1e-3),
+        ([0.8, 0.0, 0.0], [0.0, 1.2, 0.0], 1e306),  # a finite start, and a state that overflows at step 1
+    ],
+    ids=["huge_p", "huge_x", "huge_dt"],
+)
+def test_integrate_fails_where_the_ndarray_loop_fails(x, p, dt, scheme):
+    b = _body()
+    V = DipolePotential(DipolePair(1.0, 1.0), b)
+    s0 = ReducedState(x=np.array(x), p=np.array(p), nu=E3, pi=10.0 * E3)
+    cfg = IntegratorConfig(dt=dt, steps=5, scheme=scheme)
+    with pytest.raises(NonFinite) as want:
+        _integrate_reference(s0, cfg, b, V)
+    with pytest.raises(NonFinite) as got:
+        integrate(s0, cfg, b, V)
+    assert str(got.value) == str(want.value)
 
 
 def test_integrate_takes_one_jet_per_rhs_call(monkeypatch):

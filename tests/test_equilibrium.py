@@ -15,10 +15,10 @@ from orbitron.equilibrium import (
     solve_levitation,
     solve_orbitron_equatorial,
 )
-from orbitron.core import augmented_hamiltonian
 from orbitron.errors import (
     BadSign,
     NoEquilibrium,
+    NonFinite,
     NoRealSolution,
     NotMirrorSymmetric,
     WrongFieldSign,
@@ -26,6 +26,8 @@ from orbitron.errors import (
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential
 from orbitron.scan import split_levitation_model
+
+from test_core import augmented_hamiltonian
 
 FROZEN_OMEGA_SQ = 3.568922026299016
 
@@ -368,6 +370,17 @@ def test_build_levitation_equilibrium_errors():
         build_levitation_equilibrium(model, _body(g=0.0), 0.8, nr, nz, xi2)
     with pytest.raises(NoEquilibrium):
         build_levitation_equilibrium(model, b, 0.8, 0.0, 1.0, xi2)
+
+
+@pytest.mark.parametrize(
+    "body, q, name",
+    [({"I_perp": 1e300, "mu": 1e300}, 1.0, "pi0"), ({"mu": 1e300}, 1e300, "omega")],
+    ids=["spin_overflows", "rate_overflows"],
+)
+def test_non_finite_equilibrium_raises(body, q, name):
+    b = replace(_body(), **body)
+    with pytest.raises(NonFinite, match=f"equilibrium {name} is not finite"):
+        solve_orbitron_equatorial(DipolePair(q, 1.0), b, 0.8, 10.0)
 
 
 def test_equilibrium_record_keys():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitron.errors import AxisDegeneracy, ConfigError, SourceSingularity
+from orbitron.errors import AxisDegeneracy, ConfigError, NonFinite, SourceSingularity
 from orbitron.fields import (
     Composite,
     DipolePair,
@@ -16,9 +16,7 @@ from orbitron.fields import (
     _join,
     dipole_pair_midplane,
     eval_jet,
-    maxwell_residual,
     model_from_config,
-    model_to_config,
 )
 
 JET_FIELDS = ("Br", "Bz", "Br_r", "Br_z", "Bz_r", "Bz_z", "Bz_rr", "Bz_rz", "Bz_zz")
@@ -146,6 +144,21 @@ def test_jet_matches_finite_differences():
             for k, v in fd_second.items():
                 a = getattr(j, k)
                 assert abs(a - v) <= 1e-5 * max(abs(a), 1e-3 * sc)
+
+
+def maxwell_residual(model, r, z):
+    """Return (divergence, curl) of the model field at (r, z).
+
+    Both vanish for an exact solution.  On the axis the divergence uses the
+    regular limit Bz_z + 2 Br_r.
+    """
+    jet = eval_jet(model, r, z)
+    if r != 0.0:
+        div = jet.Bz_z + jet.Br_r + jet.Br / r
+    else:
+        div = jet.Bz_z + 2.0 * jet.Br_r
+    curl = jet.Br_z - jet.Bz_r
+    return div, curl
 
 
 def test_maxwell_residuals():
@@ -476,6 +489,17 @@ def test_cartesian_hessian_total_symmetry_random_points():
             np.testing.assert_allclose(H, np.transpose(H, perm), rtol=0, atol=tol)
 
 
+def model_to_config(model):
+    """Inverse of :func:`model_from_config`."""
+    if isinstance(model, DipolePair):
+        return {"type": "dipole_pair", "q": model.q, "h": model.h}
+    if isinstance(model, Linear):
+        return {"type": "linear", "B0": model.B0, "Bprime": model.Bp}
+    if isinstance(model, Composite):
+        return {"type": "composite", "parts": [model_to_config(p) for p in model.parts]}
+    raise TypeError(f"unknown field model {type(model).__name__}")
+
+
 def test_config_roundtrip():
     models = (
         DipolePair(1.3, 0.9),
@@ -571,7 +595,7 @@ def test_source_guard_at_extreme_scales():
 def test_scalar_jet_raises_where_powers_overflow():
     # off-source points of a tiny pair: a float jet raises rather than
     # returning inf or nan components
-    with pytest.raises(OverflowError):
+    with pytest.raises(NonFinite):
         eval_jet(DipolePair(1.0, 1e-40), 0.8e-40, 0.0)
     with pytest.raises(ArithmeticError):  # D * D underflows to 0
         eval_jet(DipolePair(1.0, 1e-100), 0.8e-100, 0.0)

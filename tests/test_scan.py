@@ -285,11 +285,11 @@ def test_levitation_sweep_flags_non_finite_rows():
     assert [row["error"] for row in rows] == ["BadSign", "NonFinite", "NonFinite"]
     for row in rows:
         assert row["verdict"] == "" and math.isnan(row["nu_r"]) and math.isnan(row["margin"])
-    # the closed form's products overflow on a pair this strong: NonFinite, where
-    # the per-row route reported a margin of 0 from an infinite condition
+    # the closed form's products overflow on a pair this strong: NonFinite, as
+    # the per-row route's equilibrium now says of its infinite lambda1
     model = Composite((Linear(1.0, 3.0), DipolePair(1e300, 1.0)))
     expected, _ = _levitation_sweep_reference(model, _body(), [1.001, 1.2], -0.95)
-    assert [row["margin"] for row in expected] == [0.0, 0.0]
+    assert [row["error"] for row in expected] == ["NonFinite", "NonFinite"]
     rows = levitation_sweep(model, _body(), [1.001, 1.2], -0.95)
     assert [row["error"] for row in rows] == ["NonFinite", "NonFinite"]
 

@@ -6,14 +6,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitron.core import BodyParams, ReducedState, augmented_hamiltonian
+from orbitron.core import BodyParams, ReducedState
 from orbitron.equilibrium import (
     build_levitation_equilibrium,
     build_support_state,
+    solve_dipole_equilibrium,
     solve_levitation,
     solve_orbitron_equatorial,
 )
-from orbitron.errors import NotEquatorial, PolarDegeneracy, ZeroPivot
+from orbitron.errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential, hessian_blocks
 from orbitron.scan import split_levitation_model
@@ -30,6 +31,7 @@ from orbitron.stability import (
 )
 
 from synthetic import SEED, draw_synthetic_case
+from test_core import augmented_hamiltonian
 
 
 def _body(g=0.0):
@@ -449,6 +451,20 @@ def test_levitation_conditions_details():
     assert math.isclose(d["c"], cert.C * scale, rel_tol=1e-14)
     assert d["dynamic_lhs"] > d["dynamic_rhs"]
     assert math.isclose(d["lambda_over_mgr"], eq.mult.lambda_ / (b.M * b.g * eq.r0), rel_tol=1e-14)
+
+
+def test_one_cell_certificates_raise_on_a_non_finite_margin():
+    # with q = 1e300 the closed form's products overflow to a nan margin,
+    # which stability_map and levitation_sweep flag as NonFinite
+    model = Composite((Linear(1.0, 3.0), DipolePair(1e300, 1.0)))
+    b = _body(g=3.3)
+    (eq,) = solve_dipole_equilibrium(model, b, 0.8, 1.0)
+    with pytest.raises(NonFinite, match="margin is nan"):
+        levitation_conditions(eq, b, model)
+    Q = np.eye(8)
+    Q[0, 0] = np.inf
+    with pytest.raises(NonFinite, match="margin is nan"):
+        eigen_certificate(Q)
 
 
 def test_eigen_certificate_small_examples():
