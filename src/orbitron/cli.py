@@ -1,7 +1,8 @@
 """Command-line interface: simulate, equilibrium, certify, scan.
 
-Each subcommand reads a JSON run configuration holding a ``body`` record, a
-``field`` record, and exactly one task section named after the subcommand.
+Each command reads a JSON run configuration holding a ``body`` record, a
+``field`` record, and exactly one task section named after the command.
+``main`` reads the body and the task section once for every command.
 Floating point output is serialized with 17 significant digits so runs are
 bitwise reproducible.
 
@@ -60,7 +61,20 @@ from .stability import (
 
 __all__ = ["main"]
 
-TASKS = ("simulate", "equilibrium", "certify", "scan")
+COMMANDS = {
+    "simulate": "integrate the reduced equations and write a trajectory CSV",
+    "equilibrium": "solve for relative equilibria and write them as JSON",
+    "certify": "run a stability certificate for one equilibrium",
+    "scan": "sweep a parameter grid and write a CSV of certificates",
+}
+# Each flag belongs to one command and is parsed into an attribute named after that command.
+FLAGS = {
+    "--include-casimir-energy": (
+        "simulate", "add the constant axial spin energy to reported energies"
+    ),
+    "--oracle": ("certify", "cross-check the verdict against the eigenvalue oracle"),
+    "--refine": ("scan", "write closed-form window endpoints to an .endpoints.json sidecar"),
+}
 CERTIFY_METHODS = ("closed_form", "orbitron", "levitation")
 
 # Largest scans and runs a config may ask for; larger ones exhaust memory or never end.
@@ -283,13 +297,6 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
     raise ConfigError(f"unknown solver {solver!r}")
 
 
-def _one_task(cfg: dict) -> str:
-    present = [t for t in TASKS if t in cfg]
-    if len(present) != 1:
-        raise ConfigError(f"config must contain exactly one task section from {TASKS}")
-    return present[0]
-
-
 TRAJECTORY_HEADER = (
     ["t"]
     + [f"x{i}" for i in (1, 2, 3)]
@@ -300,10 +307,8 @@ TRAJECTORY_HEADER = (
 )
 
 
-def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
-    b = _body_from_config(cfg)
+def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir: bool) -> int:
     model = _model_from_config(cfg)
-    sec = _require(cfg, "simulate", dict, "config")
     V = DipolePotential(model, b)
     # The integrator settings are checked before any solve, so a malformed
     # section exits 2 whether or not the equilibrium exists.  A missing dt
@@ -368,12 +373,9 @@ def cmd_simulate(cfg: dict, out: str, include_casimir: bool) -> int:
     return 0
 
 
-def cmd_equilibrium(cfg: dict, out: str) -> int:
-    b = _body_from_config(cfg)
-    model = _model_from_config(cfg)
-    sec = _require(cfg, "equilibrium", dict, "config")
+def cmd_equilibrium(cfg: dict, b: BodyParams, sec: dict, out: str, _flag: bool) -> int:
     try:
-        eqs = _solve_from_spec(sec, model, b)
+        eqs = _solve_from_spec(sec, _model_from_config(cfg), b)
     except NO_SOLUTION_ERRORS as exc:
         _write_json(out, {"equilibria": [], "reason": type(exc).__name__})
         return 0
@@ -381,10 +383,8 @@ def cmd_equilibrium(cfg: dict, out: str) -> int:
     return 0
 
 
-def cmd_certify(cfg: dict, out: str, oracle: bool) -> int:
-    b = _body_from_config(cfg)
+def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> int:
     model = _model_from_config(cfg)
-    sec = _require(cfg, "certify", dict, "config")
     spec = _require(sec, "equilibrium", dict, "certify")
     method = str(sec.get("method", "closed_form"))
     if method not in CERTIFY_METHODS:
@@ -419,9 +419,7 @@ def cmd_certify(cfg: dict, out: str, oracle: bool) -> int:
     return 0
 
 
-def cmd_scan(cfg: dict, out: str, refine: bool) -> int:
-    b = _body_from_config(cfg)
-    sec = _require(cfg, "scan", dict, "config")
+def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int:
     kind = _require(sec, "kind", str, "scan")
 
     if kind == "dipoletron_window":
@@ -474,51 +472,34 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="orbitron",
         description="Relative equilibria and stability certificates for a magnetized top",
+        formatter_class=argparse.RawTextHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, helptext in (
-        ("simulate", "integrate the reduced equations and write a trajectory CSV"),
-        ("equilibrium", "solve for relative equilibria and write them as JSON"),
-        ("certify", "run a stability certificate for one equilibrium"),
-        ("scan", "sweep a parameter grid and write a CSV of certificates"),
-    ):
-        p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", required=True, help="output file path")
-        if name == "simulate":
-            p.add_argument(
-                "--include-casimir-energy",
-                action="store_true",
-                help="add the constant axial spin energy to reported energies",
-            )
-        if name == "certify":
-            p.add_argument(
-                "--oracle",
-                action="store_true",
-                help="cross-check the verdict against the eigenvalue oracle",
-            )
-        if name == "scan":
-            p.add_argument(
-                "--refine",
-                action="store_true",
-                help="write closed-form window endpoints to an .endpoints.json sidecar",
-            )
-
+    parser.add_argument(
+        "command", choices=COMMANDS, help="\n".join(f"{c}: {h}" for c, h in COMMANDS.items())
+    )
+    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
+    parser.add_argument("--out", required=True, help="output file path")
+    for flag, (command, helptext) in FLAGS.items():
+        parser.add_argument(flag, action="store_true", dest=command, help=f"{command}: {helptext}")
     args = parser.parse_args(argv)
+    for flag, (command, _) in FLAGS.items():
+        if getattr(args, command) and command != args.command:
+            parser.error(f"{flag} belongs to the {command} command, not {args.command}")
     try:
         cfg = _load_config(args.config)
-        task = _one_task(cfg)
+        present = [t for t in COMMANDS if t in cfg]
+        if len(present) != 1:
+            raise ConfigError(f"config must contain exactly one task section from {tuple(COMMANDS)}")
+        task = present[0]
         if task != args.command:
             raise ConfigError(
                 f"config has a {task!r} section but the {args.command!r} command was invoked"
             )
-        if args.command == "simulate":
-            return cmd_simulate(cfg, args.out, args.include_casimir_energy)
-        if args.command == "equilibrium":
-            return cmd_equilibrium(cfg, args.out)
-        if args.command == "certify":
-            return cmd_certify(cfg, args.out, args.oracle)
-        return cmd_scan(cfg, args.out, args.refine)
+        b = _body_from_config(cfg)
+        sec = _require(cfg, task, dict, "config")
+        run = {"simulate": cmd_simulate, "equilibrium": cmd_equilibrium,
+               "certify": cmd_certify, "scan": cmd_scan}[task]
+        return run(cfg, b, sec, args.out, getattr(args, task, False))
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

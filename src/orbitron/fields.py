@@ -99,7 +99,10 @@ def _single_dipole_terms(q: float, r, Z) -> list:
     """
     D = r * r + Z * Z
     root = math.sqrt(D) if isinstance(D, float) else np.sqrt(D)
-    s5 = 1.0 / (D * D * root)
+    try:
+        s5 = 1.0 / (D * D * root)
+    except ZeroDivisionError:  # a float D * D underflowed to 0, where an array gives inf
+        s5 = math.inf
     s7 = s5 / D
     s9 = s7 / D
     if isinstance(s9, float) and s9 == math.inf:

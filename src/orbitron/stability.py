@@ -140,9 +140,9 @@ class EigenCertificate:
         _require_finite(self.margin)
 
 
-def _require_finite(margin: float) -> None:
-    if not math.isfinite(margin):
-        raise NonFinite(f"certificate margin is {margin!r}")
+def _require_finite(value: float, what: str = "certificate margin") -> None:
+    if not math.isfinite(value):
+        raise NonFinite(f"{what} is {value!r}")
 
 
 def _classify(margin: float) -> str:
@@ -264,15 +264,17 @@ class _Sweep(NamedTuple):
     taken; stop[k] is that last step.  A cell is ``completed`` when every
     pivot was positive; otherwise its last pivot is the first non-positive
     one, and ``zero`` flags the cells where it was zero to working
-    precision.  x_block holds the trailing 2 x 2 block just before the last
-    two eliminations, NaN where the sweep stopped earlier.
+    precision.  margin is the smallest pivot over |Q| when the sweep
+    completes, else the first non-positive pivot over |Q|.  x_block holds
+    the trailing 2 x 2 block just before the last two eliminations, NaN
+    where the sweep stopped earlier.
     """
 
     pivots: np.ndarray
     stop: np.ndarray
     completed: np.ndarray
     zero: np.ndarray
-    qnorm: np.ndarray
+    margin: np.ndarray
     x_block: np.ndarray
 
 
@@ -282,8 +284,13 @@ def _eliminate(S: np.ndarray) -> _Sweep:
     Every step is one vectorized Schur-complement update, done in place on
     S.  All cells run all n steps; what follows a cell's first
     non-positive pivot is then discarded, since the sweep stops there.
+    Each cell is first scaled by the power of two that brings its largest
+    entry into [0.5, 1): that is exact, so the pivots are unchanged, and |Q|
+    and the margin stay finite where the squares of the entries overflow.
     """
     n, _, K = S.shape
+    scale = _binary_exponent(S, axis=(0, 1))
+    np.ldexp(S, -scale, out=S)
     qnorm = np.sqrt(np.einsum("ijk,ijk->k", S, S))
     pivots = np.empty((n, K))
     x_block = np.full((2, 2, K), np.nan)
@@ -301,10 +308,18 @@ def _eliminate(S: np.ndarray) -> _Sweep:
         ended = small | (pivots <= 0.0)
     completed = ~ended.any(axis=0)
     stop = np.where(completed, n - 1, ended.argmax(axis=0))
+    pivot = np.where(completed, pivots.min(axis=0), pivots[stop, np.arange(K)])
+    margin = pivot / np.maximum(qnorm, 1e-300)
     pivots[np.arange(n)[:, None] > stop] = np.nan
     x_block[..., stop < n - 2] = np.nan
     zero = ~completed & small[stop, np.arange(K)]
-    return _Sweep(pivots.T, stop, completed, zero, qnorm, np.moveaxis(x_block, -1, 0))
+    pivots, x_block = np.ldexp(pivots, scale), np.ldexp(x_block, scale)
+    return _Sweep(pivots.T, stop, completed, zero, margin, np.moveaxis(x_block, -1, 0))
+
+
+def _binary_exponent(a: np.ndarray, axis=None):
+    """The exponent e with max |a| in [0.5, 1) 2**e; 0 where a is zero or not finite."""
+    return np.frexp(np.maximum(a.max(axis=axis), -a.min(axis=axis)))[1]
 
 
 def _zero_pivot(piv: float, idx: int) -> ZeroPivot:
@@ -436,17 +451,13 @@ class _Certificates:
 def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
     """Closed-form conditions and elimination verdicts of the cells.
 
-    The margin is the smallest pivot over |Q| when the sweep completes,
-    else the first non-positive pivot over |Q|.  Cells flagged in
-    ``sweep.zero`` hit a zero pivot and carry no verdict.
+    The margin is the elimination's.  Cells flagged in ``sweep.zero`` hit a
+    zero pivot and carry no verdict.
     """
     den1, cond2, A, B, C, failed = (np.reshape(v, -1) for v in _closed_form(b, cells))
     cond2 = np.where(den1 <= 0.0, np.nan, cond2)
     sweep = _eliminate(_reduced_forms(b, cells).reshape(8, 8, -1))
-    last = sweep.pivots[np.arange(len(sweep.stop)), sweep.stop]
-    pivot = np.where(sweep.completed, sweep.pivots.min(axis=1), last)
-    margin = pivot / np.maximum(sweep.qnorm, 1e-300)
-    return _Certificates(margin, sweep, den1, cond2, A, B, C, failed)
+    return _Certificates(sweep.margin, sweep, den1, cond2, A, B, C, failed)
 
 
 def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
@@ -573,11 +584,13 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
     elif radial <= 0.0:
         failed = "radial"
     else:
-        spin_rhs = -sigma * b.mu * jet.Bz + b.I_perp * om**2 + b.mu * jet.Bz_r**2 / axial
+        spin_rhs = -sigma * b.mu * jet.Bz + b.I_perp * (om * om) + b.mu * (jet.Bz_r * jet.Bz_r) / axial
+        _require_finite(spin_rhs, "orbitron spin threshold")
         if not om * pi0 > spin_rhs:
             failed = "spin"
     vals = [lam, A]
-    if math.isfinite(C):
+    if lam > 0.0:  # else C is undefined (NaN)
+        _require_finite(C, "orbitron condition C")
         vals += [C, A * C - B * B]
     details = {
         "lambda": lam,
@@ -621,13 +634,14 @@ def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
 
     The margin is the smallest eigenvalue over |Q|, and the verdict is the
     closed-form routes' rule applied to it: marginal inside the marginal
-    band, otherwise stable when positive.
+    band, otherwise stable when positive.  Q is scaled as in the sweep.
     """
     Q = np.asarray(Q, dtype=float)
     eigs = np.linalg.eigvalsh(Q)
-    qnorm = max(float(np.linalg.norm(Q)), 1e-300)
+    scale = int(_binary_exponent(Q))
+    qnorm = max(float(np.linalg.norm(np.ldexp(Q, -scale))), 1e-300)
     lam_min = float(eigs[0])
-    margin = lam_min / qnorm
+    margin = math.ldexp(lam_min, -scale) / qnorm
     return EigenCertificate(
         verdict=_classify(margin),
         lambda_min=lam_min,

@@ -790,6 +790,81 @@ def test_out_of_range_config_integer_is_a_config_error(tmp_path, capsys, doc):
     assert capsys.readouterr().err.startswith("config error:")
 
 
+def test_orbitron_spin_overflow_is_a_numerical_failure(tmp_path, capsys):
+    # with q = 1e200 the spin threshold squares an overflowing Bz_r, and C overflows
+    section = {"method": "orbitron", "equilibrium": ORBIT}
+    cfg = _cfg(tmp_path, {"body": BODY, "field": dict(PAIR, q=1e200), "certify": section})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: NonFinite")
+
+
+# Each command flag and the one command it belongs to.
+_FLAGS = {"--include-casimir-energy": "simulate", "--oracle": "certify", "--refine": "scan"}
+
+
+def _argv_code(argv):
+    """main's exit code for argv, also when argparse exits; output is discarded."""
+    sink = io.StringIO()
+    with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        try:
+            return main(argv), sink.getvalue()
+        except SystemExit as exc:
+            return exc.code, sink.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [("certify", "--refine"), ("scan", "--oracle"), ("equilibrium", "--include-casimir-energy")],
+)
+def test_flag_of_another_command_is_a_usage_error(tmp_path, command, flag):
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, command: {}})
+    code, _ = _argv_code([command, "--config", cfg, "--out", str(tmp_path / "o"), flag])
+    assert code == 2
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["equilibrium", "--out", "o.json"],
+        ["equilibrium", "--config", "c.json"],
+        ["bogus", "--config", "c.json", "--out", "o.json"],
+        ["equilibrium", "extra", "--config", "c.json", "--out", "o.json"],
+        [],
+    ],
+    ids=["no_config", "no_out", "unknown_command", "extra_positional", "empty"],
+)
+def test_malformed_argv_is_a_usage_error(argv):
+    assert _argv_code(argv)[0] == 2
+
+
+def test_help_names_every_command_and_flag():
+    code, text = _argv_code(["-h"])
+    assert code == 0
+    for command in ("simulate", "equilibrium", "certify", "scan"):
+        assert command in text
+    for flag, command in _FLAGS.items():
+        code, text = _argv_code([command, "-h"])
+        assert code == 0 and flag in text
+
+
+def test_main_builds_one_argument_parser(tmp_path, monkeypatch):
+    # counts every parser, subparsers included
+    import argparse
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "equilibrium": ORBIT})
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 0
+    assert built == ["orbitron"]
+
+
 def _map(n1, n2):
     return dict(MAP_SCAN, axis1=dict(MAP_SCAN["axis1"], n=n1), axis2=dict(MAP_SCAN["axis2"], n=n2))
 

@@ -17,6 +17,7 @@ from orbitron.equilibrium import (
 from orbitron.errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential, hessian_blocks
+from orbitron import stability
 from orbitron.scan import split_levitation_model
 from orbitron.stability import (
     MARGIN_BAND,
@@ -320,6 +321,82 @@ def test_three_routes_agree_on_synthetic_draws():
         else:
             not_pd += 1
     assert stable >= 10 and not_pd >= 10
+
+
+def _full_schur(Q):
+    """All eight pivots of Q in index order, and the trailing 2 x 2 block
+    after six eliminations; unlike the certificate sweep it never stops."""
+    S = np.array(Q, dtype=float)
+    pivots = []
+    for k in range(len(S)):
+        if k == len(S) - 2:
+            block = S[k:, k:].copy()
+        pivots.append(S[k, k])
+        S[k + 1 :, k + 1 :] -= np.outer(S[k + 1 :, k], S[k + 1 :, k]) / S[k, k]
+    return pivots, block
+
+
+def test_closed_form_is_successive_schur_complements():
+    # den1 is pivot 4, cond2 is nu_z^2 times pivot 5, and (A, B; B, C) is the
+    # trailing block, on draws on both sides of definiteness
+    rng = np.random.default_rng(SEED)
+    both = 0
+    for _ in range(400):
+        eq, b, blocks = draw_synthetic_case(rng)
+        try:
+            cert = closed_form_conditions(eq, b, blocks)
+        except ZeroPivot:
+            continue
+        pivots, block = _full_schur(reduced_hessian(eq, b, blocks).Q)
+        den1, cond2 = cert.details["den1"], cert.details["cond2"]
+
+        def close(got, ref):
+            return abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+        assert close(den1, pivots[4])
+        if den1 <= 0.0:
+            continue
+        assert close(cond2, eq.nu0[2] ** 2 * pivots[5])
+        if cond2 <= 0.0:
+            continue
+        both += 1
+        assert close(cert.A, block[0, 0]) and close(cert.C, block[1, 1])
+        assert close(cert.B, block[0, 1]) and block[0, 1] == block[1, 0]
+    assert both >= 200
+
+
+def _scaled_forms():
+    """(form, 2**k) pairs: a definite and an indefinite 8 x 8 form at k = 0, 300, 600."""
+    rng = np.random.default_rng(13)
+    a = rng.normal(size=(8, 8))
+    for shift in (0.5, -0.5):
+        Q = a @ a.T + shift * np.eye(8)
+        for k in (0, 300, 600):
+            yield Q, math.ldexp(1.0, k)
+
+
+def test_margins_are_scale_invariant():
+    for Q, s in _scaled_forms():
+        ref = isolated_squares_reduce(Q)
+        res = isolated_squares_reduce(s * Q)
+        assert res.completed == ref.completed
+        assert res.pivots == tuple(s * p for p in ref.pivots)
+        margin, ref_margin = (stability._eliminate(np.array(q)[:, :, None]).margin for q in (s * Q, Q))
+        assert margin == ref_margin
+        eig, ref_eig = eigen_certificate(s * Q), eigen_certificate(Q)
+        assert eig.verdict == ref_eig.verdict == ("stable" if ref.completed else "not_certified")
+        assert math.isclose(eig.margin, ref_eig.margin, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e150, 1e155, 1e200])
+def test_huge_forms_keep_their_verdict(scale):
+    # |Q| overflows in a plain sum of squares from about 1.3e154 on
+    Q = scale * np.diag(np.arange(1.0, 9.0))
+    res = isolated_squares_reduce(Q)
+    assert res.completed and res.pivots == tuple(scale * np.arange(1.0, 9.0))
+    eig = eigen_certificate(Q)
+    assert eig.verdict == "stable"
+    assert math.isclose(eig.margin, 1.0 / math.sqrt(204.0), rel_tol=1e-12)
 
 
 def test_orbitron_conditions_window_labels():
