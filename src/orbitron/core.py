@@ -87,18 +87,14 @@ class Multipliers:
     """Lagrange multipliers of an augmented Hamiltonian h - omega J3 + lambda1 C1 + lambda2 C2.
 
     lambda_ is the derived combination 2 lambda1 - lambda2**2 I_perp that
-    appears throughout the stability conditions; use :meth:`build` to keep the
-    three values consistent.
+    appears throughout the stability conditions; use :meth:`from_lambda` to
+    keep the three values consistent.
     """
 
     omega: float
     lambda1: float
     lambda2: float
     lambda_: float
-
-    @staticmethod
-    def build(omega: float, lambda1: float, lambda2: float, I_perp: float) -> "Multipliers":
-        return Multipliers(omega, lambda1, lambda2, 2.0 * lambda1 - lambda2**2 * I_perp)
 
     @staticmethod
     def from_lambda(omega: float, lambda_: float, lambda2: float, I_perp: float) -> "Multipliers":

@@ -74,6 +74,26 @@ class ScanSpec:
     outputs: tuple = ("verdict", "margin", "A", "B", "C")
 
 
+def _rows(keys, columns) -> list[dict]:
+    """Row dicts with the given keys, in order, filled from equal-length columns."""
+    rows = [{} for _ in range(len(columns[0]))]
+    for key, column in zip(keys, columns):
+        for row, v in zip(rows, column):
+            row[key] = v
+    return rows
+
+
+def _scatter(n: int, at: np.ndarray, values: np.ndarray, fill) -> list:
+    """A column of n Python values: ``values`` at the indices ``at``, ``fill`` elsewhere.
+
+    Values of shape (k, len(at)) give k such columns at once.  The columns
+    are object arrays, so every cell outside ``at`` shares the one fill object.
+    """
+    column = np.full((*values.shape[:-1], n), fill, dtype=object)
+    column[..., at] = values
+    return column.tolist()
+
+
 def dipoletron_window(
     q: float,
     h: float,
@@ -111,7 +131,7 @@ def dipoletron_window(
     in_window = (axial > 0.0) & (radial > 0.0) & (omega2 > 0.0)
     keys = ("ratio", "r0", "axial", "radial", "omega2", "in_window")
     columns = (ratio, r0, axial, radial, omega2, in_window)
-    return [dict(zip(keys, row)) for row in zip(*(c.tolist() for c in columns))]
+    return _rows(keys, [c.tolist() for c in columns])
 
 
 def window_endpoints(
@@ -224,11 +244,11 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
         raise BadSign("levitation requires beta < 0")
     linear, _ = split_levitation_model(model)
     r0 = radius_for_beta(model, beta)
-    rows, live = [], []
-    for kappa in map(float, kappa_values):
-        row = dict(kappa=kappa, beta=beta, r0=r0, nu_r=math.nan, nu_z=math.nan, xi2=math.nan, verdict="")
-        row.update(margin=math.nan, A=math.nan, B=math.nan, C=math.nan, error="")
-        rows.append(row)
+    kappas = [float(kappa) for kappa in kappa_values]
+    n = len(kappas)
+    errors = np.full(n, "", dtype=object)
+    live, solved = [], []
+    for i, kappa in enumerate(kappas):
         g = kappa * b.mu * linear.Bp / b.M
         try:
             if g <= 0.0:
@@ -236,29 +256,34 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
             nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
             if abs(nu_r) < LEVITATION_TILT_MIN:
                 raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
-            live.append((row, nu_r, nu_z, xi2, g))
+            live.append(i)
+            solved.append((nu_r, nu_z, xi2, g))
         except OrbitronError as exc:
-            row["error"] = type(exc).__name__
-    if not live:
-        return rows
-
-    # Non-finite multipliers or margins flag a row NonFinite, so the arithmetic stays silent.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        jet = eval_jet(model, r0, 0.0)
-        nu_r, nu_z, xi2, g = np.array([entry[1:] for entry in live]).T
-        omega = np.sqrt(xi2 * g / r0)
-        mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
-        blocks = _support_blocks(jet, r0, (nu_r, np.zeros_like(nu_r), nu_z), b.mu)
-        cells = _Cells(np.abs(nu_r), nu_z, mult, r0, b.M * omega * r0, blocks)
-        conditions = zip(*(v.tolist() for v in _closed_form(b, cells)[:5]))
-        finite = np.isfinite(list(vars(mult).values())).all(axis=0).tolist()
-    for (row, nr, nz, x2, _), ok, (lam, cond2, A, B, C) in zip(live, finite, conditions):
-        margin = _levitation_margin(lam, cond2, A, B, C)
-        if not (ok and math.isfinite(margin)):
-            row["error"] = "NonFinite"
-            continue
-        row.update(nu_r=nr, nu_z=nz, xi2=x2, verdict=_classify(margin), margin=margin, A=A, B=B, C=C)
-    return rows
+            errors[i] = type(exc).__name__
+    certified = np.zeros(0, dtype=int)
+    numerics = np.zeros((7, 0))  # nu_r, nu_z, xi2, margin, A, B and C of the certified rows
+    if live:
+        # Non-finite multipliers or margins flag a row NonFinite, so the arithmetic stays silent.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            jet = eval_jet(model, r0, 0.0)
+            nu_r, nu_z, xi2, g = np.array(solved).T
+            omega = np.sqrt(xi2 * g / r0)
+            mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
+            blocks = _support_blocks(jet, r0, (nu_r, np.zeros_like(nu_r), nu_z), b.mu)
+            cells = _Cells(np.abs(nu_r), nu_z, mult, r0, b.M * omega * r0, blocks)
+            lam, cond2, A, B, C = _closed_form(b, cells)[:5]
+            finite = np.isfinite(list(vars(mult).values())).all(axis=0)
+        conditions = zip(*(v.tolist() for v in (lam, cond2, A, B, C)))
+        margin = np.array([_levitation_margin(*row) for row in conditions])
+        ok = finite & np.isfinite(margin)
+        live = np.array(live)
+        errors[live[~ok]] = "NonFinite"
+        certified = live[ok]
+        numerics = np.array([nu_r, nu_z, xi2, margin, A, B, C])[:, ok]
+    keys = ("kappa", "beta", "r0", "nu_r", "nu_z", "xi2", "verdict", "margin", "A", "B", "C", "error")
+    floats = _scatter(n, certified, numerics, math.nan)
+    verdicts = _scatter(n, certified, _classify(numerics[3]), "")
+    return _rows(keys, [kappas, [beta] * n, [r0] * n, *floats[:3], verdicts, *floats[3:], errors.tolist()])
 
 
 def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[dict]:
@@ -274,11 +299,18 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     all cells.  The branch tests of :func:`equilibrium.equatorial_rate` and
     the closed-form blocks of :func:`potential.hessian_blocks` are then
     elementwise, and all cells are certified together on stacked arrays.
+    Each output is then built as one column over the grid, and the rows
+    are filled from the columns.  ``spec.outputs`` names fields of
+    ``CERTIFICATE_FIELDS``; any other name is a ConfigError, raised before
+    any jet.
     """
     known = {"r0", "pi0", "sigma"}
     names = {spec.axis1.name, spec.axis2.name} | set(spec.fixed)
     if not names <= known:
         raise ConfigError(f"unknown scan parameters {sorted(names - known)}; known: {sorted(known)}")
+    unknown = set(spec.outputs) - set(CERTIFICATE_FIELDS)
+    if unknown:
+        raise ConfigError(f"unknown map outputs {sorted(unknown)}; known: {list(CERTIFICATE_FIELDS)}")
     if spec.axis1.name == spec.axis2.name:
         raise ConfigError("the two scan axes must differ")
     if not {"r0", "pi0"} <= ({spec.axis1.name, spec.axis2.name} | set(spec.fixed)):
@@ -317,17 +349,9 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     errors[live[certs.sweep.zero]] = "ZeroPivot"
     nonfinite[live] |= ~np.isfinite(certs.margin)
     errors[nonfinite] = "NonFinite"
-    certified = [(j, k) for j, k in enumerate(live.tolist()) if not errors[k]]
-
-    outputs = []
+    ok = errors[live] == ""
+    certified = live[ok]
+    columns = [grid[spec.axis1.name].tolist(), grid[spec.axis2.name].tolist()]
     for name in spec.outputs:
-        col = [math.nan if name != "verdict" else ""] * n
-        if name in CERTIFICATE_FIELDS:
-            values = certs.column(name)
-            for j, k in certified:
-                col[k] = values[j]
-        outputs.append(col)
-    keys = [spec.axis1.name, spec.axis2.name, *spec.outputs, "error"]
-    axes = (grid[spec.axis1.name].tolist(), grid[spec.axis2.name].tolist())
-    cells = zip(*axes, *outputs, errors.tolist())
-    return [dict(zip(keys, cell)) for cell in cells]
+        columns.append(_scatter(n, certified, certs.column(name)[ok], "" if name == "verdict" else math.nan))
+    return _rows([spec.axis1.name, spec.axis2.name, *spec.outputs, "error"], [*columns, errors.tolist()])

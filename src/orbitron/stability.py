@@ -55,11 +55,15 @@ ZERO_PIVOT_REL = 1e-14
 # "marginal" rather than "stable" or "not_certified".
 MARGIN_BAND = 1e-10
 
+# Verdicts by _classify's code: 2 inside the marginal band, 1 at or above it, else 0.
+_VERDICTS = np.array(["not_certified", "stable", "marginal"], dtype=object)
+
 # Index arrays of the strict lower triangle of the 8 x 8 reduced form.
 _LOWER = np.tril_indices(8, -1)
 
 # Closed-form conditions by failure code; code 0 means all of them hold.
 FAILED_CONDITIONS = (None, "nu2_block", "nu1_block", "A", "C", "det")
+_FAILED_CONDITIONS = np.array(FAILED_CONDITIONS, dtype=object)
 
 # The same codes as levitation_conditions names them: there the first
 # condition is lambda itself, as the pure axis blocks vanish.
@@ -145,10 +149,14 @@ def _require_finite(value: float, what: str = "certificate margin") -> None:
         raise NonFinite(f"{what} is {value!r}")
 
 
-def _classify(margin: float) -> str:
-    if abs(margin) < MARGIN_BAND:
-        return "marginal"
-    return "stable" if margin > 0.0 else "not_certified"
+def _classify(margin):
+    """The verdict of a margin, elementwise over a float or an array.
+
+    "marginal" when |margin| < MARGIN_BAND, else "stable" when margin > 0,
+    else "not_certified", NaN included.  A float gives a str, an array an
+    object array of str.
+    """
+    return _VERDICTS[2 * (abs(margin) < MARGIN_BAND) + (margin >= MARGIN_BAND)]
 
 
 def _nu_split(eq: Equilibrium) -> tuple[float, float]:
@@ -432,20 +440,24 @@ class _Certificates:
     C: np.ndarray
     failed: np.ndarray
 
-    def column(self, name: str) -> list:
-        """Per-cell values of the StabilityCertificate field ``name``."""
+    def column(self, name: str) -> np.ndarray:
+        """The StabilityCertificate field ``name`` of every cell, as one array over the cells.
+
+        Its ``tolist()`` gives the field's Python values: str, float, bool,
+        a list of pivots, or a condition name or None.
+        """
         if name == "verdict":
-            return [_classify(m) for m in self.margin.tolist()]
+            return _classify(self.margin)
         if name == "lambda_ok":
-            return (self.den1 > 0.0).tolist()
+            return self.den1 > 0.0
         if name == "abc_ok":
-            return (self.failed == 0).tolist()
+            return self.failed == 0
         if name == "pivots":
             rows = zip(self.sweep.pivots.tolist(), self.sweep.stop.tolist())
-            return [row[: s + 1] for row, s in rows]
+            return np.fromiter((row[: s + 1] for row, s in rows), dtype=object, count=len(self.margin))
         if name == "failed_condition":
-            return [FAILED_CONDITIONS[c] for c in self.failed.tolist()]
-        return getattr(self, name).tolist()
+            return _FAILED_CONDITIONS[self.failed]
+        return getattr(self, name)
 
 
 def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
@@ -499,7 +511,7 @@ def closed_form_conditions(
     if certs.sweep.zero[0]:
         last = int(certs.sweep.stop[0])
         raise _zero_pivot(float(certs.sweep.pivots[0, last]), last)
-    cell = {name: certs.column(name)[0] for name in CERTIFICATE_FIELDS}
+    cell = {name: certs.column(name).tolist()[0] for name in CERTIFICATE_FIELDS}
     details = {"den1": float(certs.den1[0]), "cond2": float(certs.cond2[0])}
     return StabilityCertificate(**dict(cell, pivots=tuple(cell["pivots"])), details=details)
 

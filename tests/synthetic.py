@@ -10,9 +10,10 @@ blocks.
 
 import numpy as np
 
-from orbitron.core import BodyParams, Multipliers
+from orbitron.core import BodyParams
 from orbitron.equilibrium import Equilibrium
 from orbitron.potential import PotentialHessianBlocks
+from test_core import build_multipliers
 
 SEED = 20260825
 
@@ -54,7 +55,7 @@ def draw_synthetic_case(rng):
         Vx3 = rng.normal(0.0, 2.0, 3)
         VN3 = rng.normal(0.0, 2.0, 2)
         V33 = rng.normal(0.0, 2.0)
-    mult = Multipliers.build(omega, lambda1, lambda2, I)
+    mult = build_multipliers(omega, lambda1, lambda2, I)
     pi0 = I * omega * E3 - lambda2 * I * nu0
     eq = Equilibrium(
         r0=r0,

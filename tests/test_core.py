@@ -17,6 +17,11 @@ from orbitron.fields import DipolePair
 from orbitron.potential import DipolePotential
 
 
+def build_multipliers(omega, lambda1, lambda2, I_perp):
+    """Multipliers from (omega, lambda1, lambda2), with lambda_ = 2 lambda1 - lambda2**2 I_perp."""
+    return Multipliers(omega, lambda1, lambda2, 2.0 * lambda1 - lambda2**2 * I_perp)
+
+
 def augmented_hamiltonian(s, b, V, m, include_casimir=False):
     """h - omega J3 + lambda1 C1 + lambda2 C2, whose critical points are relative equilibria."""
     c1, c2 = casimirs(s)
@@ -128,7 +133,7 @@ def test_multipliers_build_identity():
     for _ in range(50):
         om, l1, l2, ip = rng.normal(0.0, 3.0, 4)
         ip = abs(ip) + 0.1
-        m = Multipliers.build(om, l1, l2, ip)
+        m = build_multipliers(om, l1, l2, ip)
         assert m.lambda_ == 2.0 * m.lambda1 - m.lambda2**2 * ip
         m2 = Multipliers.from_lambda(om, m.lambda_, l2, ip)
         assert math.isclose(m2.lambda1, l1, rel_tol=1e-13, abs_tol=1e-13)
@@ -226,13 +231,13 @@ def test_augmented_hamiltonian_affine_structure():
     for _ in range(10):
         s = _random_state(rng)
         om, l1, l2 = rng.normal(0.0, 2.0, 3)
-        m = Multipliers.build(om, l1, l2, b.I_perp)
+        m = build_multipliers(om, l1, l2, b.I_perp)
         c1, c2 = casimirs(s)
         manual = hamiltonian(s, b, V) - om * momentum_j3(s) + l1 * c1 + l2 * c2
         assert math.isclose(augmented_hamiltonian(s, b, V, m), manual, rel_tol=1e-13, abs_tol=1e-13)
     # all multipliers zero reduces to the plain hamiltonian
     s = _random_state(rng)
-    m0 = Multipliers.build(0.0, 0.0, 0.0, b.I_perp)
+    m0 = build_multipliers(0.0, 0.0, 0.0, b.I_perp)
     assert augmented_hamiltonian(s, b, V, m0) == hamiltonian(s, b, V)
 
 
@@ -250,7 +255,7 @@ def test_augmented_hamiltonian_casimir_only():
             return np.zeros(3)
 
     s = ReducedState(x=np.zeros(3), p=np.zeros(3), nu=np.array([0.0, 0.0, 1.0]), pi=np.zeros(3))
-    m = Multipliers.build(0.0, 2.0, 0.0, b.I_perp)
+    m = build_multipliers(0.0, 2.0, 0.0, b.I_perp)
     assert augmented_hamiltonian(s, b, _Zero(), m) == 2.0
 
 

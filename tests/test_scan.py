@@ -21,7 +21,7 @@ from orbitron.scan import (
     stability_map,
     window_endpoints,
 )
-from orbitron.stability import closed_form_conditions, levitation_conditions
+from orbitron.stability import CERTIFICATE_FIELDS, closed_form_conditions, levitation_conditions
 from orbitron.equilibrium import (
     build_levitation_equilibrium,
     equatorial_rate,
@@ -352,6 +352,44 @@ def test_stability_map_config_errors():
         stability_map(ScanSpec(axis1=ax, axis2=ScanAxis("sigma", 1.0, 1.0, 1)), model, b)
 
 
+def test_stability_map_rejects_unknown_outputs(monkeypatch):
+    from orbitron import scan as scan_module
+
+    def no_jet(*args):
+        raise AssertionError("the outputs are checked before any jet")
+
+    monkeypatch.setattr(scan_module, "eval_jet", no_jet)
+    spec = ScanSpec(ScanAxis("r0", 0.5, 1.2, 3), ScanAxis("pi0", 5.0, 15.0, 2), outputs=("verdict", "verdikt"))
+    with pytest.raises(ConfigError, match=r"unknown map outputs \['verdikt'\]") as info:
+        stability_map(spec, DipolePair(1.0, 1.0), _body())
+    assert str(list(CERTIFICATE_FIELDS)) in str(info.value)
+    with pytest.raises(ConfigError, match="error"):
+        stability_map(replace(spec, outputs=("margin", "error")), DipolePair(1.0, 1.0), _body())
+
+
+PLAIN = (float, str, bool, list, type(None))
+
+
+def test_stability_map_rows_are_plain_python():
+    # a faint gradient breaks the mirror symmetry only where the pair's field
+    # has decayed; lambda vanishes at the first cell, and pi0 near 1e308 overflows
+    b = _body()
+    model = Composite((DipolePair(1.0, 1.0), Linear(0.0, 1e-12)))
+    omega, jet = equatorial_rate(model, b, 0.8, 1)
+    pi0 = (b.I_perp * omega**2 - b.mu * jet.Bz) / omega
+    spec = ScanSpec(ScanAxis("r0", 0.8, 8.0, 10), ScanAxis("pi0", pi0, 1e308, 3), outputs=CERTIFICATE_FIELDS)
+    rows = stability_map(spec, model, b)
+    errors = {row["error"] for row in rows}
+    assert errors == {"", "ZeroPivot", "NonFinite", "WrongFieldSign", "NotMirrorSymmetric"}
+    for row in rows:
+        assert list(row) == ["r0", "pi0", *CERTIFICATE_FIELDS, "error"]
+        assert all(type(v) in PLAIN for v in row.values()), row
+        assert all(type(p) is float for p in (row["pivots"] if row["error"] == "" else []))
+    # a repeated output keeps its first place, as a dict built from the keys would
+    rows = stability_map(replace(spec, outputs=("margin", "verdict", "margin")), model, b)
+    assert all(list(row) == ["r0", "pi0", "margin", "verdict", "error"] for row in rows)
+
+
 OUTPUTS = ("verdict", "margin", "A", "B", "C", "lambda_ok", "abc_ok", "failed_condition", "pivots")
 
 
@@ -536,6 +574,9 @@ def test_window_rows_are_python_scalars():
     for row in rows:
         assert all(type(row[k]) is float for k in ("ratio", "r0", "axial", "radial", "omega2"))
         assert type(row["in_window"]) is bool
+    rows = dipoletron_window(1.0, 1.0, _body(), n=13)
+    assert {row["in_window"] for row in rows} == {True, False}
+    assert all(list(row) == list(rows[0]) for row in rows)
 
 
 def test_window_rejects_nonpositive_ratios():

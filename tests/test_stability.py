@@ -575,3 +575,18 @@ def test_eigen_certificate_matches_numpy_spectrum():
         qnorm = np.linalg.norm(S)
         assert np.abs(np.array(cert.eigenvalues) - w).max() <= 1e-11 * qnorm
         assert math.isclose(cert.margin, w[0] / qnorm, rel_tol=0.0, abs_tol=1e-11)
+
+
+def test_classify_is_elementwise():
+    band = MARGIN_BAND
+    margins = [math.nan, 1.0, -1.0]
+    for m in (0.0, -0.0, band, -band):
+        margins += [m, math.nextafter(m, 0.0), math.nextafter(m, math.copysign(math.inf, m))]
+    verdicts = stability._classify(np.array(margins))
+    assert verdicts.tolist() == [stability._classify(m) for m in margins]
+    assert all(type(stability._classify(m)) is str for m in margins)
+    expected = {math.nan: "not_certified", 0.0: "marginal", -0.0: "marginal", band: "stable", -band: "not_certified"}
+    expected.update({math.nextafter(band, 0.0): "marginal", math.nextafter(-band, 0.0): "marginal"})
+    expected.update({math.nextafter(0.0, 1.0): "marginal", 1.0: "stable", -1.0: "not_certified"})
+    for m, verdict in expected.items():
+        assert stability._classify(m) == verdict
