@@ -24,6 +24,7 @@ from .core import BodyParams, ReducedState
 from .dynamics import IntegratorConfig, integrate, relative_equilibrium_orbit
 from .equilibrium import (
     Equilibrium,
+    _quotient,
     build_levitation_equilibrium,
     build_support_state,
     solve_dipole_equilibrium,
@@ -250,7 +251,7 @@ def _levitation_context(model: AxiFieldModel, b: BodyParams, r0: float):
     linear, o_model = split_levitation_model(model)
     if b.g <= 0.0:
         raise ConfigError("levitation requires g > 0 in the body record")
-    kappa = b.M * b.g / (b.mu * linear.Bp)
+    kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
     beta = eval_jet(o_model, r0, 0.0).Br_z / linear.Bp
     return kappa, beta
 
@@ -267,18 +268,14 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
             sigma = _require(spec, "sigma", int, "equilibrium")
             return [solve_orbitron_equatorial(model, b, r0, pi0, sigma, negative_omega)]
         # No explicit orientation: return one branch per admissible sigma.
-        eqs = []
-        first_error: OrbitronError | None = None
+        eqs, errors = [], []
         for sigma in (1, -1):
             try:
                 eqs.append(solve_orbitron_equatorial(model, b, r0, pi0, sigma, negative_omega))
             except NO_SOLUTION_ERRORS as exc:
-                if first_error is None:
-                    first_error = exc
-        if not eqs:
-            raise first_error if first_error is not None else NoEquilibrium(
-                f"no equatorial branch at r0={r0}"
-            )
+                errors.append(exc)
+        if not eqs:  # then both signs failed: raise the first one's error
+            raise errors[0]
         return eqs
     if solver == "dipole":
         r0 = _require(spec, "r0", float, "equilibrium")

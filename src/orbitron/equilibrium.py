@@ -192,11 +192,33 @@ def equatorial_multipliers(b: BodyParams, Bz, omega, pi0, sigma) -> Multipliers:
     return Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
 
 
+def _quotient(num, den, what: str):
+    """num / den, elementwise; a float den that underflowed to 0 raises NonFinite naming ``what``.
+
+    Arrays give inf or nan there instead, which their callers flag.
+    """
+    try:
+        return num / den
+    except ZeroDivisionError:
+        raise NonFinite(f"{what} is not finite: its divisor underflows to 0") from None
+
+
 def tilted_multipliers(b: BodyParams, Br, Bz, omega, nu_r, nu_z) -> Multipliers:
     """Elementwise multipliers of a tilted branch: lambda nu_r = mu Br, then lambda2 by the z balance."""
     lam = b.mu * Br / nu_r
-    lambda2 = (b.mu * Bz - lam * nu_z) / (b.I_perp * omega)
+    lambda2 = _quotient(b.mu * Bz - lam * nu_z, b.I_perp * omega, "multiplier lambda2")
     return Multipliers.from_lambda(omega, lam, lambda2, b.I_perp)
+
+
+def _support_momenta(b: BodyParams, r0, nu0, mult: Multipliers) -> tuple:
+    """(pi0, p0) of the first-order conditions: pi0 = I_perp (omega e3 - lambda2 nu0), p0 = M omega r0.
+
+    nu0 is one axis of shape (3,) with float multipliers, or K axes of
+    shape (3, K) with multipliers of shape (K,).
+    """
+    om = mult.omega
+    e3 = E3.reshape((3,) + (1,) * np.ndim(om))
+    return b.I_perp * om * e3 - mult.lambda2 * b.I_perp * nu0, b.M * om * r0
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -205,18 +227,19 @@ def _equilibrium(
 ) -> Equilibrium:
     """The equilibrium with axis nu0 and multipliers mult, with its residual.
 
-    The first-order conditions fix pi0 = I_perp (omega e3 - lambda2 nu0) and
-    p0 = M omega r0, and the sign of nu_z fixes sigma.  Multipliers too large
-    for them overflow silently, and NonFinite names the first of omega, pi0,
-    p0, the multipliers and the residual that is not finite.
+    The first-order conditions fix pi0 and p0 (see :func:`_support_momenta`),
+    and the sign of nu_z fixes sigma.  Multipliers too large for them
+    overflow silently, and NonFinite names the first of omega, pi0, p0, the
+    multipliers and the residual that is not finite.
     """
     om = mult.omega
+    pi0, p0 = _support_momenta(b, r0, nu0, mult)
     eq = Equilibrium(
         r0=r0,
         omega=om,
         nu0=nu0,
-        pi0=b.I_perp * om * E3 - mult.lambda2 * b.I_perp * nu0,
-        p0=b.M * om * r0,
+        pi0=pi0,
+        p0=p0,
         mult=mult,
         C2=C2,
         sigma=1 if nu0[2] >= 0.0 else -1,
@@ -308,15 +331,15 @@ def solve_dipole_equilibrium(
     # The line is (nu_r, nu_z) . (ur, uz) = d: its point nearest the origin
     # is d (ur, uz), and it meets the circle a half chord away along (-uz, ur).
     ur, uz = jet.Br_z / norm, jet.Bz_z / norm
-    d = b.M * b.g / (b.mu * norm)
+    d = _quotient(b.M * b.g, b.mu * norm, "axis line offset M g / (mu |(Br_z, Bz_z)|)")
     c = b.M * r0 / b.mu
-    w_orb = abs(b.mu * jet.Bz_r / (b.M * r0))
+    w_orb = abs(_quotient(b.mu * jet.Bz_r, b.M * r0, "orbit rate scale mu Bz_r / (M r0)"))
     roots = []
     if abs(d) <= 1.0:
         half = math.sqrt((1.0 - d) * (1.0 + d))
         for s in {half, -half}:  # one point where the line is tangent
             nr, nz = d * ur - s * uz, d * uz + s * ur
-            w = -(jet.Br_r * nr + jet.Br_z * nz) / c
+            w = _quotient(-(jet.Br_r * nr + jet.Br_z * nz), c, "omega^2")
             if w > 1e-12 * max(1.0, w_orb):
                 roots.append((nr, nz, w))
 

@@ -21,14 +21,23 @@ class SourceSingularity(OrbitronError):
 
 
 class AxisDegeneracy(OrbitronError):
-    """Cartesian field assembly was requested on the symmetry axis r = 0."""
+    """A quantity defined only off the symmetry axis was requested at r = 0.
+
+    ``DipolePotential.gradient_terms`` and ``potential.hessian_blocks`` raise it.
+    """
 
 
 class NonFinite(OrbitronError):
     """A computation produced a NaN or infinity.
 
-    That is an integrator state, a scan cell's jet or margin, or the
-    conditions of a window row.
+    That is an integrator state; a float field jet whose powers of the
+    distance over- or underflow; an equilibrium's omega, pi0, p0,
+    multipliers or residual; a certificate margin or condition; a float
+    quotient whose divisor underflows to 0 (the multiplier lambda2, the
+    dipole solver's axis line and omega^2, the levitation kappa and the
+    scaled levitation diagnostics); or, as the error name of a row, a scan
+    cell's jet or margin, a sweep row's multipliers, pi0, p0 or margin, and
+    the conditions of a window row.
     """
 
 

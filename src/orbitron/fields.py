@@ -41,8 +41,9 @@ class FieldJet(NamedTuple):
     grid (see :func:`eval_jet`).
 
     Br_z and Bz_r are stored separately even though curl-freeness makes them
-    equal; each is computed from its own component so the curl identity stays
-    an honest check.
+    equal, and each model computes the shared term once.  The honest check
+    is in the tests: every jet term is compared with finite differences of
+    its own component (Br_z of Br, Bz_r of Bz).
     """
 
     Br: float
@@ -101,20 +102,21 @@ def _single_dipole_terms(q: float, r, Z) -> list:
     root = math.sqrt(D) if isinstance(D, float) else np.sqrt(D)
     try:
         s5 = 1.0 / (D * D * root)
-    except ZeroDivisionError:  # a float D * D underflowed to 0, where an array gives inf
-        s5 = math.inf
-    s7 = s5 / D
-    s9 = s7 / D
+        s7 = s5 / D
+        s9 = s7 / D
+    except ZeroDivisionError:  # a float D or D * D underflowed to 0, where an array gives inf
+        s9 = math.inf
     if isinstance(s9, float) and s9 == math.inf:
         raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
     r2 = r * r
     Z2 = Z * Z
+    curl_term = 3.0 * q * r * (r2 - 4.0 * Z2) * s7  # Br_z = Bz_r
     return [
         3.0 * q * r * Z * s5,
         q * (2.0 * Z2 - r2) * s5,
         3.0 * q * Z * (Z2 - 4.0 * r2) * s7,
-        3.0 * q * r * (r2 - 4.0 * Z2) * s7,
-        3.0 * q * r * (r2 - 4.0 * Z2) * s7,
+        curl_term,
+        curl_term,
         3.0 * q * Z * (3.0 * r2 - 2.0 * Z2) * s7,
         3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Z2 - 4.0 * Z2 * Z2) * s9,
         15.0 * q * r * Z * (4.0 * Z2 - 3.0 * r2) * s9,

@@ -17,6 +17,7 @@ from .core import BodyParams
 from .equilibrium import (
     LEVITATION_TILT_MIN,
     _equatorial_tests,
+    _support_momenta,
     equatorial_conditions,
     equatorial_multipliers,
     equatorial_rate,
@@ -25,8 +26,7 @@ from .equilibrium import (
 )
 from .errors import BadSign, ConfigError, NoEquilibrium, NonFinite, OrbitronError
 from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, eval_jet
-from .potential import _support_blocks
-from .stability import CERTIFICATE_FIELDS, _Cells, _certify, _classify, _closed_form, _levitation_margin
+from .stability import CERTIFICATE_FIELDS, _certify, _classify, _levitation_certificates, _support_cells
 
 __all__ = [
     "ScanAxis",
@@ -237,8 +237,9 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     beta; each kappa then fixes the gravity g = kappa mu B' / M that the
     balance presumes.  Rows with an infeasible kappa carry the error name
     and empty numerics.  The others share one jet at r0 and one stacked pass
-    through the closed form, of which :func:`stability.levitation_conditions`
-    is the one-cell view; rows with non-finite multipliers or margin carry NonFinite.
+    through the closed form, which :func:`stability.levitation_conditions`
+    makes on one row.  Rows whose multipliers, spin pi0, momentum p0 or
+    margin are not finite carry NonFinite.
     """
     if beta >= 0.0:
         raise BadSign("levitation requires beta < 0")
@@ -263,19 +264,15 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     certified = np.zeros(0, dtype=int)
     numerics = np.zeros((7, 0))  # nu_r, nu_z, xi2, margin, A, B and C of the certified rows
     if live:
-        # Non-finite multipliers or margins flag a row NonFinite, so the arithmetic stays silent.
+        # Rows whose equilibrium or margin is not finite are flagged NonFinite; the arithmetic is silent.
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             jet = eval_jet(model, r0, 0.0)
             nu_r, nu_z, xi2, g = np.array(solved).T
             omega = np.sqrt(xi2 * g / r0)
             mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
-            blocks = _support_blocks(jet, r0, (nu_r, np.zeros_like(nu_r), nu_z), b.mu)
-            cells = _Cells(np.abs(nu_r), nu_z, mult, r0, b.M * omega * r0, blocks)
-            lam, cond2, A, B, C = _closed_form(b, cells)[:5]
-            finite = np.isfinite(list(vars(mult).values())).all(axis=0)
-        conditions = zip(*(v.tolist() for v in (lam, cond2, A, B, C)))
-        margin = np.array([_levitation_margin(*row) for row in conditions])
-        ok = finite & np.isfinite(margin)
+            pi0, p0 = _support_momenta(b, r0, np.array([nu_r, np.zeros_like(nu_r), nu_z]), mult)
+            _, _, A, B, C, _, margin = _levitation_certificates(b, jet, r0, nu_r, nu_z, mult)
+        ok = np.isfinite([*vars(mult).values(), *pi0, p0, margin]).all(axis=0)
         live = np.array(live)
         errors[live[~ok]] = "NonFinite"
         certified = live[ok]
@@ -343,9 +340,7 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
         jet = FieldJet(*(v[live] for v in jet))
         nz, r_live, omega = sigma[live], r0[live], np.sqrt(omega2[live])
         mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
-        blocks = _support_blocks(jet, r_live, (0.0, 0.0, nz), b.mu)
-        p0 = b.M * omega * r_live
-        certs = _certify(b, _Cells(np.zeros(len(live)), nz, mult, r_live, p0, blocks))
+        certs = _certify(b, _support_cells(jet, b, r_live, np.zeros(len(live)), nz, mult))
     errors[live[certs.sweep.zero]] = "ZeroPivot"
     nonfinite[live] |= ~np.isfinite(certs.margin)
     errors[nonfinite] = "NonFinite"

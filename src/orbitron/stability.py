@@ -22,9 +22,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import BodyParams, Multipliers
-from .equilibrium import Equilibrium, equatorial_conditions
+from .equilibrium import Equilibrium, _quotient, equatorial_conditions
 from .errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
-from .fields import AxiFieldModel, eval_jet
+from .fields import AxiFieldModel, FieldJet, eval_jet
 from .potential import PotentialHessianBlocks, _support_blocks, make_rotated_basis
 
 __all__ = [
@@ -211,7 +211,7 @@ class _Cells(NamedTuple):
     """Support states for the certificate core: one, or K stacked ones.
 
     For one state the fields are floats and the blocks of
-    :func:`hessian_blocks`.  For K states nperp, nz, r0, p0, the fields of
+    :func:`hessian_blocks`.  For K states nperp, nz, r0, the fields of
     ``mult`` and the block entries are floats or arrays that broadcast to
     shape (K,), so the arrays of ``blocks`` may carry a trailing cell axis.
     The formulas index blocks as ``[i, j]`` and square by multiplication,
@@ -222,8 +222,14 @@ class _Cells(NamedTuple):
     nz: float | np.ndarray
     mult: Multipliers
     r0: float | np.ndarray
-    p0: float | np.ndarray
     blocks: PotentialHessianBlocks
+
+
+def _support_cells(jet: FieldJet, b: BodyParams, r0, nu_r, nu_z, mult: Multipliers) -> _Cells:
+    """Cells of axes (nu_r, 0, nu_z) at (r0, 0, 0) from the jet there: floats give one, arrays K."""
+    # np.zeros_like keeps the middle component +0, where 0.0 * nu_r is -0 for nu_r < 0.
+    blocks = _support_blocks(jet, r0, (nu_r, np.zeros_like(nu_r), nu_z), b.mu)
+    return _Cells(np.abs(nu_r), nu_z, mult, r0, blocks)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
@@ -384,9 +390,10 @@ def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
     denominator is non-positive.  cond2 is left as computed where
     den1 <= 0, where it carries no condition; :func:`_certify` masks it.
     """
-    nperp, nz, r0, p0 = cells.nperp, cells.nz, cells.r0, cells.p0
+    nperp, nz, r0 = cells.nperp, cells.nz, cells.r0
     M, I = b.M, b.I_perp
     om, l2, lam = cells.mult.omega, cells.mult.lambda2, cells.mult.lambda_
+    p0 = M * om * r0  # as in equilibrium._support_momenta
     Vxx, VxN, Vx3 = cells.blocks.Vxx, cells.blocks.VxN, cells.blocks.Vx3
     VNN, VN3, V33 = cells.blocks.VNN, cells.blocks.VN3, cells.blocks.V33
     V_e1E2, V_e3E2 = VxN[0, 1], VxN[2, 1]
@@ -473,8 +480,7 @@ def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
 
 
 def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
-    nperp, nz = _nu_split(eq)
-    return _Cells(nperp, nz, eq.mult, eq.r0, eq.p0, blocks)
+    return _Cells(*_nu_split(eq), eq.mult, eq.r0, blocks)
 
 
 def reduced_hessian(
@@ -516,31 +522,29 @@ def closed_form_conditions(
     return StabilityCertificate(**dict(cell, pivots=tuple(cell["pivots"])), details=details)
 
 
-def _normalized_min(vals: list) -> float:
-    """The margin of the field-level routes: min(vals) / max(1, |vals|)."""
-    return min(vals) / max(1.0, *(abs(v) for v in vals))
+@np.errstate(invalid="ignore")
+def _normalized_min(values, defined):
+    """Field-level margin: the least defined value over max(1, the largest defined |value|).
 
-
-def _levitation_margin(lam: float, cond2: float, A: float, B: float, C: float) -> float:
-    """Normalized minimum of (lambda, cond2), and of (A, C, A C - B^2) where A is finite."""
-    vals = [lam, cond2]
-    if math.isfinite(A):
-        vals += [A, C, A * C - B * B]
-    return _normalized_min(vals)
-
-
-def _support_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> tuple:
-    """The jet at (r0, 0) and the closed-form (den1, cond2, A, B, C, failed) of eq, as floats.
-
-    The conditions are those of :func:`_closed_form` on the support blocks
-    built from that jet.
+    Elementwise over parallel sequences of values and masks, all floats or all (K,) arrays;
+    a NaN among the defined values gives NaN.
     """
-    jet = eval_jet(model, eq.r0, 0.0)
-    blocks = _support_blocks(jet, eq.r0, eq.nu0.tolist(), b.mu)
-    nperp = math.hypot(eq.nu0[0], eq.nu0[1])
-    cells = _Cells(nperp, float(eq.nu0[2]), eq.mult, eq.r0, eq.p0, blocks)
-    den1, cond2, A, B, C, failed = (float(v) for v in _closed_form(b, cells))
-    return jet, den1, cond2, A, B, C, int(failed)
+    values, defined = np.array(values), np.array(defined)
+    least = np.min(values, axis=0, where=defined, initial=np.inf)
+    return least / np.max(np.abs(values), axis=0, where=defined, initial=1.0)
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _levitation_certificates(b: BodyParams, jet: FieldJet, r0, nu_r, nu_z, mult: Multipliers) -> tuple:
+    """(lambda, cond2, A, B, C, failed, margin) of levitation rows: floats give one row, arrays K.
+
+    Silently inf or nan where they overflow; the margin counts A, C and A C - B^2 only where A is finite.
+    """
+    lam, cond2, A, B, C, failed = _closed_form(b, _support_cells(jet, b, r0, nu_r, nu_z, mult))
+    has_abc = np.isfinite(A)
+    always = np.ones_like(has_abc)
+    margin = _normalized_min((lam, cond2, A, C, A * C - B * B), (always, always, has_abc, has_abc, has_abc))
+    return lam, cond2, A, B, C, failed, margin
 
 
 def _certificate(
@@ -577,13 +581,15 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
     A = mu (-sigma (3 Bz_r / r + Bz_rr)).  Raises NotEquatorial for tilted
     equilibria.
     """
-    nperp = math.hypot(eq.nu0[0], eq.nu0[1])
-    if nperp > POLAR_EPS:
+    nu_r, _, nu_z = eq.nu0.tolist()
+    if abs(nu_r) > POLAR_EPS:
         raise NotEquatorial("axis is tilted; use the general closed-form conditions")
     sigma = eq.sigma
     om = eq.mult.omega
     pi0 = float(eq.pi0[2])
-    jet, lam, _, _, _, C, _ = _support_conditions(eq, b, model)
+    jet = eval_jet(model, eq.r0, 0.0)
+    cells = _support_cells(jet, b, eq.r0, nu_r, nu_z, eq.mult)
+    lam, _, _, _, C, _ = (float(v) for v in _closed_form(b, cells))
     axial, radial, _ = equatorial_conditions(jet, b, eq.r0, sigma)
     A = b.mu * radial
     B = 0.0
@@ -600,10 +606,9 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
         _require_finite(spin_rhs, "orbitron spin threshold")
         if not om * pi0 > spin_rhs:
             failed = "spin"
-    vals = [lam, A]
     if lam > 0.0:  # else C is undefined (NaN)
         _require_finite(C, "orbitron condition C")
-        vals += [C, A * C - B * B]
+    margin = float(_normalized_min((lam, A, C, A * C - B * B), (True, True, lam > 0.0, lam > 0.0)))
     details = {
         "lambda": lam,
         "axial": axial,
@@ -611,7 +616,7 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
         "spin_lhs": om * pi0,
         "spin_rhs": spin_rhs,
     }
-    return _certificate(_normalized_min(vals), lam, A, B, C, failed, details)
+    return _certificate(margin, lam, A, B, C, failed, details)
 
 
 def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:
@@ -619,25 +624,27 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
 
     lambda, the axis-block condition and A, B, C are those of the general
     closed form; at a levitation support point the pure axis blocks of V
-    vanish, so its first condition is lambda > 0 itself.  This is the one-cell
-    view of :func:`scan.levitation_sweep`.  The certificate also reports the scaled diagnostics
-    (a, b, c) = (r0 / M g)(A, B, C) and the spin threshold
-    omega pi0 > -sigma mu Bz + I_perp omega^2 + M g r0.
+    vanish, so its first condition is lambda > 0 itself.  This is the one-row call
+    of the pass :func:`scan.levitation_sweep` makes, margin rule included.  The
+    certificate also reports the scaled diagnostics (a, b, c) = (r0 / M g)(A, B, C)
+    and the spin threshold omega pi0 > -sigma mu Bz + I_perp omega^2 + M g r0.
     """
     M, I, mu, g, r0 = b.M, b.I_perp, b.mu, b.g, eq.r0
     om = eq.mult.omega
-    jet, lam, cond2, A, B, C, code = _support_conditions(eq, b, model)
+    nu_r, _, nu_z = eq.nu0.tolist()
+    jet = eval_jet(model, r0, 0.0)
+    lam, cond2, A, B, C, code, margin = _levitation_certificates(b, jet, r0, nu_r, nu_z, eq.mult)
+    lam, cond2, A, B, C, margin = (float(v) for v in (lam, cond2, A, B, C, margin))
     details = {
         "cond2": cond2,
-        "a": A * r0 / (M * g),
-        "b": B * r0 / (M * g),
-        "c": C * r0 / (M * g),
+        "a": _quotient(A * r0, M * g, "a = A r0 / (M g)"),
+        "b": _quotient(B * r0, M * g, "b = B r0 / (M g)"),
+        "c": _quotient(C * r0, M * g, "c = C r0 / (M g)"),
         "dynamic_lhs": om * (eq.sigma * eq.C2),
         "dynamic_rhs": -eq.sigma * mu * jet.Bz + I * om**2 + M * g * r0,
-        "lambda_over_mgr": lam / (M * g * r0),
+        "lambda_over_mgr": _quotient(lam, M * g * r0, "lambda / (M g r0)"),
     }
-    margin = _levitation_margin(lam, cond2, A, B, C)
-    return _certificate(margin, lam, A, B, C, LEVITATION_CONDITIONS[code], details)
+    return _certificate(margin, lam, A, B, C, LEVITATION_CONDITIONS[int(code)], details)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

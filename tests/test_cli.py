@@ -1061,6 +1061,72 @@ def test_jet_overflow_prints_no_runtime_warning(tmp_path, command, doc, flags, c
     assert "RuntimeWarning" not in runs[0]
 
 
+# Configs whose float quotients divide by a product that underflows to 0.
+_TINY_SPIN_BODY = {"M": 1.0, "I_perp": 1e-300, "I3": 1.0, "mu": 1e-310, "g": 3.003e-310}
+_WEAK_GRADIENT = {"type": "linear", "B0": 1.0, "Bprime": 1e-20}
+_TINY_LEVITATION = {
+    "body": {"M": 1e-200, "I_perp": 1e-240, "I3": 1.0, "mu": 1e-200, "g": 1.05e-110},
+    "field": {
+        "type": "composite",
+        "parts": [{"type": "linear", "B0": 1.0, "Bprime": 1e-110}, {"type": "dipole_pair", "q": 1e-190, "h": 1e-20}],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, name",
+    [
+        (
+            "equilibrium",
+            {"body": _TINY_SPIN_BODY, "field": LEV_FIELD, "equilibrium": {"solver": "levitation", "beta": -0.9}},
+            "multiplier lambda2",
+        ),
+        (
+            "certify",
+            {
+                "body": _TINY_SPIN_BODY,
+                "field": LEV_FIELD,
+                "certify": {"method": "levitation", "equilibrium": {"solver": "levitation", "beta": -0.9}},
+            },
+            "multiplier lambda2",
+        ),
+        (
+            "equilibrium",
+            {
+                "body": dict(BODY, mu=1e-310, g=1.0),
+                "field": {"type": "composite", "parts": [_WEAK_GRADIENT, dict(PAIR, q=1e-20)]},
+                "equilibrium": {"solver": "dipole", "r0": 0.8, "C2": 1.0},
+            },
+            "axis line offset M g / (mu |(Br_z, Bz_z)|)",
+        ),
+        (
+            "equilibrium",
+            {"body": dict(BODY, M=1e-200), "field": PAIR, "equilibrium": {"solver": "dipole", "r0": 1e-200, "C2": 1.0}},
+            "orbit rate scale mu Bz_r / (M r0)",
+        ),
+        (
+            "equilibrium",
+            {
+                "body": dict(BODY, mu=1e-310, g=1.0),
+                "field": {"type": "composite", "parts": [_WEAK_GRADIENT, PAIR]},
+                "equilibrium": {"solver": "levitation", "r0": 0.8},
+            },
+            "kappa = M g / (mu B')",
+        ),
+        (
+            "certify",
+            dict(_TINY_LEVITATION, certify={"method": "levitation", "equilibrium": {"solver": "levitation", "r0": 8e-21}}),
+            "lambda / (M g r0)",
+        ),
+    ],
+    ids=["levitation_lambda2", "certify_lambda2", "dipole_line", "dipole_rate", "levitation_kappa", "levitation_details"],
+)
+def test_underflowing_divisor_exits_3_naming_the_quantity(tmp_path, capsys, command, doc, name):
+    assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")]) == 3
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: NonFinite: {name} is not finite: its divisor underflows to 0\n"
+
+
 # Valid configs that reach every solver and certificate route; the fuzz
 # mutates up to two of their entries.
 _BASES = [

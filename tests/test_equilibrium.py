@@ -1,6 +1,7 @@
 """Tests for relative-equilibrium solvers and the levitation closed form."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,6 +15,7 @@ from orbitron.equilibrium import (
     solve_dipole_equilibrium,
     solve_levitation,
     solve_orbitron_equatorial,
+    tilted_multipliers,
 )
 from orbitron.errors import (
     BadSign,
@@ -381,6 +383,32 @@ def test_non_finite_equilibrium_raises(body, q, name):
     b = replace(_body(), **body)
     with pytest.raises(NonFinite, match=f"equilibrium {name} is not finite"):
         solve_orbitron_equatorial(DipolePair(q, 1.0), b, 0.8, 10.0)
+
+
+def test_tilted_multipliers_raise_where_i_perp_omega_underflows():
+    b = replace(_body(), I_perp=1e-300)
+    with pytest.raises(NonFinite, match="multiplier lambda2 is not finite"):
+        tilted_multipliers(b, -0.1, 1.0, 1e-30, 0.3, 0.95)
+    # arrays give inf there, which the stacked callers flag
+    with np.errstate(all="ignore"):
+        mult = tilted_multipliers(b, -0.1, 1.0, np.array([1e-30, 1.0]), 0.3, 0.95)
+    assert np.isinf(mult.lambda2[0]) and np.isfinite(mult.lambda2[1])
+
+
+@pytest.mark.parametrize(
+    "body, model, r0, name",
+    [
+        ({"mu": 1e-310, "g": 1.0}, Composite((Linear(1.0, 1e-20), DipolePair(1e-20, 1.0))), 0.8, "axis line offset"),
+        ({"M": 1e-200}, DipolePair(1.0, 1.0), 1e-200, "orbit rate scale"),
+        ({"M": 1e-300, "mu": 1e100}, DipolePair(1.0, 1.0), 0.8, "omega^2"),
+    ],
+    ids=["mu_norm", "M_r0", "M_r0_over_mu"],
+)
+def test_dipole_solver_raises_where_a_divisor_underflows(body, model, r0, name):
+    b = replace(_body(), **body)
+    with pytest.raises(NonFinite, match=re.escape(name)) as info:
+        solve_dipole_equilibrium(model, b, r0, 1.0)
+    assert str(info.value).endswith("is not finite: its divisor underflows to 0")
 
 
 def test_equilibrium_record_keys():

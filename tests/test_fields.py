@@ -599,3 +599,9 @@ def test_scalar_jet_raises_where_powers_overflow():
         eval_jet(DipolePair(1.0, 1e-40), 0.8e-40, 0.0)
     with pytest.raises(NonFinite):  # D * D underflows to 0
         eval_jet(DipolePair(1.0, 1e-100), 0.8e-100, 0.0)
+
+
+def test_scalar_jet_raises_where_the_squared_distance_underflows():
+    # r^2 + Z^2 itself underflows to 0 here, so a float quotient by it would divide by zero
+    with pytest.raises(NonFinite, match="squared distance 0 from the source"):
+        eval_jet(DipolePair(1.0, 1e-200), 0.8e-200, 0.0)

@@ -1,6 +1,8 @@
 """Tests for window scans, levitation sweeps, and stability maps."""
 
+import itertools
 import math
+import random
 import warnings
 from dataclasses import replace
 
@@ -276,12 +278,11 @@ def test_levitation_sweep_makes_one_jet_call(monkeypatch, kappas, jets):
 
 def test_levitation_sweep_flags_non_finite_rows():
     # I_perp omega underflows to 0, so lambda2 is not finite: the per-row
-    # route raised ZeroDivisionError there, the stacked rows carry NonFinite
+    # route's float quotient raises NonFinite, the stacked rows carry it
     b = BodyParams(M=1.0, I_perp=1e-300, I3=0.05, mu=1e-310, g=0.0)
     model = Composite((Linear(1.0, 3.0), DipolePair(1.0, 1.0)))
-    with pytest.raises(ZeroDivisionError):
-        _levitation_sweep_reference(model, b, [1.001], -0.9)
     rows = levitation_sweep(model, b, [0.0, 1.001, 1.2], -0.9)
+    assert repr(rows) == repr(_levitation_sweep_reference(model, b, [0.0, 1.001, 1.2], -0.9)[0])
     assert [row["error"] for row in rows] == ["BadSign", "NonFinite", "NonFinite"]
     for row in rows:
         assert row["verdict"] == "" and math.isnan(row["nu_r"]) and math.isnan(row["margin"])
@@ -292,6 +293,63 @@ def test_levitation_sweep_flags_non_finite_rows():
     assert [row["error"] for row in expected] == ["NonFinite", "NonFinite"]
     rows = levitation_sweep(model, _body(), [1.001, 1.2], -0.95)
     assert [row["error"] for row in rows] == ["NonFinite", "NonFinite"]
+
+
+def _extreme_sweeps(n, seed=15):
+    """Seeded levitation sweeps whose body and field magnitudes are 10^U(-R, R).
+
+    R cycles through 20, 60, 150 and 300.  Three draws in four take the
+    gradient B' that the pair's Br_z reaches at r0 = ratio h, so that
+    radius_for_beta finds a radius; the others draw it freely.
+    """
+    rng = random.Random(seed)
+    for i in range(n):
+        R = (20, 60, 150, 300)[i % 4]
+        M, I, mu, Bp, q, h = (10.0 ** rng.uniform(-R, R) for _ in range(6))
+        beta, ratio = -rng.uniform(0.05, 1.5), rng.uniform(0.6, 1.5)
+        kappas = [rng.uniform(0.5, 1.6) for _ in range(4)]
+        if i % 4:
+            try:
+                Bp = eval_jet(DipolePair(q, h), ratio * h, 0.0).Br_z / beta
+            except NonFinite:
+                pass
+        yield BodyParams(M=M, I_perp=I, I3=1.0, mu=mu), Composite((Linear(1.0, Bp), DipolePair(q, h))), kappas, beta
+
+
+def _sweep_outcome(route, model, b, kappas, beta):
+    """repr of the rows of a sweep route, or the name of the error it raised."""
+    try:
+        return repr(route(model, b, kappas, beta))
+    except (OrbitronError, ValueError) as exc:
+        return type(exc).__name__
+
+
+# Rows whose equilibrium pi0 is not finite: the sweep certified them as
+# marginal, with a zero margin and A, B, C NaN.
+_PINNED_SWEEPS = [
+    (
+        BodyParams(M=6.063339695712793e-175, I_perp=5.568613664411547e279, I3=1.0, mu=2.549749750111134e-274),
+        Composite((Linear(1.0, 6.374090203652755e226), DipolePair(2.9359886462531376e240, 3.732431347952445e30))),
+        [0.9267768560068209],
+        -0.8622635619925001,
+    ),
+    (
+        BodyParams(M=0.003393719938302687, I_perp=7.835558168323594e276, I3=1.0, mu=1.7321805302218585e175),
+        Composite((Linear(1.0, 1061487712488309.6), DipolePair(2.5253726441651544e-32, 2.02693216529389e-12))),
+        [0.7519764531551307, 0.7796669699007743, 1.2955403605070424, 1.5320331669023453],
+        -1.4277484446309774,
+    ),
+]
+
+
+def test_levitation_sweep_matches_per_row_route_at_extreme_scales():
+    reference = lambda *args: _levitation_sweep_reference(*args)[0]  # noqa: E731
+    live = 0
+    for b, model, kappas, beta in itertools.chain(_PINNED_SWEEPS, _extreme_sweeps(300)):
+        got = _sweep_outcome(levitation_sweep, model, b, kappas, beta)
+        assert got == _sweep_outcome(reference, model, b, kappas, beta)
+        live += got.count("'error': ''")
+    assert live >= 200
 
 
 def test_scan_axis_validation():

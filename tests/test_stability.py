@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from orbitron.core import BodyParams, ReducedState
+from orbitron.core import BodyParams, Multipliers, ReducedState
 from orbitron.equilibrium import (
     build_levitation_equilibrium,
     build_support_state,
@@ -528,6 +528,35 @@ def test_levitation_conditions_details():
     assert math.isclose(d["c"], cert.C * scale, rel_tol=1e-14)
     assert d["dynamic_lhs"] > d["dynamic_rhs"]
     assert math.isclose(d["lambda_over_mgr"], eq.mult.lambda_ / (b.M * b.g * eq.r0), rel_tol=1e-14)
+
+
+def test_normalized_min_is_elementwise():
+    margin = stability._normalized_min
+    assert margin((0.5, -3.0, 7.0), (True, True, False)) == -1.0
+    assert margin((0.5, 0.25), (True, True)) == 0.25
+    # a NaN counts only where it is defined, and then wherever it stands
+    assert margin((0.5, math.nan), (True, False)) == 0.5
+    assert math.isnan(margin((0.5, math.nan), (True, True)))
+    assert math.isnan(margin((math.nan, 0.5), (True, True)))
+    values = np.array([[0.5, 2.0, -4.0, math.nan], [3.0, -1.0, 0.1, 1.0]])
+    defined = np.array([[True, True, True, True], [True, False, True, False]])
+    stacked = margin(values, defined)
+    for k in range(values.shape[1]):
+        assert repr(float(stacked[k])) == repr(float(margin(values[:, k].tolist(), defined[:, k].tolist())))
+
+
+@pytest.mark.parametrize("kappa", [0.9, 1.001, 1.05, 1.2])
+def test_levitation_certificates_of_one_row_equal_the_stacked_rows(kappa):
+    # floats give one row and arrays K rows on the same code, bit for bit
+    rows = [_levitation_with_xi2(k, 0.8) for k in (kappa, 1.0005, 1.1)]
+    (_, b, model, _), eqs = rows[0], [eq for eq, _, _, _ in rows]
+    jet = eval_jet(model, 0.8, 0.0)
+    nu_r, nu_z = (np.array([eq.nu0[i] for eq in eqs]) for i in (0, 2))
+    mult = Multipliers(*np.array([list(vars(eq.mult).values()) for eq in eqs]).T)
+    stacked = stability._levitation_certificates(b, jet, 0.8, nu_r, nu_z, mult)
+    for k, eq in enumerate(eqs):
+        one = stability._levitation_certificates(b, jet, 0.8, float(nu_r[k]), float(nu_z[k]), eq.mult)
+        assert repr([float(v) for v in one]) == repr([float(v[k]) for v in stacked])
 
 
 def test_one_cell_certificates_raise_on_a_non_finite_margin():
