@@ -404,8 +404,7 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
 
     result = {"equilibrium": eq.to_record(), "certificate": cert.to_record()}
     if oracle:
-        form = reduced_hessian(eq, b, blocks)
-        eig = eigen_certificate(form.Q)
+        eig = eigen_certificate(reduced_hessian(eq, b, blocks))
         result["eigen"] = {
             "verdict": eig.verdict,
             "lambda_min": eig.lambda_min,

@@ -25,9 +25,6 @@ __all__ = [
     "hamiltonian",
 ]
 
-E3 = np.array([0.0, 0.0, 1.0])
-
-
 def _vec3(v, name: str) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):

@@ -63,12 +63,12 @@ class Equilibrium:
 
     nu0 has the support-plane form (nu_r, 0, nu_z); pi0 is the full spin
     vector there; p0 is the scalar momentum M omega r0 carried along e2.
-    sigma records the orientation sign of nu_z.  residual is the max norm of
-    the first-order conditions at the support state.
+    The orbit rate omega is ``mult.omega``.  sigma records the orientation
+    sign of nu_z.  residual is the max norm of the first-order conditions at
+    the support state.
     """
 
     r0: float
-    omega: float
     nu0: np.ndarray
     pi0: np.ndarray
     p0: float
@@ -80,7 +80,7 @@ class Equilibrium:
     def to_record(self) -> dict:
         return {
             "r0": self.r0,
-            "omega": self.omega,
+            "omega": self.mult.omega,
             "nu0": [float(v) for v in self.nu0],
             "pi0": [float(v) for v in self.pi0],
             "p0": self.p0,
@@ -236,7 +236,6 @@ def _equilibrium(
     pi0, p0 = _support_momenta(b, r0, nu0, mult)
     eq = Equilibrium(
         r0=r0,
-        omega=om,
         nu0=nu0,
         pi0=pi0,
         p0=p0,

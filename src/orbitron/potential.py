@@ -20,10 +20,8 @@ from .errors import AxisDegeneracy
 from .fields import AxiFieldModel, FieldJet, _components, _field_components, _join, eval_jet
 
 __all__ = [
-    "RotatedBasis",
     "PotentialHessianBlocks",
     "DipolePotential",
-    "make_rotated_basis",
     "hessian_blocks",
     "BASIS_EPS",
 ]
@@ -31,20 +29,6 @@ __all__ = [
 # Planar axis components smaller than this are treated as exactly axial and
 # the rotated basis degenerates to the identity.
 BASIS_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class RotatedBasis:
-    """In-plane orthonormal pair adapted to the planar part of nu0.
-
-    E1 points along nu0_perp (identity basis when nu0_perp vanishes) and
-    E2 = e3 x E1.  ``alpha`` holds E1 and E2 as columns, so it maps rotated
-    components to Cartesian in-plane components.
-    """
-
-    E1: np.ndarray
-    E2: np.ndarray
-    alpha: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,29 +105,15 @@ class DipolePotential:
 
 
 def _planar_direction(nx, ny):
-    """(c, s) of E1 = (nx, ny) / |(nx, ny)|, or (1, 0) when |(nx, ny)| <= BASIS_EPS; elementwise."""
+    """(c, s) of the rotated basis E1 = (c, s), E2 = e3 x E1 = (-s, c), elementwise.
+
+    E1 = (nx, ny) / |(nx, ny)|, or (1, 0) when |(nx, ny)| <= BASIS_EPS, which
+    covers equatorial equilibria where the axis is parallel to e3.
+    """
     n = np.hypot(nx, ny)
     planar = n > BASIS_EPS
     n = np.where(planar, n, 1.0)
     return np.where(planar, nx / n, 1.0), np.where(planar, ny / n, 0.0)
-
-
-def make_rotated_basis(nu0_perp: np.ndarray) -> RotatedBasis:
-    """Basis (E1, E2) with E1 along nu0_perp and E2 = e3 x E1.
-
-    Falls back to the identity basis when |nu0_perp| <= BASIS_EPS, which
-    covers equatorial equilibria where the axis is parallel to e3.
-    """
-    v = np.asarray(nu0_perp, dtype=float)
-    if v.shape == (3,):
-        v = v[:2]
-    if v.shape != (2,):
-        raise ValueError("nu0_perp must be a 2-vector (or a 3-vector with z dropped)")
-    c, s = _planar_direction(v[0], v[1])
-    e1 = np.array([c, s])
-    e2 = np.array([-s, c])
-    alpha = np.column_stack([e1, e2])
-    return RotatedBasis(E1=e1, E2=e2, alpha=alpha)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

@@ -142,10 +142,12 @@ def window_endpoints(
 ) -> tuple[float, float]:
     """Edges of the stability window in r0 / h, clipped to ``ratio_range``.
 
-    In x = (r0 / h)^2 the two geometric conditions are signs of the factored
-    quartics of :func:`fields.dipole_pair_midplane`: the axial one changes
-    sign at the roots 4 -+ 2 sqrt(30) / 3 of 3 x^2 - 24 x + 8, the radial one
-    at the roots 9 -+ sqrt(65) of x^2 - 18 x + 16.  Both hold on
+    With x = (r0 / h)^2 the pair's midplane jet gives
+    Bz_zz = 6 q h^-5 (1 + x)^-9/2 (3 x^2 - 24 x + 8) and
+    3 Bz_r / r0 + Bz_rr = -6 q h^-5 (1 + x)^-9/2 (x^2 - 18 x + 16), so the
+    axial condition changes sign at the roots 4 -+ 2 sqrt(30) / 3 of the
+    first quadratic and the radial one at the roots 9 -+ sqrt(65) of the
+    second.  Both hold on
     4 - sigma 2 sqrt(30) / 3 < x < 9 - sigma sqrt(65), whatever q and h are.
     Raises ValueError unless sigma is +1 or -1, and when the window does not
     meet ``ratio_range``.
@@ -195,7 +197,9 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     4096-point grid on 0.01 h <= r <= 8 h that locates that minimum is one
     array :func:`fields.eval_jet` call; bisection from the grid minimum to
     the grid's end then refines the root to 1e-14 h.  Raises ValueError
-    when beta is out of reach for the model.
+    when beta is out of reach for the model, and NonFinite when the jet on
+    the grid over- or underflows to nan.  A grid minimum of -inf still
+    brackets the root, so the bisection goes on from there.
     """
     linear, o_model = split_levitation_model(model)
     target = beta * linear.Bp
@@ -210,7 +214,9 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     # Grid points where the jet over- or underflows give inf or nan, silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         vals = eval_jet(o_model, grid, 0.0).Br_z
-    k_min = int(np.argmin(vals))
+    k_min = int(np.argmin(vals))  # the first nan, if there is one
+    if math.isnan(vals[k_min]):
+        raise NonFinite(f"Br_z of the mirror part is nan on the radius grid for beta = {beta:g}")
     if not (vals[k_min] <= target <= 0.0) or target == 0.0:
         raise ValueError(
             f"beta Bprime = {target:g} is outside the reachable Br_z range "

@@ -25,10 +25,9 @@ from .core import BodyParams, Multipliers
 from .equilibrium import Equilibrium, _quotient, equatorial_conditions
 from .errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
 from .fields import AxiFieldModel, FieldJet, eval_jet
-from .potential import PotentialHessianBlocks, _support_blocks, make_rotated_basis
+from .potential import PotentialHessianBlocks, _planar_direction, _support_blocks
 
 __all__ = [
-    "ReducedQuadraticForm",
     "EliminationResult",
     "StabilityCertificate",
     "EigenCertificate",
@@ -76,30 +75,20 @@ CERTIFICATE_FIELDS = (
 
 
 @dataclass(frozen=True)
-class ReducedQuadraticForm:
-    """The 8 x 8 reduced second variation and its variable labels."""
-
-    Q: np.ndarray
-    labels: tuple = VARIATION_LABELS
-
-
-@dataclass(frozen=True)
 class EliminationResult:
-    """Outcome of successive elimination of isolated squares.
+    """Outcome of successive elimination of isolated squares, in index order.
 
-    pivots holds one pivot per eliminated variable in elimination order;
-    on failure the last entry is the offending non-positive pivot and
-    failed_index is its position in ``order``.  x_block is the remaining
-    2 x 2 block just before the final two eliminations (the (A, B; B, C)
-    block when the canonical order is used).
+    pivots holds one pivot per eliminated variable; on failure the last
+    entry is the offending non-positive pivot and failed_index is its
+    variable index.  x_block is the trailing 2 x 2 block of the last two
+    variables just before their elimination (the (A, B; B, C) block of the
+    reduced form), None when the sweep stopped earlier.
     """
 
     pivots: tuple
     completed: bool
     failed_index: int | None
-    order: tuple
     x_block: np.ndarray | None
-    x_indices: tuple | None
 
 
 @dataclass(frozen=True)
@@ -177,9 +166,9 @@ def variation_constraints(eq: Equilibrium, b: BodyParams) -> np.ndarray:
     carries the extra (I_perp omega / nu_z) dN1 piece.
     """
     nperp, nz = _nu_split(eq)
-    basis = make_rotated_basis(eq.nu0[:2])
-    E1 = np.array([basis.E1[0], basis.E1[1], 0.0])
-    E2 = np.array([basis.E2[0], basis.E2[1], 0.0])
+    c, s = _planar_direction(eq.nu0[0], eq.nu0[1])
+    E1 = np.array([c, s, 0.0])
+    E2 = np.array([-s, c, 0.0])
     m_omega = eq.p0 / eq.r0  # M omega without needing b.M separately
     i_omega = b.I_perp * eq.mult.omega
 
@@ -340,45 +329,30 @@ def _zero_pivot(piv: float, idx: int) -> ZeroPivot:
     return ZeroPivot(f"pivot {piv:g} for variable {idx} is zero to working precision")
 
 
-def isolated_squares_reduce(Q: np.ndarray, order: tuple | None = None) -> EliminationResult:
-    """Successively eliminate isolated squares from a symmetric form.
+def isolated_squares_reduce(Q: np.ndarray) -> EliminationResult:
+    """Successively eliminate isolated squares from a symmetric form, in index order.
 
     Writing Q = A x_k^2 + 2 x_k B(rest) + Q'(rest), a positive pivot A lets
     x_k be completed to a square, leaving the Schur complement
     Q' - B B^T / A; Q is positive definite iff every pivot is positive.
-    The elimination order is immaterial for the verdict and defaults to the
-    canonical variable order.  A pivot smaller in magnitude than
-    1e-14 |Q| raises ZeroPivot; a non-positive pivot stops the sweep with
+    The order is immaterial for the verdict: to eliminate in the order o,
+    pass Q[np.ix_(o, o)].  A pivot smaller in magnitude than 1e-14 |Q|
+    raises ZeroPivot; a non-positive pivot stops the sweep with
     ``completed`` False.
     """
     S = np.array(Q, dtype=float, copy=True)
     n = S.shape[0]
     if S.shape != (n, n) or not np.allclose(S, S.T, atol=1e-12 * max(1.0, np.abs(S).max())):
         raise ValueError("expected a symmetric square matrix")
-    if order is None:
-        order = tuple(range(n))
-    order = tuple(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of all variable indices")
-    sweep = _eliminate(S[np.ix_(order, order)][:, :, None])
+    sweep = _eliminate(S[:, :, None])
     last = int(sweep.stop[0])
     pivots = tuple(float(p) for p in sweep.pivots[0, : last + 1])
     if sweep.zero[0]:
-        raise _zero_pivot(pivots[-1], order[last])
-    x_block = x_indices = None
-    if n >= 2 and last >= n - 2:
-        # The trailing block in ascending variable order.
-        flip = slice(None, None, -1) if order[-2] > order[-1] else slice(None)
-        x_block = sweep.x_block[0][flip, flip].copy()
-        x_indices = tuple(sorted(order[-2:]))
+        raise _zero_pivot(pivots[-1], last)
+    x_block = sweep.x_block[0] if n >= 2 and last >= n - 2 else None
     completed = bool(sweep.completed[0])
     return EliminationResult(
-        pivots=pivots,
-        completed=completed,
-        failed_index=None if completed else last,
-        order=order,
-        x_block=x_block,
-        x_indices=x_indices,
+        pivots=pivots, completed=completed, failed_index=None if completed else last, x_block=x_block
     )
 
 
@@ -483,16 +457,14 @@ def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
     return _Cells(*_nu_split(eq), eq.mult, eq.r0, blocks)
 
 
-def reduced_hessian(
-    eq: Equilibrium, b: BodyParams, blocks: PotentialHessianBlocks
-) -> ReducedQuadraticForm:
-    """Assemble the reduced 8 x 8 second variation at the support state.
+def reduced_hessian(eq: Equilibrium, b: BodyParams, blocks: PotentialHessianBlocks) -> np.ndarray:
+    """The reduced 8 x 8 second variation Q at the support state, in VARIATION_LABELS order.
 
     Kinetic and multiplier terms are written directly in the constrained
     variables; the potential enters through its Hessian blocks in the
     rotated basis.
     """
-    return ReducedQuadraticForm(Q=_reduced_forms(b, _one_cell(eq, blocks)))
+    return _reduced_forms(b, _one_cell(eq, blocks))
 
 
 def closed_form_conditions(
@@ -654,8 +626,11 @@ def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     The margin is the smallest eigenvalue over |Q|, and the verdict is the
     closed-form routes' rule applied to it: marginal inside the marginal
     band, otherwise stable when positive.  Q is scaled as in the sweep.
+    Raises NonFinite when an entry of Q is inf or nan.
     """
     Q = np.asarray(Q, dtype=float)
+    if not np.isfinite(Q).all():
+        raise NonFinite("reduced form Q has an entry that is not finite")
     eigs = np.linalg.eigvalsh(Q)
     scale = int(_binary_exponent(Q))
     qnorm = max(float(np.linalg.norm(np.ldexp(Q, -scale))), 1e-300)

@@ -59,7 +59,6 @@ def draw_synthetic_case(rng):
     pi0 = I * omega * E3 - lambda2 * I * nu0
     eq = Equilibrium(
         r0=r0,
-        omega=omega,
         nu0=nu0,
         pi0=pi0,
         p0=M * omega * r0,

@@ -240,7 +240,7 @@ def test_criterion_5_certificate_equivalence():
         outside = stable = not_pd = 0
         while outside < 220:
             eq, b, blocks = draw_synthetic_case(rng)
-            Q = reduced_hessian(eq, b, blocks).Q
+            Q = reduced_hessian(eq, b, blocks)
             qnorm = float(np.linalg.norm(Q))
             lam_min = float(np.linalg.eigvalsh(Q)[0])
             if abs(lam_min) < 1e-10 * qnorm:

@@ -1127,6 +1127,36 @@ def test_underflowing_divisor_exits_3_naming_the_quantity(tmp_path, capsys, comm
     assert err == f"numerical failure: NonFinite: {name} is not finite: its divisor underflows to 0\n"
 
 
+# A pair with h ~ 1e-125 whose jet overflows to nan on the radius_for_beta grid.
+_NAN_GRID_BODY = {"M": 1.4434428086787037e75, "I_perp": 2.168308883824848e33, "I3": 1.0, "mu": 5.578410614715407e-88, "g": 1.0}
+_NAN_GRID_FIELD = {
+    "type": "composite",
+    "parts": [
+        {"type": "linear", "B0": 1.0, "Bprime": 9.156433322374691e77},
+        {"type": "dipole_pair", "q": 6.000270929523628e-76, "h": 4.693746126707849e-125},
+    ],
+}
+_NAN_GRID_BETA = -0.9461822473612319
+
+
+@pytest.mark.parametrize(
+    "command, section",
+    [
+        ("scan", {"kind": "levitation_sweep", "kappa_values": [0.9, 1.0, 1.2], "beta": _NAN_GRID_BETA}),
+        ("equilibrium", {"solver": "levitation", "beta": _NAN_GRID_BETA}),
+    ],
+    ids=["sweep", "equilibrium"],
+)
+def test_non_finite_radius_grid_exits_3_naming_beta(tmp_path, capsys, command, section):
+    # np.argmin picks the grid's first nan; this used to exit 2 as an unreachable beta
+    doc = {"body": _NAN_GRID_BODY, "field": _NAN_GRID_FIELD, command: section}
+    assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")]) == 3
+    err = capsys.readouterr().err
+    assert err == (
+        f"numerical failure: NonFinite: Br_z of the mirror part is nan on the radius grid for beta = {_NAN_GRID_BETA:g}\n"
+    )
+
+
 # Valid configs that reach every solver and certificate route; the fuzz
 # mutates up to two of their entries.
 _BASES = [

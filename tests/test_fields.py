@@ -14,7 +14,6 @@ from orbitron.fields import (
     _components,
     _field_components,
     _join,
-    dipole_pair_midplane,
     eval_jet,
     model_from_config,
 )
@@ -58,6 +57,33 @@ def test_linear_model_values():
     assert j.Bz_z == 3.0
     assert j.Br_r == -1.5
     assert j.Bz_rr == 0.0 and j.Bz_rz == 0.0 and j.Bz_zz == 0.0
+
+
+def dipole_pair_midplane(q: float, h: float, r0: float) -> tuple[float, float, float, float]:
+    """Closed-form midplane quantities of the dipole pair at radius r0.
+
+    Returns (Bz, Bz_r, Bz_zz, radial_combo) where radial_combo is the
+    stability combination (3/r) Bz_r + Bz_rr.  With D0 = r0**2 + h**2:
+
+        Bz           =  2 q (2 h**2 - r0**2) D0**-5/2
+        Bz_r         = -6 q r0 (4 h**2 - r0**2) D0**-7/2
+        Bz_zz        =  6 q (3 r0**4 - 24 r0**2 h**2 + 8 h**4) D0**-9/2
+        radial_combo = -6 q (r0**4 - 18 r0**2 h**2 + 16 h**4) D0**-9/2
+    """
+    if not (q > 0 and h > 0):
+        raise ValueError("dipole pair requires q > 0 and h > 0")
+    if not r0 > 0:
+        raise ValueError("midplane radius must be positive")
+    r2 = r0 * r0
+    h2 = h * h
+    D0 = r2 + h2
+    bz = 2.0 * q * (2.0 * h2 - r2) * D0 ** -2.5
+    bz_r = -6.0 * q * r0 * (4.0 * h2 - r2) * D0 ** -3.5
+    bz_zz = 6.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * h2 + 8.0 * h2 * h2) * D0 ** -4.5
+    combo = -6.0 * q * (r2 * r2 - 18.0 * r2 * h2 + 16.0 * h2 * h2) * D0 ** -4.5
+    return bz, bz_r, bz_zz, combo
+
+
 
 
 def test_midplane_example_values():

@@ -16,9 +16,9 @@ from orbitron.fields import (
 from orbitron.potential import (
     BASIS_EPS,
     DipolePotential,
+    _planar_direction,
     _support_blocks,
     hessian_blocks,
-    make_rotated_basis,
 )
 from test_fields import cartesian_field, cartesian_hessian, cartesian_jacobian
 
@@ -29,38 +29,32 @@ def _body(g=0.0):
     return BodyParams(M=1.0, I_perp=0.1, I3=0.05, mu=1.0, g=g)
 
 
+def _alpha(nu):
+    """The rotated basis as columns: alpha = [[c, -s], [s, c]] maps (E1, E2) components to (x, y)."""
+    c, s = _planar_direction(nu[0], nu[1])
+    return np.array([[c, -s], [s, c]])
+
+
 def test_rotated_basis_examples():
-    rb = make_rotated_basis(np.array([0.0, 0.0]))
-    np.testing.assert_allclose(rb.E1, [1.0, 0.0], atol=0)
-    np.testing.assert_allclose(rb.E2, [0.0, 1.0], atol=0)
-    rb = make_rotated_basis(np.array([1.0, 0.0]))
-    np.testing.assert_allclose(rb.E1, [1.0, 0.0], atol=0)
-    np.testing.assert_allclose(rb.E2, [0.0, 1.0], atol=0)
-    rb = make_rotated_basis(np.array([0.0, 2.0]))
-    np.testing.assert_allclose(rb.E1, [0.0, 1.0], atol=0)
-    np.testing.assert_allclose(rb.E2, [-1.0, 0.0], atol=0)
+    # E1 = (c, s) along the planar part, E2 = e3 x E1 = (-s, c)
+    assert _alpha([1.0, 0.0]).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert _alpha([0.0, 2.0]).tolist() == [[0.0, -1.0], [1.0, 0.0]]
+    # the identity basis at and under BASIS_EPS
+    for nu in ([0.0, 0.0], [3e-13, -4e-13], [BASIS_EPS, 0.0]):
+        assert _alpha(nu).tolist() == [[1.0, 0.0], [0.0, 1.0]]
+    assert _alpha([0.0, 2 * BASIS_EPS]).tolist() == [[0.0, -1.0], [1.0, 0.0]]
 
 
 def test_rotated_basis_properties():
     rng = np.random.default_rng(30)
     for _ in range(20):
         v = rng.normal(0.0, 1.0, 2)
-        rb = make_rotated_basis(v)
-        assert math.isclose(float(rb.E1 @ rb.E1), 1.0, abs_tol=1e-14)
-        assert math.isclose(float(rb.E2 @ rb.E2), 1.0, abs_tol=1e-14)
-        assert abs(float(rb.E1 @ rb.E2)) <= 1e-14
-        # proper orientation: the planar cross product points along +e3
-        assert math.isclose(rb.E1[0] * rb.E2[1] - rb.E1[1] * rb.E2[0], 1.0, abs_tol=1e-14)
-        np.testing.assert_allclose(rb.alpha.T @ rb.alpha, np.eye(2), atol=1e-14)
-        np.testing.assert_allclose(rb.alpha[:, 0], rb.E1, atol=0)
-        np.testing.assert_allclose(rb.alpha[:, 1], rb.E2, atol=0)
-
-
-def test_rotated_basis_accepts_three_vector():
-    rb2 = make_rotated_basis(np.array([0.3, -0.4]))
-    rb3 = make_rotated_basis(np.array([0.3, -0.4, 0.9]))
-    np.testing.assert_array_equal(rb2.E1, rb3.E1)
-    np.testing.assert_array_equal(rb2.E2, rb3.E2)
+        alpha = _alpha(v)
+        E1, E2 = alpha[:, 0], alpha[:, 1]
+        np.testing.assert_allclose(alpha.T @ alpha, np.eye(2), atol=1e-14)
+        # E1 points along v, and the planar cross product E1 x E2 along +e3
+        np.testing.assert_allclose(E1 * np.linalg.norm(v), v, rtol=0, atol=1e-14)
+        assert math.isclose(E1[0] * E2[1] - E1[1] * E2[0], 1.0, abs_tol=1e-14)
 
 
 def test_potential_value_cases():
@@ -260,8 +254,7 @@ def test_hessian_blocks_match_finite_differences():
             e = np.zeros(3)
             e[c] = h
             fd_xnu[:, c] = (V.grad_x(x0, nu + e) - V.grad_x(x0, nu - e)) / (2.0 * h)
-        rb = make_rotated_basis(nu[:2])
-        mixed_rot = fd_xnu[:, :2] @ rb.alpha
+        mixed_rot = fd_xnu[:, :2] @ _alpha(nu)
         np.testing.assert_allclose(blocks.VxN, mixed_rot, rtol=0,
                                    atol=1e-5 * max(1.0, float(np.max(np.abs(blocks.VxN)))))
         np.testing.assert_allclose(blocks.Vx3, fd_xnu[:, 2], rtol=0,
@@ -281,8 +274,7 @@ def test_mixed_blocks_follow_jacobian():
         nu /= np.linalg.norm(nu)
         blocks = hessian_blocks(x0, nu, model, b)
         mixed = -b.mu * J
-        rb = make_rotated_basis(nu[:2])
-        np.testing.assert_allclose(blocks.VxN, mixed[:, :2] @ rb.alpha, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(blocks.VxN, mixed[:, :2] @ _alpha(nu), rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocks.Vx3, mixed[:, 2], rtol=0, atol=1e-12)
 
 
@@ -341,4 +333,4 @@ def test_stacked_support_blocks_match_pointwise_blocks():
             assert got.shape[-1] == len(r0)
             assert np.array_equal(got[..., k], getattr(ref, name))
         if math.hypot(nu[k, 0], nu[k, 1]) <= BASIS_EPS:
-            assert make_rotated_basis(nu[k, :2]).E1.tolist() == [1.0, 0.0]
+            assert [float(v) for v in _planar_direction(nu[k, 0], nu[k, 1])] == [1.0, 0.0]

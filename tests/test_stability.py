@@ -169,17 +169,17 @@ def test_reduced_hessian_matches_constrained_fd_hessian():
         H = _fd_hessian_of_augmented(eq, b, model)
         Q_fd = T.T @ H @ T
         blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
-        form = reduced_hessian(eq, b, blocks)
-        assert form.labels == VARIATION_LABELS
-        qnorm = np.linalg.norm(form.Q)
-        assert np.abs(form.Q - form.Q.T).max() == 0.0
-        assert np.abs(Q_fd - form.Q).max() <= 1e-6 * qnorm
+        Q = reduced_hessian(eq, b, blocks)
+        assert Q.shape == (len(VARIATION_LABELS),) * 2
+        qnorm = np.linalg.norm(Q)
+        assert np.abs(Q - Q.T).max() == 0.0
+        assert np.abs(Q_fd - Q).max() <= 1e-6 * qnorm
 
 
 def test_reduced_hessian_equatorial_structure():
     eq, b, model = _dipoletron()
     blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
-    Q = reduced_hessian(eq, b, blocks).Q
+    Q = reduced_hessian(eq, b, blocks)
     m = eq.mult
     assert Q[0, 0] == 1.0 / b.M and Q[1, 1] == 1.0 / b.M
     assert Q[2, 2] == 1.0 / b.I_perp
@@ -198,8 +198,6 @@ def test_isolated_squares_identity():
     assert res.completed
     assert res.failed_index is None
     assert res.pivots == (1.0, 1.0, 1.0)
-    assert res.order == (0, 1, 2)
-    assert res.x_indices == (1, 2)
     np.testing.assert_array_equal(res.x_block, np.eye(2))
 
 
@@ -222,10 +220,6 @@ def test_isolated_squares_zero_pivot_and_validation():
         isolated_squares_reduce(np.array([[1.0, 2.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         isolated_squares_reduce(np.zeros((2, 3)))
-    with pytest.raises(ValueError):
-        isolated_squares_reduce(np.eye(2), order=(0,))
-    with pytest.raises(ValueError):
-        isolated_squares_reduce(np.eye(2), order=(0, 0))
 
 
 def test_isolated_squares_pivot_product_is_determinant():
@@ -245,7 +239,7 @@ def test_isolated_squares_order_independent_verdict():
         a = rng.normal(size=(5, 5))
         S = 0.5 * (a + a.T)
         orders = (tuple(range(5)), tuple(reversed(range(5))), tuple(rng.permutation(5)))
-        verdicts = {isolated_squares_reduce(S, order=o).completed for o in orders}
+        verdicts = {isolated_squares_reduce(S[np.ix_(o, o)]).completed for o in orders}
         assert len(verdicts) == 1
 
 
@@ -274,7 +268,7 @@ def test_vectorized_elimination_matches_loop():
         S = a @ a.T + rng.uniform(-2.0, 1.0) * np.eye(6)
         order = tuple(rng.permutation(6))
         pivots, completed = _loop_eliminate(S, order)
-        res = isolated_squares_reduce(S, order=order)
+        res = isolated_squares_reduce(S[np.ix_(order, order)])
         assert res.pivots == tuple(pivots)
         assert res.completed == completed
         assert res.failed_index == (None if completed else len(pivots) - 1)
@@ -284,9 +278,8 @@ def test_elimination_block_equals_closed_form_abc():
     for eq, b, model in _cases():
         blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
         cert = closed_form_conditions(eq, b, blocks)
-        res = isolated_squares_reduce(reduced_hessian(eq, b, blocks).Q)
+        res = isolated_squares_reduce(reduced_hessian(eq, b, blocks))
         assert res.completed
-        assert res.x_indices == (6, 7)
         xb = res.x_block
         assert abs(xb[0, 0] - cert.A) <= 1e-10 * max(1.0, abs(cert.A))
         assert abs(xb[0, 1] - cert.B) <= 1e-10 * max(1.0, abs(cert.B))
@@ -303,7 +296,7 @@ def test_three_routes_agree_on_synthetic_draws():
     outside = stable = not_pd = 0
     while outside < 60:
         eq, b, blocks = draw_synthetic_case(rng)
-        Q = reduced_hessian(eq, b, blocks).Q
+        Q = reduced_hessian(eq, b, blocks)
         qnorm = float(np.linalg.norm(Q))
         lam_min = float(np.linalg.eigvalsh(Q)[0])
         if abs(lam_min) < 1e-10 * qnorm:
@@ -347,7 +340,7 @@ def test_closed_form_is_successive_schur_complements():
             cert = closed_form_conditions(eq, b, blocks)
         except ZeroPivot:
             continue
-        pivots, block = _full_schur(reduced_hessian(eq, b, blocks).Q)
+        pivots, block = _full_schur(reduced_hessian(eq, b, blocks))
         den1, cond2 = cert.details["den1"], cert.details["cond2"]
 
         def close(got, ref):
@@ -567,9 +560,14 @@ def test_one_cell_certificates_raise_on_a_non_finite_margin():
     (eq,) = solve_dipole_equilibrium(model, b, 0.8, 1.0)
     with pytest.raises(NonFinite, match="margin is nan"):
         levitation_conditions(eq, b, model)
+
+
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+def test_eigen_certificate_raises_on_a_non_finite_entry(entry):
+    # a nan entry used to reach eigvalsh, which raised LinAlgError
     Q = np.eye(8)
-    Q[0, 0] = np.inf
-    with pytest.raises(NonFinite, match="margin is nan"):
+    Q[1, 1] = entry
+    with pytest.raises(NonFinite, match="not finite"):
         eigen_certificate(Q)
 
 
