@@ -39,6 +39,7 @@ from .errors import (
     NoRealSolution,
     OrbitronError,
     WrongFieldSign,
+    finite_float,
 )
 from .fields import AxiFieldModel, eval_jet, model_from_config
 from .potential import DipolePotential, hessian_blocks
@@ -175,31 +176,23 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _float(value, where: str) -> float:
-    """A config number, a JSON int or float but not a bool, as a finite float.
+_REQUIRED = object()
 
-    float() would also take strings and booleans; JSON admits NaN and Infinity.
+
+def _require(sec: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``sec[key]`` as a ``kind``; an optional key gives ``default`` only when it is absent.
+
+    A JSON true or false is a bool only, never an int or a float, and a float
+    follows :func:`errors.finite_float`.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be of type float")
-    try:
-        x = float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{where} is out of the float range") from exc
-    if not math.isfinite(x):
-        raise ConfigError(f"{where} must be finite, got {x!r}")
-    return x
-
-
-def _require(cfg: dict, key: str, kind, where: str):
-    if key not in cfg:
-        raise ConfigError(f"missing {key!r} in {where}")
-    value = cfg[key]
+    if key not in sec:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {key!r} in {where}")
+        return default
+    value = sec[key]
     if kind is float:
-        return _float(value, f"{where}.{key}")
-    if kind is int and isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if not isinstance(value, kind):
+        return finite_float(value, f"{where}.{key}")
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
         raise ConfigError(f"{where}.{key} must be of type {kind.__name__}")
     return value
 
@@ -217,7 +210,7 @@ def _body_from_config(cfg: dict) -> BodyParams:
     if unknown:
         raise ConfigError(f"unknown body keys {sorted(unknown)}; known: {sorted(known)}")
     try:
-        return BodyParams(**{k: _float(v, f"body.{k}") for k, v in rec.items()})
+        return BodyParams(**{k: finite_float(v, f"body.{k}") for k, v in rec.items()})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad body record: {exc}") from exc
 
@@ -230,12 +223,12 @@ def _vector(rec, key: str, where: str) -> np.ndarray:
     v = _require(rec, key, list, where)
     if len(v) != 3:
         raise ConfigError(f"{where}.{key} must be a list of 3 numbers")
-    return np.array([_float(c, f"{where}.{key}") for c in v])
+    return np.array([finite_float(c, f"{where}.{key}") for c in v])
 
 
 def _pick_branch(eqs: list[Equilibrium], spec: dict, where: str) -> Equilibrium:
     """The equilibrium branch selected by the spec's optional ``branch`` index."""
-    branch = _require(spec, "branch", int, where) if "branch" in spec else 0
+    branch = _require(spec, "branch", int, where, 0)
     if not 0 <= branch < len(eqs):
         raise ConfigError(
             f"{where}.branch = {branch} is out of range: the solver found {len(eqs)} branch(es)"
@@ -258,14 +251,12 @@ def _levitation_context(model: AxiFieldModel, b: BodyParams, r0: float):
 
 def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Equilibrium]:
     solver = _require(spec, "solver", str, "equilibrium")
-    negative_omega = (
-        _require(spec, "negative_omega", bool, "equilibrium") if "negative_omega" in spec else False
-    )
+    negative_omega = _require(spec, "negative_omega", bool, "equilibrium", False)
     if solver == "orbitron":
         r0 = _require(spec, "r0", float, "equilibrium")
         pi0 = _require(spec, "pi0", float, "equilibrium")
-        if "sigma" in spec:
-            sigma = _require(spec, "sigma", int, "equilibrium")
+        sigma = _require(spec, "sigma", int, "equilibrium", None)
+        if sigma is not None:
             return [solve_orbitron_equatorial(model, b, r0, pi0, sigma, negative_omega)]
         # No explicit orientation: return one branch per admissible sigma.
         eqs, errors = [], []
@@ -310,17 +301,17 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
     # The integrator settings are checked before any solve, so a malformed
     # section exits 2 whether or not the equilibrium exists.  A missing dt
     # stands in as 1 until the orbit rate is known.
-    dt = sec.get("dt")
+    dt = _require(sec, "dt", float, "simulate", None)
     icfg = IntegratorConfig(
-        dt=1.0 if dt is None else _float(dt, "simulate.dt"),
+        dt=1.0 if dt is None else dt,
         steps=_at_most(_require(sec, "steps", int, "simulate"), MAX_STEPS, "simulate.steps"),
-        scheme=str(sec.get("scheme", "rk4")),
-        record_every=_require(sec, "record_every", int, "simulate") if "record_every" in sec else 1,
+        scheme=_require(sec, "scheme", str, "simulate", "rk4"),
+        record_every=_require(sec, "record_every", int, "simulate", 1),
     )
 
     eq = None
     if "state" in sec:
-        rec = sec["state"]
+        rec = _require(sec, "state", dict, "simulate")
         s0 = ReducedState(
             x=_vector(rec, "x", "state"),
             p=_vector(rec, "p", "state"),
@@ -344,7 +335,7 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
         # One period resolved by 2000 steps when the rotation rate is known,
         # otherwise a fixed 1 ms default.
         dt = 1e-3 if eq is None else (2.0 * math.pi / abs(eq.mult.omega)) / 2000.0
-        icfg = replace(icfg, dt=_float(dt, "simulate.dt"))
+        icfg = replace(icfg, dt=finite_float(dt, "simulate.dt"))
     samples = integrate(s0, icfg, b, V, include_casimir=include_casimir)
     rows = (
         [s.t, *s.state.x, *s.state.p, *s.state.nu, *s.state.pi, s.h, s.J3, s.C1, s.C2]
@@ -383,7 +374,7 @@ def cmd_equilibrium(cfg: dict, b: BodyParams, sec: dict, out: str, _flag: bool) 
 def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> int:
     model = _model_from_config(cfg)
     spec = _require(sec, "equilibrium", dict, "certify")
-    method = str(sec.get("method", "closed_form"))
+    method = _require(sec, "method", str, "certify", "closed_form")
     if method not in CERTIFY_METHODS:
         raise ConfigError(f"unknown certify method {method!r}")
     try:
@@ -421,10 +412,10 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
     if kind == "dipoletron_window":
         q = _require(sec, "q", float, "scan")
         h = _require(sec, "h", float, "scan")
-        lo, hi = sec.get("ratio_range", (0.3, 1.5))
-        ratio_range = (_float(lo, "scan.ratio_range"), _float(hi, "scan.ratio_range"))
-        n = _at_most(_require(sec, "n", int, "scan"), MAX_SCAN_POINTS, "scan.n") if "n" in sec else 121
-        sigma = _require(sec, "sigma", int, "scan") if "sigma" in sec else 1
+        lo, hi = _require(sec, "ratio_range", list, "scan", [0.3, 1.5])
+        ratio_range = (finite_float(lo, "scan.ratio_range"), finite_float(hi, "scan.ratio_range"))
+        n = _at_most(_require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
+        sigma = _require(sec, "sigma", int, "scan", 1)
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
         if refine:
             lower, upper = window_endpoints(q, h, sigma=sigma, ratio_range=ratio_range)
@@ -433,7 +424,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
         model = _model_from_config(cfg)
         kappas = _require(sec, "kappa_values", list, "scan")
         _at_most(len(kappas), MAX_SCAN_POINTS, "the length of scan.kappa_values")
-        kappas = [_float(k, "scan.kappa_values") for k in kappas]
+        kappas = [finite_float(k, "scan.kappa_values") for k in kappas]
         rows = levitation_sweep(model, b, kappas, _require(sec, "beta", float, "scan"))
     elif kind == "stability_map":
         model = _model_from_config(cfg)
@@ -446,11 +437,11 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
                 n=_require(rec, "n", int, where),
             )
 
-        fixed = _require(sec, "fixed", dict, "scan") if "fixed" in sec else {}
+        fixed = _require(sec, "fixed", dict, "scan", {})
         spec = ScanSpec(
             axis1=axis(_require(sec, "axis1", dict, "scan"), "scan.axis1"),
             axis2=axis(_require(sec, "axis2", dict, "scan"), "scan.axis2"),
-            fixed={k: _float(v, f"scan.fixed.{k}") for k, v in fixed.items()},
+            fixed={k: finite_float(v, f"scan.fixed.{k}") for k, v in fixed.items()},
         )
         _at_most(spec.axis1.n * spec.axis2.n, MAX_SCAN_POINTS, "scan.axis1.n * scan.axis2.n")
         rows = stability_map(spec, model, b)

@@ -11,15 +11,17 @@ enters the dynamics only through the conserved combination C2 = nu . pi.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from .potential import DipolePotential
 
 __all__ = [
     "ReducedState",
     "BodyParams",
     "Multipliers",
-    "Potential",
     "casimirs",
     "momentum_j3",
     "hamiltonian",
@@ -99,22 +101,6 @@ class Multipliers:
         return Multipliers(omega, 0.5 * (lambda_ + lambda2 * lambda2 * I_perp), lambda2, lambda_)
 
 
-class Potential(Protocol):
-    """Anything that can report V(x, nu) and its two gradients.
-
-    ``gradient_terms`` takes the components of x and nu and returns both
-    gradients at once, as six components: grad_x V, then grad_nu V.
-    """
-
-    def value(self, x: np.ndarray, nu: np.ndarray) -> float: ...
-
-    def gradient_terms(self, x1, x2, x3, nu1, nu2, nu3) -> tuple: ...
-
-    def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray: ...
-
-    def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray: ...
-
-
 def casimirs(s: ReducedState) -> tuple[float, float]:
     """Return (C1, C2) = (nu . nu, nu . pi)."""
     return float(s.nu @ s.nu), float(s.nu @ s.pi)
@@ -128,7 +114,7 @@ def momentum_j3(s: ReducedState) -> float:
 def hamiltonian(
     s: ReducedState,
     b: BodyParams,
-    V: Potential,
+    V: DipolePotential,
     include_casimir: bool = False,
 ) -> float:
     """Reduced energy p**2/(2M) + pi**2/(2 I_perp) + V(x, nu).

@@ -20,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BodyParams, Potential, ReducedState, casimirs, hamiltonian, momentum_j3
+from .core import BodyParams, ReducedState, casimirs, hamiltonian, momentum_j3
 from .equilibrium import Equilibrium, build_support_state
 from .errors import NonFinite
 from .fields import _components, _join
+from .potential import DipolePotential
 
 __all__ = [
     "TrajectorySample",
@@ -72,7 +73,7 @@ class IntegratorConfig:
             raise ValueError("record_every must be at least 1")
 
 
-def _rhs(c: list, b: BodyParams, V: Potential) -> list:
+def _rhs(c: list, b: BodyParams, V: DipolePotential) -> list:
     """The 12 components of the right-hand side at the 12 components c of a state.
 
     The components are Python floats for one state and arrays for a stack;
@@ -88,7 +89,7 @@ def _rhs(c: list, b: BodyParams, V: Potential) -> list:
     )
 
 
-def eom_rhs(y: np.ndarray, b: BodyParams, V: Potential) -> np.ndarray:
+def eom_rhs(y: np.ndarray, b: BodyParams, V: DipolePotential) -> np.ndarray:
     """Right-hand side of the reduced equations at states y of shape (..., 12).
 
     A state is laid out as :meth:`ReducedState.as_vector`, (x, p, nu, pi);
@@ -103,7 +104,7 @@ def integrate(
     s0: ReducedState,
     cfg: IntegratorConfig,
     b: BodyParams,
-    V: Potential,
+    V: DipolePotential,
     include_casimir: bool = False,
 ) -> list[TrajectorySample]:
     """Integrate from s0 and return the recorded samples.

@@ -1,4 +1,4 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the rule for a config number.
 
 Every domain error derives from :class:`OrbitronError` so callers can
 distinguish numerical/physical failures from ordinary misuse (which raises
@@ -7,6 +7,8 @@ the builtin ``ValueError``/``TypeError``).
 
 from __future__ import annotations
 
+import math
+
 
 class OrbitronError(Exception):
     """Base class for domain errors raised by this package."""
@@ -14,6 +16,22 @@ class OrbitronError(Exception):
 
 class ConfigError(OrbitronError):
     """A run configuration is malformed or inconsistent."""
+
+
+def finite_float(value, where: str) -> float:
+    """A config number, a JSON int or float but not a bool, as a finite float.
+
+    float() would also take strings and booleans; JSON admits NaN and Infinity.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be of type float")
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{where} is out of the float range") from exc
+    if not math.isfinite(x):
+        raise ConfigError(f"{where} must be finite, got {x!r}")
+    return x
 
 
 class SourceSingularity(OrbitronError):

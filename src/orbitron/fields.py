@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, NonFinite, SourceSingularity
+from .errors import ConfigError, NonFinite, SourceSingularity, finite_float
 
 __all__ = [
     "FieldJet",
@@ -78,12 +78,13 @@ class Linear:
 
 @dataclass(frozen=True)
 class Composite:
-    """Superposition of field models."""
+    """Superposition of field models; nested composites are flattened, so ``parts`` holds leaves."""
 
     parts: tuple
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "parts", tuple(self.parts))
+        leaves = (p.parts if isinstance(p, Composite) else (p,) for p in self.parts)
+        object.__setattr__(self, "parts", tuple(leaf for ps in leaves for leaf in ps))
         if not self.parts:
             raise ValueError("composite field needs at least one part")
 
@@ -196,25 +197,15 @@ def _field_components(jet: FieldJet, x1, x2, r) -> tuple:
 
 
 def model_from_config(cfg: dict) -> AxiFieldModel:
-    """Build a field model from its JSON record."""
+    """Build a field model from its JSON record; its numbers follow :func:`errors.finite_float`."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError("field record must be an object with a 'type' key")
     kind = cfg["type"]
-
-    def number(key: str) -> float:
-        x = cfg[key]
-        if isinstance(x, bool) or not isinstance(x, (int, float)):
-            raise TypeError(f"{key} must be a number, got {x!r}")
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"{key} must be finite, got {x!r}")
-        return x
-
     try:
         if kind == "dipole_pair":
-            return DipolePair(q=number("q"), h=number("h"))
+            return DipolePair(q=finite_float(cfg["q"], "field.q"), h=finite_float(cfg["h"], "field.h"))
         if kind == "linear":
-            return Linear(B0=number("B0"), Bp=number("Bprime"))
+            return Linear(B0=finite_float(cfg["B0"], "field.B0"), Bp=finite_float(cfg["Bprime"], "field.Bprime"))
         if kind == "composite":
             return Composite(tuple(model_from_config(p) for p in cfg["parts"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

@@ -179,16 +179,6 @@ def split_levitation_model(model: AxiFieldModel) -> tuple[Linear, AxiFieldModel]
     return linear[0], o_model
 
 
-def _dipole_scale(model: AxiFieldModel) -> float:
-    if isinstance(model, DipolePair):
-        return model.h
-    if isinstance(model, Composite):
-        hs = [_dipole_scale(p) for p in model.parts]
-        hs = [h for h in hs if h > 0.0]
-        return max(hs) if hs else 0.0
-    return 0.0
-
-
 def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     """Radius at which the mirror part's Br_z matches beta times the gradient.
 
@@ -199,16 +189,19 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     the grid's end then refines the root to 1e-14 h.  Raises ValueError
     when beta is out of reach for the model, and NonFinite when the jet on
     the grid over- or underflows to nan.  A grid minimum of -inf still
-    brackets the root, so the bisection goes on from there.
+    brackets the root, so the bisection goes on from there; a Br_z that is
+    not finite at the range end or at a midpoint raises NonFinite.
     """
     linear, o_model = split_levitation_model(model)
     target = beta * linear.Bp
-    h = _dipole_scale(o_model)
-    if h <= 0.0:
-        raise ConfigError("levitation needs a dipole part to set the length scale")
+    # The split found one linear part and at least one other leaf, so the composite holds a dipole pair.
+    h = max(p.h for p in model.parts if isinstance(p, DipolePair))
 
     def f(r: float) -> float:
-        return eval_jet(o_model, r, 0.0).Br_z - target
+        Br_z = eval_jet(o_model, r, 0.0).Br_z
+        if not math.isfinite(Br_z):
+            raise NonFinite(f"Br_z of the mirror part is {Br_z!r} at r = {r!r} for beta = {beta:g}")
+        return Br_z - target
 
     grid = np.linspace(0.01 * h, 8.0 * h, 4096)
     # Grid points where the jet over- or underflows give inf or nan, silently.

@@ -642,7 +642,7 @@ SWEEP_SCAN = {"kind": "levitation_sweep", "kappa_values": [1.001, 1.2], "beta": 
     [
         ("equilibrium", {"body": dict(BODY, M="2"), "field": PAIR, "equilibrium": ORBIT}, "body.M"),
         ("equilibrium", {"body": dict(BODY, M=True), "field": PAIR, "equilibrium": ORBIT}, "body.M"),
-        ("equilibrium", {"body": BODY, "field": dict(PAIR, h=True), "equilibrium": ORBIT}, "h must be a number"),
+        ("equilibrium", {"body": BODY, "field": dict(PAIR, h=True), "equilibrium": ORBIT}, "field.h"),
         (
             "simulate",
             {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": 2, "dt": "0.001"}},
@@ -655,6 +655,41 @@ SWEEP_SCAN = {"kind": "levitation_sweep", "kappa_values": [1.001, 1.2], "beta": 
         ),
         ("scan", {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, fixed={"sigma": "1"})}, "scan.fixed.sigma"),
         ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=["0.3", "1.5"])}, "scan.ratio_range"),
+        # true and false are not integers either: a true sigma or steps ran as 1, a false branch as 0
+        (
+            "certify",
+            {"body": BODY, "field": PAIR, "certify": {"equilibrium": dict(ORBIT, sigma=True)}},
+            "equilibrium.sigma must be of type int",
+        ),
+        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, sigma=True)}, "scan.sigma must be of type int"),
+        (
+            "certify",
+            {"body": BODY, "field": PAIR, "certify": {"equilibrium": dict(ORBIT, branch=False)}},
+            "certify.equilibrium.branch must be of type int",
+        ),
+        (
+            "simulate",
+            {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": True}},
+            "simulate.steps must be of type int",
+        ),
+        (
+            "simulate",
+            {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": 4, "record_every": True}},
+            "simulate.record_every must be of type int",
+        ),
+        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, n=True)}, "scan.n must be of type int"),
+        (
+            "scan",
+            {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, axis1=dict(MAP_SCAN["axis1"], n=True))},
+            "scan.axis1.n must be of type int",
+        ),
+        # null is not an absent key: "dt": null ran with the default dt
+        (
+            "simulate",
+            {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": 4, "dt": None}},
+            "simulate.dt must be of type float",
+        ),
+        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(ORBIT, sigma=None)}, "equilibrium.sigma"),
     ],
 )
 def test_config_numbers_reject_strings_and_booleans(tmp_path, capsys, command, doc, field):
@@ -665,6 +700,20 @@ def test_config_numbers_reject_strings_and_booleans(tmp_path, capsys, command, d
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_nested_composite_gives_the_flat_fields_output(tmp_path):
+    # a levitation certify used to find no linear part one level down and exit 2
+    nested = {"type": "composite", "parts": [{"type": "composite", "parts": LEV_FIELD["parts"]}]}
+    section = {"method": "levitation", "equilibrium": {"solver": "levitation", "r0": 0.8}}
+    outputs = []
+    for field in (LEV_FIELD, nested):
+        cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": field, "certify": section})
+        out = tmp_path / "cert.json"
+        assert main(["certify", "--config", cfg, "--out", str(out), "--oracle"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert b'"agrees": true' in outputs[1]
 
 
 @pytest.mark.parametrize(
@@ -1155,6 +1204,29 @@ def test_non_finite_radius_grid_exits_3_naming_beta(tmp_path, capsys, command, s
     assert err == (
         f"numerical failure: NonFinite: Br_z of the mirror part is nan on the radius grid for beta = {_NAN_GRID_BETA:g}\n"
     )
+
+
+# A pair whose single-point jet overflows to Br_z = -inf at r = h and to +inf
+# at the end of the radius_for_beta range: the bisection followed the sign of
+# the infinities to r = 2h, whatever beta was.
+_INF_JET_FIELD = {
+    "type": "composite",
+    "parts": [
+        {"type": "linear", "B0": 1.0, "Bprime": 1.66e-267},
+        {"type": "dipole_pair", "q": 9.757063688382695e269, "h": 3.9709145912385545e39},
+    ],
+}
+
+
+def test_infinite_bisection_value_exits_3_naming_beta(tmp_path, capsys):
+    section = {"kind": "levitation_sweep", "kappa_values": [0.9, 1.2], "beta": -0.363}
+    doc = {"body": LEV_BODY, "field": _INF_JET_FIELD, "scan": section}
+    out = tmp_path / "sweep.csv"
+    assert main(["scan", "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: NonFinite: Br_z of the mirror part is inf at r = ")
+    assert err.endswith(" for beta = -0.363\n")
+    assert not out.exists()
 
 
 # Valid configs that reach every solver and certificate route; the fuzz

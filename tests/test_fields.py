@@ -261,6 +261,23 @@ def test_composite_is_sum_of_parts():
             assert getattr(j, k) == getattr(j1, k) + getattr(j2, k)
 
 
+def test_nested_composites_are_flattened():
+    a, b, c = Linear(0.5, 1.2), DipolePair(1.3, 0.9), DipolePair(0.4, 1.7)
+    flat = Composite((a, b, c))
+    nested = (
+        Composite((Composite((a, b)), c)),
+        Composite((a, Composite((b, c)))),
+        Composite((Composite((a, Composite((b,)))), Composite((c,)))),
+    )
+    record = {"type": "composite", "parts": [model_to_config(a), model_to_config(Composite((b, c)))]}
+    r, z = np.meshgrid(np.linspace(0.1, 3.0, 7), np.linspace(-2.5, 2.5, 9))
+    for model in (*nested, model_from_config(record)):
+        assert model.parts == flat.parts
+        np.testing.assert_array_equal(eval_jet(model, r, z), eval_jet(flat, r, z))
+        for ri, zi in _sample_points(flat, np.random.default_rng(5), 10):
+            assert eval_jet(model, ri, zi) == eval_jet(flat, ri, zi)
+
+
 # Cartesian assemblies of a jet: the references for the potential's gradients
 # and for its closed-form Hessian blocks at the support point.
 

@@ -137,6 +137,17 @@ def test_radius_for_beta_errors():
         radius_for_beta(no_dipole, -0.5)
 
 
+def test_radius_for_beta_raises_on_an_infinite_bisection_value():
+    # the float jet overflows to Br_z = -inf at r = h and to +inf at 8 h, so the
+    # bisection used to follow the infinities to r = 2 h whatever beta was
+    pair = DipolePair(9.757063688382695e269, 3.9709145912385545e39)
+    model = Composite((Linear(1.0, 1.66e-267), pair))
+    assert eval_jet(pair, pair.h, 0.0).Br_z == -math.inf
+    for beta in (-0.363, -0.9, -0.01):
+        with pytest.raises(NonFinite, match=f"Br_z of the mirror part is inf at r = .* for beta = {beta:g}$"):
+            radius_for_beta(model, beta)
+
+
 def test_levitation_sweep_rows():
     model = _lev_model()
     linear, o_model = split_levitation_model(model)
@@ -607,8 +618,9 @@ def _radius_for_beta_reference(model, beta):
     [
         _lev_model(),
         Composite((Linear(0.5, 2.0), DipolePair(1.0, 1.0), DipolePair(0.4, 1.7))),
+        Composite((Composite((Linear(0.5, 2.0), DipolePair(1.0, 1.0))), DipolePair(0.4, 1.7))),
     ],
-    ids=["one_pair", "two_pairs"],
+    ids=["one_pair", "two_pairs", "nested"],
 )
 @pytest.mark.parametrize("beta", [-0.05, -0.3, -0.75, -0.9, -1.05])
 def test_radius_for_beta_matches_pointwise_search(model, beta):
