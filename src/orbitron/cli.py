@@ -40,6 +40,7 @@ from .errors import (
     OrbitronError,
     WrongFieldSign,
     finite_float,
+    require,
 )
 from .fields import AxiFieldModel, eval_jet, model_from_config
 from .potential import DipolePotential, hessian_blocks
@@ -176,27 +177,6 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-_REQUIRED = object()
-
-
-def _require(sec: dict, key: str, kind, where: str, default=_REQUIRED):
-    """``sec[key]`` as a ``kind``; an optional key gives ``default`` only when it is absent.
-
-    A JSON true or false is a bool only, never an int or a float, and a float
-    follows :func:`errors.finite_float`.
-    """
-    if key not in sec:
-        if default is _REQUIRED:
-            raise ConfigError(f"missing {key!r} in {where}")
-        return default
-    value = sec[key]
-    if kind is float:
-        return finite_float(value, f"{where}.{key}")
-    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
-        raise ConfigError(f"{where}.{key} must be of type {kind.__name__}")
-    return value
-
-
 def _at_most(value: int, limit: int, what: str) -> int:
     if value > limit:
         raise ConfigError(f"{what} must be at most {limit}")
@@ -204,7 +184,7 @@ def _at_most(value: int, limit: int, what: str) -> int:
 
 
 def _body_from_config(cfg: dict) -> BodyParams:
-    rec = _require(cfg, "body", dict, "config")
+    rec = require(cfg, "body", dict, "config")
     known = {"M", "I_perp", "I3", "mu", "g"}
     unknown = set(rec) - known
     if unknown:
@@ -216,11 +196,11 @@ def _body_from_config(cfg: dict) -> BodyParams:
 
 
 def _model_from_config(cfg: dict) -> AxiFieldModel:
-    return model_from_config(_require(cfg, "field", dict, "config"))
+    return model_from_config(require(cfg, "field", dict, "config"))
 
 
 def _vector(rec, key: str, where: str) -> np.ndarray:
-    v = _require(rec, key, list, where)
+    v = require(rec, key, list, where)
     if len(v) != 3:
         raise ConfigError(f"{where}.{key} must be a list of 3 numbers")
     return np.array([finite_float(c, f"{where}.{key}") for c in v])
@@ -228,7 +208,7 @@ def _vector(rec, key: str, where: str) -> np.ndarray:
 
 def _pick_branch(eqs: list[Equilibrium], spec: dict, where: str) -> Equilibrium:
     """The equilibrium branch selected by the spec's optional ``branch`` index."""
-    branch = _require(spec, "branch", int, where, 0)
+    branch = require(spec, "branch", int, where, 0)
     if not 0 <= branch < len(eqs):
         raise ConfigError(
             f"{where}.branch = {branch} is out of range: the solver found {len(eqs)} branch(es)"
@@ -250,12 +230,12 @@ def _levitation_context(model: AxiFieldModel, b: BodyParams, r0: float):
 
 
 def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Equilibrium]:
-    solver = _require(spec, "solver", str, "equilibrium")
-    negative_omega = _require(spec, "negative_omega", bool, "equilibrium", False)
+    solver = require(spec, "solver", str, "equilibrium")
+    negative_omega = require(spec, "negative_omega", bool, "equilibrium", False)
     if solver == "orbitron":
-        r0 = _require(spec, "r0", float, "equilibrium")
-        pi0 = _require(spec, "pi0", float, "equilibrium")
-        sigma = _require(spec, "sigma", int, "equilibrium", None)
+        r0 = require(spec, "r0", float, "equilibrium")
+        pi0 = require(spec, "pi0", float, "equilibrium")
+        sigma = require(spec, "sigma", int, "equilibrium", None)
         if sigma is not None:
             return [solve_orbitron_equatorial(model, b, r0, pi0, sigma, negative_omega)]
         # No explicit orientation: return one branch per admissible sigma.
@@ -269,14 +249,14 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
             raise errors[0]
         return eqs
     if solver == "dipole":
-        r0 = _require(spec, "r0", float, "equilibrium")
-        c2 = _require(spec, "C2", float, "equilibrium")
+        r0 = require(spec, "r0", float, "equilibrium")
+        c2 = require(spec, "C2", float, "equilibrium")
         return solve_dipole_equilibrium(model, b, r0, c2, negative_omega)
     if solver == "levitation":
         if "r0" in spec:
-            r0 = _require(spec, "r0", float, "equilibrium")
+            r0 = require(spec, "r0", float, "equilibrium")
         elif "beta" in spec:
-            r0 = radius_for_beta(model, _require(spec, "beta", float, "equilibrium"))
+            r0 = radius_for_beta(model, require(spec, "beta", float, "equilibrium"))
         else:
             raise ConfigError("levitation solver needs r0 or beta")
         kappa, beta = _levitation_context(model, b, r0)
@@ -301,17 +281,17 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
     # The integrator settings are checked before any solve, so a malformed
     # section exits 2 whether or not the equilibrium exists.  A missing dt
     # stands in as 1 until the orbit rate is known.
-    dt = _require(sec, "dt", float, "simulate", None)
+    dt = require(sec, "dt", float, "simulate", None)
     icfg = IntegratorConfig(
         dt=1.0 if dt is None else dt,
-        steps=_at_most(_require(sec, "steps", int, "simulate"), MAX_STEPS, "simulate.steps"),
-        scheme=_require(sec, "scheme", str, "simulate", "rk4"),
-        record_every=_require(sec, "record_every", int, "simulate", 1),
+        steps=_at_most(require(sec, "steps", int, "simulate"), MAX_STEPS, "simulate.steps"),
+        scheme=require(sec, "scheme", str, "simulate", "rk4"),
+        record_every=require(sec, "record_every", int, "simulate", 1),
     )
 
     eq = None
     if "state" in sec:
-        rec = _require(sec, "state", dict, "simulate")
+        rec = require(sec, "state", dict, "simulate")
         s0 = ReducedState(
             x=_vector(rec, "x", "state"),
             p=_vector(rec, "p", "state"),
@@ -319,7 +299,7 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
             pi=_vector(rec, "pi", "state"),
         )
     elif "from_equilibrium" in sec:
-        spec = _require(sec, "from_equilibrium", dict, "simulate")
+        spec = require(sec, "from_equilibrium", dict, "simulate")
         try:
             eqs = _solve_from_spec(spec, model, b)
         except NO_SOLUTION_ERRORS as exc:
@@ -373,8 +353,8 @@ def cmd_equilibrium(cfg: dict, b: BodyParams, sec: dict, out: str, _flag: bool) 
 
 def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> int:
     model = _model_from_config(cfg)
-    spec = _require(sec, "equilibrium", dict, "certify")
-    method = _require(sec, "method", str, "certify", "closed_form")
+    spec = require(sec, "equilibrium", dict, "certify")
+    method = require(sec, "method", str, "certify", "closed_form")
     if method not in CERTIFY_METHODS:
         raise ConfigError(f"unknown certify method {method!r}")
     try:
@@ -407,40 +387,42 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
 
 
 def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int:
-    kind = _require(sec, "kind", str, "scan")
+    kind = require(sec, "kind", str, "scan")
 
     if kind == "dipoletron_window":
-        q = _require(sec, "q", float, "scan")
-        h = _require(sec, "h", float, "scan")
-        lo, hi = _require(sec, "ratio_range", list, "scan", [0.3, 1.5])
-        ratio_range = (finite_float(lo, "scan.ratio_range"), finite_float(hi, "scan.ratio_range"))
-        n = _at_most(_require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
-        sigma = _require(sec, "sigma", int, "scan", 1)
+        q = require(sec, "q", float, "scan")
+        h = require(sec, "h", float, "scan")
+        ratio_range = require(sec, "ratio_range", list, "scan", [0.3, 1.5])
+        if len(ratio_range) != 2:
+            raise ConfigError("scan.ratio_range must be a list of exactly 2 numbers")
+        ratio_range = tuple(finite_float(x, "scan.ratio_range") for x in ratio_range)
+        n = _at_most(require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
+        sigma = require(sec, "sigma", int, "scan", 1)
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
         if refine:
             lower, upper = window_endpoints(q, h, sigma=sigma, ratio_range=ratio_range)
             _write_json(out + ".endpoints.json", {"lower": lower, "upper": upper})
     elif kind == "levitation_sweep":
         model = _model_from_config(cfg)
-        kappas = _require(sec, "kappa_values", list, "scan")
+        kappas = require(sec, "kappa_values", list, "scan")
         _at_most(len(kappas), MAX_SCAN_POINTS, "the length of scan.kappa_values")
         kappas = [finite_float(k, "scan.kappa_values") for k in kappas]
-        rows = levitation_sweep(model, b, kappas, _require(sec, "beta", float, "scan"))
+        rows = levitation_sweep(model, b, kappas, require(sec, "beta", float, "scan"))
     elif kind == "stability_map":
         model = _model_from_config(cfg)
 
         def axis(rec: dict, where: str) -> ScanAxis:
             return ScanAxis(
-                name=_require(rec, "name", str, where),
-                lo=_require(rec, "lo", float, where),
-                hi=_require(rec, "hi", float, where),
-                n=_require(rec, "n", int, where),
+                name=require(rec, "name", str, where),
+                lo=require(rec, "lo", float, where),
+                hi=require(rec, "hi", float, where),
+                n=require(rec, "n", int, where),
             )
 
-        fixed = _require(sec, "fixed", dict, "scan", {})
+        fixed = require(sec, "fixed", dict, "scan", {})
         spec = ScanSpec(
-            axis1=axis(_require(sec, "axis1", dict, "scan"), "scan.axis1"),
-            axis2=axis(_require(sec, "axis2", dict, "scan"), "scan.axis2"),
+            axis1=axis(require(sec, "axis1", dict, "scan"), "scan.axis1"),
+            axis2=axis(require(sec, "axis2", dict, "scan"), "scan.axis2"),
             fixed={k: finite_float(v, f"scan.fixed.{k}") for k, v in fixed.items()},
         )
         _at_most(spec.axis1.n * spec.axis2.n, MAX_SCAN_POINTS, "scan.axis1.n * scan.axis2.n")
@@ -455,7 +437,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
     return 0
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="orbitron",
         description="Relative equilibria and stability certificates for a magnetized top",
@@ -468,10 +450,18 @@ def main(argv=None) -> int:
     parser.add_argument("--out", required=True, help="output file path")
     for flag, (command, helptext) in FLAGS.items():
         parser.add_argument(flag, action="store_true", dest=command, help=f"{command}: {helptext}")
-    args = parser.parse_args(argv)
+    return parser
+
+
+# Built once per process: building costs more than parsing, and parsing leaves it unchanged.
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
+    args = _PARSER.parse_args(argv)
     for flag, (command, _) in FLAGS.items():
         if getattr(args, command) and command != args.command:
-            parser.error(f"{flag} belongs to the {command} command, not {args.command}")
+            _PARSER.error(f"{flag} belongs to the {command} command, not {args.command}")
     try:
         cfg = _load_config(args.config)
         present = [t for t in COMMANDS if t in cfg]
@@ -483,7 +473,7 @@ def main(argv=None) -> int:
                 f"config has a {task!r} section but the {args.command!r} command was invoked"
             )
         b = _body_from_config(cfg)
-        sec = _require(cfg, task, dict, "config")
+        sec = require(cfg, task, dict, "config")
         run = {"simulate": cmd_simulate, "equilibrium": cmd_equilibrium,
                "certify": cmd_certify, "scan": cmd_scan}[task]
         return run(cfg, b, sec, args.out, getattr(args, task, False))

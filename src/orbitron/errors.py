@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the rule for a config number.
+"""Exception types shared across the package, and the rules for a config key and number.
 
 Every domain error derives from :class:`OrbitronError` so callers can
 distinguish numerical/physical failures from ordinary misuse (which raises
@@ -32,6 +32,27 @@ def finite_float(value, where: str) -> float:
     if not math.isfinite(x):
         raise ConfigError(f"{where} must be finite, got {x!r}")
     return x
+
+
+_REQUIRED = object()
+
+
+def require(sec: dict, key: str, kind, where: str, default=_REQUIRED):
+    """``sec[key]`` as a ``kind``; an optional key gives ``default`` only when it is absent.
+
+    A JSON true or false is a bool only, never an int or a float, and a float
+    follows :func:`finite_float`.
+    """
+    if key not in sec:
+        if default is _REQUIRED:
+            raise ConfigError(f"missing {key!r} in {where}")
+        return default
+    value = sec[key]
+    if kind is float:
+        return finite_float(value, f"{where}.{key}")
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise ConfigError(f"{where}.{key} must be of type {kind.__name__}")
+    return value
 
 
 class SourceSingularity(OrbitronError):

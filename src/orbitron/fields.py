@@ -17,7 +17,7 @@ from typing import NamedTuple, Union
 
 import numpy as np
 
-from .errors import ConfigError, NonFinite, SourceSingularity, finite_float
+from .errors import ConfigError, NonFinite, SourceSingularity, require
 
 __all__ = [
     "FieldJet",
@@ -92,13 +92,12 @@ class Composite:
 AxiFieldModel = Union[DipolePair, Linear, Composite]
 
 
-def _single_dipole_terms(q: float, r, Z) -> list:
-    """Jet components of one axial point dipole; Z is the height above the source.
+def _inverse_powers(D) -> tuple:
+    """D^-5/2, D^-7/2 and D^-9/2 for the squared distance D to a dipole source.
 
-    The powers of D take one correctly rounded square root, so a float call
-    gives the element of an array call bit for bit; it raises NonFinite where they overflow.
+    They take one correctly rounded square root, so a float call gives the
+    element of an array call bit for bit; it raises NonFinite where they overflow.
     """
-    D = r * r + Z * Z
     root = math.sqrt(D) if isinstance(D, float) else np.sqrt(D)
     try:
         s5 = 1.0 / (D * D * root)
@@ -108,20 +107,7 @@ def _single_dipole_terms(q: float, r, Z) -> list:
         s9 = math.inf
     if isinstance(s9, float) and s9 == math.inf:
         raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
-    r2 = r * r
-    Z2 = Z * Z
-    curl_term = 3.0 * q * r * (r2 - 4.0 * Z2) * s7  # Br_z = Bz_r
-    return [
-        3.0 * q * r * Z * s5,
-        q * (2.0 * Z2 - r2) * s5,
-        3.0 * q * Z * (Z2 - 4.0 * r2) * s7,
-        curl_term,
-        curl_term,
-        3.0 * q * Z * (3.0 * r2 - 2.0 * Z2) * s7,
-        3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Z2 - 4.0 * Z2 * Z2) * s9,
-        15.0 * q * r * Z * (4.0 * Z2 - 3.0 * r2) * s9,
-        3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Z2 + 8.0 * Z2 * Z2) * s9,
-    ]
+    return s5, s7, s9
 
 
 def _jet_terms(model: AxiFieldModel, r, z) -> list:
@@ -130,18 +116,40 @@ def _jet_terms(model: AxiFieldModel, r, z) -> list:
         # Distances in units of h: squaring them cannot underflow the
         # threshold for small h, and products overflow to inf (not
         # OverflowError, as float ** 2 would) for large coordinates.
-        u = r / model.h
-        for z_src in (model.h, -model.h):
-            w = (z - z_src) / model.h
-            near = u * u + w * w < SOURCE_EPS * SOURCE_EPS
+        q, h = model.q, model.h
+        u = r / h
+        uu = u * u
+        for z_src in (h, -h):
+            w = (z - z_src) / h
+            near = uu + w * w < SOURCE_EPS * SOURCE_EPS
             # A bool for floats, a bool array for arrays.
             if near is not False and np.any(near):
                 raise SourceSingularity(
                     f"field evaluated at distance < {SOURCE_EPS:g} h from the source at z = {z_src:g}"
                 )
-        top = _single_dipole_terms(model.q, r, z - model.h)
-        bottom = _single_dipole_terms(model.q, r, z + model.h)
-        return [a + b for a, b in zip(top, bottom)]
+        # Each component is the top source's term plus the bottom one's, each
+        # that of one axial dipole at height Z = z - h (t) or Z = z + h (b) above it.
+        r2 = r * r
+        Zt, Zb = z - h, z + h
+        Zt2, Zb2 = Zt * Zt, Zb * Zb
+        t5, t7, t9 = _inverse_powers(r2 + Zt2)
+        b5, b7, b9 = _inverse_powers(r2 + Zb2)
+        # Br_z = Bz_r
+        curl_term = 3.0 * q * r * (r2 - 4.0 * Zt2) * t7 + 3.0 * q * r * (r2 - 4.0 * Zb2) * b7
+        return [
+            3.0 * q * r * Zt * t5 + 3.0 * q * r * Zb * b5,
+            q * (2.0 * Zt2 - r2) * t5 + q * (2.0 * Zb2 - r2) * b5,
+            3.0 * q * Zt * (Zt2 - 4.0 * r2) * t7 + 3.0 * q * Zb * (Zb2 - 4.0 * r2) * b7,
+            curl_term,
+            curl_term,
+            3.0 * q * Zt * (3.0 * r2 - 2.0 * Zt2) * t7 + 3.0 * q * Zb * (3.0 * r2 - 2.0 * Zb2) * b7,
+            3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Zt2 - 4.0 * Zt2 * Zt2) * t9
+            + 3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Zb2 - 4.0 * Zb2 * Zb2) * b9,
+            15.0 * q * r * Zt * (4.0 * Zt2 - 3.0 * r2) * t9
+            + 15.0 * q * r * Zb * (4.0 * Zb2 - 3.0 * r2) * b9,
+            3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Zt2 + 8.0 * Zt2 * Zt2) * t9
+            + 3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Zb2 + 8.0 * Zb2 * Zb2) * b9,
+        ]
     if isinstance(model, Linear):
         # 1 in the broadcast shape of (r, z), and the float 1.0 for floats;
         # x ** 0 is 1 also for nan and inf.
@@ -197,18 +205,18 @@ def _field_components(jet: FieldJet, x1, x2, r) -> tuple:
 
 
 def model_from_config(cfg: dict) -> AxiFieldModel:
-    """Build a field model from its JSON record; its numbers follow :func:`errors.finite_float`."""
+    """Build a field model from its JSON record; its keys and numbers follow :func:`errors.require`."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError("field record must be an object with a 'type' key")
     kind = cfg["type"]
     try:
         if kind == "dipole_pair":
-            return DipolePair(q=finite_float(cfg["q"], "field.q"), h=finite_float(cfg["h"], "field.h"))
+            return DipolePair(q=require(cfg, "q", float, "field"), h=require(cfg, "h", float, "field"))
         if kind == "linear":
-            return Linear(B0=finite_float(cfg["B0"], "field.B0"), Bp=finite_float(cfg["Bprime"], "field.Bprime"))
+            return Linear(B0=require(cfg, "B0", float, "field"), Bp=require(cfg, "Bprime", float, "field"))
         if kind == "composite":
-            return Composite(tuple(model_from_config(p) for p in cfg["parts"]))
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            return Composite(tuple(model_from_config(p) for p in require(cfg, "parts", list, "field")))
+    except ValueError as exc:
         raise ConfigError(f"bad field record: {exc}") from exc
     raise ConfigError(f"unknown field type {kind!r}")
 

@@ -702,6 +702,21 @@ def test_config_numbers_reject_strings_and_booleans(tmp_path, capsys, command, d
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, key",
+    [
+        ({"type": "dipole_pair", "q": 1.0}, "h"),
+        ({"type": "linear", "B0": 1.0}, "Bprime"),
+        ({"type": "composite"}, "parts"),
+    ],
+    ids=["dipole_pair", "linear", "composite"],
+)
+def test_missing_field_key_is_named(tmp_path, capsys, field, key):
+    cfg = _cfg(tmp_path, {"body": BODY, "field": field, "equilibrium": ORBIT})
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
+    assert capsys.readouterr().err == f"config error: missing {key!r} in field\n"
+
+
 def test_nested_composite_gives_the_flat_fields_output(tmp_path):
     # a levitation certify used to find no linear part one level down and exit 2
     nested = {"type": "composite", "parts": [{"type": "composite", "parts": LEV_FIELD["parts"]}]}
@@ -806,6 +821,15 @@ def test_certify_oracle_solves_hessian_once(tmp_path, monkeypatch, method):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("ratio_range", [[0.3], [0.3, 1.5, 2.0]], ids=["one", "three"])
+def test_scan_window_ratio_range_takes_two_numbers(tmp_path, capsys, ratio_range):
+    cfg = _cfg(tmp_path, {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=ratio_range)})
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err == "config error: scan.ratio_range must be a list of exactly 2 numbers\n"
+    assert not (tmp_path / "w.csv").exists()
+
+
 def test_scan_window_rejects_nonpositive_ratio(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=[0.0, 1.5])})
     assert main(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
@@ -898,8 +922,10 @@ def test_help_names_every_command_and_flag():
 
 
 def test_main_builds_one_argument_parser(tmp_path, monkeypatch):
-    # counts every parser, subparsers included
+    # the module builds its one parser at import; a call builds none, subparsers included
     import argparse
+
+    from orbitron import cli
 
     built = []
     init = argparse.ArgumentParser.__init__
@@ -911,7 +937,24 @@ def test_main_builds_one_argument_parser(tmp_path, monkeypatch):
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "equilibrium": ORBIT})
     assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 0
-    assert built == ["orbitron"]
+    assert built == []
+    parsers = [v for v in vars(cli).values() if isinstance(v, argparse.ArgumentParser)]
+    assert len(parsers) == 1 and parsers[0]._subparsers is None
+
+
+def test_usage_error_leaves_the_next_call_unchanged(tmp_path):
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "certify": {"equilibrium": ORBIT}})
+
+    def run(out):
+        sink = io.StringIO()
+        with contextlib.redirect_stdout(sink):
+            code = main(["certify", "--oracle", "--config", cfg, "--out", str(out)])
+        return code, sink.getvalue(), out.read_bytes()
+
+    alone = run(tmp_path / "alone.json")
+    code, _ = _argv_code(["equilibrium", "--oracle", "--config", cfg, "--out", str(tmp_path / "bad.json")])
+    assert code == 2 and not (tmp_path / "bad.json").exists()
+    assert run(tmp_path / "after.json") == alone
 
 
 def _map(n1, n2):

@@ -15,6 +15,7 @@ from orbitron.fields import (
     _field_components,
     _join,
     eval_jet,
+    SOURCE_EPS,
     model_from_config,
 )
 
@@ -622,6 +623,86 @@ def test_scalar_jet_returns_python_floats():
     for model in ARRAY_MODELS:
         jet = eval_jet(model, 0.8, 0.0)
         assert all(type(getattr(jet, k)) is float for k in JET_FIELDS)
+
+
+def _single_dipole_terms(q: float, r, Z) -> list:
+    """Jet components of one axial point dipole; Z is the height above the source.
+
+    The powers of D take one correctly rounded square root, so a float call
+    gives the element of an array call bit for bit; it raises NonFinite where they overflow.
+    """
+    D = r * r + Z * Z
+    root = math.sqrt(D) if isinstance(D, float) else np.sqrt(D)
+    try:
+        s5 = 1.0 / (D * D * root)
+        s7 = s5 / D
+        s9 = s7 / D
+    except ZeroDivisionError:  # a float D or D * D underflowed to 0, where an array gives inf
+        s9 = math.inf
+    if isinstance(s9, float) and s9 == math.inf:
+        raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
+    r2 = r * r
+    Z2 = Z * Z
+    curl_term = 3.0 * q * r * (r2 - 4.0 * Z2) * s7  # Br_z = Bz_r
+    return [
+        3.0 * q * r * Z * s5,
+        q * (2.0 * Z2 - r2) * s5,
+        3.0 * q * Z * (Z2 - 4.0 * r2) * s7,
+        curl_term,
+        curl_term,
+        3.0 * q * Z * (3.0 * r2 - 2.0 * Z2) * s7,
+        3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Z2 - 4.0 * Z2 * Z2) * s9,
+        15.0 * q * r * Z * (4.0 * Z2 - 3.0 * r2) * s9,
+        3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Z2 + 8.0 * Z2 * Z2) * s9,
+    ]
+
+
+def _pair_reference(model, r, z) -> list:
+    """A dipole pair's jet as the sum of its sources' terms, each source evaluated on its own."""
+    u = r / model.h
+    for z_src in (model.h, -model.h):
+        w = (z - z_src) / model.h
+        near = u * u + w * w < SOURCE_EPS * SOURCE_EPS
+        if near is not False and np.any(near):
+            raise SourceSingularity(
+                f"field evaluated at distance < {SOURCE_EPS:g} h from the source at z = {z_src:g}"
+            )
+    top = _single_dipole_terms(model.q, r, z - model.h)
+    bottom = _single_dipole_terms(model.q, r, z + model.h)
+    return [a + b for a, b in zip(top, bottom)]
+
+
+def _outcome(f, *args):
+    """f's result as the bytes and types of its components, or its exception's type and message."""
+    try:
+        terms = f(*args)
+    except (NonFinite, SourceSingularity) as exc:
+        return type(exc), str(exc)
+    return [(type(t), np.asarray(t).tobytes()) for t in terms]
+
+
+@pytest.mark.parametrize("R", [0, 5, 40, 150, 300])
+def test_pair_jet_equals_the_sum_of_single_dipole_references(R):
+    # q, h and the coordinates spread over 10^(-R, R), which includes scales
+    # where the powers overflow: the same numbers, or the same exception
+    rng = np.random.default_rng(18 + R)
+    seen = set()
+    for _ in range(150):
+        q, h, r1, r2, z1, z2 = (10.0 ** rng.uniform(-R, R, 6)).tolist()
+        model = DipolePair(q, h)
+        # a point at a source, one on the axis and two anywhere
+        r = [1e-12 * h, 0.0, r1, r2]
+        z = [float(rng.choice([h, -h])), z1, z2, -z1]
+        for ri, zi in zip(r, z):
+            got = _outcome(eval_jet, model, ri, zi)
+            assert got == _outcome(_pair_reference, model, ri, zi), (q, h, ri, zi)
+            seen.add(got[0] if isinstance(got, tuple) else "ok")
+        with np.errstate(all="ignore"):
+            for k in (0, 1):  # with and without the point at a source
+                ra, za = np.array(r[k:]), np.array(z[k:])
+                assert _outcome(eval_jet, model, ra, za) == _outcome(_pair_reference, model, ra, za), (q, h)
+    if R >= 150:
+        assert seen == {"ok", NonFinite, SourceSingularity}
 
 
 def test_source_guard_at_extreme_scales():
