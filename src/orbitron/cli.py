@@ -104,21 +104,21 @@ def fmt17(x: float) -> str:
     return format(0.0 if x == 0.0 else x, ".17g")
 
 
-def _json_scalar(x) -> str:
-    if x is None:
-        return "null"
+def _scalar_text(x, nonfinite: str) -> str:
+    """JSON and CSV text of a bool, int or float, numpy scalars too: fmt17, ``nonfinite`` for inf and nan."""
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        xf = float(x)
-        if not math.isfinite(xf):
-            return "null"
-        return fmt17(xf)
-    if isinstance(x, str):
-        return json.dumps(x)
+        return fmt17(x) if math.isfinite(x) else nonfinite
     raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _json_scalar(x) -> str:
+    if x is None:
+        return "null"
+    return json.dumps(x) if isinstance(x, str) else _scalar_text(x, "null")
 
 
 def dumps17(obj, indent: int = 0) -> str:
@@ -147,14 +147,7 @@ def _write_json(path: str, obj) -> None:
 
 
 def _csv_cell(v) -> str:
-    if isinstance(v, str):
-        return v
-    if isinstance(v, (bool, np.bool_)):
-        return "true" if v else "false"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    xf = float(v)
-    return fmt17(xf) if math.isfinite(xf) else "nan"
+    return v if isinstance(v, str) else _scalar_text(v, "nan")
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
@@ -177,7 +170,10 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _at_most(value: int, limit: int, what: str) -> int:
+def _size(value: int, limit: int, what: str) -> int:
+    """A count the config asks for, which must lie in [1, limit]."""
+    if value < 1:
+        raise ConfigError(f"{what} must be at least 1")
     if value > limit:
         raise ConfigError(f"{what} must be at most {limit}")
     return value
@@ -284,7 +280,7 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
     dt = require(sec, "dt", float, "simulate", None)
     icfg = IntegratorConfig(
         dt=1.0 if dt is None else dt,
-        steps=_at_most(require(sec, "steps", int, "simulate"), MAX_STEPS, "simulate.steps"),
+        steps=_size(require(sec, "steps", int, "simulate"), MAX_STEPS, "simulate.steps"),
         scheme=require(sec, "scheme", str, "simulate", "rk4"),
         record_every=require(sec, "record_every", int, "simulate", 1),
     )
@@ -396,7 +392,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
         if len(ratio_range) != 2:
             raise ConfigError("scan.ratio_range must be a list of exactly 2 numbers")
         ratio_range = tuple(finite_float(x, "scan.ratio_range") for x in ratio_range)
-        n = _at_most(require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
+        n = _size(require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
         sigma = require(sec, "sigma", int, "scan", 1)
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
         if refine:
@@ -405,7 +401,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
     elif kind == "levitation_sweep":
         model = _model_from_config(cfg)
         kappas = require(sec, "kappa_values", list, "scan")
-        _at_most(len(kappas), MAX_SCAN_POINTS, "the length of scan.kappa_values")
+        _size(len(kappas), MAX_SCAN_POINTS, "the length of scan.kappa_values")
         kappas = [finite_float(k, "scan.kappa_values") for k in kappas]
         rows = levitation_sweep(model, b, kappas, require(sec, "beta", float, "scan"))
     elif kind == "stability_map":
@@ -425,15 +421,13 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
             axis2=axis(require(sec, "axis2", dict, "scan"), "scan.axis2"),
             fixed={k: finite_float(v, f"scan.fixed.{k}") for k, v in fixed.items()},
         )
-        _at_most(spec.axis1.n * spec.axis2.n, MAX_SCAN_POINTS, "scan.axis1.n * scan.axis2.n")
+        _size(spec.axis1.n * spec.axis2.n, MAX_SCAN_POINTS, "scan.axis1.n * scan.axis2.n")
         rows = stability_map(spec, model, b)
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")
 
-    if not rows:
-        raise ConfigError("scan produced no rows")
-    header = list(rows[0].keys())
-    _write_csv(out, header, ([row[k] for k in header] for row in rows))
+    # Every row holds the same keys in the same order, so its values are the CSV cells.
+    _write_csv(out, list(rows[0]), (row.values() for row in rows))
     return 0
 
 

@@ -49,14 +49,14 @@ class ScanAxis:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise ValueError("axis needs at least 1 point")
+            raise ValueError(f"axis {self.name!r} needs at least 1 point")
         if self.n == 1:
             if self.hi != self.lo:
-                raise ValueError("a single-point axis needs lo == hi")
+                raise ValueError(f"single-point axis {self.name!r} needs lo == hi")
         elif not self.hi > self.lo:
-            raise ValueError("axis range must be increasing")
+            raise ValueError(f"axis {self.name!r} range must be increasing")
         elif not math.isfinite(self.hi - self.lo):
-            raise ValueError("axis range width must be finite")
+            raise ValueError(f"axis {self.name!r} range width must be finite")
 
     def values(self) -> np.ndarray:
         if self.n == 1:
@@ -238,10 +238,10 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     and empty numerics.  The others share one jet at r0 and one stacked pass
     through the closed form, which :func:`stability.levitation_conditions`
     makes on one row.  Rows whose multipliers, spin pi0, momentum p0 or
-    margin are not finite carry NonFinite.
+    margin are not finite carry NonFinite.  The range of beta is
+    :func:`radius_for_beta`'s: a beta out of its reach raises ValueError,
+    and every row of a beta >= 0 that is in reach (B' < 0) carries BadSign.
     """
-    if beta >= 0.0:
-        raise BadSign("levitation requires beta < 0")
     linear, _ = split_levitation_model(model)
     r0 = radius_for_beta(model, beta)
     kappas = [float(kappa) for kappa in kappa_values]
@@ -286,9 +286,10 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     """Certify equatorial equilibria over a 2-D parameter grid.
 
     Supported axis and fixed-parameter names are ``r0``, ``pi0`` and
-    ``sigma``.  Each cell solves the equatorial equilibrium and runs the
-    closed-form certificate; infeasible cells carry the error name, and
-    cells whose jet or margin is not finite carry ``NonFinite``.
+    ``sigma``, each an axis or fixed, never both.  Each cell solves the
+    equatorial equilibrium and runs the closed-form certificate; infeasible
+    cells carry the error name, and cells whose jet or margin is not finite
+    carry ``NonFinite``.
 
     The axis is sigma e3 in every cell, so the field enters only through
     its jet at (r0, 0), which is one array :func:`fields.eval_jet` call over
@@ -301,15 +302,18 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     any jet.
     """
     known = {"r0", "pi0", "sigma"}
-    names = {spec.axis1.name, spec.axis2.name} | set(spec.fixed)
+    axes = {spec.axis1.name, spec.axis2.name}
+    names = axes | set(spec.fixed)
     if not names <= known:
         raise ConfigError(f"unknown scan parameters {sorted(names - known)}; known: {sorted(known)}")
     unknown = set(spec.outputs) - set(CERTIFICATE_FIELDS)
     if unknown:
         raise ConfigError(f"unknown map outputs {sorted(unknown)}; known: {list(CERTIFICATE_FIELDS)}")
-    if spec.axis1.name == spec.axis2.name:
+    if len(axes) == 1:
         raise ConfigError("the two scan axes must differ")
-    if not {"r0", "pi0"} <= ({spec.axis1.name, spec.axis2.name} | set(spec.fixed)):
+    if axes & set(spec.fixed):
+        raise ConfigError(f"scan parameters {sorted(axes & set(spec.fixed))} are both an axis and fixed")
+    if not {"r0", "pi0"} <= names:
         raise ConfigError("scan needs r0 and pi0 via an axis or a fixed value")
 
     v1, v2 = spec.axis1.values(), spec.axis2.values()
@@ -341,7 +345,7 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
         mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
         certs = _certify(b, _support_cells(jet, b, r_live, np.zeros(len(live)), nz, mult))
     errors[live[certs.sweep.zero]] = "ZeroPivot"
-    nonfinite[live] |= ~np.isfinite(certs.margin)
+    nonfinite[live] |= ~np.isfinite(certs.sweep.margin)
     errors[nonfinite] = "NonFinite"
     ok = errors[live] == ""
     certified = live[ok]

@@ -69,9 +69,7 @@ _FAILED_CONDITIONS = np.array(FAILED_CONDITIONS, dtype=object)
 LEVITATION_CONDITIONS = (None, "lambda") + FAILED_CONDITIONS[2:]
 
 # StabilityCertificate fields that hold one value per certified cell.
-CERTIFICATE_FIELDS = (
-    "verdict", "margin", "lambda_ok", "A", "B", "C", "abc_ok", "pivots", "failed_condition"
-)
+CERTIFICATE_FIELDS = ("verdict", "margin", "lambda_ok", "A", "B", "C", "pivots", "failed_condition")
 
 
 @dataclass(frozen=True)
@@ -107,7 +105,6 @@ class StabilityCertificate:
     A: float
     B: float
     C: float
-    abc_ok: bool
     pivots: tuple
     failed_condition: str | None
     details: dict = field(default_factory=dict)
@@ -116,7 +113,7 @@ class StabilityCertificate:
         _require_finite(self.margin)
 
     def to_record(self) -> dict:
-        record = {name: getattr(self, name) for name in CERTIFICATE_FIELDS if name != "abc_ok"}
+        record = {name: getattr(self, name) for name in CERTIFICATE_FIELDS}
         return dict(record, pivots=[float(p) for p in self.pivots])
 
 
@@ -410,9 +407,8 @@ def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
 
 @dataclass(frozen=True)
 class _Certificates:
-    """Closed-form certificates of K cells, as arrays over the cells."""
+    """Closed-form certificates of K cells, as arrays over the cells; the margin is the sweep's."""
 
-    margin: np.ndarray
     sweep: _Sweep
     den1: np.ndarray
     cond2: np.ndarray
@@ -428,14 +424,14 @@ class _Certificates:
         a list of pivots, or a condition name or None.
         """
         if name == "verdict":
-            return _classify(self.margin)
+            return _classify(self.sweep.margin)
+        if name == "margin":
+            return self.sweep.margin
         if name == "lambda_ok":
             return self.den1 > 0.0
-        if name == "abc_ok":
-            return self.failed == 0
         if name == "pivots":
             rows = zip(self.sweep.pivots.tolist(), self.sweep.stop.tolist())
-            return np.fromiter((row[: s + 1] for row, s in rows), dtype=object, count=len(self.margin))
+            return np.fromiter((row[: s + 1] for row, s in rows), dtype=object, count=len(self.den1))
         if name == "failed_condition":
             return _FAILED_CONDITIONS[self.failed]
         return getattr(self, name)
@@ -450,7 +446,7 @@ def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
     den1, cond2, A, B, C, failed = (np.reshape(v, -1) for v in _closed_form(b, cells))
     cond2 = np.where(den1 <= 0.0, np.nan, cond2)
     sweep = _eliminate(_reduced_forms(b, cells).reshape(8, 8, -1))
-    return _Certificates(sweep.margin, sweep, den1, cond2, A, B, C, failed)
+    return _Certificates(sweep, den1, cond2, A, B, C, failed)
 
 
 def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
@@ -530,7 +526,6 @@ def _certificate(
         A=A,
         B=B,
         C=C,
-        abc_ok=failed is None,
         pivots=(),
         failed_condition=failed,
         details=details,

@@ -12,6 +12,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
@@ -1017,6 +1018,77 @@ def test_scan_sizes_and_steps_are_bounded(tmp_path, capsys, monkeypatch, case, s
     else:
         assert code == 2 and not reached
         assert err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "value, as_json, as_csv",
+    [
+        (True, "true", "true"),
+        (np.bool_(False), "false", "false"),
+        (3, "3", "3"),
+        (np.int64(-7), "-7", "-7"),
+        (0.8, "0.80000000000000004", "0.80000000000000004"),
+        (np.float64(1.0 / 3.0), "0.33333333333333331", "0.33333333333333331"),
+        (0.0, "0", "0"),
+        (-0.0, "0", "0"),
+        (math.inf, "null", "nan"),
+        (-math.inf, "null", "nan"),
+        (math.nan, "null", "nan"),
+        ('say "stable"', '"say \\"stable\\""', 'say "stable"'),
+    ],
+    ids=repr,
+)
+def test_scalar_text_of_json_and_csv(value, as_json, as_csv):
+    from orbitron.cli import _csv_cell, _json_scalar
+
+    assert _json_scalar(value) == as_json
+    assert _csv_cell(value) == as_csv
+
+
+def test_scalar_text_of_none_and_unknown_types():
+    from orbitron.cli import _json_scalar
+
+    assert _json_scalar(None) == "null"
+    with pytest.raises(TypeError, match="cannot serialize list"):
+        _json_scalar([1.0])
+
+
+@pytest.mark.parametrize(
+    "field, section, message",
+    [
+        (PAIR, dict(WINDOW_SCAN, n=0), "scan.n must be at least 1"),
+        (PAIR, dict(WINDOW_SCAN, n=-1), "scan.n must be at least 1"),
+        (LEV_FIELD, dict(SWEEP_SCAN, kappa_values=[]), "the length of scan.kappa_values must be at least 1"),
+    ],
+    ids=["window_n_0", "window_n_-1", "no_kappa_values"],
+)
+def test_empty_scans_exit_2_before_writing(tmp_path, capsys, field, section, message):
+    cfg = _cfg(tmp_path, {"body": BODY, "field": field, "scan": section})
+    out = tmp_path / "scan.csv"
+    assert main(["scan", "--refine", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert list(tmp_path.iterdir()) == [Path(cfg)]
+
+
+def test_sweep_beta_follows_the_equilibrium_beta_route(tmp_path, capsys):
+    # radius_for_beta owns the range of beta: a sweep and the levitation solver exit alike
+    cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, "scan": dict(SWEEP_SCAN, beta=0.5)})
+    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2
+    sweep_err = capsys.readouterr().err
+    section = {"solver": "levitation", "beta": 0.5}
+    cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, "equilibrium": section}, "eq.json")
+    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.out.json")]) == 2
+    assert sweep_err == capsys.readouterr().err
+    assert sweep_err.startswith("config error: beta Bprime = 1.5 is outside")
+    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "eq.out.json").exists()
+
+
+def test_map_axis_also_fixed_is_a_config_error(tmp_path, capsys):
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, fixed={"r0": 1.2})})
+    out = tmp_path / "map.csv"
+    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: scan parameters ['r0'] are both an axis and fixed\n"
+    assert not out.exists()
 
 
 _HUGE_PAIR_FIELD = {"type": "composite", "parts": [{"type": "linear", "B0": 1, "Bprime": 3}, dict(PAIR, q=1e300)]}

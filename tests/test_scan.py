@@ -180,8 +180,24 @@ def test_levitation_sweep_deterministic():
 
 
 def test_levitation_sweep_rejects_positive_beta():
-    with pytest.raises(BadSign):
+    with pytest.raises(ValueError):
         levitation_sweep(_lev_model(), _body(), [1.001], 0.5)
+
+
+def test_levitation_sweep_beta_range_is_radius_for_beta():
+    # beta >= 0 is out of reach for B' > 0, with radius_for_beta's message
+    with pytest.raises(ValueError) as want:
+        radius_for_beta(_lev_model(), 0.5)
+    with pytest.raises(ValueError) as got:
+        levitation_sweep(_lev_model(), _body(), [1.001], 0.5)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError):
+        levitation_sweep(_lev_model(), _body(), [1.001], 0.0)
+    # with B' < 0 a positive beta has a radius, and every row carries BadSign
+    model = Composite((Linear(1.0, -3.0), DipolePair(1.0, 1.0)))
+    rows = levitation_sweep(model, _body(), [-1.2, 0.0, 1.001], 0.9)
+    assert [row["error"] for row in rows] == ["BadSign"] * 3
+    assert all(row["verdict"] == "" and math.isnan(row["margin"]) for row in rows)
 
 
 def _levitation_sweep_reference(model, b, kappa_values, beta):
@@ -377,6 +393,21 @@ def test_scan_axis_validation():
         ScanAxis("pi0", -1e308, 1e308, 3)
 
 
+@pytest.mark.parametrize(
+    "lo, hi, n, message",
+    [
+        (0.5, 1.5, 0, "axis 'sigma' needs at least 1 point"),
+        (0.5, 1.5, 1, "single-point axis 'sigma' needs lo == hi"),
+        (1.5, 0.5, 3, "axis 'sigma' range must be increasing"),
+        (-1e308, 1e308, 3, "axis 'sigma' range width must be finite"),
+    ],
+)
+def test_scan_axis_errors_name_the_axis(lo, hi, n, message):
+    with pytest.raises(ValueError) as info:
+        ScanAxis("sigma", lo, hi, n)
+    assert str(info.value) == message
+
+
 def test_stability_map_single_cell_matches_certificate():
     b = _body()
     model = DipolePair(1.0, 1.0)
@@ -421,6 +452,20 @@ def test_stability_map_config_errors():
         stability_map(ScanSpec(axis1=ax, axis2=ScanAxis("sigma", 1.0, 1.0, 1)), model, b)
 
 
+def test_stability_map_rejects_an_axis_also_fixed(monkeypatch):
+    from orbitron import scan as scan_module
+
+    def no_jet(*args):
+        raise AssertionError("the parameters are checked before any jet")
+
+    monkeypatch.setattr(scan_module, "eval_jet", no_jet)
+    axes = ScanAxis("r0", 0.5, 1.2, 3), ScanAxis("pi0", 5.0, 15.0, 2)
+    for fixed, named in [({"r0": 1.2}, "['r0']"), ({"sigma": 1.0, "pi0": 8.0, "r0": 1.2}, "['pi0', 'r0']")]:
+        with pytest.raises(ConfigError) as info:
+            stability_map(ScanSpec(*axes, fixed=fixed), DipolePair(1.0, 1.0), _body())
+        assert str(info.value) == f"scan parameters {named} are both an axis and fixed"
+
+
 def test_stability_map_rejects_unknown_outputs(monkeypatch):
     from orbitron import scan as scan_module
 
@@ -434,6 +479,9 @@ def test_stability_map_rejects_unknown_outputs(monkeypatch):
     assert str(list(CERTIFICATE_FIELDS)) in str(info.value)
     with pytest.raises(ConfigError, match="error"):
         stability_map(replace(spec, outputs=("margin", "error")), DipolePair(1.0, 1.0), _body())
+    # abc_ok was failed_condition is None under another name
+    with pytest.raises(ConfigError, match=r"unknown map outputs \['abc_ok'\]"):
+        stability_map(replace(spec, outputs=("verdict", "abc_ok")), DipolePair(1.0, 1.0), _body())
 
 
 PLAIN = (float, str, bool, list, type(None))
@@ -459,7 +507,7 @@ def test_stability_map_rows_are_plain_python():
     assert all(list(row) == ["r0", "pi0", "margin", "verdict", "error"] for row in rows)
 
 
-OUTPUTS = ("verdict", "margin", "A", "B", "C", "lambda_ok", "abc_ok", "failed_condition", "pivots")
+OUTPUTS = ("verdict", "margin", "A", "B", "C", "lambda_ok", "failed_condition", "pivots")
 
 
 def _per_cell(spec, model, b):
@@ -477,7 +525,7 @@ def _per_cell(spec, model, b):
             except OrbitronError as exc:
                 rows.append({"error": type(exc).__name__})
             else:
-                rows.append(dict(cert.to_record(), abc_ok=cert.abc_ok, error=""))
+                rows.append(dict(cert.to_record(), error=""))
     return rows
 
 
@@ -491,7 +539,7 @@ def _assert_map_matches_cells(spec, model, b):
             assert row["verdict"] == ""
             assert all(math.isnan(row[k]) for k in ("margin", "A", "B", "C"))
             continue
-        for key in ("verdict", "lambda_ok", "abc_ok", "failed_condition"):
+        for key in ("verdict", "lambda_ok", "failed_condition"):
             assert row[key] == want[key]
         for key in ("A", "B", "C"):
             assert row[key] == want[key] or (math.isnan(row[key]) and math.isnan(want[key]))
