@@ -202,9 +202,8 @@ def _vector(rec, key: str, where: str) -> np.ndarray:
     return np.array([finite_float(c, f"{where}.{key}") for c in v])
 
 
-def _pick_branch(eqs: list[Equilibrium], spec: dict, where: str) -> Equilibrium:
-    """The equilibrium branch selected by the spec's optional ``branch`` index."""
-    branch = require(spec, "branch", int, where, 0)
+def _pick_branch(eqs: list[Equilibrium], branch: int, where: str) -> Equilibrium:
+    """The equilibrium branch at index ``branch``, read from the spec before the solve."""
     if not 0 <= branch < len(eqs):
         raise ConfigError(
             f"{where}.branch = {branch} is out of range: the solver found {len(eqs)} branch(es)"
@@ -212,17 +211,15 @@ def _pick_branch(eqs: list[Equilibrium], spec: dict, where: str) -> Equilibrium:
     return eqs[branch]
 
 
-def _levitation_context(model: AxiFieldModel, b: BodyParams, r0: float):
-    """(kappa, beta) implied by the model and body at r0.
+def _levitation_setup(model: AxiFieldModel, b: BodyParams):
+    """The linear part and the mirror part of a levitation field.
 
     Raises ConfigError unless the field has exactly one linear part and g > 0.
     """
     linear, o_model = split_levitation_model(model)
     if b.g <= 0.0:
         raise ConfigError("levitation requires g > 0 in the body record")
-    kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
-    beta = eval_jet(o_model, r0, 0.0).Br_z / linear.Bp
-    return kappa, beta
+    return linear, o_model
 
 
 def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Equilibrium]:
@@ -249,13 +246,17 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
         c2 = require(spec, "C2", float, "equilibrium")
         return solve_dipole_equilibrium(model, b, r0, c2, negative_omega)
     if solver == "levitation":
+        if "r0" in spec and "beta" in spec:
+            raise ConfigError("levitation solver takes r0 or beta, not both")
         if "r0" in spec:
             r0 = require(spec, "r0", float, "equilibrium")
         elif "beta" in spec:
             r0 = radius_for_beta(model, require(spec, "beta", float, "equilibrium"))
         else:
             raise ConfigError("levitation solver needs r0 or beta")
-        kappa, beta = _levitation_context(model, b, r0)
+        linear, o_model = _levitation_setup(model, b)
+        kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
+        beta = eval_jet(o_model, r0, 0.0).Br_z / linear.Bp
         nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
         return [build_levitation_equilibrium(model, b, r0, nu_r, nu_z, xi2, negative_omega)]
     raise ConfigError(f"unknown solver {solver!r}")
@@ -296,13 +297,14 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
         )
     elif "from_equilibrium" in sec:
         spec = require(sec, "from_equilibrium", dict, "simulate")
+        branch = require(spec, "branch", int, "simulate.from_equilibrium", 0)
         try:
             eqs = _solve_from_spec(spec, model, b)
         except NO_SOLUTION_ERRORS as exc:
             _write_csv(out, TRAJECTORY_HEADER, [])
             _write_json(out + ".summary.json", {"reason": type(exc).__name__})
             return 0
-        eq = _pick_branch(eqs, spec, "simulate.from_equilibrium")
+        eq = _pick_branch(eqs, branch, "simulate.from_equilibrium")
         s0 = build_support_state(eq)
     else:
         raise ConfigError("simulate needs a 'state' or 'from_equilibrium' section")
@@ -353,20 +355,22 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
     method = require(sec, "method", str, "certify", "closed_form")
     if method not in CERTIFY_METHODS:
         raise ConfigError(f"unknown certify method {method!r}")
+    if method == "levitation":
+        _levitation_setup(model, b)
+    branch = require(spec, "branch", int, "certify.equilibrium", 0)
     try:
         eqs = _solve_from_spec(spec, model, b)
     except NO_SOLUTION_ERRORS as exc:
         _write_json(out, {"certificate": None, "reason": type(exc).__name__})
         return 0
-    eq = _pick_branch(eqs, spec, "certify.equilibrium")
+    eq = _pick_branch(eqs, branch, "certify.equilibrium")
 
-    blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+    blocks = hessian_blocks(eq.r0, eq.nu0, model, b) if method == "closed_form" or oracle else None
     if method == "closed_form":
         cert = closed_form_conditions(eq, b, blocks)
     elif method == "orbitron":
         cert = orbitron_conditions(eq, b, model)
     else:
-        _levitation_context(model, b, eq.r0)
         cert = levitation_conditions(eq, b, model)
 
     result = {"equilibrium": eq.to_record(), "certificate": cert.to_record()}
@@ -374,7 +378,7 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
         eig = eigen_certificate(reduced_hessian(eq, b, blocks))
         result["eigen"] = {
             "verdict": eig.verdict,
-            "lambda_min": eig.lambda_min,
+            "lambda_min": eig.eigenvalues[0],
             "margin": eig.margin,
             "agrees": eig.verdict == cert.verdict,
         }
@@ -396,7 +400,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
         sigma = require(sec, "sigma", int, "scan", 1)
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
         if refine:
-            lower, upper = window_endpoints(q, h, sigma=sigma, ratio_range=ratio_range)
+            lower, upper = window_endpoints(sigma=sigma, ratio_range=ratio_range)
             _write_json(out + ".endpoints.json", {"lower": lower, "upper": upper})
     elif kind == "levitation_sweep":
         model = _model_from_config(cfg)

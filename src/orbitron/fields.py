@@ -39,21 +39,25 @@ class FieldJet(NamedTuple):
     Each component is a float, or an array holding it at every point of a
     grid (see :func:`eval_jet`).
 
-    Br_z and Bz_r are stored separately even though curl-freeness makes them
-    equal, and each model computes the shared term once.  The honest check
-    is in the tests: every jet term is compared with finite differences of
-    its own component (Br_z of Br, Bz_r of Bz).
+    Curl-freeness makes Br_z equal to Bz_r, so the mixed derivative is
+    stored once, as Bz_r, and Br_z reads it.  The honest check is in the
+    tests: every jet term is compared with finite differences of its own
+    component (Br_z of Br, Bz_r of Bz).
     """
 
     Br: float
     Bz: float
     Br_r: float
-    Br_z: float
     Bz_r: float
     Bz_z: float
     Bz_rr: float
     Bz_rz: float
     Bz_zz: float
+
+    @property
+    def Br_z(self):
+        """dBr/dz, which equals Bz_r in a curl-free field."""
+        return self.Bz_r
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,7 @@ def _inverse_powers(D) -> tuple:
 
 
 def _jet_terms(model: AxiFieldModel, r, z) -> list:
-    """The nine components of the jet of ``model`` at (r, z), in FieldJet order."""
+    """The eight components of the jet of ``model`` at (r, z), in FieldJet order."""
     if isinstance(model, DipolePair):
         # Distances in units of h: squaring them cannot underflow the
         # threshold for small h, and products overflow to inf (not
@@ -134,14 +138,11 @@ def _jet_terms(model: AxiFieldModel, r, z) -> list:
         Zt2, Zb2 = Zt * Zt, Zb * Zb
         t5, t7, t9 = _inverse_powers(r2 + Zt2)
         b5, b7, b9 = _inverse_powers(r2 + Zb2)
-        # Br_z = Bz_r
-        curl_term = 3.0 * q * r * (r2 - 4.0 * Zt2) * t7 + 3.0 * q * r * (r2 - 4.0 * Zb2) * b7
         return [
             3.0 * q * r * Zt * t5 + 3.0 * q * r * Zb * b5,
             q * (2.0 * Zt2 - r2) * t5 + q * (2.0 * Zb2 - r2) * b5,
             3.0 * q * Zt * (Zt2 - 4.0 * r2) * t7 + 3.0 * q * Zb * (Zb2 - 4.0 * r2) * b7,
-            curl_term,
-            curl_term,
+            3.0 * q * r * (r2 - 4.0 * Zt2) * t7 + 3.0 * q * r * (r2 - 4.0 * Zb2) * b7,
             3.0 * q * Zt * (3.0 * r2 - 2.0 * Zt2) * t7 + 3.0 * q * Zb * (3.0 * r2 - 2.0 * Zb2) * b7,
             3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Zt2 - 4.0 * Zt2 * Zt2) * t9
             + 3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Zb2 - 4.0 * Zb2 * Zb2) * b9,
@@ -158,7 +159,6 @@ def _jet_terms(model: AxiFieldModel, r, z) -> list:
             -0.5 * model.Bp * r * one,
             (model.B0 + model.Bp * z) * one,
             -0.5 * model.Bp * one,
-            0.0 * one,
             0.0 * one,
             model.Bp * one,
             0.0 * one,

@@ -159,27 +159,24 @@ def _support_blocks(jet: FieldJet, r0, nu, mu: float) -> PotentialHessianBlocks:
 
 
 def hessian_blocks(
-    x0: np.ndarray,
+    r0: float,
     nu0: np.ndarray,
     model: AxiFieldModel,
     b: BodyParams,
 ) -> PotentialHessianBlocks:
-    """Second derivatives of the dipole potential at a support point.
+    """Second derivatives of the dipole potential at the support point (r0, 0, 0).
 
-    ``x0`` must have the support form (r0, 0, 0) with r0 > 0; ``nu0`` is the
-    unit axis direction there.  The field's Jacobian and Hessian have few
-    non-zero entries there, so the blocks are closed forms in the jet at
-    (r0, 0).  For this potential the pure nu blocks vanish (V is linear in
-    nu), but they are carried explicitly so downstream code is written
-    against the general shape.
+    ``r0 > 0`` is the support radius and ``nu0`` the unit axis direction
+    there.  The field's Jacobian and Hessian have few non-zero entries
+    there, so the blocks are closed forms in the jet at (r0, 0).  For this
+    potential the pure nu blocks vanish (V is linear in nu), but they are
+    carried explicitly so downstream code is written against the general
+    shape.
     """
-    x0 = np.asarray(x0, dtype=float)
     nu0 = np.asarray(nu0, dtype=float)
-    if x0.shape != (3,) or nu0.shape != (3,):
-        raise ValueError("x0 and nu0 must be 3-vectors")
-    if x0[1] != 0.0 or x0[2] != 0.0:
-        raise ValueError("x0 must have the support form (r0, 0, 0)")
-    r0 = float(x0[0])
+    if nu0.shape != (3,):
+        raise ValueError("nu0 must be a 3-vector")
+    r0 = float(r0)
     if r0 <= 0.0:
         raise AxisDegeneracy("support point must lie off the symmetry axis")
     return _support_blocks(eval_jet(model, r0, 0.0), r0, nu0.tolist(), b.mu)

@@ -119,9 +119,9 @@ def dipoletron_window(
     ratio = np.linspace(ratio_range[0], ratio_range[1], n)
     if not (ratio > 0.0).all():
         raise ValueError(f"ratio_range {ratio_range} must lie in r0 / h > 0")
-    r0 = ratio * h
-    # A jet that over- or underflows at an extreme scale gives inf, nan or 0 terms, silently.
+    # r0 and a jet that over- or underflow at an extreme scale give inf, nan or 0 terms, silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        r0 = ratio * h
         axial, radial, omega2 = equatorial_conditions(eval_jet(model, r0, 0.0), b, r0, sigma)
     finite = np.isfinite(axial) & np.isfinite(radial) & np.isfinite(omega2)
     if not finite.all():
@@ -134,12 +134,7 @@ def dipoletron_window(
     return _rows(keys, [c.tolist() for c in columns])
 
 
-def window_endpoints(
-    q: float,
-    h: float,
-    sigma: int = 1,
-    ratio_range: tuple[float, float] = (0.3, 1.5),
-) -> tuple[float, float]:
+def window_endpoints(sigma: int = 1, ratio_range: tuple[float, float] = (0.3, 1.5)) -> tuple[float, float]:
     """Edges of the stability window in r0 / h, clipped to ``ratio_range``.
 
     With x = (r0 / h)^2 the pair's midplane jet gives
@@ -148,11 +143,11 @@ def window_endpoints(
     axial condition changes sign at the roots 4 -+ 2 sqrt(30) / 3 of the
     first quadratic and the radial one at the roots 9 -+ sqrt(65) of the
     second.  Both hold on
-    4 - sigma 2 sqrt(30) / 3 < x < 9 - sigma sqrt(65), whatever q and h are.
+    4 - sigma 2 sqrt(30) / 3 < x < 9 - sigma sqrt(65), whatever q and h are,
+    so the edges are those of :func:`dipoletron_window` for every pair.
     Raises ValueError unless sigma is +1 or -1, and when the window does not
     meet ``ratio_range``.
     """
-    DipolePair(q, h)  # validates q > 0 and h > 0
     if sigma not in (-1, 1):
         raise ValueError("sigma must be +1 or -1")
     # The range comes first, so a NaN bound propagates and fails the check.
@@ -203,9 +198,9 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
             raise NonFinite(f"Br_z of the mirror part is {Br_z!r} at r = {r!r} for beta = {beta:g}")
         return Br_z - target
 
-    grid = np.linspace(0.01 * h, 8.0 * h, 4096)
-    # Grid points where the jet over- or underflows give inf or nan, silently.
+    # A grid or jet that over- or underflows gives inf or nan, silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grid = np.linspace(0.01 * h, 8.0 * h, 4096)
         vals = eval_jet(o_model, grid, 0.0).Br_z
     k_min = int(np.argmin(vals))  # the first nan, if there is one
     if math.isnan(vals[k_min]):

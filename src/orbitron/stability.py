@@ -119,10 +119,9 @@ class StabilityCertificate:
 
 @dataclass(frozen=True)
 class EigenCertificate:
-    """Spectrum-based verdict on the reduced quadratic form; its margin is finite too."""
+    """Spectrum-based verdict on the reduced quadratic form: a finite margin and the ascending eigenvalues."""
 
     verdict: str
-    lambda_min: float
     margin: float
     eigenvalues: tuple
 
@@ -629,11 +628,9 @@ def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     eigs = np.linalg.eigvalsh(Q)
     scale = int(_binary_exponent(Q))
     qnorm = max(float(np.linalg.norm(np.ldexp(Q, -scale))), 1e-300)
-    lam_min = float(eigs[0])
-    margin = math.ldexp(lam_min, -scale) / qnorm
+    margin = math.ldexp(float(eigs[0]), -scale) / qnorm
     return EigenCertificate(
         verdict=_classify(margin),
-        lambda_min=lam_min,
         margin=margin,
         eigenvalues=tuple(float(e) for e in eigs),
     )

@@ -67,7 +67,7 @@ def _levitation_setup():
 def test_criterion_1_dipoletron_window():
     with criterion(1, "window endpoints match the closed-form radicals"):
         t0 = time.monotonic()
-        lower, upper = window_endpoints(1.0, 1.0)
+        lower, upper = window_endpoints()
         r_lo = 2.0 * math.sqrt(1.0 - math.sqrt(5.0 / 6.0))
         r_hi = math.sqrt(9.0 - math.sqrt(65.0))
         assert abs(lower - r_lo) <= 1e-9
@@ -269,7 +269,7 @@ def test_criterion_6_specialization_consistency():
         for r0, pi0 in ((0.5, 10.0), (0.8, 10.0), (1.2, 10.0), (0.9, 20.0), (0.7, 6.0)):
             eq = solve_orbitron_equatorial(model, b, r0, pi0, 1)
             orb = orbitron_conditions(eq, b, model)
-            blocks = hessian_blocks(np.array([r0, 0.0, 0.0]), eq.nu0, model, b)
+            blocks = hessian_blocks(r0, eq.nu0, model, b)
             cf = closed_form_conditions(eq, b, blocks)
             assert orb.B == 0.0
             assert cf.B == 0.0

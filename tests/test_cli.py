@@ -630,6 +630,33 @@ def test_integer_fields_reject_non_integers(tmp_path, capsys, command, section, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (
+            {
+                "body": LEV_BODY,
+                "field": {"type": "composite", "parts": [LEV_FIELD["parts"][0], dict(PAIR, h=1e308)]},
+                "equilibrium": {"solver": "levitation", "beta": -0.9},
+            },
+            "Br_z of the mirror part is nan on the radius grid for beta = -0.9",
+        ),
+        (
+            {"body": BODY, "scan": dict(WINDOW_SCAN, h=1e308, ratio_range=[0.3, 2.0])},
+            "window conditions are not finite at r0 / h = 0.3, r0 = 3e+307",
+        ),
+    ],
+    ids=["radius_grid", "window_radii"],
+)
+def test_overflowing_grids_warn_nothing(tmp_path, capsys, doc, message):
+    # the grid of radii overflows: a numerical failure, and no RuntimeWarning on the way
+    command = "equilibrium" if "equilibrium" in doc else "scan"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: NonFinite: {message}\n"
+
+
 MAP_SCAN = {
     "kind": "stability_map",
     "axis1": {"name": "r0", "lo": 0.6, "hi": 0.9, "n": 2},
@@ -804,6 +831,44 @@ def test_certify_checks_method_before_solving(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "field, message",
+    [(PAIR, "levitation needs a composite field"), (LEV_FIELD, "levitation requires g > 0")],
+    ids=["no_linear_part", "no_gravity"],
+)
+def test_certify_checks_levitation_setup_before_solving(tmp_path, capsys, field, message):
+    # the failed solve (WrongFieldSign, NotMirrorSymmetric) does not get to answer first
+    section = {"method": "levitation", "equilibrium": NO_ORBIT}
+    cfg = _cfg(tmp_path, {"body": BODY, "field": field, "certify": section})
+    out = tmp_path / "cert.json"
+    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["certify", "simulate"])
+def test_branch_type_is_checked_before_solving(tmp_path, capsys, command):
+    spec = dict(NO_ORBIT, branch="x")
+    section, where = {
+        "certify": ({"equilibrium": spec}, "certify.equilibrium"),
+        "simulate": ({"from_equilibrium": spec, "steps": 5}, "simulate.from_equilibrium"),
+    }[command]
+    cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, command: section})
+    out = tmp_path / "o.dat"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {where}.branch must be of type int\n"
+    assert list(tmp_path.glob("o.dat*")) == []
+
+
+def test_levitation_solver_takes_r0_or_beta_not_both(tmp_path, capsys):
+    spec = {"solver": "levitation", "r0": 0.8, "beta": -0.3}
+    cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, "equilibrium": spec})
+    out = tmp_path / "eq.json"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: levitation solver takes r0 or beta, not both\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("method", ["closed_form", "orbitron"])
 def test_certify_oracle_solves_hessian_once(tmp_path, monkeypatch, method):
     from orbitron import cli
@@ -820,6 +885,19 @@ def test_certify_oracle_solves_hessian_once(tmp_path, monkeypatch, method):
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "certify": section})
     assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json"), "--oracle"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["orbitron", "levitation"])
+def test_certify_builds_no_hessian_blocks_it_does_not_read(tmp_path, monkeypatch, method):
+    from orbitron import cli
+
+    calls = []
+    monkeypatch.setattr(cli, "hessian_blocks", lambda *args: calls.append(args))
+    levitation = (LEV_BODY, LEV_FIELD, {"solver": "levitation", "r0": 0.8})
+    body, field, spec = levitation if method == "levitation" else (BODY, PAIR, ORBIT)
+    cfg = _cfg(tmp_path, {"body": body, "field": field, "certify": {"method": method, "equilibrium": spec}})
+    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
+    assert calls == []
 
 
 @pytest.mark.parametrize("ratio_range", [[0.3], [0.3, 1.5, 2.0]], ids=["one", "three"])

@@ -643,13 +643,11 @@ def _single_dipole_terms(q: float, r, Z) -> list:
         raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
     r2 = r * r
     Z2 = Z * Z
-    curl_term = 3.0 * q * r * (r2 - 4.0 * Z2) * s7  # Br_z = Bz_r
     return [
         3.0 * q * r * Z * s5,
         q * (2.0 * Z2 - r2) * s5,
         3.0 * q * Z * (Z2 - 4.0 * r2) * s7,
-        curl_term,
-        curl_term,
+        3.0 * q * r * (r2 - 4.0 * Z2) * s7,
         3.0 * q * Z * (3.0 * r2 - 2.0 * Z2) * s7,
         3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Z2 - 4.0 * Z2 * Z2) * s9,
         15.0 * q * r * Z * (4.0 * Z2 - 3.0 * r2) * s9,

@@ -79,7 +79,7 @@ def test_zero_field_reduces_to_gravity():
     assert V.value(x, nu) == 2.0 * b.M * b.g
     np.testing.assert_array_equal(V.grad_x(x, nu), np.array([0.0, 0.0, b.M * b.g]))
     np.testing.assert_array_equal(V.grad_nu(x, nu), np.zeros(3))
-    blocks = hessian_blocks(np.array([0.7, 0.0, 0.0]), np.array([0.6, 0.0, 0.8]), Linear(0.0, 0.0), b)
+    blocks = hessian_blocks(0.7, np.array([0.6, 0.0, 0.8]), Linear(0.0, 0.0), b)
     np.testing.assert_array_equal(blocks.Vxx, np.zeros((3, 3)))
     np.testing.assert_array_equal(blocks.VxN, np.zeros((3, 2)))
     np.testing.assert_array_equal(blocks.Vx3, np.zeros(3))
@@ -194,7 +194,7 @@ def test_hessian_blocks_nu_blocks_vanish():
     for _ in range(5):
         nu = rng.normal(0.0, 1.0, 3)
         nu /= np.linalg.norm(nu)
-        blocks = hessian_blocks(np.array([0.8, 0.0, 0.0]), nu, model, b)
+        blocks = hessian_blocks(0.8, nu, model, b)
         np.testing.assert_array_equal(blocks.VNN, np.zeros((2, 2)))
         np.testing.assert_array_equal(blocks.VN3, np.zeros(2))
         assert blocks.V33 == 0.0
@@ -207,7 +207,7 @@ def test_hessian_blocks_explicit_formulas():
     r = 0.8
     for nu in (np.array([0.0, 0.0, 1.0]), np.array([0.6, 0.0, 0.8]), np.array([-0.28, 0.0, 0.96])):
         j = eval_jet(model, r, 0.0)
-        blocks = hessian_blocks(np.array([r, 0.0, 0.0]), nu, model, b)
+        blocks = hessian_blocks(r, nu, model, b)
         nr, nz = nu[0], nu[2]
         v11 = -b.mu * nz * j.Bz_rr + b.mu * nr * j.Bz_rz - b.mu * nr * (j.Bz_z + 2.0 * j.Br / r) / r
         v13 = -b.mu * nz * j.Bz_rz - b.mu * nr * j.Bz_rr
@@ -222,7 +222,7 @@ def test_hessian_blocks_orbitron_case():
     model = DipolePair(1.0, 1.0)
     r = 0.8
     j = eval_jet(model, r, 0.0)
-    blocks = hessian_blocks(np.array([r, 0.0, 0.0]), E3, model, b)
+    blocks = hessian_blocks(r, E3, model, b)
     assert math.isclose(blocks.Vxx[0, 0], -b.mu * j.Bz_rr, rel_tol=1e-13)
     assert math.isclose(blocks.Vxx[2, 2], -b.mu * j.Bz_zz, rel_tol=1e-13)
     assert abs(blocks.Vxx[0, 2]) <= 1e-14
@@ -238,7 +238,7 @@ def test_hessian_blocks_match_finite_differences():
     for _ in range(5):
         nu = rng.normal(0.0, 1.0, 3)
         nu /= np.linalg.norm(nu)
-        blocks = hessian_blocks(x0, nu, model, b)
+        blocks = hessian_blocks(r0, nu, model, b)
         h = 1e-6
         # x-x block
         fd_xx = np.zeros((3, 3))
@@ -272,7 +272,7 @@ def test_mixed_blocks_follow_jacobian():
     for _ in range(10):
         nu = rng.normal(0.0, 1.0, 3)
         nu /= np.linalg.norm(nu)
-        blocks = hessian_blocks(x0, nu, model, b)
+        blocks = hessian_blocks(r0, nu, model, b)
         mixed = -b.mu * J
         np.testing.assert_allclose(blocks.VxN, mixed[:, :2] @ _alpha(nu), rtol=0, atol=1e-12)
         np.testing.assert_allclose(blocks.Vx3, mixed[:, 2], rtol=0, atol=1e-12)
@@ -281,14 +281,10 @@ def test_mixed_blocks_follow_jacobian():
 def test_hessian_blocks_requires_support_form():
     b = _body()
     model = DipolePair(1.0, 1.0)
-    with pytest.raises(ValueError):
-        hessian_blocks(np.array([0.8, 0.1, 0.0]), E3, model, b)
-    with pytest.raises(ValueError):
-        hessian_blocks(np.array([0.8, 0.0, 0.2]), E3, model, b)
     with pytest.raises(AxisDegeneracy):
-        hessian_blocks(np.array([0.0, 0.0, 0.0]), E3, model, b)
+        hessian_blocks(0.0, E3, model, b)
     with pytest.raises(AxisDegeneracy):
-        hessian_blocks(np.array([-0.5, 0.0, 0.0]), E3, model, b)
+        hessian_blocks(-0.5, E3, model, b)
 
 
 def test_vxx_from_cartesian_hessian_contraction():
@@ -301,7 +297,7 @@ def test_vxx_from_cartesian_hessian_contraction():
     for _ in range(5):
         nu = rng.normal(0.0, 1.0, 3)
         nu /= np.linalg.norm(nu)
-        blocks = hessian_blocks(x0, nu, model, b)
+        blocks = hessian_blocks(r0, nu, model, b)
         expected = -b.mu * np.einsum("k,kij->ij", nu, H)
         np.testing.assert_allclose(blocks.Vxx, expected, rtol=0, atol=1e-13)
 
@@ -327,7 +323,7 @@ def test_stacked_support_blocks_match_pointwise_blocks():
     r0 = np.linspace(0.4, 2.5, len(nu))
     stacked = _support_blocks(eval_jet(model, r0, 0.0), r0, tuple(nu.T), b.mu)
     for k in range(len(r0)):
-        ref = hessian_blocks(np.array([r0[k], 0.0, 0.0]), nu[k], model, b)
+        ref = hessian_blocks(r0[k], nu[k], model, b)
         for name in ("Vxx", "VxN", "Vx3", "VNN", "VN3", "V33"):
             got = getattr(stacked, name)
             assert got.shape[-1] == len(r0)

@@ -63,47 +63,50 @@ def test_window_rows_match_factored_polynomials():
 
 
 def test_window_endpoints_match_radicals():
-    lo, hi = window_endpoints(1.0, 1.0)
+    lo, hi = window_endpoints()
     assert abs(lo - math.sqrt(4.0 - 2.0 * math.sqrt(30.0) / 3.0)) <= 5e-12
     assert abs(hi - math.sqrt(9.0 - math.sqrt(65.0))) <= 5e-12
-    lo, hi = window_endpoints(1.0, 1.0, sigma=-1, ratio_range=(1.0, 6.0))
+    lo, hi = window_endpoints(sigma=-1, ratio_range=(1.0, 6.0))
     assert abs(lo - math.sqrt(4.0 + 2.0 * math.sqrt(30.0) / 3.0)) <= 5e-12
     assert abs(hi - math.sqrt(9.0 + math.sqrt(65.0))) <= 5e-12
 
 
 def test_window_endpoints_scale_free():
-    # the window in r0 / h depends on neither the moment nor the spacing
-    ref = window_endpoints(1.0, 1.0)
-    other = window_endpoints(2.3, 0.7)
-    assert abs(ref[0] - other[0]) <= 1e-11
-    assert abs(ref[1] - other[1]) <= 1e-11
+    # the window in r0 / h depends on neither the moment nor the spacing: a
+    # pair other than the unit one leaves its window at window_endpoints()
+    b = _body()
+    for sigma, ratio_range in ((1, (0.3, 1.5)), (-1, (1.0, 6.0))):
+        lo, hi = window_endpoints(sigma=sigma, ratio_range=ratio_range)
+        rows = dipoletron_window(2.3, 0.7, b, ratio_range=ratio_range, sigma=sigma)
+        assert [r["in_window"] for r in rows] == [lo < r["ratio"] < hi for r in rows]
+        for edge, inside in ((lo, [False, True]), (hi, [True, False])):
+            rows = dipoletron_window(2.3, 0.7, b, ratio_range=(edge - 1e-9, edge + 1e-9), n=2, sigma=sigma)
+            assert [r["in_window"] for r in rows] == inside
 
 
 def test_window_endpoints_no_window():
     with pytest.raises(ValueError):
-        window_endpoints(1.0, 1.0, sigma=-1)
+        window_endpoints(sigma=-1)
     with pytest.raises(ValueError):
         dipoletron_window(1.0, 1.0, _body(), sigma=2)
 
 
 def test_window_endpoints_clip_to_ratio_range():
-    lo, hi = window_endpoints(1.0, 1.0)
-    assert window_endpoints(1.0, 1.0, ratio_range=(0.3, 0.8)) == (lo, 0.8)
-    assert window_endpoints(1.0, 1.0, ratio_range=(0.7, 2.0)) == (0.7, hi)
-    assert window_endpoints(1.0, 1.0, ratio_range=(0.7, 0.8)) == (0.7, 0.8)
+    lo, hi = window_endpoints()
+    assert window_endpoints(ratio_range=(0.3, 0.8)) == (lo, 0.8)
+    assert window_endpoints(ratio_range=(0.7, 2.0)) == (0.7, hi)
+    assert window_endpoints(ratio_range=(0.7, 0.8)) == (0.7, 0.8)
     for ratio_range in ((0.3, 0.5), (1.0, 1.5), (0.8, 0.7), (math.nan, 1.0)):
         with pytest.raises(ValueError):
-            window_endpoints(1.0, 1.0, ratio_range=ratio_range)
+            window_endpoints(ratio_range=ratio_range)
     with pytest.raises(ValueError):
-        window_endpoints(1.0, 1.0, sigma=2)
-    with pytest.raises(ValueError):
-        window_endpoints(0.0, 1.0)
+        window_endpoints(sigma=2)
 
 
 def test_window_endpoints_window_narrower_than_old_grid_step():
     # a 601-point grid over this range steps by 0.5 and has no point inside
     # the window, whose width is 0.378
-    assert window_endpoints(1.0, 1.0, ratio_range=(0.55, 300.55)) == window_endpoints(1.0, 1.0)
+    assert window_endpoints(ratio_range=(0.55, 300.55)) == window_endpoints()
 
 
 def test_split_levitation_model():
@@ -416,7 +419,7 @@ def test_stability_map_single_cell_matches_certificate():
     assert len(rows) == 1
     row = rows[0]
     eq = solve_orbitron_equatorial(model, b, 0.8, 10.0)
-    blocks = hessian_blocks(np.array([0.8, 0.0, 0.0]), eq.nu0, model, b)
+    blocks = hessian_blocks(0.8, eq.nu0, model, b)
     cert = closed_form_conditions(eq, b, blocks)
     assert row["verdict"] == cert.verdict == "stable"
     assert row["margin"] == cert.margin
@@ -520,7 +523,7 @@ def _per_cell(spec, model, b):
                 eq = solve_orbitron_equatorial(
                     model, b, params["r0"], params["pi0"], int(params.get("sigma", 1))
                 )
-                blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+                blocks = hessian_blocks(eq.r0, eq.nu0, model, b)
                 cert = closed_form_conditions(eq, b, blocks)
             except OrbitronError as exc:
                 rows.append({"error": type(exc).__name__})

@@ -168,7 +168,7 @@ def test_reduced_hessian_matches_constrained_fd_hessian():
         T = variation_constraints(eq, b)
         H = _fd_hessian_of_augmented(eq, b, model)
         Q_fd = T.T @ H @ T
-        blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+        blocks = hessian_blocks(eq.r0, eq.nu0, model, b)
         Q = reduced_hessian(eq, b, blocks)
         assert Q.shape == (len(VARIATION_LABELS),) * 2
         qnorm = np.linalg.norm(Q)
@@ -178,7 +178,7 @@ def test_reduced_hessian_matches_constrained_fd_hessian():
 
 def test_reduced_hessian_equatorial_structure():
     eq, b, model = _dipoletron()
-    blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+    blocks = hessian_blocks(eq.r0, eq.nu0, model, b)
     Q = reduced_hessian(eq, b, blocks)
     m = eq.mult
     assert Q[0, 0] == 1.0 / b.M and Q[1, 1] == 1.0 / b.M
@@ -276,7 +276,7 @@ def test_vectorized_elimination_matches_loop():
 
 def test_elimination_block_equals_closed_form_abc():
     for eq, b, model in _cases():
-        blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+        blocks = hessian_blocks(eq.r0, eq.nu0, model, b)
         cert = closed_form_conditions(eq, b, blocks)
         res = isolated_squares_reduce(reduced_hessian(eq, b, blocks))
         assert res.completed
@@ -459,7 +459,7 @@ def test_orbitron_matches_closed_form():
     for r0, pi0 in ((0.8, 10.0), (0.7, 8.0), (0.9, 20.0)):
         eq, b, model = _dipoletron(r0, pi0)
         orb = orbitron_conditions(eq, b, model)
-        blocks = hessian_blocks(np.array([r0, 0.0, 0.0]), eq.nu0, model, b)
+        blocks = hessian_blocks(r0, eq.nu0, model, b)
         cf = closed_form_conditions(eq, b, blocks)
         assert orb.verdict == cf.verdict
         assert orb.B == 0.0 and cf.B == 0.0
@@ -470,7 +470,7 @@ def test_orbitron_matches_closed_form():
 def test_levitation_conditions_agree_with_closed_form():
     eq, b, model = _levitation()
     cert = levitation_conditions(eq, b, model)
-    blocks = hessian_blocks(np.array([eq.r0, 0.0, 0.0]), eq.nu0, model, b)
+    blocks = hessian_blocks(eq.r0, eq.nu0, model, b)
     cf = closed_form_conditions(eq, b, blocks)
     assert cert.verdict == cf.verdict == "stable"
     assert abs(cert.A - cf.A) <= 1e-12 * max(1.0, abs(cf.A))
@@ -574,12 +574,12 @@ def test_eigen_certificate_raises_on_a_non_finite_entry(entry):
 def test_eigen_certificate_small_examples():
     cert = eigen_certificate(np.eye(3))
     assert cert.verdict == "stable"
-    assert cert.lambda_min == 1.0
+    assert cert.eigenvalues[0] == 1.0
     assert cert.eigenvalues == (1.0, 1.0, 1.0)
 
     cert = eigen_certificate(np.diag([1.0, -2.0]))
     assert cert.verdict == "not_certified"
-    assert cert.lambda_min == -2.0
+    assert cert.eigenvalues[0] == -2.0
 
     cert = eigen_certificate(np.diag([1.0, 0.0]))
     assert cert.verdict == "marginal"
