@@ -82,11 +82,12 @@ def _rhs(c: list, b: BodyParams, V: DipolePotential) -> list:
     x1, x2, x3, p1, p2, p3, n1, n2, n3, q1, q2, q3 = c
     g1, g2, g3, f1, f2, f3 = V.gradient_terms(x1, x2, x3, n1, n2, n3)
     M, I = b.M, b.I_perp
-    return (
-        [p1 / M, p2 / M, p3 / M, -g1, -g2, -g3]
-        + [(q2 * n3 - q3 * n2) / I, (q3 * n1 - q1 * n3) / I, (q1 * n2 - q2 * n1) / I]
-        + [f2 * n3 - f3 * n2, f3 * n1 - f1 * n3, f1 * n2 - f2 * n1]
-    )
+    return [
+        p1 / M, p2 / M, p3 / M,
+        -g1, -g2, -g3,
+        (q2 * n3 - q3 * n2) / I, (q3 * n1 - q1 * n3) / I, (q1 * n2 - q2 * n1) / I,
+        f2 * n3 - f3 * n2, f3 * n1 - f1 * n3, f1 * n2 - f2 * n1,
+    ]
 
 
 def eom_rhs(y: np.ndarray, b: BodyParams, V: DipolePotential) -> np.ndarray:
@@ -182,8 +183,7 @@ def distance_to_orbit(s: ReducedState, eq: Equilibrium) -> float:
     K - 2 (P cos phi + Q sin phi), so its minimum K - 2 sqrt(P^2 + Q^2) is
     taken in closed form.
     """
-    s0 = build_support_state(eq)
-    ref = [s0.x, s0.p, s0.nu, s0.pi]
+    ref = [np.array([eq.r0, 0.0, 0.0]), np.array([0.0, eq.p0, 0.0]), eq.nu0, eq.pi0]
     scales = [max(float(np.linalg.norm(v)), 1.0) for v in ref]
     cur = [s.x, s.p, s.nu, s.pi]
     K = 0.0

@@ -12,6 +12,7 @@ the dipole points.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple, Union
 
@@ -133,42 +134,42 @@ def _jet_terms(model: AxiFieldModel, r, z) -> list:
                 )
         # Each component is the top source's term plus the bottom one's, each
         # that of one axial dipole at height Z = z - h (t) or Z = z + h (b) above it.
+        # The shared left factors are taken once; every product keeps its
+        # left-to-right order, so each term rounds as written out in full.
         r2 = r * r
         Zt, Zb = z - h, z + h
         Zt2, Zb2 = Zt * Zt, Zb * Zb
         t5, t7, t9 = _inverse_powers(r2 + Zt2)
         b5, b7, b9 = _inverse_powers(r2 + Zb2)
+        q3 = 3.0 * q
+        q3r, q15r = q3 * r, 15.0 * q * r
+        r2_3, r2_4, r2_24, r2_27 = 3.0 * r2, 4.0 * r2, 24.0 * r2, 27.0 * r2
+        r4_m4 = -4.0 * r2 * r2
+        Zt2_4, Zb2_4 = 4.0 * Zt2, 4.0 * Zb2
         return [
-            3.0 * q * r * Zt * t5 + 3.0 * q * r * Zb * b5,
+            q3r * Zt * t5 + q3r * Zb * b5,
             q * (2.0 * Zt2 - r2) * t5 + q * (2.0 * Zb2 - r2) * b5,
-            3.0 * q * Zt * (Zt2 - 4.0 * r2) * t7 + 3.0 * q * Zb * (Zb2 - 4.0 * r2) * b7,
-            3.0 * q * r * (r2 - 4.0 * Zt2) * t7 + 3.0 * q * r * (r2 - 4.0 * Zb2) * b7,
-            3.0 * q * Zt * (3.0 * r2 - 2.0 * Zt2) * t7 + 3.0 * q * Zb * (3.0 * r2 - 2.0 * Zb2) * b7,
-            3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Zt2 - 4.0 * Zt2 * Zt2) * t9
-            + 3.0 * q * (-4.0 * r2 * r2 + 27.0 * r2 * Zb2 - 4.0 * Zb2 * Zb2) * b9,
-            15.0 * q * r * Zt * (4.0 * Zt2 - 3.0 * r2) * t9
-            + 15.0 * q * r * Zb * (4.0 * Zb2 - 3.0 * r2) * b9,
-            3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Zt2 + 8.0 * Zt2 * Zt2) * t9
-            + 3.0 * q * (3.0 * r2 * r2 - 24.0 * r2 * Zb2 + 8.0 * Zb2 * Zb2) * b9,
+            q3 * Zt * (Zt2 - r2_4) * t7 + q3 * Zb * (Zb2 - r2_4) * b7,
+            q3r * (r2 - Zt2_4) * t7 + q3r * (r2 - Zb2_4) * b7,
+            q3 * Zt * (r2_3 - 2.0 * Zt2) * t7 + q3 * Zb * (r2_3 - 2.0 * Zb2) * b7,
+            q3 * (r4_m4 + r2_27 * Zt2 - Zt2_4 * Zt2) * t9 + q3 * (r4_m4 + r2_27 * Zb2 - Zb2_4 * Zb2) * b9,
+            q15r * Zt * (Zt2_4 - r2_3) * t9 + q15r * Zb * (Zb2_4 - r2_3) * b9,
+            q3 * (r2_3 * r2 - r2_24 * Zt2 + 8.0 * Zt2 * Zt2) * t9
+            + q3 * (r2_3 * r2 - r2_24 * Zb2 + 8.0 * Zb2 * Zb2) * b9,
         ]
     if isinstance(model, Linear):
-        # 1 in the broadcast shape of (r, z), and the float 1.0 for floats;
-        # x ** 0 is 1 also for nan and inf.
-        one = (r * z) ** 0
-        return [
-            -0.5 * model.Bp * r * one,
-            (model.B0 + model.Bp * z) * one,
-            -0.5 * model.Bp * one,
-            0.0 * one,
-            model.Bp * one,
-            0.0 * one,
-            0.0 * one,
-            0.0 * one,
-        ]
+        # The constants written out: floats for scalar input and, for arrays,
+        # every term in the broadcast shape of (r, z), as a pair's terms are.
+        Bp = float(model.Bp)
+        terms = [-0.5 * Bp * r, model.B0 + Bp * z, -0.5 * Bp, 0.0, Bp, 0.0, 0.0, 0.0]
+        if not isinstance(r, np.ndarray) and not isinstance(z, np.ndarray):
+            return terms
+        shape = np.broadcast_shapes(np.shape(r), np.shape(z))
+        return [np.full(shape, t) for t in terms]
     if isinstance(model, Composite):
         total = _jet_terms(model.parts[0], r, z)
         for part in model.parts[1:]:
-            total = [a + b for a, b in zip(total, _jet_terms(part, r, z))]
+            total = list(map(operator.add, total, _jet_terms(part, r, z)))
         return total
     raise TypeError(f"unknown field model {type(model).__name__}")
 
@@ -184,7 +185,7 @@ def eval_jet(model: AxiFieldModel, r, z) -> FieldJet:
     within ``SOURCE_EPS * h`` of a dipole source point.  A NaN coordinate
     is not near any source and evaluates to NaN components.
     """
-    return FieldJet(*_jet_terms(model, r, z))
+    return FieldJet._make(_jet_terms(model, r, z))
 
 
 def _components(a) -> list:

@@ -11,6 +11,7 @@ in-plane directions E1 (along the planar part of nu0) and E2 = e3 x E1.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,6 +30,17 @@ __all__ = [
 # Planar axis components smaller than this are treated as exactly axial and
 # the rotated basis degenerates to the identity.
 BASIS_EPS = 1e-12
+
+# libm's hypot, which np.hypot calls for each element: a float radius costs
+# one C call and equals the element of an array call bit for bit.
+_hypot = ctypes.CDLL(None).hypot
+_hypot.argtypes = (ctypes.c_double, ctypes.c_double)
+_hypot.restype = ctypes.c_double
+
+
+def _radius(x1, x2):
+    """r = |x_perp| from its in-plane components, floats or arrays."""
+    return _hypot(x1, x2) if isinstance(x1, float) else np.hypot(x1, x2)
 
 
 @dataclass(frozen=True)
@@ -62,9 +74,8 @@ class DipolePotential:
         self.b = b
 
     def _jet(self, x1, x2, x3) -> tuple:
-        """r = |x_perp| and the jet at (r, x3); r by np.hypot, as for arrays."""
-        # math.hypot differs from np.hypot in the last bit on 3648 of 2e6 random pairs (glibc 2.36)
-        r = float(np.hypot(x1, x2)) if isinstance(x1, float) else np.hypot(x1, x2)
+        """r = |x_perp| and the jet at (r, x3)."""
+        r = _radius(x1, x2)
         return r, eval_jet(self.model, r, x3)
 
     def value(self, x: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
@@ -79,20 +90,23 @@ class DipolePotential:
 
         grad_x V = -mu J nu + M g e3, with the field Jacobian J contracted in
         closed form: with f = Br / r, e = x_perp / r and d = e . nu_perp,
-        J nu = (f nu_perp + e ((Br_r - f) d + Br_z nu3), Bz_r d + Bz_z nu3).
+        J nu = (f nu_perp + e ((Br_r - f) d + Br_z nu3), Bz_r d + Bz_z nu3),
+        where Br_z is the jet's Bz_r.
         Raises AxisDegeneracy if any point has r = 0, where e is undefined.
         """
-        r, jet = self._jet(x1, x2, x3)
+        r = _radius(x1, x2)
+        Br, Bz, Br_r, Bz_r, Bz_z, *_ = eval_jet(self.model, r, x3)
         on_axis = r == 0.0
         if on_axis is not False and np.any(on_axis):
             raise AxisDegeneracy("the potential gradient is evaluated off axis only")
         mu = self.b.mu
-        f, e1, e2 = jet.Br / r, x1 / r, x2 / r
+        f, e1, e2 = Br / r, x1 / r, x2 / r
         d = e1 * nu1 + e2 * nu2
-        w = (jet.Br_r - f) * d + jet.Br_z * nu3
-        g3 = -mu * (jet.Bz_r * d + jet.Bz_z * nu3) + self.b.M * self.b.g
-        B1, B2, B3 = _field_components(jet, x1, x2, r)
-        return -mu * (f * nu1 + e1 * w), -mu * (f * nu2 + e2 * w), g3, -mu * B1, -mu * B2, -mu * B3
+        w = (Br_r - f) * d + Bz_r * nu3
+        g3 = -mu * (Bz_r * d + Bz_z * nu3) + self.b.M * self.b.g
+        # grad_nu V = -mu B, with B as _field_components gives it off the axis
+        B1, B2 = Br * x1 / r, Br * x2 / r
+        return -mu * (f * nu1 + e1 * w), -mu * (f * nu2 + e2 * w), g3, -mu * B1, -mu * B2, -mu * Bz
 
     def grad_x(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """-mu J nu + M g e3: the first three of :meth:`gradient_terms`."""

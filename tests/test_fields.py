@@ -1,5 +1,6 @@
 """Tests for the axisymmetric field models and their derivative jets."""
 
+import hashlib
 import itertools
 import math
 
@@ -727,3 +728,36 @@ def test_scalar_jet_raises_where_the_squared_distance_underflows():
     # r^2 + Z^2 itself underflows to 0 here, so a float quotient by it would divide by zero
     with pytest.raises(NonFinite, match="squared distance 0 from the source"):
         eval_jet(DipolePair(1.0, 1e-200), 0.8e-200, 0.0)
+
+
+def _jet_digest() -> str:
+    """sha256 of the repr of jets on a seeded point set, float and array calls alike."""
+    rng = np.random.default_rng(2021)
+    r, z = rng.uniform(0.05, 3.0, 40), rng.uniform(-2.5, 2.5, 40)
+    special = [-0.0, 0.0, math.nan, math.inf, -math.inf, 0.8]
+    rs, zs = np.array([a for a in special for _ in special]), np.array(special * len(special))
+    pair = DipolePair(1.0, 1.0)
+    cases = [
+        (pair, r, z),
+        (Composite((pair, DipolePair(0.3, 1.6))), r, z),
+        (Composite((Linear(1.0, 3.0), pair)), r, z),
+        (Linear(0.7, -1.3), rs, zs),
+        (Linear(-2.0, 3.0), rs, 0.0),
+        (Composite((Linear(1.0, 3.0), pair)), rs, zs),
+    ]
+    parts = []
+    with np.errstate(all="ignore"):
+        for model, ra, za in cases:
+            parts.append(repr([c.tolist() for c in eval_jet(model, ra, za)]))
+            zb = np.broadcast_to(za, ra.shape)
+            parts.append(repr([eval_jet(model, a, b) for a, b in zip(ra.tolist(), zb.tolist())]))
+    return hashlib.sha256("\n".join(parts).encode()).hexdigest()
+
+
+# The digest of the jets as written with unhoisted products and the linear
+# part's constants as products by (r * z) ** 0.
+JET_DIGEST = "42dc0e00fc963848c348256ca18c19f40f99617a4cc641f064783303fa0b19ed"
+
+
+def test_jet_bits_are_pinned():
+    assert _jet_digest() == JET_DIGEST

@@ -17,6 +17,7 @@ from orbitron.potential import (
     BASIS_EPS,
     DipolePotential,
     _planar_direction,
+    _radius,
     _support_blocks,
     hessian_blocks,
 )
@@ -164,6 +165,36 @@ def test_gradient_terms_are_both_gradients_from_one_jet():
     np.testing.assert_array_equal(np.stack(stacked[3:], axis=-1), V.grad_nu(x, nu))
     with pytest.raises(AxisDegeneracy):
         V.gradient_terms(0.0, 0.0, 0.3, *nu[0].tolist())
+
+
+def test_float_radius_is_np_hypot_bit_for_bit():
+    # a float radius comes from libm's hypot, which np.hypot calls per
+    # element; a platform where the two disagree fails here
+    rng = np.random.default_rng(21)
+    mags = 10.0 ** rng.uniform(-300.0, 300.0, (2, 200_000))
+    a, b = rng.choice([-1.0, 1.0], (2, 200_000)) * mags
+    special = [0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1e-310, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
+    a = np.concatenate([a, np.repeat(special, len(special))])
+    b = np.concatenate([b, np.tile(special, len(special))])
+    got = np.array([_radius(x, y) for x, y in zip(a.tolist(), b.tolist())])
+    with np.errstate(over="ignore"):
+        assert got.tobytes() == np.hypot(a, b).tobytes()
+
+
+def test_float_gradient_terms_calls_no_np_hypot(monkeypatch):
+    calls = []
+    hypot = np.hypot
+
+    def counted(*args):
+        calls.append(args)
+        return hypot(*args)
+
+    monkeypatch.setattr(np, "hypot", counted)
+    V = DipolePotential(DipolePair(1.0, 1.0), _body())
+    V.gradient_terms(0.8, 0.1, 0.05, 0.1, 0.2, 0.97)
+    assert calls == []
+    V.gradient_terms(np.array([0.8]), np.array([0.1]), 0.05, 0.1, 0.2, 0.97)
+    assert len(calls) == 1
 
 
 def test_potential_at_one_point_gives_a_float_and_vectors():
