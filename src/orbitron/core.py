@@ -56,7 +56,11 @@ class ReducedState:
         y = np.asarray(y, dtype=float)
         if y.shape != (12,):
             raise ValueError(f"state vector must have 12 components, got {y.shape}")
-        return ReducedState(y[0:3], y[3:6], y[6:9], y[9:12])
+        # The blocks of a (12,) float vector are float 3-vectors already, so
+        # the state takes them without running __post_init__'s check again.
+        s = object.__new__(ReducedState)
+        s.__dict__.update(x=y[0:3], p=y[3:6], nu=y[6:9], pi=y[9:12])
+        return s
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ class Multipliers:
 
 def casimirs(s: ReducedState) -> tuple[float, float]:
     """Return (C1, C2) = (nu . nu, nu . pi)."""
-    return float(s.nu @ s.nu), float(s.nu @ s.pi)
+    return float(s.nu.dot(s.nu)), float(s.nu.dot(s.pi))
 
 
 def momentum_j3(s: ReducedState) -> float:
@@ -124,10 +128,10 @@ def hamiltonian(
     and added back only when ``include_casimir`` is set, so that reported
     energies match the full top.
     """
-    h = float(s.p @ s.p) / (2.0 * b.M) + float(s.pi @ s.pi) / (2.0 * b.I_perp)
+    h = float(s.p.dot(s.p)) / (2.0 * b.M) + float(s.pi.dot(s.pi)) / (2.0 * b.I_perp)
     h += V.value(s.x, s.nu)
     if include_casimir:
-        c2 = float(s.nu @ s.pi)
+        c2 = float(s.nu.dot(s.pi))
         h += (0.5 / b.I3 - 0.5 / b.I_perp) * c2**2
     return h
 

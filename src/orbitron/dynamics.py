@@ -156,8 +156,9 @@ def integrate(
         if projected:
             # the ndarray dot, as casimirs takes it: a sum of float squares rounds differently
             nu = np.array(c[6:9])
-            c1_preproj = float(nu @ nu)
-            c[6:9] = (nu / math.sqrt(c1_preproj)).tolist()
+            c1_preproj = float(nu.dot(nu))
+            n = math.sqrt(c1_preproj)
+            c[6:9] = [c[6] / n, c[7] / n, c[8] / n]
         if not all(map(math.isfinite, c)):
             raise NonFinite(f"non-finite state component at step {i}")
         if i % cfg.record_every == 0 or i == cfg.steps:
@@ -184,15 +185,18 @@ def distance_to_orbit(s: ReducedState, eq: Equilibrium) -> float:
     taken in closed form.
     """
     ref = [np.array([eq.r0, 0.0, 0.0]), np.array([0.0, eq.p0, 0.0]), eq.nu0, eq.pi0]
-    scales = [max(float(np.linalg.norm(v)), 1.0) for v in ref]
-    cur = [s.x, s.p, s.nu, s.pi]
     K = 0.0
     P = 0.0
     Q = 0.0
-    for u, v, scale in zip(cur, ref, scales):
+    for u, v in zip((s.x, s.p, s.nu, s.pi), ref):
+        # u.u and v.v are ndarray dots, as np.linalg.norm takes v.v: a plain
+        # sum of float squares rounds differently.  The rest is on floats.
+        vv = float(v.dot(v))
+        scale = max(math.sqrt(vv), 1.0)
         w = 1.0 / (scale * scale)
-        K += w * (float(u @ u) + float(v @ v) - 2.0 * u[2] * v[2])
-        P += w * (u[0] * v[0] + u[1] * v[1])
-        Q += w * (u[1] * v[0] - u[0] * v[1])
+        (u1, u2, u3), (v1, v2, v3) = u.tolist(), v.tolist()
+        K += w * (float(u.dot(u)) + vv - 2.0 * u3 * v3)
+        P += w * (u1 * v1 + u2 * v2)
+        Q += w * (u2 * v1 - u1 * v2)
     best = K - 2.0 * math.hypot(P, Q)
     return math.sqrt(max(best, 0.0) / 4.0)

@@ -97,22 +97,28 @@ class Composite:
 AxiFieldModel = Union[DipolePair, Linear, Composite]
 
 
-def _inverse_powers(D) -> tuple:
-    """D^-5/2, D^-7/2 and D^-9/2 for the squared distance D to a dipole source.
+def _inverse_powers(Dt, Db) -> tuple:
+    """D^-5/2, D^-7/2 and D^-9/2 for the squared distances Dt and Db to the top and bottom source.
 
-    They take one correctly rounded square root, so a float call gives the
-    element of an array call bit for bit; it raises NonFinite where they overflow.
+    Each D takes one correctly rounded square root, so a float call gives the
+    element of an array call bit for bit.  A float call raises NonFinite where
+    the powers overflow, naming Dt if its powers do and Db otherwise.
     """
-    root = math.sqrt(D) if isinstance(D, float) else np.sqrt(D)
-    try:
-        s5 = 1.0 / (D * D * root)
-        s7 = s5 / D
-        s9 = s7 / D
-    except ZeroDivisionError:  # a float D or D * D underflowed to 0, where an array gives inf
-        s9 = math.inf
-    if isinstance(s9, float) and s9 == math.inf:
-        raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
-    return s5, s7, s9
+    if not isinstance(Dt, float):
+        t5, b5 = 1.0 / (Dt * Dt * np.sqrt(Dt)), 1.0 / (Db * Db * np.sqrt(Db))
+        t7, b7 = t5 / Dt, b5 / Db
+        return t5, t7, t7 / Dt, b5, b7, b7 / Db
+    dt, db = Dt * Dt * math.sqrt(Dt), Db * Db * math.sqrt(Db)
+    if dt and db:
+        t5, b5 = 1.0 / dt, 1.0 / db
+        t7, b7 = t5 / Dt, b5 / Db
+        t9, b9 = t7 / Dt, b7 / Db
+        if t9 != math.inf and b9 != math.inf:
+            return t5, t7, t9, b5, b7, b9
+    # Some powers overflow; a dt or db that underflowed to 0, where a float
+    # quotient raises and an array gives inf, counts as an overflow too.
+    D = Dt if not dt or 1.0 / dt / Dt / Dt == math.inf else Db
+    raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
 
 
 def _jet_terms(model: AxiFieldModel, r, z) -> list:
@@ -139,8 +145,7 @@ def _jet_terms(model: AxiFieldModel, r, z) -> list:
         r2 = r * r
         Zt, Zb = z - h, z + h
         Zt2, Zb2 = Zt * Zt, Zb * Zb
-        t5, t7, t9 = _inverse_powers(r2 + Zt2)
-        b5, b7, b9 = _inverse_powers(r2 + Zb2)
+        t5, t7, t9, b5, b7, b9 = _inverse_powers(r2 + Zt2, r2 + Zb2)
         q3 = 3.0 * q
         q3r, q15r = q3 * r, 15.0 * q * r
         r2_3, r2_4, r2_24, r2_27 = 3.0 * r2, 4.0 * r2, 24.0 * r2, 27.0 * r2
@@ -199,10 +204,10 @@ def _join(components) -> np.ndarray:
     return np.array(components) if isinstance(components[0], float) else np.stack(components, axis=-1)
 
 
-def _field_components(jet: FieldJet, x1, x2, r) -> tuple:
-    """Cartesian components of B at in-plane components (x1, x2), from the jet at r = |x_perp|."""
+def _field_components(jet, x1, x2, r) -> tuple:
+    """Cartesian components of B at in-plane components (x1, x2), from the jet's terms (FieldJet order) at r = |x_perp|."""
     r = r + (r == 0.0)  # 1 on the axis, where x_perp = 0 zeroes the in-plane components
-    return jet.Br * x1 / r, jet.Br * x2 / r, jet.Bz
+    return jet[0] * x1 / r, jet[0] * x2 / r, jet[1]
 
 
 def model_from_config(cfg: dict) -> AxiFieldModel:

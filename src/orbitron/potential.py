@@ -18,7 +18,7 @@ import numpy as np
 
 from .core import BodyParams
 from .errors import AxisDegeneracy
-from .fields import AxiFieldModel, FieldJet, _components, _field_components, _join, eval_jet
+from .fields import AxiFieldModel, FieldJet, _components, _field_components, _jet_terms, _join, eval_jet
 
 __all__ = [
     "PotentialHessianBlocks",
@@ -73,15 +73,14 @@ class DipolePotential:
         self.model = model
         self.b = b
 
-    def _jet(self, x1, x2, x3) -> tuple:
-        """r = |x_perp| and the jet at (r, x3)."""
+    def _field(self, x1, x2, x3) -> tuple:
+        """The Cartesian components of B at x, from the jet at (r, x3) with r = |x_perp|."""
         r = _radius(x1, x2)
-        return r, eval_jet(self.model, r, x3)
+        return _field_components(_jet_terms(self.model, r, x3), x1, x2, r)
 
     def value(self, x: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
         x1, x2, x3 = _components(x)
-        r, jet = self._jet(x1, x2, x3)
-        B1, B2, B3 = _field_components(jet, x1, x2, r)
+        B1, B2, B3 = self._field(x1, x2, x3)
         nu1, nu2, nu3 = _components(nu)
         return -self.b.mu * (nu1 * B1 + nu2 * B2 + nu3 * B3) + self.b.M * self.b.g * x3
 
@@ -95,7 +94,7 @@ class DipolePotential:
         Raises AxisDegeneracy if any point has r = 0, where e is undefined.
         """
         r = _radius(x1, x2)
-        Br, Bz, Br_r, Bz_r, Bz_z, *_ = eval_jet(self.model, r, x3)
+        Br, Bz, Br_r, Bz_r, Bz_z, *_ = _jet_terms(self.model, r, x3)
         on_axis = r == 0.0
         if on_axis is not False and np.any(on_axis):
             raise AxisDegeneracy("the potential gradient is evaluated off axis only")
@@ -114,9 +113,7 @@ class DipolePotential:
 
     def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """-mu B, also on the axis."""
-        x1, x2, x3 = _components(x)
-        r, jet = self._jet(x1, x2, x3)
-        return _join([-self.b.mu * B for B in _field_components(jet, x1, x2, r)])
+        return _join([-self.b.mu * B for B in self._field(*_components(x))])
 
 
 def _planar_direction(nx, ny):

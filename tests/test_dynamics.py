@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from orbitron import potential
+from orbitron import fields, potential
 from orbitron.core import BodyParams, ReducedState, casimirs, hamiltonian, momentum_j3
 from orbitron.dynamics import (
     IntegratorConfig,
@@ -16,9 +16,9 @@ from orbitron.dynamics import (
     integrate,
     relative_equilibrium_orbit,
 )
-from orbitron.equilibrium import build_support_state, solve_orbitron_equatorial
+from orbitron.equilibrium import build_support_state, solve_dipole_equilibrium, solve_orbitron_equatorial
 from orbitron.errors import AxisDegeneracy, NonFinite, SourceSingularity
-from orbitron.fields import Composite, DipolePair, Linear, eval_jet
+from orbitron.fields import Composite, DipolePair, Linear, _jet_terms
 from orbitron.potential import DipolePotential
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -248,11 +248,11 @@ def test_integrate_takes_one_jet_per_rhs_call(monkeypatch):
 
     def counted(model, r, z):
         calls.append(r)
-        return eval_jet(model, r, z)
+        return _jet_terms(model, r, z)
 
     model, b, eq = _dipoletron()
     cfg = IntegratorConfig(dt=1e-3, steps=10, record_every=3)
-    monkeypatch.setattr(potential, "eval_jet", counted)
+    monkeypatch.setattr(potential, "_jet_terms", counted)
     samples = integrate(build_support_state(eq), cfg, b, DipolePotential(model, b))
     # four RHS calls per RK4 step, and one energy per recorded sample (steps 0, 3, 6, 9, 10)
     assert len(samples) == 5
@@ -433,6 +433,78 @@ def test_distance_to_orbit_grows_with_perturbation():
     d_small = distance_to_orbit(ReducedState.from_vector(y * (1.0 + 1e-4)), eq)
     d_large = distance_to_orbit(ReducedState.from_vector(y * (1.0 + 1e-2)), eq)
     assert 0.0 < d_small < d_large
+
+
+def _distance_reference(s, eq):
+    """distance_to_orbit on ndarray blocks with np.linalg.norm scales, which distance_to_orbit takes on floats."""
+    ref = [np.array([eq.r0, 0.0, 0.0]), np.array([0.0, eq.p0, 0.0]), eq.nu0, eq.pi0]
+    scales = [max(float(np.linalg.norm(v)), 1.0) for v in ref]
+    K = P = Q = 0.0
+    for u, v, scale in zip([s.x, s.p, s.nu, s.pi], ref, scales):
+        w = 1.0 / (scale * scale)
+        K += w * (float(u @ u) + float(v @ v) - 2.0 * u[2] * v[2])
+        P += w * (u[0] * v[0] + u[1] * v[1])
+        Q += w * (u[1] * v[0] - u[0] * v[1])
+    best = K - 2.0 * math.hypot(P, Q)
+    return math.sqrt(max(best, 0.0) / 4.0)
+
+
+def _distance_equilibria():
+    """Equilibria whose blocks (r0, p0, |nu0|, |pi0|) lie below and above the scale floor of 1."""
+    _, b, eq = _dipoletron()  # 0.8, 1.51, 1, 10
+    tilted = Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0)))
+    tb = BodyParams(M=1.3, I_perp=0.1, I3=0.05, mu=1.0, g=0.7)
+    return [
+        eq,
+        solve_orbitron_equatorial(DipolePair(1.0, 1.0), b, 0.7, 0.5),  # 0.7, 1.60, 1, 0.5
+        *solve_dipole_equilibrium(tilted, tb, 0.3, 2.0),  # 0.3, 1.43, 1, 1.50, tilted
+        *solve_dipole_equilibrium(tilted, tb, 1.6, 2.0),  # 1.6, 0.99, 1, 3.97, tilted
+    ]
+
+
+@pytest.mark.parametrize("case", [_tilted_composite_case, _perturbed_equatorial_orbit], ids=["tilted", "criterion_8"])
+def test_distance_to_orbit_equals_the_ndarray_reference_bit_for_bit(case):
+    s0, b, V, dt = case()
+    eqs = _distance_equilibria()
+    scales = {max(abs(v), 1.0) == 1.0 for eq in eqs for v in (eq.r0, eq.p0, float(np.linalg.norm(eq.pi0)))}
+    assert scales == {True, False}  # the floor of 1 is hit and missed
+    for scheme in ("rk4", "rk4_projected"):
+        samples = integrate(s0, IntegratorConfig(dt=dt, steps=400, scheme=scheme, record_every=7), b, V)
+        assert len(samples) == 59
+        for eq in eqs:
+            got = [repr(distance_to_orbit(x.state, eq)) for x in samples]
+            assert got == [repr(_distance_reference(x.state, eq)) for x in samples]
+
+
+def test_distance_to_orbit_builds_no_state_and_takes_no_jet(monkeypatch):
+    _, _, eq = _dipoletron()
+    s = relative_equilibrium_orbit(eq, 0.3)
+    calls = []
+
+    def counting(name, f):
+        def counted(*args):
+            calls.append(name)
+            return f(*args)
+
+        return counted
+
+    monkeypatch.setattr(ReducedState, "__post_init__", counting("state", ReducedState.__post_init__))
+    monkeypatch.setattr(ReducedState, "from_vector", staticmethod(counting("state", ReducedState.from_vector)))
+    monkeypatch.setattr(fields, "_jet_terms", counting("jet", fields._jet_terms))
+    monkeypatch.setattr(potential, "_jet_terms", counting("jet", potential._jet_terms))
+    distance_to_orbit(s, eq)
+    assert calls == []
+    # the counters see each way a state is built or a jet taken
+    V = DipolePotential(DipolePair(1.0, 1.0), _body())
+    for name, f in [
+        ("state", lambda: relative_equilibrium_orbit(eq, 0.3)),
+        ("state", lambda: ReducedState.from_vector(s.as_vector())),
+        ("jet", lambda: fields.eval_jet(V.model, 0.8, 0.0)),
+        ("jet", lambda: V.value(s.x, s.nu)),
+    ]:
+        calls.clear()
+        f()
+        assert name in calls
 
 
 def test_casimir_energy_flag_in_samples():

@@ -730,6 +730,16 @@ def test_scalar_jet_raises_where_the_squared_distance_underflows():
         eval_jet(DipolePair(1.0, 1e-200), 0.8e-200, 0.0)
 
 
+@pytest.mark.parametrize("z", [1e-30, -1e-30], ids=["top", "bottom"])
+def test_pair_jet_names_the_source_whose_powers_overflow(z):
+    # 1e-36 off the axis beside one source of a pair with h = 1e-30: that
+    # source's powers overflow (D = 1e-72), the other one's (D = 4e-60) do not
+    model = DipolePair(1.0, 1e-30)
+    got = _outcome(eval_jet, model, 1e-36, z)
+    assert got == _outcome(_pair_reference, model, 1e-36, z)
+    assert got == (NonFinite, "dipole jet overflows at squared distance 1e-72 from the source")
+
+
 def _jet_digest() -> str:
     """sha256 of the repr of jets on a seeded point set, float and array calls alike."""
     rng = np.random.default_rng(2021)
