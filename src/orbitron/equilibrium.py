@@ -117,20 +117,34 @@ def first_order_residual(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -
     cancels two terms of size lambda2^2 I_perp against each other, which for
     near-horizontal axis directions (|nu_r| << 1, so |lambda2| >> |omega|)
     would bury the true residual under rounding noise.
+
+    The support state is x = (r0, 0, 0), p = (0, p0, 0), nu = nu0 and
+    pi = pi0, taken as floats; each cross product with e3 is written out in
+    numpy's product order, so the residual equals that of the 3-vectors.
     """
-    s = build_support_state(eq)
-    V = DipolePotential(model, b)
-    om = eq.mult.omega
-    grad = V.gradient_terms(*s.x.tolist(), *s.nu.tolist())
-    r1 = s.p - b.M * om * np.cross(E3, s.x)
-    r2 = np.array(grad[:3]) + om * np.cross(E3, s.p)
-    r3 = s.pi - b.I_perp * om * E3 + eq.mult.lambda2 * b.I_perp * s.nu
-    r4 = (
-        np.array(grad[3:])
-        + eq.mult.lambda_ * s.nu
-        + eq.mult.lambda2 * b.I_perp * om * E3
+    r0, p0, om = float(eq.r0), float(eq.p0), eq.mult.omega
+    (n1, n2, n3), (s1, s2, s3) = eq.nu0.tolist(), eq.pi0.tolist()
+    g1, g2, g3, h1, h2, h3 = DipolePotential(model, b).gradient_terms(r0, 0.0, 0.0, n1, n2, n3)
+    m_om, i_om, l2_i, lam = b.M * om, b.I_perp * om, eq.mult.lambda2 * b.I_perp, eq.mult.lambda_
+    l2_i_om = l2_i * om
+    r1 = (
+        0.0 - m_om * (0.0 * 0.0 - 1.0 * 0.0),
+        p0 - m_om * (1.0 * r0 - 0.0 * 0.0),
+        0.0 - m_om * (0.0 * 0.0 - 0.0 * r0),
     )
-    return float(max(np.max(np.abs(r)) for r in (r1, r2, r3, r4)))
+    r2 = (
+        g1 + om * (0.0 * 0.0 - 1.0 * p0),
+        g2 + om * (1.0 * 0.0 - 0.0 * 0.0),
+        g3 + om * (0.0 * p0 - 0.0 * 0.0),
+    )
+    r3 = (s1 - i_om * 0.0 + l2_i * n1, s2 - i_om * 0.0 + l2_i * n2, s3 - i_om * 1.0 + l2_i * n3)
+    r4 = (h1 + lam * n1 + l2_i_om * 0.0, h2 + lam * n2 + l2_i_om * 0.0, h3 + lam * n3 + l2_i_om * 1.0)
+    return float(max(_max_abs(r) for r in (r1, r2, r3, r4)))
+
+
+def _max_abs(v) -> float:
+    """The largest |component| of v, NaN if any component is NaN, as np.max(np.abs(v)) gives it."""
+    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
 
 
 def equatorial_conditions(jet: FieldJet, b: BodyParams, r0, sigma) -> tuple:

@@ -32,6 +32,7 @@ __all__ = [
 
 # Relative distance to a dipole source below which evaluation is refused.
 SOURCE_EPS = 1e-9
+_SOURCE_EPS_SQ = SOURCE_EPS * SOURCE_EPS
 
 
 class FieldJet(NamedTuple):
@@ -124,26 +125,26 @@ def _inverse_powers(Dt, Db) -> tuple:
 def _jet_terms(model: AxiFieldModel, r, z) -> list:
     """The eight components of the jet of ``model`` at (r, z), in FieldJet order."""
     if isinstance(model, DipolePair):
+        # Each component is the top source's term plus the bottom one's, each
+        # that of one axial dipole at height Z = z - h (t) or Z = z + h (b) above it.
+        q, h = model.q, model.h
+        Zt, Zb = z - h, z + h
         # Distances in units of h: squaring them cannot underflow the
         # threshold for small h, and products overflow to inf (not
         # OverflowError, as float ** 2 would) for large coordinates.
-        q, h = model.q, model.h
-        u = r / h
+        u, wt, wb = r / h, Zt / h, Zb / h
         uu = u * u
-        for z_src in (h, -h):
-            w = (z - z_src) / h
-            near = uu + w * w < SOURCE_EPS * SOURCE_EPS
-            # A bool for floats, a bool array for arrays.
-            if near is not False and np.any(near):
-                raise SourceSingularity(
-                    f"field evaluated at distance < {SOURCE_EPS:g} h from the source at z = {z_src:g}"
-                )
-        # Each component is the top source's term plus the bottom one's, each
-        # that of one axial dipole at height Z = z - h (t) or Z = z + h (b) above it.
+        # Bools for floats, bool arrays for arrays; the top source is named first.
+        near_t, near_b = uu + wt * wt < _SOURCE_EPS_SQ, uu + wb * wb < _SOURCE_EPS_SQ
+        if near_t is not False or near_b is not False:
+            for near, z_src in ((near_t, h), (near_b, -h)):
+                if np.any(near):
+                    raise SourceSingularity(
+                        f"field evaluated at distance < {SOURCE_EPS:g} h from the source at z = {z_src:g}"
+                    )
         # The shared left factors are taken once; every product keeps its
         # left-to-right order, so each term rounds as written out in full.
         r2 = r * r
-        Zt, Zb = z - h, z + h
         Zt2, Zb2 = Zt * Zt, Zb * Zb
         t5, t7, t9, b5, b7, b9 = _inverse_powers(r2 + Zt2, r2 + Zb2)
         q3 = 3.0 * q

@@ -43,6 +43,11 @@ def _radius(x1, x2):
     return _hypot(x1, x2) if isinstance(x1, float) else np.hypot(x1, x2)
 
 
+def _where(cond, a, b):
+    """np.where(cond, a, b), but a scalar cond picks a or b itself, so floats stay floats."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
+
+
 @dataclass(frozen=True)
 class PotentialHessianBlocks:
     """Second derivatives of V at (x0, nu0) grouped by variable pair.
@@ -122,10 +127,10 @@ def _planar_direction(nx, ny):
     E1 = (nx, ny) / |(nx, ny)|, or (1, 0) when |(nx, ny)| <= BASIS_EPS, which
     covers equatorial equilibria where the axis is parallel to e3.
     """
-    n = np.hypot(nx, ny)
+    n = _radius(nx, ny)
     planar = n > BASIS_EPS
-    n = np.where(planar, n, 1.0)
-    return np.where(planar, nx / n, 1.0), np.where(planar, ny / n, 0.0)
+    n = _where(planar, n, 1.0)
+    return _where(planar, nx / n, 1.0), _where(planar, ny / n, 0.0)
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")

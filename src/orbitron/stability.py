@@ -25,7 +25,7 @@ from .core import BodyParams, Multipliers
 from .equilibrium import Equilibrium, _quotient, equatorial_conditions
 from .errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
 from .fields import AxiFieldModel, FieldJet, eval_jet
-from .potential import PotentialHessianBlocks, _planar_direction, _support_blocks
+from .potential import PotentialHessianBlocks, _planar_direction, _support_blocks, _where
 
 __all__ = [
     "EliminationResult",
@@ -257,63 +257,84 @@ def _reduced_forms(b: BodyParams, cells: _Cells) -> np.ndarray:
 
 
 class _Sweep(NamedTuple):
-    """Isolated-squares elimination of K stacked forms.
+    """Isolated-squares elimination of one form, or of K stacked ones.
 
-    pivots[k, i] is the pivot of step i in cell k, NaN past the last step
-    taken; stop[k] is that last step.  A cell is ``completed`` when every
-    pivot was positive; otherwise its last pivot is the first non-positive
-    one, and ``zero`` flags the cells where it was zero to working
-    precision.  margin is the smallest pivot over |Q| when the sweep
-    completes, else the first non-positive pivot over |Q|.  x_block holds
-    the trailing 2 x 2 block just before the last two eliminations, NaN
-    where the sweep stopped earlier.
+    For one form the fields are Python values, pivots is an (n,) array and
+    x_block a (2, 2) one; for K forms each field has a leading cell axis,
+    and cell k of a stack is ``field[k]``.  pivots[..., i] is the pivot of
+    step i, NaN past the last step taken; stop is that last step.  A cell
+    is ``completed`` when every pivot was positive; otherwise its last pivot
+    is the first non-positive one, and ``zero`` flags the cells where it
+    was zero to working precision.  margin is the smallest pivot over |Q|
+    when the sweep completes, else the first non-positive pivot over |Q|.
+    x_block holds the trailing 2 x 2 block just before the last two
+    eliminations, NaN where the sweep stopped earlier.
     """
 
     pivots: np.ndarray
-    stop: np.ndarray
-    completed: np.ndarray
-    zero: np.ndarray
-    margin: np.ndarray
+    stop: int | np.ndarray
+    completed: bool | np.ndarray
+    zero: bool | np.ndarray
+    margin: float | np.ndarray
     x_block: np.ndarray
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _eliminate(S: np.ndarray) -> _Sweep:
-    """Eliminate the variables of K stacked forms (n, n, K) in index order.
+    """Eliminate the variables of one form (n, n), or of K stacked forms (n, n, K), in index order.
 
-    Every step is one vectorized Schur-complement update, done in place on
-    S.  All cells run all n steps; what follows a cell's first
-    non-positive pivot is then discarded, since the sweep stops there.
-    Each cell is first scaled by the power of two that brings its largest
-    entry into [0.5, 1): that is exact, so the pivots are unchanged, and |Q|
-    and the margin stay finite where the squares of the entries overflow.
+    Each form is first scaled, in place, by the power of two that brings its
+    largest entry into [0.5, 1): that is exact, so the pivots are unchanged,
+    and |Q| and the margin stay finite where the squares of the entries
+    overflow.  The Schur-complement steps then run on the entries of the
+    lower triangle, plus the one upper entry that x_block reads: floats for
+    one form, views of S of shape (K,) updated in place for a stack.  The
+    sweep ends once every form has met its first non-positive pivot; a form
+    of a stack that ends earlier runs on with the others, and what follows
+    its end is discarded.
     """
-    n, _, K = S.shape
+    n = S.shape[0]
     scale = _binary_exponent(S, axis=(0, 1))
     np.ldexp(S, -scale, out=S)
-    qnorm = np.sqrt(np.einsum("ijk,ijk->k", S, S))
-    pivots = np.empty((n, K))
-    x_block = np.full((2, 2, K), np.nan)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for k in range(n):
-            if k == n - 2:
-                x_block[:] = S[k:, k:]
-            pivots[k] = S[k, k]
-            col = S[k + 1 :, k]
-            outer = col[:, None] * col[None, :]
-            outer /= pivots[k]
-            S[k + 1 :, k + 1 :] -= outer
-            del outer  # so that no two steps' products are alive at once
-        small = np.abs(pivots) < ZERO_PIVOT_REL * np.maximum(qnorm, 1e-300)
-        ended = small | (pivots <= 0.0)
-    completed = ~ended.any(axis=0)
-    stop = np.where(completed, n - 1, ended.argmax(axis=0))
-    pivot = np.where(completed, pivots.min(axis=0), pivots[stop, np.arange(K)])
-    margin = pivot / np.maximum(qnorm, 1e-300)
-    pivots[np.arange(n)[:, None] > stop] = np.nan
-    x_block[..., stop < n - 2] = np.nan
-    zero = ~completed & small[stop, np.arange(K)]
-    pivots, x_block = np.ldexp(pivots, scale), np.ldexp(x_block, scale)
-    return _Sweep(pivots.T, stop, completed, zero, margin, np.moveaxis(x_block, -1, 0))
+    floor = np.maximum(np.sqrt(np.einsum("ij...,ij...->...", S, S)), 1e-300)
+    if S.ndim == 2:
+        rows, floor, alive = S.tolist(), float(floor), True
+    else:
+        rows, alive = [list(row) for row in S], np.ones(S.shape[2:], dtype=bool)
+    tol = ZERO_PIVOT_REL * floor
+    # x_block is kept transposed, with its cell axis last; .T turns it.
+    x_block = np.full((2, 2) + S.shape[2:], np.nan)
+    pivots, stop, zero, least, first_bad = [], -1, False, math.inf, math.nan
+    for k in range(n):
+        if k == n - 2:
+            block = np.array([[rows[k][k], rows[k + 1][k]], [rows[k][k + 1], rows[k + 1][k + 1]]])
+            x_block = _where(alive, block, np.nan)
+        p = rows[k][k]
+        pivots.append(_where(alive, p, np.nan))
+        small = abs(p) < tol
+        ended = small | (p <= 0.0)
+        # Step k is taken by the cells still alive: count it, and keep the
+        # pivot that ends a cell and the least pivot (NaN if any is NaN).
+        stop = stop + alive
+        zero = zero | (alive & small)
+        first_bad = _where(alive & ended, p, first_bad)
+        least = _where((p < least) | (p != p), p, least)
+        alive = alive & (ended ^ True)  # ^ True negates a bool and a bool array alike
+        if not (alive is True or np.any(alive)):  # a live form skips the array test
+            break
+        below = rows[k + 1 :]
+        col = [row[k] for row in below]
+        # Each update rounds as (ci * cj) / p, the order of an outer product over the pivot.
+        for i, (row, ci) in enumerate(zip(below, col), k + 2):
+            for j, cj in zip(range(k + 1, i), col):
+                row[j] -= ci * cj / p
+        if k < n - 2:
+            rows[n - 2][n - 1] -= col[n - 3 - k] * col[n - 2 - k] / p
+    P = np.full((n,) + S.shape[2:], np.nan)
+    P[: len(pivots)] = pivots
+    margin = _where(alive, least, first_bad) / floor
+    # .T puts the cell axis first.
+    return _Sweep(np.ldexp(P, scale).T, stop, alive, zero, margin, np.ldexp(x_block, scale).T)
 
 
 def _binary_exponent(a: np.ndarray, axis=None):
@@ -340,15 +361,14 @@ def isolated_squares_reduce(Q: np.ndarray) -> EliminationResult:
     n = S.shape[0]
     if S.shape != (n, n) or not np.allclose(S, S.T, atol=1e-12 * max(1.0, np.abs(S).max())):
         raise ValueError("expected a symmetric square matrix")
-    sweep = _eliminate(S[:, :, None])
-    last = int(sweep.stop[0])
-    pivots = tuple(float(p) for p in sweep.pivots[0, : last + 1])
-    if sweep.zero[0]:
+    sweep = _eliminate(S)
+    last = sweep.stop
+    pivots = tuple(sweep.pivots[: last + 1].tolist())
+    if sweep.zero:
         raise _zero_pivot(pivots[-1], last)
-    x_block = sweep.x_block[0] if n >= 2 and last >= n - 2 else None
-    completed = bool(sweep.completed[0])
+    x_block = sweep.x_block if n >= 2 and last >= n - 2 else None
     return EliminationResult(
-        pivots=pivots, completed=completed, failed_index=None if completed else last, x_block=x_block
+        pivots=pivots, completed=sweep.completed, failed_index=None if sweep.completed else last, x_block=x_block
     )
 
 
@@ -395,18 +415,18 @@ def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
     B = Vxx[0, 2] - V_e1E2 * V_e3E2 / den1 - num_a * num_b / cond2
     C = Vxx[2, 2] - (V_e3E2 * V_e3E2) / den1 - (num_b * num_b) / cond2
     undefined = (den1 <= 0.0) | (cond2 <= 0.0)
-    A, B, C = (np.where(undefined, np.nan, v) for v in (A, B, C))
-    failed = np.select(
-        [den1 <= 0.0, cond2 <= 0.0, A <= 0.0, C <= 0.0, A * C - B * B <= 0.0],
-        [1, 2, 3, 4, 5],
-        0,
+    A, B, C = (_where(undefined, np.nan, v) for v in (A, B, C))
+    failed = _where(
+        den1 <= 0.0,
+        1,
+        _where(cond2 <= 0.0, 2, _where(A <= 0.0, 3, _where(C <= 0.0, 4, _where(A * C - B * B <= 0.0, 5, 0)))),
     )
     return den1, cond2, A, B, C, failed
 
 
 @dataclass(frozen=True)
 class _Certificates:
-    """Closed-form certificates of K cells, as arrays over the cells; the margin is the sweep's."""
+    """Closed-form certificates of one cell, or of K cells as arrays over the cells; the margin is the sweep's."""
 
     sweep: _Sweep
     den1: np.ndarray
@@ -417,10 +437,10 @@ class _Certificates:
     failed: np.ndarray
 
     def column(self, name: str) -> np.ndarray:
-        """The StabilityCertificate field ``name`` of every cell, as one array over the cells.
+        """The StabilityCertificate field ``name`` of the cell, or of every cell as one array over the cells.
 
-        Its ``tolist()`` gives the field's Python values: str, float, bool,
-        a list of pivots, or a condition name or None.
+        Its ``np.asarray(...).tolist()`` gives the field's Python values:
+        str, float, bool, a list of pivots, or a condition name or None.
         """
         if name == "verdict":
             return _classify(self.sweep.margin)
@@ -429,23 +449,25 @@ class _Certificates:
         if name == "lambda_ok":
             return self.den1 > 0.0
         if name == "pivots":
-            rows = zip(self.sweep.pivots.tolist(), self.sweep.stop.tolist())
-            return np.fromiter((row[: s + 1] for row, s in rows), dtype=object, count=len(self.den1))
+            pivots, stop = self.sweep.pivots, self.sweep.stop
+            if pivots.ndim == 1:
+                return pivots[: stop + 1]
+            rows = zip(pivots.tolist(), stop.tolist())
+            return np.fromiter((row[: s + 1] for row, s in rows), dtype=object, count=len(stop))
         if name == "failed_condition":
             return _FAILED_CONDITIONS[self.failed]
         return getattr(self, name)
 
 
 def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
-    """Closed-form conditions and elimination verdicts of the cells.
+    """Closed-form conditions and elimination verdicts of one cell, or of K cells.
 
     The margin is the elimination's.  Cells flagged in ``sweep.zero`` hit a
     zero pivot and carry no verdict.
     """
-    den1, cond2, A, B, C, failed = (np.reshape(v, -1) for v in _closed_form(b, cells))
+    den1, cond2, A, B, C, failed = _closed_form(b, cells)
     cond2 = np.where(den1 <= 0.0, np.nan, cond2)
-    sweep = _eliminate(_reduced_forms(b, cells).reshape(8, 8, -1))
-    return _Certificates(sweep, den1, cond2, A, B, C, failed)
+    return _Certificates(_eliminate(_reduced_forms(b, cells)), den1, cond2, A, B, C, failed)
 
 
 def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
@@ -481,11 +503,10 @@ def closed_form_conditions(
     isolated-squares pivots, which raise ZeroPivot when one vanishes.
     """
     certs = _certify(b, _one_cell(eq, blocks))
-    if certs.sweep.zero[0]:
-        last = int(certs.sweep.stop[0])
-        raise _zero_pivot(float(certs.sweep.pivots[0, last]), last)
-    cell = {name: certs.column(name).tolist()[0] for name in CERTIFICATE_FIELDS}
-    details = {"den1": float(certs.den1[0]), "cond2": float(certs.cond2[0])}
+    cell = {name: np.asarray(certs.column(name)).tolist() for name in CERTIFICATE_FIELDS}
+    if certs.sweep.zero:
+        raise _zero_pivot(cell["pivots"][-1], certs.sweep.stop)
+    details = {"den1": float(certs.den1), "cond2": float(certs.cond2)}
     return StabilityCertificate(**dict(cell, pivots=tuple(cell["pivots"])), details=details)
 
 

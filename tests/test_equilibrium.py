@@ -3,10 +3,12 @@
 import math
 import re
 from dataclasses import replace
+from functools import partial
 
 import numpy as np
 import pytest
 
+from orbitron import equilibrium
 from orbitron.core import BodyParams, casimirs
 from orbitron.equilibrium import (
     build_levitation_equilibrium,
@@ -23,6 +25,7 @@ from orbitron.errors import (
     NonFinite,
     NoRealSolution,
     NotMirrorSymmetric,
+    OrbitronError,
     WrongFieldSign,
 )
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
@@ -430,3 +433,87 @@ def test_equilibrium_record_keys():
     ]
     assert rec["r0"] == 0.8
     assert rec["sigma"] == 1
+
+
+_E3 = np.array([0.0, 0.0, 1.0])
+
+
+def _ndarray_residual(eq, b, model):
+    """The four first-order conditions as 3-vector arithmetic with np.cross, reduced to their max norm.
+
+    The reference of first_order_residual, which takes the same terms on floats.
+    """
+    s = build_support_state(eq)
+    om = eq.mult.omega
+    grad = DipolePotential(model, b).gradient_terms(*s.x.tolist(), *s.nu.tolist())
+    r1 = s.p - b.M * om * np.cross(_E3, s.x)
+    r2 = np.array(grad[:3]) + om * np.cross(_E3, s.p)
+    r3 = s.pi - b.I_perp * om * _E3 + eq.mult.lambda2 * b.I_perp * s.nu
+    r4 = np.array(grad[3:]) + eq.mult.lambda_ * s.nu + eq.mult.lambda2 * b.I_perp * om * _E3
+    return float(max(np.max(np.abs(r)) for r in (r1, r2, r3, r4)))
+
+
+def _residual_solves(negative_omega):
+    """(solve, b, model) of the orbitron (both sigmas), dipole and levitation solvers; solve() gives a list."""
+    b, pair = _body(), DipolePair(1.0, 1.0)
+    lmodel, lb, beta, kappa = _levitation_setup()
+    nr, nz, xi2 = solve_levitation(beta, kappa)
+    for r0, sigma in ((0.8, 1), (3.0, -1)):
+        yield (lambda r0=r0, sigma=sigma: [solve_orbitron_equatorial(pair, b, r0, 10.0, sigma, negative_omega)]), b, pair
+    yield (lambda: solve_dipole_equilibrium(lmodel, lb, 0.8, 1.0, negative_omega)), lb, lmodel
+    yield (lambda: solve_dipole_equilibrium(pair, b, 0.8, 10.0, negative_omega)), b, pair
+    yield (lambda: [build_levitation_equilibrium(lmodel, lb, 0.8, nr, nz, xi2, negative_omega)]), lb, lmodel
+
+
+def _extreme_solves(n, seed=23):
+    """Seeded solves of all three solvers with body, field and orbit magnitudes 10^U(-R, R), R in {5, 40, 150, 300}."""
+    rng = np.random.default_rng(seed)
+    for i in range(n):
+        R = (5, 40, 150, 300)[i % 4]
+        M, I, mu, g, q, h, Bp, r0, pi0 = (10.0 ** rng.uniform(-R, R, 9)).tolist()
+        sigma, neg = int(rng.choice([-1, 1])), bool(rng.integers(2))
+        pair, composite = DipolePair(q, h), Composite((Linear(1.0, Bp), DipolePair(q, h)))
+        b0 = BodyParams(M=M, I_perp=I, I3=1.0, mu=mu, g=0.0)
+        bg = BodyParams(M=M, I_perp=I, I3=1.0, mu=mu, g=g)
+        kind = i % 3
+        if kind == 0:
+            yield partial(_listed, solve_orbitron_equatorial, pair, b0, r0, pi0, sigma, neg)
+        elif kind == 1:
+            yield partial(solve_dipole_equilibrium, composite, bg, r0, sigma * pi0, neg)
+        else:
+            beta, kappa = -rng.uniform(0.05, 1.5), rng.uniform(0.5, 1.6)
+            yield partial(_levitation_solve, composite, bg, r0, beta, kappa, neg)
+
+
+def _listed(solver, *args):
+    return [solver(*args)]
+
+
+def _levitation_solve(model, b, r0, beta, kappa, negative_omega):
+    return [build_levitation_equilibrium(model, b, r0, *solve_levitation(beta, kappa), negative_omega)]
+
+
+def _solve_outcome(solve):
+    """The records of the equilibria a solve returns, or its error's type and message."""
+    try:
+        with np.errstate(all="ignore"):
+            return [eq.to_record() for eq in solve()]
+    except (OrbitronError, ValueError, ArithmeticError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def test_first_order_residual_equals_the_ndarray_reference(monkeypatch):
+    for negative_omega in (False, True):
+        for solve, b, model in _residual_solves(negative_omega):
+            for eq in solve():
+                assert repr(first_order_residual(eq, b, model)) == repr(_ndarray_residual(eq, b, model))
+    # Extreme scales, through the solvers that take the residual: equal
+    # records, or the same error naming the same quantity.
+    solves = list(_extreme_solves(1200))
+    got = [_solve_outcome(solve) for solve in solves]
+    monkeypatch.setattr(equilibrium, "first_order_residual", _ndarray_residual)
+    assert got == [_solve_outcome(solve) for solve in solves]
+    kinds = [g if isinstance(g, list) else g.split(":")[0] for g in got]
+    assert sum(isinstance(k, list) and len(k) > 0 for k in kinds) >= 100
+    assert kinds.count("NonFinite") >= 20
+    assert any(isinstance(g, str) and "residual is not finite" in g for g in got)

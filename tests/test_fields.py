@@ -608,6 +608,37 @@ def test_linear_array_jet_takes_broadcast_shape():
     assert not jet.Bz_zz.any()
 
 
+def _guard_edge(h):
+    """The largest r > 0 that the source guard refuses at z = +-h, where (r / h)^2 < SOURCE_EPS^2, and the next float."""
+    r = SOURCE_EPS * h
+    while (r / h) * (r / h) < SOURCE_EPS * SOURCE_EPS:
+        r = math.nextafter(r, math.inf)
+    while not (r / h) * (r / h) < SOURCE_EPS * SOURCE_EPS:
+        r = math.nextafter(r, 0.0)
+    return r, math.nextafter(r, math.inf)
+
+
+@pytest.mark.parametrize("h", [1.0, 3.0, 0.7, 2.0**-30, 1e20])
+def test_source_guard_one_ulp_inside_and_outside(h):
+    # the guard refuses a point one ulp inside SOURCE_EPS h of either source,
+    # names that source, and names the top one first when points of an
+    # array are near both
+    model = DipolePair(1.0, h)
+    inside, outside = _guard_edge(h)
+    assert abs(inside - SOURCE_EPS * h) <= 4 * math.ulp(SOURCE_EPS * h)
+    for z_src in (h, -h):
+        message = f"field evaluated at distance < {SOURCE_EPS:g} h from the source at z = {z_src:g}"
+        for r, z in ((inside, z_src), (np.array([outside, inside]), np.array([-z_src, z_src]))):
+            with pytest.raises(SourceSingularity) as info:
+                eval_jet(model, r, z)
+            assert str(info.value) == message
+        eval_jet(model, outside, z_src)
+        eval_jet(model, np.array([outside, outside]), np.array([z_src, -z_src]))
+    with pytest.raises(SourceSingularity) as info:
+        eval_jet(model, np.array([inside, inside]), np.array([-h, h]))
+    assert str(info.value).endswith(f"from the source at z = {h:g}")
+
+
 def test_array_jet_source_singularity_guard():
     model = Composite((Linear(1.0, 3.0), DipolePair(1.0, 1.0)))
     with pytest.raises(SourceSingularity):

@@ -1,7 +1,7 @@
 """Tests for the reduced second variation and the stability certificates."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -16,7 +16,7 @@ from orbitron.equilibrium import (
 )
 from orbitron.errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
-from orbitron.potential import DipolePotential, hessian_blocks
+from orbitron.potential import DipolePotential, PotentialHessianBlocks, _planar_direction, hessian_blocks
 from orbitron import stability
 from orbitron.scan import split_levitation_model
 from orbitron.stability import (
@@ -617,3 +617,131 @@ def test_classify_is_elementwise():
     expected.update({math.nextafter(0.0, 1.0): "marginal", 1.0: "stable", -1.0: "not_certified"})
     for m, verdict in expected.items():
         assert stability._classify(m) == verdict
+
+
+def _stacked_forms(seed=29, K=12):
+    """Seeded (n, n, K) forms for n = 2..8, six stacks each.
+
+    The cells mix definite and indefinite forms, scales of 2**-500, 1 and
+    2**500, exact zero pivots (first and second step), inf and NaN entries,
+    and in every other stack an asymmetry within isolated_squares_reduce's
+    1e-12 tolerance.
+    """
+    rng = np.random.default_rng(seed)
+    for n in range(2, 9):
+        for trial in range(6):
+            a = rng.normal(size=(n, n, K))
+            S = np.einsum("ijk,ljk->ilk", a, a) + rng.uniform(-1.5, 1.0, K) * np.eye(n)[:, :, None]
+            if trial % 2:
+                S += 1e-13 * rng.uniform(-1.0, 1.0, S.shape)
+            S[0, 0, 0] = 0.0
+            S[:2, :2, 1] = 1.0
+            i, j = rng.integers(n, size=2)
+            S[i, j, 2] = S[j, i, 2] = np.inf
+            S[i, j, 3] = np.nan
+            S[-1, -1, 4] = -np.inf
+            yield np.ldexp(S, rng.choice([-500, 0, 500], K))
+
+
+def _vectorized_eliminate(S):
+    """Reference sweep of K stacked forms (n, n, K): every step one Schur update of the whole stack.
+
+    All cells run all n steps, and what follows a cell's first non-positive
+    pivot is discarded afterwards.  Returns the fields of stability._Sweep,
+    with the cell axis first.
+    """
+    n, _, K = S.shape
+    scale = stability._binary_exponent(S, axis=(0, 1))
+    np.ldexp(S, -scale, out=S)
+    qnorm = np.sqrt(np.einsum("ijk,ijk->k", S, S))
+    pivots = np.empty((n, K))
+    x_block = np.full((2, 2, K), np.nan)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for k in range(n):
+            if k == n - 2:
+                x_block[:] = S[k:, k:]
+            pivots[k] = S[k, k]
+            col = S[k + 1 :, k]
+            S[k + 1 :, k + 1 :] -= col[:, None] * col[None, :] / pivots[k]
+        small = np.abs(pivots) < stability.ZERO_PIVOT_REL * np.maximum(qnorm, 1e-300)
+        ended = small | (pivots <= 0.0)
+    completed = ~ended.any(axis=0)
+    stop = np.where(completed, n - 1, ended.argmax(axis=0))
+    pivot = np.where(completed, pivots.min(axis=0), pivots[stop, np.arange(K)])
+    margin = pivot / np.maximum(qnorm, 1e-300)
+    pivots[np.arange(n)[:, None] > stop] = np.nan
+    x_block[..., stop < n - 2] = np.nan
+    zero = ~completed & small[stop, np.arange(K)]
+    pivots, x_block = np.ldexp(pivots, scale), np.ldexp(x_block, scale)
+    return pivots.T, stop, completed, zero, margin, np.moveaxis(x_block, -1, 0)
+
+
+def _cell(sweep, k=None):
+    """The fields of a sweep, or of cell k of a stacked one, as Python values."""
+    return [np.asarray(v if k is None else v[k]).tolist() for v in sweep]
+
+
+def test_eliminate_stack_equals_its_cells():
+    margin_index = stability._Sweep._fields.index("margin")
+    seen = {"completed": 0, "ended": 0, "zero": 0}
+    for S in _stacked_forms():
+        stack = _cell(stability._eliminate(S.copy()))
+        assert repr(stack) == repr(_cell(_vectorized_eliminate(S.copy())))
+        for k in range(S.shape[2]):
+            one = _cell(stability._eliminate(S[:, :, k].copy()))
+            assert repr(one) == repr(_cell(_vectorized_eliminate(S[:, :, k : k + 1].copy()), 0))
+            cell = [field[k] for field in stack]
+            margins = one.pop(margin_index), cell.pop(margin_index)
+            # Every field but the margin is equal by repr, x_block included.
+            assert repr(one) == repr(cell)
+            # The margin is a pivot over |Q|, einsum's sum of squares, which
+            # adds one form's squares in another order than a stack's: the
+            # two agree to the last bits.
+            assert math.isnan(margins[0]) == math.isnan(margins[1])
+            if not math.isnan(margins[0]):
+                assert math.isclose(*margins, rel_tol=4 * 2.0**-52, abs_tol=0.0)
+            sweep = stability._eliminate(S[:, :, k].copy())
+            seen["zero" if sweep.zero else "completed" if sweep.completed else "ended"] += 1
+    assert min(seen.values()) >= 40
+
+
+def test_closed_form_failure_codes_equal_the_select_reference():
+    rng = np.random.default_rng(31)
+    K = 4000
+    b = _body()
+
+    def draw(*shape):
+        v = rng.normal(size=shape + (K,)) * 10.0 ** rng.uniform(-2, 2, K)
+        v[..., rng.random(K) < 0.02] = np.nan
+        return v
+
+    blocks = PotentialHessianBlocks(draw(3, 3), draw(3, 2), draw(3), draw(2, 2), draw(2), draw())
+    mult = Multipliers(draw(), draw(), draw(), draw())
+    cells = stability._Cells(np.abs(draw()), draw(), mult, np.abs(draw()), blocks)
+    den1, cond2, A, B, C, failed = stability._closed_form(b, cells)
+    reference = np.select([den1 <= 0.0, cond2 <= 0.0, A <= 0.0, C <= 0.0, A * C - B * B <= 0.0], [1, 2, 3, 4, 5], 0)
+    np.testing.assert_array_equal(failed, reference)
+    assert failed.dtype == reference.dtype
+    assert set(failed.tolist()) == {0, 1, 2, 3, 4, 5}
+    assert np.isnan(den1).any()
+    # One cell's floats give the elements of the stacked call.
+    for k in range(0, K, 97):
+        cell = stability._Cells(
+            float(cells.nperp[k]),
+            float(cells.nz[k]),
+            Multipliers(*(float(getattr(mult, f.name)[k]) for f in fields(mult))),
+            float(cells.r0[k]),
+            PotentialHessianBlocks(*(getattr(blocks, f.name)[..., k] for f in fields(blocks))),
+        )
+        got = [np.asarray(v).tolist() for v in stability._closed_form(b, cell)]
+        assert repr(got) == repr([v[k].tolist() for v in (den1, cond2, A, B, C, failed)])
+
+
+def test_planar_direction_on_floats_equals_the_array_elements():
+    values = [0.0, -0.0, 1e-13, -1e-12, 1e-12, 1.0000000000000002e-12, 5e-324, 0.6, -0.8, 1e308, -1e308, 1e-300,
+              np.inf, -np.inf, np.nan]
+    nx, ny = (np.array(v) for v in zip(*[(x, y) for x in values for y in values]))
+    with np.errstate(invalid="ignore"):  # inf / inf where both components are infinite
+        c, s = _planar_direction(nx, ny)
+        for k, (x, y) in enumerate(zip(nx.tolist(), ny.tolist())):
+            assert repr([float(v) for v in _planar_direction(x, y)]) == repr([float(c[k]), float(s[k])])
