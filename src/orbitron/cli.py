@@ -179,15 +179,23 @@ def _size(value: int, limit: int, what: str) -> int:
     return value
 
 
+def _one_of(sec: dict, keys: tuple, where: str) -> str:
+    """The one key of ``keys`` that ``sec`` holds; none or more than one is a ConfigError."""
+    present = [k for k in keys if k in sec]
+    if len(present) != 1:
+        raise ConfigError(f"{where} needs exactly one of {', '.join(map(repr, keys))}")
+    return present[0]
+
+
 def _body_from_config(cfg: dict) -> BodyParams:
     rec = require(cfg, "body", dict, "config")
-    known = {"M", "I_perp", "I3", "mu", "g"}
-    unknown = set(rec) - known
+    known = ("M", "I_perp", "I3", "mu", "g")
+    unknown = set(rec) - set(known)
     if unknown:
         raise ConfigError(f"unknown body keys {sorted(unknown)}; known: {sorted(known)}")
     try:
-        return BodyParams(**{k: finite_float(v, f"body.{k}") for k, v in rec.items()})
-    except (TypeError, ValueError) as exc:
+        return BodyParams(**{k: require(rec, k, float, "body") for k in known})
+    except ValueError as exc:
         raise ConfigError(f"bad body record: {exc}") from exc
 
 
@@ -202,8 +210,10 @@ def _vector(rec, key: str, where: str) -> np.ndarray:
     return np.array([finite_float(c, f"{where}.{key}") for c in v])
 
 
-def _pick_branch(eqs: list[Equilibrium], branch: int, where: str) -> Equilibrium:
-    """The equilibrium branch at index ``branch``, read from the spec before the solve."""
+def _solve_branch(spec: dict, model: AxiFieldModel, b: BodyParams, where: str) -> Equilibrium:
+    """The solved branch at index ``spec["branch"]`` (default 0), which is read before the solve."""
+    branch = require(spec, "branch", int, where, 0)
+    eqs = _solve_from_spec(spec, model, b)
     if not 0 <= branch < len(eqs):
         raise ConfigError(
             f"{where}.branch = {branch} is out of range: the solver found {len(eqs)} branch(es)"
@@ -246,15 +256,11 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
         c2 = require(spec, "C2", float, "equilibrium")
         return solve_dipole_equilibrium(model, b, r0, c2, negative_omega)
     if solver == "levitation":
-        if "r0" in spec and "beta" in spec:
-            raise ConfigError("levitation solver takes r0 or beta, not both")
-        if "r0" in spec:
-            r0 = require(spec, "r0", float, "equilibrium")
-        elif "beta" in spec:
-            r0 = radius_for_beta(model, require(spec, "beta", float, "equilibrium"))
-        else:
-            raise ConfigError("levitation solver needs r0 or beta")
+        given = require(spec, _one_of(spec, ("r0", "beta"), "equilibrium"), float, "equilibrium")
+        r0 = given if "r0" in spec else radius_for_beta(model, given)
         linear, o_model = _levitation_setup(model, b)
+        if r0 <= 0.0:  # beta is read off the jet at r0, before build_levitation_equilibrium checks r0
+            raise ValueError("orbit radius must be positive")
         kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
         beta = eval_jet(o_model, r0, 0.0).Br_z / linear.Bp
         nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
@@ -287,7 +293,7 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
     )
 
     eq = None
-    if "state" in sec:
+    if _one_of(sec, ("state", "from_equilibrium"), "simulate") == "state":
         rec = require(sec, "state", dict, "simulate")
         s0 = ReducedState(
             x=_vector(rec, "x", "state"),
@@ -295,19 +301,15 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
             nu=_vector(rec, "nu", "state"),
             pi=_vector(rec, "pi", "state"),
         )
-    elif "from_equilibrium" in sec:
+    else:
         spec = require(sec, "from_equilibrium", dict, "simulate")
-        branch = require(spec, "branch", int, "simulate.from_equilibrium", 0)
         try:
-            eqs = _solve_from_spec(spec, model, b)
+            eq = _solve_branch(spec, model, b, "simulate.from_equilibrium")
         except NO_SOLUTION_ERRORS as exc:
             _write_csv(out, TRAJECTORY_HEADER, [])
             _write_json(out + ".summary.json", {"reason": type(exc).__name__})
             return 0
-        eq = _pick_branch(eqs, branch, "simulate.from_equilibrium")
         s0 = build_support_state(eq)
-    else:
-        raise ConfigError("simulate needs a 'state' or 'from_equilibrium' section")
 
     if dt is None:
         # One period resolved by 2000 steps when the rotation rate is known,
@@ -357,13 +359,11 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
         raise ConfigError(f"unknown certify method {method!r}")
     if method == "levitation":
         _levitation_setup(model, b)
-    branch = require(spec, "branch", int, "certify.equilibrium", 0)
     try:
-        eqs = _solve_from_spec(spec, model, b)
+        eq = _solve_branch(spec, model, b, "certify.equilibrium")
     except NO_SOLUTION_ERRORS as exc:
         _write_json(out, {"certificate": None, "reason": type(exc).__name__})
         return 0
-    eq = _pick_branch(eqs, branch, "certify.equilibrium")
 
     blocks = hessian_blocks(eq.r0, eq.nu0, model, b) if method == "closed_form" or oracle else None
     if method == "closed_form":
@@ -462,10 +462,7 @@ def main(argv=None) -> int:
             _PARSER.error(f"{flag} belongs to the {command} command, not {args.command}")
     try:
         cfg = _load_config(args.config)
-        present = [t for t in COMMANDS if t in cfg]
-        if len(present) != 1:
-            raise ConfigError(f"config must contain exactly one task section from {tuple(COMMANDS)}")
-        task = present[0]
+        task = _one_of(cfg, tuple(COMMANDS), "config")
         if task != args.command:
             raise ConfigError(
                 f"config has a {task!r} section but the {args.command!r} command was invoked"

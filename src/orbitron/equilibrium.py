@@ -38,7 +38,6 @@ __all__ = [
     "build_support_state",
     "first_order_residual",
     "solve_orbitron_equatorial",
-    "equatorial_rate",
     "equatorial_conditions",
     "equatorial_multipliers",
     "tilted_multipliers",
@@ -168,34 +167,6 @@ def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
     return asymmetric, equatorial_conditions(jet, b, r0, sigma)[2]
 
 
-def equatorial_rate(
-    model: AxiFieldModel, b: BodyParams, r0: float, sigma: int
-) -> tuple[float, FieldJet]:
-    """Orbit rate of the equatorial branch at r0, and the field jet there.
-
-    The axis is locked to sigma e3 and the orbit rate balances the magnetic
-    pull: omega^2 = -sigma (mu / M) Bz_r / r0.  Raises ValueError unless
-    sigma is +1 or -1, r0 > 0 and g = 0; NotMirrorSymmetric if the field
-    has a radial component or an axial gradient at (r0, 0); and
-    WrongFieldSign if omega^2 is not positive.
-    """
-    if sigma not in (-1, 1):
-        raise ValueError("sigma must be +1 or -1")
-    if r0 <= 0.0:
-        raise ValueError("orbit radius must be positive")
-    if b.g != 0.0:
-        raise ValueError("equatorial solver requires g = 0; use solve_dipole_equilibrium")
-    jet = eval_jet(model, r0, 0.0)
-    asymmetric, w2 = _equatorial_tests(jet, b, r0, sigma)
-    if asymmetric:
-        raise NotMirrorSymmetric(f"field is not mirror symmetric at r = {r0:g}")
-    if w2 <= 0.0:
-        raise WrongFieldSign(
-            f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+d}, Bz_r = {jet.Bz_r:g}"
-        )
-    return math.sqrt(w2), jet
-
-
 def equatorial_multipliers(b: BodyParams, Bz, omega, pi0, sigma) -> Multipliers:
     """Multipliers of the equatorial branch with spin pi0 along the axis.
 
@@ -300,12 +271,26 @@ def solve_orbitron_equatorial(
     pull: omega^2 = -sigma (mu / M) Bz_r / r0.  The spin pi0 along the axis
     is free and is supplied by the caller.
 
-    Raises NotMirrorSymmetric if the field has a radial component or an
-    axial gradient at (r0, 0), and WrongFieldSign if the required omega^2 is
-    not positive.  Gravity must be zero; a nonzero g makes the z balance
-    unsatisfiable on an equatorial branch and is reported as a ValueError.
+    Raises ValueError, before any jet, unless sigma is +1 or -1, r0 > 0 and
+    g = 0 (a nonzero g leaves the z balance unsatisfiable on this branch);
+    NotMirrorSymmetric if the field has a radial component or an axial
+    gradient at (r0, 0); and WrongFieldSign if omega^2 is not positive.
     """
-    omega, jet = equatorial_rate(model, b, r0, sigma)
+    if sigma not in (-1, 1):
+        raise ValueError("sigma must be +1 or -1")
+    if r0 <= 0.0:
+        raise ValueError("orbit radius must be positive")
+    if b.g != 0.0:
+        raise ValueError("equatorial solver requires g = 0; use solve_dipole_equilibrium")
+    jet = eval_jet(model, r0, 0.0)
+    asymmetric, w2 = _equatorial_tests(jet, b, r0, sigma)
+    if asymmetric:
+        raise NotMirrorSymmetric(f"field is not mirror symmetric at r = {r0:g}")
+    if w2 <= 0.0:
+        raise WrongFieldSign(
+            f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+d}, Bz_r = {jet.Bz_r:g}"
+        )
+    omega = math.sqrt(w2)
     if negative_omega:
         omega, pi0 = -omega, -pi0
     return _equatorial_equilibrium(model, b, r0, jet, omega, pi0, sigma)

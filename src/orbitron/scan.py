@@ -20,8 +20,8 @@ from .equilibrium import (
     _support_momenta,
     equatorial_conditions,
     equatorial_multipliers,
-    equatorial_rate,
     solve_levitation,
+    solve_orbitron_equatorial,
     tilted_multipliers,
 )
 from .errors import BadSign, ConfigError, NoEquilibrium, NonFinite, OrbitronError
@@ -288,7 +288,7 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
 
     The axis is sigma e3 in every cell, so the field enters only through
     its jet at (r0, 0), which is one array :func:`fields.eval_jet` call over
-    all cells.  The branch tests of :func:`equilibrium.equatorial_rate` and
+    all cells.  The branch tests of :func:`equilibrium.solve_orbitron_equatorial` and
     the closed-form blocks of :func:`potential.hessian_blocks` are then
     elementwise, and all cells are certified together on stacked arrays.
     Each output is then built as one column over the grid, and the rows
@@ -326,7 +326,7 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     outside = ~np.isin(sigma, (-1.0, 1.0)) | (r0 <= 0.0) | (b.g != 0.0)
     if outside.any():
         k = int(outside.argmax())  # raises the first offending cell's ValueError, before any jet
-        equatorial_rate(model, b, float(r0[k]), sigma[k])
+        solve_orbitron_equatorial(model, b, float(r0[k]), float(pi0[k]), sigma[k])
 
     # Cells with a non-finite jet or margin are flagged NonFinite, so their arithmetic stays silent.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

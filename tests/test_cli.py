@@ -865,7 +865,71 @@ def test_levitation_solver_takes_r0_or_beta_not_both(tmp_path, capsys):
     cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, "equilibrium": spec})
     out = tmp_path / "eq.json"
     assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: levitation solver takes r0 or beta, not both\n"
+    assert capsys.readouterr().err == "config error: equilibrium needs exactly one of 'r0', 'beta'\n"
+    assert not out.exists()
+
+
+ONE_OF = {
+    "config": "config error: config needs exactly one of 'simulate', 'equilibrium', 'certify', 'scan'\n",
+    "levitation": "config error: equilibrium needs exactly one of 'r0', 'beta'\n",
+    "simulate": "config error: simulate needs exactly one of 'state', 'from_equilibrium'\n",
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc, rule",
+    [
+        ("equilibrium", {"body": BODY, "field": PAIR}, "config"),
+        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": ORBIT, "certify": {}}, "config"),
+        # both r0 and beta: test_levitation_solver_takes_r0_or_beta_not_both
+        ("equilibrium", {"body": LEV_BODY, "field": LEV_FIELD, "equilibrium": {"solver": "levitation"}}, "levitation"),
+        ("simulate", {"body": BODY, "field": PAIR, "simulate": {"steps": 5}}, "simulate"),
+        (
+            "simulate",
+            {"body": BODY, "field": PAIR, "simulate": {"state": TILTED_STATE, "from_equilibrium": ORBIT, "steps": 5}},
+            "simulate",
+        ),
+    ],
+)
+def test_exactly_one_of_is_one_rule(tmp_path, capsys, command, doc, rule):
+    # none and both exit 2 with the one message naming the section and its keys
+    cfg = _cfg(tmp_path, doc)
+    out = tmp_path / "o.dat"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == ONE_OF[rule]
+    assert list(tmp_path.glob("o.dat*")) == []
+
+
+@pytest.mark.parametrize("r0", [0.0, -0.8, -3.0])
+@pytest.mark.parametrize("command", ["equilibrium", "certify", "simulate"])
+def test_levitation_r0_must_be_positive(tmp_path, capsys, command, r0):
+    # beta is read off the jet at r0, so r0 is checked first, as the other solvers check it
+    spec = {"solver": "levitation", "r0": r0}
+    section = {"equilibrium": spec, "certify": {"equilibrium": spec}, "simulate": {"from_equilibrium": spec, "steps": 5}}
+    cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, command: section[command]})
+    out = tmp_path / "o.dat"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: orbit radius must be positive\n"
+    assert list(tmp_path.glob("o.dat*")) == []
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ({}, "M"),
+        ({"mu": 1.0}, "M"),
+        ({k: v for k, v in BODY.items() if k != "I3"}, "I3"),
+        ({k: v for k, v in BODY.items() if k != "g"}, "g"),
+        # a missing M comes before a g of the wrong type
+        ({"g": "x", **{k: v for k, v in BODY.items() if k not in ("M", "g")}}, "M"),
+    ],
+)
+def test_every_body_key_is_required(tmp_path, capsys, body, key):
+    # the first missing key in the order M, I_perp, I3, mu, g is named, as a field record's is
+    cfg = _cfg(tmp_path, {"body": body, "field": PAIR, "equilibrium": ORBIT})
+    out = tmp_path / "eq.json"
+    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: missing {key!r} in body\n"
     assert not out.exists()
 
 

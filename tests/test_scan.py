@@ -26,7 +26,6 @@ from orbitron.scan import (
 from orbitron.stability import CERTIFICATE_FIELDS, closed_form_conditions, levitation_conditions
 from orbitron.equilibrium import (
     build_levitation_equilibrium,
-    equatorial_rate,
     solve_levitation,
     solve_orbitron_equatorial,
 )
@@ -495,7 +494,7 @@ def test_stability_map_rows_are_plain_python():
     # has decayed; lambda vanishes at the first cell, and pi0 near 1e308 overflows
     b = _body()
     model = Composite((DipolePair(1.0, 1.0), Linear(0.0, 1e-12)))
-    omega, jet = equatorial_rate(model, b, 0.8, 1)
+    omega, jet = solve_orbitron_equatorial(model, b, 0.8, 0.0).mult.omega, eval_jet(model, 0.8, 0.0)
     pi0 = (b.I_perp * omega**2 - b.mu * jet.Bz) / omega
     spec = ScanSpec(ScanAxis("r0", 0.8, 8.0, 10), ScanAxis("pi0", pi0, 1e308, 3), outputs=CERTIFICATE_FIELDS)
     rows = stability_map(spec, model, b)
@@ -583,7 +582,7 @@ def test_stability_map_error_semantics():
     rows = _assert_map_matches_cells(spec, tilted, b)
     assert {row["error"] for row in rows} == {"NotMirrorSymmetric"}
     # at lambda = 0 the fifth pivot vanishes
-    omega, jet = equatorial_rate(pair, b, 0.8, 1)
+    omega, jet = solve_orbitron_equatorial(pair, b, 0.8, 0.0).mult.omega, eval_jet(pair, 0.8, 0.0)
     pi0 = (b.I_perp * omega**2 - b.mu * jet.Bz) / omega
     zero = ScanSpec(ScanAxis("r0", 0.8, 0.8, 1), ScanAxis("pi0", pi0, pi0, 1))
     assert [row["error"] for row in _assert_map_matches_cells(zero, pair, b)] == ["ZeroPivot"]
@@ -593,6 +592,39 @@ def test_stability_map_error_semantics():
             stability_map(bad_spec, pair, bad_b)
         with pytest.raises(ValueError):
             _per_cell(bad_spec, pair, bad_b)
+
+
+@pytest.mark.parametrize(
+    "spec, g",
+    [
+        # sigma = -0.5 at the second cell, sigma = 0 and 0.5 after it
+        (ScanSpec(ScanAxis("r0", 0.6, 0.9, 2), ScanAxis("sigma", -1.0, 0.5, 4), fixed={"pi0": 10.0}), 0.0),
+        # r0 = -0.3 at the first cell, r0 = 0 after it
+        (ScanSpec(ScanAxis("r0", -0.3, 0.9, 5), ScanAxis("pi0", 5.0, 15.0, 2), fixed={"sigma": -1.0}), 0.0),
+        (ScanSpec(ScanAxis("pi0", 5.0, 15.0, 2), ScanAxis("r0", 0.0, 0.9, 4)), 0.0),
+        (ScanSpec(ScanAxis("r0", 0.6, 0.9, 3), ScanAxis("pi0", 5.0, 15.0, 2)), 1.0),
+        # with g != 0 too, the first cell's first failed check names it
+        (ScanSpec(ScanAxis("r0", -0.3, 0.9, 5), ScanAxis("pi0", 5.0, 15.0, 2)), 1.0),
+        (ScanSpec(ScanAxis("sigma", 0.5, 1.0, 2), ScanAxis("r0", -0.3, 0.9, 5), fixed={"pi0": 10.0}), 1.0),
+    ],
+)
+def test_stability_map_domain_error_is_the_solvers(spec, g):
+    # the map raises what solve_orbitron_equatorial raises for the first cell outside its domain
+    b, pair = replace(_body(), g=g), DipolePair(1.0, 1.0)
+    messages = []
+    for v1 in spec.axis1.values():
+        for v2 in spec.axis2.values():
+            p = {"sigma": 1.0, **spec.fixed, spec.axis1.name: float(v1), spec.axis2.name: float(v2)}
+            sigma = int(p["sigma"]) if p["sigma"].is_integer() else p["sigma"]
+            try:
+                solve_orbitron_equatorial(pair, b, p["r0"], p["pi0"], sigma)
+            except ValueError as exc:
+                messages.append(str(exc))
+            except OrbitronError:
+                pass
+    with pytest.raises(ValueError) as info:
+        stability_map(spec, pair, b)
+    assert str(info.value) == messages[0]
 
 
 def test_stability_map_flags_non_finite_cells():
