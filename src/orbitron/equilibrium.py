@@ -103,7 +103,7 @@ def build_support_state(eq: Equilibrium) -> ReducedState:
 
 
 def first_order_residual(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> float:
-    """Max norm of the four first-order conditions at the support state.
+    """Max norm of the four first-order conditions at the support state, NaN if any is NaN.
 
     The conditions are the vanishing of the first variation of the augmented
     Hamiltonian: p = M omega e3 x x, grad_x V = -omega e3 x p,
@@ -118,32 +118,21 @@ def first_order_residual(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -
     would bury the true residual under rounding noise.
 
     The support state is x = (r0, 0, 0), p = (0, p0, 0), nu = nu0 and
-    pi = pi0, taken as floats; each cross product with e3 is written out in
-    numpy's product order, so the residual equals that of the 3-vectors.
+    pi = pi0, taken as floats.  Of the twelve components, the two p
+    components off e2 vanish identically; the other ten are written out with
+    the terms that multiply a zero of e3 or x dropped, which changes at most
+    the sign of a zero.
     """
     r0, p0, om = float(eq.r0), float(eq.p0), eq.mult.omega
     (n1, n2, n3), (s1, s2, s3) = eq.nu0.tolist(), eq.pi0.tolist()
     g1, g2, g3, h1, h2, h3 = DipolePotential(model, b).gradient_terms(r0, 0.0, 0.0, n1, n2, n3)
-    m_om, i_om, l2_i, lam = b.M * om, b.I_perp * om, eq.mult.lambda2 * b.I_perp, eq.mult.lambda_
-    l2_i_om = l2_i * om
-    r1 = (
-        0.0 - m_om * (0.0 * 0.0 - 1.0 * 0.0),
-        p0 - m_om * (1.0 * r0 - 0.0 * 0.0),
-        0.0 - m_om * (0.0 * 0.0 - 0.0 * r0),
+    l2_i, lam = eq.mult.lambda2 * b.I_perp, eq.mult.lambda_
+    r = (
+        p0 - b.M * om * r0, g1 - om * p0, g2, g3,
+        s1 + l2_i * n1, s2 + l2_i * n2, s3 - b.I_perp * om + l2_i * n3,
+        h1 + lam * n1, h2 + lam * n2, h3 + lam * n3 + l2_i * om,
     )
-    r2 = (
-        g1 + om * (0.0 * 0.0 - 1.0 * p0),
-        g2 + om * (1.0 * 0.0 - 0.0 * 0.0),
-        g3 + om * (0.0 * p0 - 0.0 * 0.0),
-    )
-    r3 = (s1 - i_om * 0.0 + l2_i * n1, s2 - i_om * 0.0 + l2_i * n2, s3 - i_om * 1.0 + l2_i * n3)
-    r4 = (h1 + lam * n1 + l2_i_om * 0.0, h2 + lam * n2 + l2_i_om * 0.0, h3 + lam * n3 + l2_i_om * 1.0)
-    return float(max(_max_abs(r) for r in (r1, r2, r3, r4)))
-
-
-def _max_abs(v) -> float:
-    """The largest |component| of v, NaN if any component is NaN, as np.max(np.abs(v)) gives it."""
-    return math.nan if any(map(math.isnan, v)) else max(map(abs, v))
+    return math.nan if any(map(math.isnan, r)) else float(max(map(abs, r)))
 
 
 def equatorial_conditions(jet: FieldJet, b: BodyParams, r0, sigma) -> tuple:
@@ -288,7 +277,7 @@ def solve_orbitron_equatorial(
         raise NotMirrorSymmetric(f"field is not mirror symmetric at r = {r0:g}")
     if w2 <= 0.0:
         raise WrongFieldSign(
-            f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+d}, Bz_r = {jet.Bz_r:g}"
+            f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+g}, Bz_r = {jet.Bz_r:g}"
         )
     omega = math.sqrt(w2)
     if negative_omega:

@@ -55,12 +55,10 @@ class ScanAxis:
                 raise ValueError(f"single-point axis {self.name!r} needs lo == hi")
         elif not self.hi > self.lo:
             raise ValueError(f"axis {self.name!r} range must be increasing")
-        elif not math.isfinite(self.hi - self.lo):
+        if not math.isfinite(self.hi - self.lo):
             raise ValueError(f"axis {self.name!r} range width must be finite")
 
     def values(self) -> np.ndarray:
-        if self.n == 1:
-            return np.array([self.lo])
         return np.linspace(self.lo, self.hi, self.n)
 
 

@@ -25,14 +25,13 @@ from .core import BodyParams, Multipliers
 from .equilibrium import Equilibrium, _quotient, equatorial_conditions
 from .errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
 from .fields import AxiFieldModel, FieldJet, eval_jet
-from .potential import PotentialHessianBlocks, _planar_direction, _support_blocks, _where
+from .potential import PotentialHessianBlocks, _support_blocks, _where
 
 __all__ = [
     "EliminationResult",
     "StabilityCertificate",
     "EigenCertificate",
     "VARIATION_LABELS",
-    "variation_constraints",
     "reduced_hessian",
     "isolated_squares_reduce",
     "closed_form_conditions",
@@ -151,45 +150,6 @@ def _nu_split(eq: Equilibrium) -> tuple[float, float]:
     if abs(nz) < POLAR_EPS:
         raise PolarDegeneracy("equilibrium axis lies in the orbital plane")
     return nperp, nz
-
-
-def variation_constraints(eq: Equilibrium, b: BodyParams) -> np.ndarray:
-    """Map T from the 8 free variations to the 12 state variations.
-
-    Columns follow VARIATION_LABELS; rows are (x, p, nu, pi) stacked.  The
-    map is built so that the first variations of C1, C2 and J3 all vanish:
-    dnu3, dpi3, dp2 and dx2 are slaved to the free variations, and dPi1
-    carries the extra (I_perp omega / nu_z) dN1 piece.
-    """
-    nperp, nz = _nu_split(eq)
-    c, s = _planar_direction(eq.nu0[0], eq.nu0[1])
-    E1 = np.array([c, s, 0.0])
-    E2 = np.array([-s, c, 0.0])
-    m_omega = eq.p0 / eq.r0  # M omega without needing b.M separately
-    i_omega = b.I_perp * eq.mult.omega
-
-    T = np.zeros((12, 8))
-    # dp3 and dp1 are free momenta.
-    T[5, 0] = 1.0
-    T[3, 1] = 1.0
-    # dPi2: spin variation along E2.
-    T[9:12, 2] += E2
-    # dPi1': spin variation along E1 plus its forced pi3 and p2 parts.
-    T[9:12, 3] += E1
-    T[11, 3] += -nperp / nz
-    T[4, 3] += nperp / (eq.r0 * nz)
-    # dN2: axis variation along E2.
-    T[6:9, 4] += E2
-    # dN1: axis variation along E1, its forced nu3 part, and the dPi1 share.
-    T[6:9, 5] += E1
-    T[8, 5] += -nperp / nz
-    T[9:12, 5] += (i_omega / nz) * E1
-    # dx1 drags p2 to keep J3 fixed.
-    T[0, 6] = 1.0
-    T[4, 6] = -m_omega
-    # dx3 is free.
-    T[2, 7] = 1.0
-    return T
 
 
 class _Cells(NamedTuple):

@@ -1571,3 +1571,53 @@ def test_cli_contract_fuzz(case):
             out.unlink(missing_ok=True)
         assert runs[0] == runs[1]
         event(f"{command} exit {code}")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "config error: cannot read config "),
+        ("[1, 2]", "config error: config root must be a JSON object\n"),
+        ("3", "config error: config root must be a JSON object\n"),
+    ],
+    ids=["unreadable", "list", "number"],
+)
+def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is None:
+        path.mkdir()  # a path that exists but cannot be read as a file
+    else:
+        path.write_text(text)
+    out = tmp_path / "o.dat"
+    assert main(["equilibrium", "--config", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(message)
+    assert list(tmp_path.glob("o.dat*")) == []
+
+
+@pytest.mark.parametrize(
+    "command, doc, message",
+    [
+        (
+            "equilibrium",
+            {"body": dict(BODY, spin=1.0), "field": PAIR, "equilibrium": ORBIT},
+            "unknown body keys ['spin']",
+        ),
+        (
+            "simulate",
+            {"body": BODY, "field": PAIR, "simulate": {"state": dict(TILTED_STATE, x=[0.9, 0.1]), "steps": 5}},
+            "state.x must be a list of 3 numbers",
+        ),
+        (
+            "equilibrium",
+            {"body": BODY, "field": PAIR, "equilibrium": {"solver": "dipole", "r0": -0.8, "C2": 10.0}},
+            "orbit radius must be positive",
+        ),
+    ],
+    ids=["body-key", "state-length", "dipole-r0"],
+)
+def test_config_contract_paths_exit_2(tmp_path, capsys, command, doc, message):
+    cfg = _cfg(tmp_path, doc)
+    out = tmp_path / "o.dat"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.glob("o.dat*")) == []

@@ -450,7 +450,7 @@ def _ndarray_residual(eq, b, model):
     r2 = np.array(grad[:3]) + om * np.cross(_E3, s.p)
     r3 = s.pi - b.I_perp * om * _E3 + eq.mult.lambda2 * b.I_perp * s.nu
     r4 = np.array(grad[3:]) + eq.mult.lambda_ * s.nu + eq.mult.lambda2 * b.I_perp * om * _E3
-    return float(max(np.max(np.abs(r)) for r in (r1, r2, r3, r4)))
+    return float(np.max(np.abs(np.concatenate([r1, r2, r3, r4]))))
 
 
 def _residual_solves(negative_omega):
@@ -517,3 +517,24 @@ def test_first_order_residual_equals_the_ndarray_reference(monkeypatch):
     assert sum(isinstance(k, list) and len(k) > 0 for k in kinds) >= 100
     assert kinds.count("NonFinite") >= 20
     assert any(isinstance(g, str) and "residual is not finite" in g for g in got)
+
+
+@pytest.mark.parametrize("field", ["p0", "pi0", "nu0"])
+def test_first_order_residual_is_nan_for_a_nan_in_any_condition(field):
+    # one reduction over all ten components: a NaN outside the p block is not dropped
+    b, model = _body(), DipolePair(1.0, 1.0)
+    eq = solve_orbitron_equatorial(model, b, 0.8, 10.0)
+    value = math.nan if field == "p0" else np.array([math.nan, *getattr(eq, field)[1:]])
+    assert math.isnan(first_order_residual(replace(eq, **{field: value}), b, model))
+
+
+@pytest.mark.parametrize("sigma, r0", [(-1, 0.6), (1, 3.0)])
+def test_float_sigma_raises_wrong_field_sign(sigma, r0):
+    # a float sigma of +-1.0 gets the int's error and message
+    messages = []
+    for s in (sigma, float(sigma)):
+        with pytest.raises(WrongFieldSign) as info:
+            solve_orbitron_equatorial(DipolePair(1.0, 1.0), _body(), r0, 10.0, s)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert f"sigma = {sigma:+d}," in messages[0]

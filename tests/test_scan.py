@@ -737,3 +737,21 @@ def test_window_rejects_nonpositive_ratios():
         dipoletron_window(1.0, 1.0, _body(), ratio_range=(0.0, 1.5))
     with pytest.raises(ValueError, match="r0 / h > 0"):
         dipoletron_window(1.0, 1.0, _body(), ratio_range=(-1.0, 1.5), n=11)
+
+
+@pytest.mark.parametrize("fixed", [{"pi0": math.nan}, {"pi0": math.inf}])
+def test_stability_map_rejects_a_non_finite_fixed_value(fixed):
+    spec = ScanSpec(ScanAxis("r0", 0.6, 1.0, 3), ScanAxis("sigma", 1.0, 1.0, 1), fixed=fixed)
+    with pytest.raises(ValueError, match="r0 and pi0 must be finite"):
+        stability_map(spec, DipolePair(1.0, 1.0), _body())
+
+
+def test_single_point_axis_is_the_linspace_of_one_point():
+    # one path for every n: a single point is np.linspace(lo, lo, 1), a float array holding lo
+    for lo in (0.8, -1e308, 5e-324, 10, -0.0):
+        values = ScanAxis("pi0", lo, lo, 1).values()
+        assert values.dtype == np.float64 and values.tolist() == [lo]
+    # a point at infinity has no finite width, as a range that overflows has none
+    for lo in (math.inf, -math.inf):
+        with pytest.raises(ValueError, match="axis 'pi0' range width must be finite"):
+            ScanAxis("pi0", lo, lo, 1)

