@@ -233,29 +233,26 @@ def _levitation_setup(model: AxiFieldModel, b: BodyParams):
 
 
 def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Equilibrium]:
+    """The branches the spec's solver finds, each time-reversed when ``negative_omega`` is true."""
     solver = require(spec, "solver", str, "equilibrium")
     negative_omega = require(spec, "negative_omega", bool, "equilibrium", False)
     if solver == "orbitron":
         r0 = require(spec, "r0", float, "equilibrium")
         pi0 = require(spec, "pi0", float, "equilibrium")
         sigma = require(spec, "sigma", int, "equilibrium", None)
-        if sigma is not None:
-            return [solve_orbitron_equatorial(model, b, r0, pi0, sigma, negative_omega)]
-        # No explicit orientation: return one branch per admissible sigma.
+        # Without an explicit sigma, one branch per admissible sign.
         eqs, errors = [], []
-        for sigma in (1, -1):
+        for s in (1, -1) if sigma is None else (sigma,):
             try:
-                eqs.append(solve_orbitron_equatorial(model, b, r0, pi0, sigma, negative_omega))
+                eqs.append(solve_orbitron_equatorial(model, b, r0, pi0, s))
             except NO_SOLUTION_ERRORS as exc:
                 errors.append(exc)
-        if not eqs:  # then both signs failed: raise the first one's error
+        if not eqs:  # then every sign failed: raise the first one's error
             raise errors[0]
-        return eqs
-    if solver == "dipole":
+    elif solver == "dipole":
         r0 = require(spec, "r0", float, "equilibrium")
-        c2 = require(spec, "C2", float, "equilibrium")
-        return solve_dipole_equilibrium(model, b, r0, c2, negative_omega)
-    if solver == "levitation":
+        eqs = solve_dipole_equilibrium(model, b, r0, require(spec, "C2", float, "equilibrium"))
+    elif solver == "levitation":
         given = require(spec, _one_of(spec, ("r0", "beta"), "equilibrium"), float, "equilibrium")
         r0 = given if "r0" in spec else radius_for_beta(model, given)
         linear, o_model = _levitation_setup(model, b)
@@ -263,9 +260,10 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
             raise ValueError("orbit radius must be positive")
         kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
         beta = eval_jet(o_model, r0, 0.0).Br_z / linear.Bp
-        nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
-        return [build_levitation_equilibrium(model, b, r0, nu_r, nu_z, xi2, negative_omega)]
-    raise ConfigError(f"unknown solver {solver!r}")
+        eqs = [build_levitation_equilibrium(model, b, r0, *solve_levitation(beta, kappa))]
+    else:
+        raise ConfigError(f"unknown solver {solver!r}")
+    return [eq.time_reversed() for eq in eqs] if negative_omega else eqs
 
 
 TRAJECTORY_HEADER = (

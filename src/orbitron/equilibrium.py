@@ -91,6 +91,17 @@ class Equilibrium:
             "residual": self.residual,
         }
 
+    def time_reversed(self) -> "Equilibrium":
+        """The same orbit traversed backwards, at -omega.
+
+        The reduced top is time-reversible: negating omega, lambda2, pi0, p0
+        and C2 keeps every first-order condition, so nu0, lambda1, lambda,
+        sigma and the residual carry over.  Applied twice it is the identity.
+        """
+        m = self.mult
+        mult = Multipliers(-m.omega, m.lambda1, -m.lambda2, m.lambda_)
+        return replace(self, mult=mult, pi0=-self.pi0, p0=-self.p0, C2=-self.C2)
+
 
 def build_support_state(eq: Equilibrium) -> ReducedState:
     """The reduced state at t = 0 on the equilibrium orbit."""
@@ -247,12 +258,7 @@ def _tilted_equilibrium(
 
 
 def solve_orbitron_equatorial(
-    model: AxiFieldModel,
-    b: BodyParams,
-    r0: float,
-    pi0: float,
-    sigma: int = 1,
-    negative_omega: bool = False,
+    model: AxiFieldModel, b: BodyParams, r0: float, pi0: float, sigma: int = 1
 ) -> Equilibrium:
     """Equatorial equilibrium of a mirror-symmetric field without gravity.
 
@@ -279,19 +285,10 @@ def solve_orbitron_equatorial(
         raise WrongFieldSign(
             f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+g}, Bz_r = {jet.Bz_r:g}"
         )
-    omega = math.sqrt(w2)
-    if negative_omega:
-        omega, pi0 = -omega, -pi0
-    return _equatorial_equilibrium(model, b, r0, jet, omega, pi0, sigma)
+    return _equatorial_equilibrium(model, b, r0, jet, math.sqrt(w2), pi0, sigma)
 
 
-def solve_dipole_equilibrium(
-    model: AxiFieldModel,
-    b: BodyParams,
-    r0: float,
-    C2: float,
-    negative_omega: bool = False,
-) -> list[Equilibrium]:
+def solve_dipole_equilibrium(model: AxiFieldModel, b: BodyParams, r0: float, C2: float) -> list[Equilibrium]:
     """All relative-equilibrium branches at radius r0 for a general field.
 
     At the support point the force balance is linear in the axis direction:
@@ -328,14 +325,11 @@ def solve_dipole_equilibrium(
             nr, nz = d * ur - s * uz, d * uz + s * ur
             w = _quotient(-(jet.Br_r * nr + jet.Br_z * nz), c, "omega^2")
             if w > 1e-12 * max(1.0, w_orb):
-                roots.append((nr, nz, w))
+                roots.append((nr, nz, math.sqrt(w)))
 
-    if negative_omega:
-        C2 = -C2
     bnorm = math.hypot(jet.Br, jet.Bz)
     out: list[Equilibrium] = []
-    for nr, nz, w in sorted(roots, key=lambda r: (-r[1], r[0])):
-        omega = -math.sqrt(w) if negative_omega else math.sqrt(w)
+    for nr, nz, omega in sorted(roots, key=lambda r: (-r[1], r[0])):
         if abs(nr) < EQUATORIAL_TOL:
             if abs(jet.Br) > 1e-9 * max(bnorm, 1e-300):
                 # A vanishing tilt cannot balance a nonzero radial field.
@@ -389,13 +383,7 @@ def solve_levitation(beta: float, kappa: float) -> tuple[float, float, float]:
 
 
 def build_levitation_equilibrium(
-    model: AxiFieldModel,
-    b: BodyParams,
-    r0: float,
-    nu_r: float,
-    nu_z: float,
-    xi2: float,
-    negative_omega: bool = False,
+    model: AxiFieldModel, b: BodyParams, r0: float, nu_r: float, nu_z: float, xi2: float
 ) -> Equilibrium:
     """Assemble the full equilibrium for a levitation solution at radius r0.
 
@@ -412,5 +400,4 @@ def build_levitation_equilibrium(
     if abs(nu_r) < LEVITATION_TILT_MIN:
         raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
     jet = eval_jet(model, r0, 0.0)
-    omega = math.sqrt(xi2 * b.g / r0)
-    return _tilted_equilibrium(model, b, r0, jet, -omega if negative_omega else omega, nu_r, nu_z)
+    return _tilted_equilibrium(model, b, r0, jet, math.sqrt(xi2 * b.g / r0), nu_r, nu_z)

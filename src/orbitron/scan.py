@@ -227,7 +227,8 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
 
     The orbit radius is chosen once so the mirror part realizes the given
     beta; each kappa then fixes the gravity g = kappa mu B' / M that the
-    balance presumes.  Rows with an infeasible kappa carry the error name
+    balance presumes.  Rows with an infeasible kappa, or whose closed form
+    fails its normalization check (ArithmeticError), carry the error name
     and empty numerics.  The others share one jet at r0 and one stacked pass
     through the closed form, which :func:`stability.levitation_conditions`
     makes on one row.  Rows whose multipliers, spin pi0, momentum p0 or
@@ -251,7 +252,7 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
                 raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
             live.append(i)
             solved.append((nu_r, nu_z, xi2, g))
-        except OrbitronError as exc:
+        except (OrbitronError, ArithmeticError) as exc:  # the numerical failures cli.main maps to exit 3
             errors[i] = type(exc).__name__
     certified = np.zeros(0, dtype=int)
     numerics = np.zeros((7, 0))  # nu_r, nu_z, xi2, margin, A, B and C of the certified rows

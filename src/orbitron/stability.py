@@ -94,22 +94,25 @@ class StabilityCertificate:
 
     margin is the smallest normalized condition value: positive and outside
     the marginal band for a certified equilibrium, negative when some
-    condition fails.  failed_condition names the first violated condition.
-    A route whose margin is not finite raises NonFinite.
+    condition fails.  The verdict is derived from it by :func:`_classify`.
+    failed_condition names the first violated condition.  pivots is empty
+    for the field-level routes.  A margin that is not finite raises
+    NonFinite.
     """
 
-    verdict: str
+    verdict: str = field(init=False)
     margin: float
     lambda_ok: bool
     A: float
     B: float
     C: float
-    pivots: tuple
-    failed_condition: str | None
+    pivots: tuple = ()
+    failed_condition: str | None = None
     details: dict = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         _require_finite(self.margin)
+        object.__setattr__(self, "verdict", _classify(self.margin))
 
     def to_record(self) -> dict:
         record = {name: getattr(self, name) for name in CERTIFICATE_FIELDS}
@@ -118,14 +121,18 @@ class StabilityCertificate:
 
 @dataclass(frozen=True)
 class EigenCertificate:
-    """Spectrum-based verdict on the reduced quadratic form: a finite margin and the ascending eigenvalues."""
+    """Spectrum-based verdict on the reduced quadratic form: a finite margin, its verdict and the eigenvalues.
 
-    verdict: str
+    The verdict is derived from the margin by :func:`_classify`; the eigenvalues ascend.
+    """
+
+    verdict: str = field(init=False)
     margin: float
     eigenvalues: tuple
 
     def __post_init__(self) -> None:
         _require_finite(self.margin)
+        object.__setattr__(self, "verdict", _classify(self.margin))
 
 
 def _require_finite(value: float, what: str = "certificate margin") -> None:
@@ -463,7 +470,7 @@ def closed_form_conditions(
     isolated-squares pivots, which raise ZeroPivot when one vanishes.
     """
     certs = _certify(b, _one_cell(eq, blocks))
-    cell = {name: np.asarray(certs.column(name)).tolist() for name in CERTIFICATE_FIELDS}
+    cell = {name: np.asarray(certs.column(name)).tolist() for name in CERTIFICATE_FIELDS if name != "verdict"}
     if certs.sweep.zero:
         raise _zero_pivot(cell["pivots"][-1], certs.sweep.stop)
     details = {"den1": float(certs.den1), "cond2": float(certs.cond2)}
@@ -493,23 +500,6 @@ def _levitation_certificates(b: BodyParams, jet: FieldJet, r0, nu_r, nu_z, mult:
     always = np.ones_like(has_abc)
     margin = _normalized_min((lam, cond2, A, C, A * C - B * B), (always, always, has_abc, has_abc, has_abc))
     return lam, cond2, A, B, C, failed, margin
-
-
-def _certificate(
-    margin: float, lam: float, A: float, B: float, C: float, failed, details: dict
-) -> StabilityCertificate:
-    """A field-level certificate: no pivots, verdict from the margin."""
-    return StabilityCertificate(
-        verdict=_classify(margin),
-        margin=margin,
-        lambda_ok=lam > 0.0,
-        A=A,
-        B=B,
-        C=C,
-        pivots=(),
-        failed_condition=failed,
-        details=details,
-    )
 
 
 def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:
@@ -563,7 +553,7 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
         "spin_lhs": om * pi0,
         "spin_rhs": spin_rhs,
     }
-    return _certificate(margin, lam, A, B, C, failed, details)
+    return StabilityCertificate(margin, lam > 0.0, A, B, C, failed_condition=failed, details=details)
 
 
 def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:
@@ -591,7 +581,8 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
         "dynamic_rhs": -eq.sigma * mu * jet.Bz + I * om**2 + M * g * r0,
         "lambda_over_mgr": _quotient(lam, M * g * r0, "lambda / (M g r0)"),
     }
-    return _certificate(margin, lam, A, B, C, LEVITATION_CONDITIONS[int(code)], details)
+    failed = LEVITATION_CONDITIONS[int(code)]
+    return StabilityCertificate(margin, lam > 0.0, A, B, C, failed_condition=failed, details=details)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -610,8 +601,4 @@ def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     scale = int(_binary_exponent(Q))
     qnorm = max(float(np.linalg.norm(np.ldexp(Q, -scale))), 1e-300)
     margin = math.ldexp(float(eigs[0]), -scale) / qnorm
-    return EigenCertificate(
-        verdict=_classify(margin),
-        margin=margin,
-        eigenvalues=tuple(float(e) for e in eigs),
-    )
+    return EigenCertificate(margin, tuple(float(e) for e in eigs))

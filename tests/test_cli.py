@@ -405,6 +405,19 @@ def test_scan_levitation_sweep(tmp_path):
     assert errors[2] == "NoRealSolution"
 
 
+def test_scan_levitation_sweep_survives_an_arithmetic_error(tmp_path):
+    # one kappa whose closed form fails its normalization check: its row carries ArithmeticError, exit 0
+    field = {"type": "composite", "parts": [{"type": "linear", "B0": 1.0, "Bprime": 1e-5}, PAIR]}
+    body = {"M": 1.0, "I_perp": 1.0, "I3": 1.0, "mu": 1.0, "g": 0.0}
+    section = {"kind": "levitation_sweep", "kappa_values": [1.2, 50000.0000025, 2.0], "beta": -1e5}
+    cfg = _cfg(tmp_path, {"body": body, "field": field, "scan": section})
+    out = str(tmp_path / "sweep.csv")
+    assert main(["scan", "--config", cfg, "--out", out]) == 0
+    header, rows = _read_csv(out)
+    assert [row[header.index("error")] for row in rows] == ["", "ArithmeticError", ""]
+    assert [row[header.index("verdict")] for row in rows] == ["not_certified", "", "not_certified"]
+
+
 def test_scan_stability_map(tmp_path):
     cfg = _cfg(
         tmp_path,

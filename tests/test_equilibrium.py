@@ -110,27 +110,30 @@ def test_equatorial_argument_validation():
         solve_orbitron_equatorial(Composite((Linear(1.0, 3.0), model)), b, 0.8, 10.0)
 
 
+def _twins(eqs, negative_omega):
+    """The equilibria, each time-reversed when negative_omega is true, as the CLI's negative_omega gives them."""
+    return [eq.time_reversed() for eq in eqs] if negative_omega else eqs
+
+
 def _orbitron_both_sigmas(negative_omega):
     b, model = _body(), DipolePair(1.0, 1.0)
-    return [
-        solve_orbitron_equatorial(model, b, r0, 10.0, sigma, negative_omega=negative_omega)
-        for r0, sigma in ((0.8, 1), (3.0, -1))
-    ]
+    eqs = [solve_orbitron_equatorial(model, b, r0, 10.0, sigma) for r0, sigma in ((0.8, 1), (3.0, -1))]
+    return _twins(eqs, negative_omega)
 
 
 def _dipole_branches(negative_omega):
     # the tilted branch of the levitation composite and the equatorial branch of the pair
     model, b, _, _ = _levitation_setup()
-    tilted = solve_dipole_equilibrium(model, b, 0.8, 1.0, negative_omega=negative_omega)
-    equatorial = solve_dipole_equilibrium(DipolePair(1.0, 1.0), _body(), 0.8, 10.0, negative_omega=negative_omega)
+    tilted = solve_dipole_equilibrium(model, b, 0.8, 1.0)
+    equatorial = solve_dipole_equilibrium(DipolePair(1.0, 1.0), _body(), 0.8, 10.0)
     assert tilted[0].nu0[0] != 0.0 and equatorial[0].nu0[0] == 0.0
-    return tilted + equatorial
+    return _twins(tilted + equatorial, negative_omega)
 
 
 def _levitation_branch(negative_omega):
     model, b, beta, kappa = _levitation_setup()
     nr, nz, xi2 = solve_levitation(beta, kappa)
-    return [build_levitation_equilibrium(model, b, 0.8, nr, nz, xi2, negative_omega=negative_omega)]
+    return _twins([build_levitation_equilibrium(model, b, 0.8, nr, nz, xi2)], negative_omega)
 
 
 @pytest.mark.parametrize(
@@ -361,7 +364,7 @@ def test_build_levitation_equilibrium():
     assert math.isclose(eq.nu0[0], nr, rel_tol=0.0, abs_tol=1e-12)
     assert math.isclose(eq.nu0[2], nz, rel_tol=0.0, abs_tol=1e-12)
     # mirrored twin
-    eqm = build_levitation_equilibrium(model, b, 0.8, nr, nz, xi2, negative_omega=True)
+    eqm = eq.time_reversed()
     assert eqm.mult.omega == -eq.mult.omega
     assert eqm.residual < 1e-10
 
@@ -459,10 +462,10 @@ def _residual_solves(negative_omega):
     lmodel, lb, beta, kappa = _levitation_setup()
     nr, nz, xi2 = solve_levitation(beta, kappa)
     for r0, sigma in ((0.8, 1), (3.0, -1)):
-        yield (lambda r0=r0, sigma=sigma: [solve_orbitron_equatorial(pair, b, r0, 10.0, sigma, negative_omega)]), b, pair
-    yield (lambda: solve_dipole_equilibrium(lmodel, lb, 0.8, 1.0, negative_omega)), lb, lmodel
-    yield (lambda: solve_dipole_equilibrium(pair, b, 0.8, 10.0, negative_omega)), b, pair
-    yield (lambda: [build_levitation_equilibrium(lmodel, lb, 0.8, nr, nz, xi2, negative_omega)]), lb, lmodel
+        yield partial(_listed, negative_omega, solve_orbitron_equatorial, pair, b, r0, 10.0, sigma), b, pair
+    yield partial(_listed, negative_omega, solve_dipole_equilibrium, lmodel, lb, 0.8, 1.0), lb, lmodel
+    yield partial(_listed, negative_omega, solve_dipole_equilibrium, pair, b, 0.8, 10.0), b, pair
+    yield partial(_listed, negative_omega, build_levitation_equilibrium, lmodel, lb, 0.8, nr, nz, xi2), lb, lmodel
 
 
 def _extreme_solves(n, seed=23):
@@ -477,20 +480,22 @@ def _extreme_solves(n, seed=23):
         bg = BodyParams(M=M, I_perp=I, I3=1.0, mu=mu, g=g)
         kind = i % 3
         if kind == 0:
-            yield partial(_listed, solve_orbitron_equatorial, pair, b0, r0, pi0, sigma, neg)
+            yield partial(_listed, neg, solve_orbitron_equatorial, pair, b0, r0, pi0, sigma)
         elif kind == 1:
-            yield partial(solve_dipole_equilibrium, composite, bg, r0, sigma * pi0, neg)
+            yield partial(_listed, neg, solve_dipole_equilibrium, composite, bg, r0, sigma * pi0)
         else:
             beta, kappa = -rng.uniform(0.05, 1.5), rng.uniform(0.5, 1.6)
             yield partial(_levitation_solve, composite, bg, r0, beta, kappa, neg)
 
 
-def _listed(solver, *args):
-    return [solver(*args)]
+def _listed(negative_omega, solver, *args):
+    """The solver's equilibria as a list, each time-reversed when negative_omega is true."""
+    eqs = solver(*args)
+    return _twins(eqs if isinstance(eqs, list) else [eqs], negative_omega)
 
 
 def _levitation_solve(model, b, r0, beta, kappa, negative_omega):
-    return [build_levitation_equilibrium(model, b, r0, *solve_levitation(beta, kappa), negative_omega)]
+    return _listed(negative_omega, build_levitation_equilibrium, model, b, r0, *solve_levitation(beta, kappa))
 
 
 def _solve_outcome(solve):

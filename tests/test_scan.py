@@ -324,6 +324,22 @@ def test_levitation_sweep_flags_non_finite_rows():
     assert [row["error"] for row in rows] == ["NonFinite", "NonFinite"]
 
 
+# kappa = 50000.0000025 at beta = -1e5: the levitation closed form misses |nu| = 1 by 1.5e-12, past its check
+_ARITHMETIC_SWEEP = (Composite((Linear(1.0, 1e-5), DipolePair(1.0, 1.0))), BodyParams(), -1e5)
+
+
+def test_levitation_sweep_row_carries_an_arithmetic_error():
+    model, b, beta = _ARITHMETIC_SWEEP
+    with pytest.raises(ArithmeticError, match="failed to normalize"):
+        solve_levitation(beta, 50000.0000025)
+    rows = levitation_sweep(model, b, [1.2, 50000.0000025, 2.0], beta)
+    assert [row["error"] for row in rows] == ["", "ArithmeticError", ""]
+    assert rows[1]["verdict"] == "" and math.isnan(rows[1]["nu_r"]) and math.isnan(rows[1]["margin"])
+    # the other rows are those of the sweeps over their kappa alone
+    assert repr(rows[0]) == repr(levitation_sweep(model, b, [1.2], beta)[0])
+    assert repr(rows[2]) == repr(levitation_sweep(model, b, [2.0], beta)[0])
+
+
 def _extreme_sweeps(n, seed=15):
     """Seeded levitation sweeps whose body and field magnitudes are 10^U(-R, R).
 

@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import fields, replace
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,11 +11,12 @@ from orbitron.core import BodyParams, Multipliers, ReducedState
 from orbitron.equilibrium import (
     build_levitation_equilibrium,
     build_support_state,
+    first_order_residual,
     solve_dipole_equilibrium,
     solve_levitation,
     solve_orbitron_equatorial,
 )
-from orbitron.errors import NonFinite, NotEquatorial, PolarDegeneracy, ZeroPivot
+from orbitron.errors import NonFinite, NotEquatorial, OrbitronError, PolarDegeneracy, ZeroPivot
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential, PotentialHessianBlocks, _planar_direction, hessian_blocks
 from orbitron import stability
@@ -22,6 +24,8 @@ from orbitron.scan import split_levitation_model
 from orbitron.stability import (
     MARGIN_BAND,
     VARIATION_LABELS,
+    EigenCertificate,
+    StabilityCertificate,
     closed_form_conditions,
     eigen_certificate,
     isolated_squares_reduce,
@@ -783,3 +787,128 @@ def test_planar_direction_on_floats_equals_the_array_elements():
         c, s = _planar_direction(nx, ny)
         for k, (x, y) in enumerate(zip(nx.tolist(), ny.tolist())):
             assert repr([float(v) for v in _planar_direction(x, y)]) == repr([float(c[k]), float(s[k])])
+
+
+def _reversal_draws(route, n, seed=31):
+    """(eq, b, model) of the branches that seeded solves on one route find; draws without one are skipped.
+
+    "orbitron" draws both sigmas, "dipole" alternates the tilted branches of
+    a linear-plus-pair field under gravity with the equatorial branches of
+    the pair alone, and "levitation" builds the levitating branch.
+    """
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(n):
+        M, I, mu, q, h = rng.uniform(0.5, 2.0, 5).tolist()
+        bp, r0, spin, u = rng.uniform(1.0, 5.0), rng.uniform(0.3, 4.0) * h, rng.uniform(-20.0, 20.0), rng.random()
+        sigma = int(rng.choice([-1, 1]))
+        pair = DipolePair(q, h)
+        composite = Composite((Linear(1.0, bp), pair))
+        b0 = BodyParams(M=M, I_perp=I, I3=1.0, mu=mu, g=0.0)
+        # kappa = M g / (mu B') runs over [1, sqrt(1 + beta^2)), where the levitation discriminant is positive
+        beta = eval_jet(pair, r0, 0.0).Br_z / bp
+        kappa = 1.0 + u * (math.hypot(1.0, beta) - 1.0)
+        bg = replace(b0, g=kappa * mu * bp / M)
+        try:
+            if route == "orbitron":
+                model, b, eqs = pair, b0, [solve_orbitron_equatorial(pair, b0, r0, spin, sigma)]
+            elif route == "dipole" and i % 2 == 0:
+                model, b, eqs = composite, bg, solve_dipole_equilibrium(composite, bg, r0, spin)
+            elif route == "dipole":
+                model, b, eqs = pair, b0, solve_dipole_equilibrium(pair, b0, r0, spin)
+            else:
+                model, b = composite, bg
+                eqs = [build_levitation_equilibrium(composite, bg, r0, *solve_levitation(beta, kappa))]
+        except OrbitronError:
+            continue
+        out += [(eq, b, model) for eq in eqs]
+    return out
+
+
+def _bits(eq):
+    m = eq.mult
+    floats = np.array([eq.r0, eq.p0, eq.C2, eq.residual, m.omega, m.lambda1, m.lambda2, m.lambda_])
+    return floats.tobytes(), eq.nu0.tobytes(), eq.pi0.tobytes(), eq.sigma
+
+
+def _route_outcomes(eq, b, model):
+    """Each certificate route's record and details at eq, or the error it raises.
+
+    The routes are closed_form_conditions, orbitron_conditions on an
+    equatorial axis, levitation_conditions under gravity and the eigenvalue
+    oracle; each verdict is checked to be the one its margin gives.
+    """
+    blocks = hessian_blocks(eq.r0, eq.nu0, model, b)
+    routes = [partial(closed_form_conditions, eq, b, blocks)]
+    if eq.nu0[0] == 0.0:
+        routes.append(partial(orbitron_conditions, eq, b, model))
+    if b.g > 0.0:
+        routes.append(partial(levitation_conditions, eq, b, model))
+    out = []
+    for route in routes:
+        try:
+            cert = route()
+        except OrbitronError as exc:
+            out.append(f"{type(exc).__name__}: {exc}")
+            continue
+        assert cert.verdict == stability._classify(cert.margin)
+        out.append((cert.to_record(), cert.details))
+    eig = eigen_certificate(reduced_hessian(eq, b, blocks))
+    assert eig.verdict == stability._classify(eig.margin)
+    return out + [(eig.verdict, eig.margin, eig.eigenvalues)]
+
+
+@pytest.mark.parametrize("route", ["orbitron", "dipole", "levitation"])
+def test_time_reversal_is_a_symmetry_of_every_route(route):
+    # the twin at -omega is an equilibrium with the same residual and the same certificates, bit for bit
+    draws = _reversal_draws(route, 300)
+    assert len(draws) >= 100
+    if route == "orbitron":
+        assert {eq.sigma for eq, _, _ in draws} == {-1, 1}
+    if route == "dipole":
+        assert {eq.nu0[0] == 0.0 for eq, _, _ in draws} == {False, True}
+    verdicts = set()
+    for eq, b, model in draws:
+        twin = eq.time_reversed()
+        assert _bits(twin.time_reversed()) == _bits(eq)
+        assert _bits(twin.time_reversed().time_reversed()) == _bits(twin)  # the twin's -0 components survive
+        assert twin.mult.omega == -eq.mult.omega and twin.C2 == -eq.C2
+        assert twin.pi0.tobytes() == (-eq.pi0).tobytes()
+        assert repr(first_order_residual(twin, b, model)) == repr(first_order_residual(eq, b, model))
+        outcomes = _route_outcomes(eq, b, model)
+        assert repr(_route_outcomes(twin, b, model)) == repr(outcomes)
+        verdicts.add(outcomes[-1][0])
+    assert {"stable", "not_certified"} <= verdicts
+
+
+def test_a_certificate_verdict_is_derived_from_its_margin():
+    with pytest.raises(TypeError):
+        StabilityCertificate(
+            verdict="stable", margin=-1.0, lambda_ok=True, A=1.0, B=0.0, C=1.0, pivots=(), failed_condition=None
+        )
+    with pytest.raises(TypeError):
+        EigenCertificate(verdict="stable", margin=-1.0, eigenvalues=(-1.0,))
+    eq, b, _ = _dipoletron()
+    cert = closed_form_conditions(eq, b, hessian_blocks(eq.r0, eq.nu0, DipolePair(1.0, 1.0), b))
+    eig = eigen_certificate(np.eye(3))
+    assert cert.verdict == eig.verdict == "stable"
+    for c in (cert, eig):
+        assert replace(c, margin=-1.0).verdict == "not_certified"
+        assert replace(c, margin=0.0).verdict == "marginal"
+        with pytest.raises(NonFinite):
+            replace(c, margin=math.nan)
+    # every route on the criterion-5 draws
+    rng = np.random.default_rng(SEED)
+    seen = set()
+    for _ in range(400):
+        eq, b, blocks = draw_synthetic_case(rng)
+        Q = reduced_hessian(eq, b, blocks)
+        certs = [eigen_certificate(Q)]
+        try:
+            certs.append(closed_form_conditions(eq, b, blocks))
+        except ZeroPivot:
+            pass
+        for c in certs:
+            assert c.verdict == stability._classify(c.margin)
+            seen.add(c.verdict)
+    assert seen == {"stable", "not_certified"}
