@@ -31,7 +31,7 @@ from .errors import (
     WrongFieldSign,
 )
 from .fields import AxiFieldModel, FieldJet, eval_jet
-from .potential import DipolePotential
+from .potential import DipolePotential, _where
 
 __all__ = [
     "Equilibrium",
@@ -54,6 +54,15 @@ EQUATORIAL_TOL = 1e-9
 
 # Levitation tilts |nu_r| below this cannot balance the linear part's radial field.
 LEVITATION_TILT_MIN = 1e-15
+
+# A branch's failures by code, in the order its solver checks them (0: solved), and their messages.
+EQUATORIAL_FAILURES = (None, NotMirrorSymmetric, WrongFieldSign)
+_EQUATORIAL_MESSAGES = (None, "field is not mirror symmetric at r = {r0:g}",
+                        "need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+g}, Bz_r = {Bz_r:g}")
+LEVITATION_FAILURES = (None, BadSign, BadSign, NoRealSolution, NegativeCentrifugal, ArithmeticError)
+_LEVITATION_MESSAGES = (None, "levitation requires beta < 0", "levitation requires kappa != 0",
+                        "discriminant 1 + beta^2 - kappa^2 = {disc:g} < 0", "xi^2 = {xi2:g} <= 0 on this branch",
+                        "axis direction failed to normalize: |nu|^2 - 1 = {err:g}")
 
 
 @dataclass(frozen=True)
@@ -155,16 +164,17 @@ def equatorial_conditions(jet: FieldJet, b: BodyParams, r0, sigma) -> tuple:
 
 
 def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
-    """Elementwise (asymmetric, omega2) of the equatorial branch, from the jet at (r0, 0).
+    """Elementwise (code, omega2) of the equatorial branch, from the jet at (r0, 0).
 
-    asymmetric flags a radial field or an axial gradient; omega2 must be positive.
+    code indexes EQUATORIAL_FAILURES: 1 for a radial field or an axial gradient, else 2 unless omega2 > 0.
     """
     bnorm = np.hypot(jet.Br, jet.Bz)
     dnorm = np.max(np.abs([jet.Br_r, jet.Br_z, jet.Bz_r, jet.Bz_z]), axis=0)
     asymmetric = (np.abs(jet.Br) > 1e-9 * np.maximum(bnorm, 1e-300)) | (
         np.abs(jet.Bz_z) > 1e-9 * np.maximum(dnorm, 1e-300)
     )
-    return asymmetric, equatorial_conditions(jet, b, r0, sigma)[2]
+    omega2 = equatorial_conditions(jet, b, r0, sigma)[2]
+    return _where(asymmetric, 1, _where(omega2 <= 0.0, 2, 0)), omega2
 
 
 def equatorial_multipliers(b: BodyParams, Bz, omega, pi0, sigma) -> Multipliers:
@@ -278,13 +288,9 @@ def solve_orbitron_equatorial(
     if b.g != 0.0:
         raise ValueError("equatorial solver requires g = 0; use solve_dipole_equilibrium")
     jet = eval_jet(model, r0, 0.0)
-    asymmetric, w2 = _equatorial_tests(jet, b, r0, sigma)
-    if asymmetric:
-        raise NotMirrorSymmetric(f"field is not mirror symmetric at r = {r0:g}")
-    if w2 <= 0.0:
-        raise WrongFieldSign(
-            f"need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+g}, Bz_r = {jet.Bz_r:g}"
-        )
+    code, w2 = _equatorial_tests(jet, b, r0, sigma)
+    if code:
+        raise EQUATORIAL_FAILURES[code](_EQUATORIAL_MESSAGES[code].format(r0=r0, sigma=sigma, Bz_r=jet.Bz_r))
     return _equatorial_equilibrium(model, b, r0, jet, math.sqrt(w2), pi0, sigma)
 
 
@@ -344,6 +350,21 @@ def solve_dipole_equilibrium(model: AxiFieldModel, b: BodyParams, r0: float, C2:
     return out
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _levitation_roots(beta, kappa) -> tuple:
+    """Elementwise (nu_r, nu_z, xi2, disc, err, code) of solve_levitation; code indexes LEVITATION_FAILURES."""
+    disc = 1.0 + beta * beta - kappa * kappa
+    root = np.sqrt(disc) / abs(kappa)
+    denom = 1.0 + beta * beta
+    nu_r = kappa / denom * (beta + root)
+    nu_z = kappa - beta * nu_r
+    xi2 = -beta / (2.0 * denom) + (0.5 + beta * beta) / denom * root
+    err = abs(nu_r * nu_r + nu_z * nu_z - 1.0)
+    balance = _where(disc < 0.0, 3, _where(xi2 <= 0.0, 4, _where(err > 1e-12, 5, 0)))
+    code = _where(beta >= 0.0, 1, _where(kappa == 0.0, 2, balance))
+    return nu_r, nu_z, xi2, disc, err, code
+
+
 def solve_levitation(beta: float, kappa: float) -> tuple[float, float, float]:
     """Closed-form levitating branch in dimensionless variables.
 
@@ -359,27 +380,15 @@ def solve_levitation(beta: float, kappa: float) -> tuple[float, float, float]:
         nu_r = kappa / (1 + beta^2) * (beta + sqrt(1 + beta^2 - kappa^2) / |kappa|)
 
     Raises BadSign for beta >= 0 or kappa = 0, NoRealSolution when the
-    discriminant 1 + beta^2 - kappa^2 is negative, and NegativeCentrifugal
-    when the resulting xi^2 is not positive.
+    discriminant 1 + beta^2 - kappa^2 is negative, NegativeCentrifugal
+    when the resulting xi^2 is not positive, and ArithmeticError when
+    |nu|^2 misses 1 by more than 1e-12, as where nu_z = kappa - beta nu_r
+    cancels (|beta| >> 1).  One cell of :func:`_levitation_roots`.
     """
-    if beta >= 0.0:
-        raise BadSign("levitation requires beta < 0")
-    if kappa == 0.0:
-        raise BadSign("levitation requires kappa != 0")
-    disc = 1.0 + beta * beta - kappa * kappa
-    if disc < 0.0:
-        raise NoRealSolution(f"discriminant 1 + beta^2 - kappa^2 = {disc:g} < 0")
-    root = math.sqrt(disc) / abs(kappa)
-    denom = 1.0 + beta * beta
-    nu_r = kappa / denom * (beta + root)
-    nu_z = kappa - beta * nu_r
-    xi2 = -beta / (2.0 * denom) + (0.5 + beta * beta) / denom * root
-    if xi2 <= 0.0:
-        raise NegativeCentrifugal(f"xi^2 = {xi2:g} <= 0 on this branch")
-    err = abs(nu_r * nu_r + nu_z * nu_z - 1.0)
-    if err > 1e-12:
-        raise ArithmeticError(f"axis direction failed to normalize: |nu|^2 - 1 = {err:g}")
-    return nu_r, nu_z, xi2
+    nu_r, nu_z, xi2, disc, err, code = _levitation_roots(beta, kappa)
+    if code:
+        raise LEVITATION_FAILURES[code](_LEVITATION_MESSAGES[code].format(disc=disc, xi2=xi2, err=err))
+    return float(nu_r), float(nu_z), float(xi2)
 
 
 def build_levitation_equilibrium(

@@ -15,16 +15,18 @@ import numpy as np
 
 from .core import BodyParams
 from .equilibrium import (
+    EQUATORIAL_FAILURES,
+    LEVITATION_FAILURES,
     LEVITATION_TILT_MIN,
     _equatorial_tests,
+    _levitation_roots,
     _support_momenta,
     equatorial_conditions,
     equatorial_multipliers,
-    solve_levitation,
     solve_orbitron_equatorial,
     tilted_multipliers,
 )
-from .errors import BadSign, ConfigError, NoEquilibrium, NonFinite, OrbitronError
+from .errors import ConfigError, NonFinite
 from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, eval_jet
 from .stability import CERTIFICATE_FIELDS, _certify, _classify, _levitation_certificates, _support_cells
 
@@ -79,6 +81,11 @@ def _rows(keys, columns) -> list[dict]:
         for row, v in zip(rows, column):
             row[key] = v
     return rows
+
+
+def _error_names(failures: tuple, code: np.ndarray) -> np.ndarray:
+    """The name of failures[code] in each cell, as an object array; "" where code is 0."""
+    return np.array([""] + [cls.__name__ for cls in failures[1:]], dtype=object)[code]
 
 
 def _scatter(n: int, at: np.ndarray, values: np.ndarray, fill) -> list:
@@ -222,51 +229,41 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     return 0.5 * (lo + hi)
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: float) -> list[dict]:
     """Certify the levitating branch across a range of kappa at fixed beta.
 
     The orbit radius is chosen once so the mirror part realizes the given
     beta; each kappa then fixes the gravity g = kappa mu B' / M that the
-    balance presumes.  Rows with an infeasible kappa, or whose closed form
-    fails its normalization check (ArithmeticError), carry the error name
-    and empty numerics.  The others share one jet at r0 and one stacked pass
-    through the closed form, which :func:`stability.levitation_conditions`
-    makes on one row.  Rows whose multipliers, spin pi0, momentum p0 or
-    margin are not finite carry NonFinite.  The range of beta is
-    :func:`radius_for_beta`'s: a beta out of its reach raises ValueError,
-    and every row of a beta >= 0 that is in reach (B' < 0) carries BadSign.
+    balance presumes.  One :func:`equilibrium._levitation_roots` call solves
+    every row.  A failed row carries the error name (BadSign for g <= 0,
+    else the roots' code, else NoEquilibrium for a vanishing tilt) and empty
+    numerics.  The others share one jet at r0 and one stacked pass through
+    the closed form, which :func:`stability.levitation_conditions` makes on
+    one row, and carry NonFinite where their multipliers, pi0, p0 or margin
+    are not finite.  A beta out of :func:`radius_for_beta`'s reach raises
+    ValueError; every row of a beta >= 0 in reach (B' < 0) carries BadSign.
     """
     linear, _ = split_levitation_model(model)
     r0 = radius_for_beta(model, beta)
     kappas = [float(kappa) for kappa in kappa_values]
     n = len(kappas)
-    errors = np.full(n, "", dtype=object)
-    live, solved = [], []
-    for i, kappa in enumerate(kappas):
-        g = kappa * b.mu * linear.Bp / b.M
-        try:
-            if g <= 0.0:
-                raise BadSign("levitation requires g > 0")
-            nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
-            if abs(nu_r) < LEVITATION_TILT_MIN:
-                raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
-            live.append(i)
-            solved.append((nu_r, nu_z, xi2, g))
-        except (OrbitronError, ArithmeticError) as exc:  # the numerical failures cli.main maps to exit 3
-            errors[i] = type(exc).__name__
+    g = np.array(kappas) * b.mu * linear.Bp / b.M
+    nu_r, nu_z, xi2, _, _, code = _levitation_roots(np.full(n, beta), np.array(kappas))
+    errors = _error_names(LEVITATION_FAILURES, code)
+    errors[(code == 0) & (np.abs(nu_r) < LEVITATION_TILT_MIN)] = "NoEquilibrium"
+    errors[g <= 0.0] = "BadSign"
+    live = np.flatnonzero(errors == "")
     certified = np.zeros(0, dtype=int)
     numerics = np.zeros((7, 0))  # nu_r, nu_z, xi2, margin, A, B and C of the certified rows
-    if live:
-        # Rows whose equilibrium or margin is not finite are flagged NonFinite; the arithmetic is silent.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            jet = eval_jet(model, r0, 0.0)
-            nu_r, nu_z, xi2, g = np.array(solved).T
-            omega = np.sqrt(xi2 * g / r0)
-            mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
-            pi0, p0 = _support_momenta(b, r0, np.array([nu_r, np.zeros_like(nu_r), nu_z]), mult)
-            _, _, A, B, C, _, margin = _levitation_certificates(b, jet, r0, nu_r, nu_z, mult)
+    if live.size:
+        jet = eval_jet(model, r0, 0.0)
+        nu_r, nu_z, xi2, g = nu_r[live], nu_z[live], xi2[live], g[live]
+        omega = np.sqrt(xi2 * g / r0)
+        mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
+        pi0, p0 = _support_momenta(b, r0, np.array([nu_r, np.zeros_like(nu_r), nu_z]), mult)
+        _, _, A, B, C, _, margin = _levitation_certificates(b, jet, r0, nu_r, nu_z, mult)
         ok = np.isfinite([*vars(mult).values(), *pi0, p0, margin]).all(axis=0)
-        live = np.array(live)
         errors[live[~ok]] = "NonFinite"
         certified = live[ok]
         numerics = np.array([nu_r, nu_z, xi2, margin, A, B, C])[:, ok]
@@ -282,18 +279,17 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     Supported axis and fixed-parameter names are ``r0``, ``pi0`` and
     ``sigma``, each an axis or fixed, never both.  Each cell solves the
     equatorial equilibrium and runs the closed-form certificate; infeasible
-    cells carry the error name, and cells whose jet or margin is not finite
-    carry ``NonFinite``.
+    cells carry the name of their :data:`equilibrium.EQUATORIAL_FAILURES`
+    code, and cells whose jet or margin is not finite carry ``NonFinite``.
 
     The axis is sigma e3 in every cell, so the field enters only through
     its jet at (r0, 0), which is one array :func:`fields.eval_jet` call over
-    all cells.  The branch tests of :func:`equilibrium.solve_orbitron_equatorial` and
-    the closed-form blocks of :func:`potential.hessian_blocks` are then
-    elementwise, and all cells are certified together on stacked arrays.
-    Each output is then built as one column over the grid, and the rows
-    are filled from the columns.  ``spec.outputs`` names fields of
-    ``CERTIFICATE_FIELDS``; any other name is a ConfigError, raised before
-    any jet.
+    all cells.  The branch tests of :func:`equilibrium.solve_orbitron_equatorial`
+    and the closed-form blocks of :func:`potential.hessian_blocks` are then
+    elementwise, all cells are certified together on stacked arrays, and
+    each output is one column over the grid.  ``spec.outputs`` names fields
+    of ``CERTIFICATE_FIELDS``; any other name is a ConfigError, raised
+    before any jet.
     """
     known = {"r0", "pi0", "sigma"}
     axes = {spec.axis1.name, spec.axis2.name}
@@ -330,10 +326,10 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     # Cells with a non-finite jet or margin are flagged NonFinite, so their arithmetic stays silent.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         jet = eval_jet(model, r0, 0.0)
-        asymmetric, omega2 = _equatorial_tests(jet, b, r0, sigma)
+        code, omega2 = _equatorial_tests(jet, b, r0, sigma)
         nonfinite = ~np.isfinite(list(jet)).all(axis=0)
-        errors = np.where(asymmetric, "NotMirrorSymmetric", np.where(omega2 <= 0.0, "WrongFieldSign", ""))
-        live = np.flatnonzero(errors == "")
+        errors = _error_names(EQUATORIAL_FAILURES, code)
+        live = np.flatnonzero(code == 0)
         jet = FieldJet(*(v[live] for v in jet))
         nz, r_live, omega = sigma[live], r0[live], np.sqrt(omega2[live])
         mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)

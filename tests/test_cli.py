@@ -1634,3 +1634,26 @@ def test_config_contract_paths_exit_2(tmp_path, capsys, command, doc, message):
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
     assert list(tmp_path.glob("o.dat*")) == []
+
+
+# Golden runs: tests/data/<command>_<case>.config.json is run as `orbitron <command>`, a certify
+# with --oracle, and writes the bytes of tests/data/<command>_<case>.out.<ext> beside it.
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_CONFIGS = sorted(GOLDEN_DIR.glob("*.config.json"))
+
+
+def test_every_golden_output_has_its_config():
+    outputs = {p.name.split(".out.")[0] for p in GOLDEN_DIR.glob("*.out.*")}
+    assert outputs == {p.name.removesuffix(".config.json") for p in GOLDEN_CONFIGS}
+    assert len(outputs) >= 6
+
+
+@pytest.mark.parametrize("config", GOLDEN_CONFIGS, ids=lambda p: p.name.removesuffix(".config.json"))
+def test_golden_config_writes_its_golden_bytes(tmp_path, config):
+    name = config.name.removesuffix(".config.json")
+    (golden,) = GOLDEN_DIR.glob(f"{name}.out.*")
+    command = name.split("_")[0]
+    out = tmp_path / golden.name
+    flags = ["--oracle"] if command == "certify" else []
+    assert main([command, *flags, "--config", str(config), "--out", str(out)]) == 0
+    assert out.read_bytes() == golden.read_bytes()

@@ -1,6 +1,7 @@
 """Tests for relative-equilibrium solvers and the levitation closed form."""
 
 import math
+import random
 import re
 from dataclasses import replace
 from functools import partial
@@ -352,6 +353,59 @@ def test_solve_levitation_errors():
         solve_levitation(-0.5, 0.0)
     with pytest.raises(NoRealSolution):
         solve_levitation(-0.5, 1.2)
+
+
+# Special values of the levitation grid: signed zeros, infinities, NaN, subnormals, the units and extremes.
+_LEVITATION_SPECIALS = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 1e-310, -1e-310, 1.0, -1.0]
+_LEVITATION_SPECIALS += [1e160, -1e160, 1e308, -1e308]
+
+
+def _levitation_grid(n, seed=27):
+    """(beta, kappa) pairs: every pair of specials, then seeded draws, a third of them at the fold."""
+    rng = random.Random(seed)
+    cells = [(b, k) for b in _LEVITATION_SPECIALS for k in _LEVITATION_SPECIALS]
+    # code 5: the closed form misses |nu| = 1 past 1e-12; code 4: -beta / 2 rounds to 0 at disc = 0
+    cells += [(-1e5, 50000.0000025), (-5e-324, 1.0)]
+    for _ in range(n):
+        beta = rng.choice([rng.uniform(-3.0, 1.0), -(10.0 ** rng.uniform(-320, 300))])
+        kappa = rng.choice([-1.0, 1.0]) * rng.choice([rng.uniform(0.0, 3.0), 10.0 ** rng.uniform(-320, 300)])
+        if rng.random() < 1.0 / 3.0 and abs(beta) < 1e150:
+            kappa = math.copysign(math.sqrt(1.0 + beta * beta) * (1.0 + rng.uniform(-1e-6, 1e-6)), kappa)
+        cells.append((beta, kappa))
+    return cells
+
+
+def test_levitation_roots_stack_is_solve_levitation_cell_by_cell():
+    cells = _levitation_grid(3000)
+    nu_r, nu_z, xi2, _, _, code = equilibrium._levitation_roots(*np.array(cells).T)
+    for i, (beta, kappa) in enumerate(cells):
+        if code[i]:
+            with pytest.raises(equilibrium.LEVITATION_FAILURES[code[i]]) as info:
+                solve_levitation(beta, kappa)
+            assert type(info.value) is equilibrium.LEVITATION_FAILURES[code[i]]
+        else:
+            got = solve_levitation(beta, kappa)
+            assert all(type(v) is float for v in got)
+            assert repr(got) == repr((float(nu_r[i]), float(nu_z[i]), float(xi2[i])))
+    assert set(code.tolist()) == set(range(len(equilibrium.LEVITATION_FAILURES)))
+
+
+def test_equatorial_codes_are_solve_orbitron_equatorial_raises():
+    # the weak gradient leaves a symmetric window; the levitation field is asymmetric everywhere
+    b, r0, seen = _body(), np.linspace(0.3, 3.0, 55), set()
+    pair = DipolePair(1.0, 1.0)
+    for model in (pair, Composite((Linear(0.0, 1e-11), pair)), Composite((Linear(1.0, 3.0), pair))):
+        for sigma in (1, -1):
+            code, omega2 = equilibrium._equatorial_tests(eval_jet(model, r0, 0.0), b, r0, sigma)
+            seen |= set(code.tolist())
+            for i, r in enumerate(r0.tolist()):
+                if code[i]:
+                    with pytest.raises(equilibrium.EQUATORIAL_FAILURES[code[i]]) as info:
+                        solve_orbitron_equatorial(model, b, r, 10.0, sigma)
+                    assert type(info.value) is equilibrium.EQUATORIAL_FAILURES[code[i]]
+                else:
+                    assert solve_orbitron_equatorial(model, b, r, 10.0, sigma).mult.omega == math.sqrt(omega2[i])
+    assert seen == {0, 1, 2}
 
 
 def test_build_levitation_equilibrium():

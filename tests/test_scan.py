@@ -224,7 +224,7 @@ def _levitation_sweep_reference(model, b, kappa_values, beta):
             b_row = replace(b, g=g)
             eq = build_levitation_equilibrium(model, b_row, r0, nu_r, nu_z, xi2)
             cert = levitation_conditions(eq, b_row, model)
-        except OrbitronError as exc:
+        except (OrbitronError, ArithmeticError) as exc:  # as the sweep catches them
             row["error"] = type(exc).__name__
             continue
         row.update(nu_r=nu_r, nu_z=nu_z, xi2=xi2, verdict=cert.verdict, margin=cert.margin)
@@ -275,7 +275,7 @@ def test_levitation_sweep_makes_one_jet_call(monkeypatch, kappas, jets):
     from orbitron import equilibrium, fields, potential, stability
     from orbitron import scan as scan_module
 
-    calls = {"eval_jet": 0, "first_order_residual": 0, "radius_for_beta": 0}
+    calls = {"eval_jet": 0, "first_order_residual": 0, "solve_levitation": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -285,7 +285,7 @@ def test_levitation_sweep_makes_one_jet_call(monkeypatch, kappas, jets):
         return wrapper
 
     for module in (fields, potential, equilibrium, stability, scan_module):
-        for name in ("eval_jet", "first_order_residual"):
+        for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     in_radius = {}
@@ -303,6 +303,7 @@ def test_levitation_sweep_makes_one_jet_call(monkeypatch, kappas, jets):
     assert in_radius["eval_jet"] > 0
     assert calls["eval_jet"] - in_radius["eval_jet"] == jets
     assert calls["first_order_residual"] == 0
+    assert calls["solve_levitation"] == 0  # the rows are one elementwise root call
 
 
 def test_levitation_sweep_flags_non_finite_rows():
@@ -335,9 +336,8 @@ def test_levitation_sweep_row_carries_an_arithmetic_error():
     rows = levitation_sweep(model, b, [1.2, 50000.0000025, 2.0], beta)
     assert [row["error"] for row in rows] == ["", "ArithmeticError", ""]
     assert rows[1]["verdict"] == "" and math.isnan(rows[1]["nu_r"]) and math.isnan(rows[1]["margin"])
-    # the other rows are those of the sweeps over their kappa alone
-    assert repr(rows[0]) == repr(levitation_sweep(model, b, [1.2], beta)[0])
-    assert repr(rows[2]) == repr(levitation_sweep(model, b, [2.0], beta)[0])
+    # the whole sweep is the per-row route, whose closed form raises in the middle row
+    assert repr(rows) == repr(_levitation_sweep_reference(model, b, [1.2, 50000.0000025, 2.0], beta)[0])
 
 
 def _extreme_sweeps(n, seed=15):
