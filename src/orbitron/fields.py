@@ -122,8 +122,13 @@ def _inverse_powers(Dt, Db) -> tuple:
     raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
 
 
-def _jet_terms(model: AxiFieldModel, r, z) -> list:
-    """The eight components of the jet of ``model`` at (r, z), in FieldJet order."""
+def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
+    """The first ``n`` components of the jet of ``model`` at (r, z), in FieldJet order.
+
+    A pair builds its curvature terms only for n > 5.  The source guard and
+    the inverse powers run first for every n, so each n raises where the
+    full jet does, and each term is that of the full jet bit for bit.
+    """
     if isinstance(model, DipolePair):
         # Each component is the top source's term plus the bottom one's, each
         # that of one axial dipole at height Z = z - h (t) or Z = z + h (b) above it.
@@ -148,34 +153,39 @@ def _jet_terms(model: AxiFieldModel, r, z) -> list:
         Zt2, Zb2 = Zt * Zt, Zb * Zb
         t5, t7, t9, b5, b7, b9 = _inverse_powers(r2 + Zt2, r2 + Zb2)
         q3 = 3.0 * q
-        q3r, q15r = q3 * r, 15.0 * q * r
-        r2_3, r2_4, r2_24, r2_27 = 3.0 * r2, 4.0 * r2, 24.0 * r2, 27.0 * r2
-        r4_m4 = -4.0 * r2 * r2
+        q3r = q3 * r
+        r2_3, r2_4 = 3.0 * r2, 4.0 * r2
         Zt2_4, Zb2_4 = 4.0 * Zt2, 4.0 * Zb2
+        Br = q3r * Zt * t5 + q3r * Zb * b5
+        Bz = q * (2.0 * Zt2 - r2) * t5 + q * (2.0 * Zb2 - r2) * b5
+        Br_r = q3 * Zt * (Zt2 - r2_4) * t7 + q3 * Zb * (Zb2 - r2_4) * b7
+        Bz_r = q3r * (r2 - Zt2_4) * t7 + q3r * (r2 - Zb2_4) * b7
+        Bz_z = q3 * Zt * (r2_3 - 2.0 * Zt2) * t7 + q3 * Zb * (r2_3 - 2.0 * Zb2) * b7
+        if n <= 5:
+            return [Br, Bz, Br_r, Bz_r, Bz_z][:n]
+        q15r = 15.0 * q * r
+        r2_24, r2_27 = 24.0 * r2, 27.0 * r2
+        r4_m4 = -4.0 * r2 * r2
         return [
-            q3r * Zt * t5 + q3r * Zb * b5,
-            q * (2.0 * Zt2 - r2) * t5 + q * (2.0 * Zb2 - r2) * b5,
-            q3 * Zt * (Zt2 - r2_4) * t7 + q3 * Zb * (Zb2 - r2_4) * b7,
-            q3r * (r2 - Zt2_4) * t7 + q3r * (r2 - Zb2_4) * b7,
-            q3 * Zt * (r2_3 - 2.0 * Zt2) * t7 + q3 * Zb * (r2_3 - 2.0 * Zb2) * b7,
+            Br, Bz, Br_r, Bz_r, Bz_z,
             q3 * (r4_m4 + r2_27 * Zt2 - Zt2_4 * Zt2) * t9 + q3 * (r4_m4 + r2_27 * Zb2 - Zb2_4 * Zb2) * b9,
             q15r * Zt * (Zt2_4 - r2_3) * t9 + q15r * Zb * (Zb2_4 - r2_3) * b9,
             q3 * (r2_3 * r2 - r2_24 * Zt2 + 8.0 * Zt2 * Zt2) * t9
             + q3 * (r2_3 * r2 - r2_24 * Zb2 + 8.0 * Zb2 * Zb2) * b9,
-        ]
+        ][:n]
     if isinstance(model, Linear):
         # The constants written out: floats for scalar input and, for arrays,
         # every term in the broadcast shape of (r, z), as a pair's terms are.
         Bp = float(model.Bp)
-        terms = [-0.5 * Bp * r, model.B0 + Bp * z, -0.5 * Bp, 0.0, Bp, 0.0, 0.0, 0.0]
+        terms = [-0.5 * Bp * r, model.B0 + Bp * z, -0.5 * Bp, 0.0, Bp, 0.0, 0.0, 0.0][:n]
         if not isinstance(r, np.ndarray) and not isinstance(z, np.ndarray):
             return terms
         shape = np.broadcast_shapes(np.shape(r), np.shape(z))
         return [np.full(shape, t) for t in terms]
     if isinstance(model, Composite):
-        total = _jet_terms(model.parts[0], r, z)
+        total = _jet_terms(model.parts[0], r, z, n)
         for part in model.parts[1:]:
-            total = list(map(operator.add, total, _jet_terms(part, r, z)))
+            total = list(map(operator.add, total, _jet_terms(part, r, z, n)))
         return total
     raise TypeError(f"unknown field model {type(model).__name__}")
 

@@ -11,7 +11,7 @@ in-plane directions E1 (along the planar part of nu0) and E2 = e3 x E1.
 
 from __future__ import annotations
 
-import ctypes
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,16 +31,21 @@ __all__ = [
 # the rotated basis degenerates to the identity.
 BASIS_EPS = 1e-12
 
-# libm's hypot, which np.hypot calls for each element: a float radius costs
-# one C call and equals the element of an array call bit for bit.
-_hypot = ctypes.CDLL(None).hypot
-_hypot.argtypes = (ctypes.c_double, ctypes.c_double)
-_hypot.restype = ctypes.c_double
-
 
 def _radius(x1, x2):
-    """r = |x_perp| from its in-plane components, floats or arrays."""
-    return _hypot(x1, x2) if isinstance(x1, float) else np.hypot(x1, x2)
+    """r = |x_perp| from its in-plane components, floats or arrays.
+
+    A float radius is abs(complex(x1, x2)): libm's hypot, which np.hypot
+    calls per element, on finite parts and C99 on inf and NaN parts, so it
+    equals the array element bit for bit.  abs raises OverflowError where
+    hypot overflows, and the radius is then inf.
+    """
+    if not isinstance(x1, float):
+        return np.hypot(x1, x2)
+    try:
+        return abs(complex(x1, x2))
+    except OverflowError:
+        return math.inf
 
 
 def _where(cond, a, b):
@@ -79,9 +84,9 @@ class DipolePotential:
         self.b = b
 
     def _field(self, x1, x2, x3) -> tuple:
-        """The Cartesian components of B at x, from the jet at (r, x3) with r = |x_perp|."""
+        """The Cartesian components of B at x, from the first two jet terms at (r, x3) with r = |x_perp|."""
         r = _radius(x1, x2)
-        return _field_components(_jet_terms(self.model, r, x3), x1, x2, r)
+        return _field_components(_jet_terms(self.model, r, x3, 2), x1, x2, r)
 
     def value(self, x: np.ndarray, nu: np.ndarray) -> float | np.ndarray:
         x1, x2, x3 = _components(x)
@@ -90,7 +95,7 @@ class DipolePotential:
         return -self.b.mu * (nu1 * B1 + nu2 * B2 + nu3 * B3) + self.b.M * self.b.g * x3
 
     def gradient_terms(self, x1, x2, x3, nu1, nu2, nu3) -> tuple:
-        """The components of grad_x V and grad_nu V = -mu B, from one field jet.
+        """The components of grad_x V and grad_nu V = -mu B, from the first five terms of one field jet.
 
         grad_x V = -mu J nu + M g e3, with the field Jacobian J contracted in
         closed form: with f = Br / r, e = x_perp / r and d = e . nu_perp,
@@ -99,7 +104,7 @@ class DipolePotential:
         Raises AxisDegeneracy if any point has r = 0, where e is undefined.
         """
         r = _radius(x1, x2)
-        Br, Bz, Br_r, Bz_r, Bz_z, *_ = _jet_terms(self.model, r, x3)
+        Br, Bz, Br_r, Bz_r, Bz_z = _jet_terms(self.model, r, x3, 5)
         on_axis = r == 0.0
         if on_axis is not False and np.any(on_axis):
             raise AxisDegeneracy("the potential gradient is evaluated off axis only")

@@ -246,9 +246,9 @@ def test_integrate_fails_where_the_ndarray_loop_fails(x, p, dt, scheme):
 def test_integrate_takes_one_jet_per_rhs_call(monkeypatch):
     calls = []
 
-    def counted(model, r, z):
-        calls.append(r)
-        return _jet_terms(model, r, z)
+    def counted(model, r, z, n=8):
+        calls.append(n)
+        return _jet_terms(model, r, z, n)
 
     model, b, eq = _dipoletron()
     cfg = IntegratorConfig(dt=1e-3, steps=10, record_every=3)
@@ -257,6 +257,9 @@ def test_integrate_takes_one_jet_per_rhs_call(monkeypatch):
     # four RHS calls per RK4 step, and one energy per recorded sample (steps 0, 3, 6, 9, 10)
     assert len(samples) == 5
     assert len(calls) == 4 * cfg.steps + len(samples)
+    # a stage reads the values and first derivatives, an energy the values
+    assert calls.count(5) == 4 * cfg.steps
+    assert calls.count(2) == len(samples)
 
 
 @pytest.mark.parametrize(

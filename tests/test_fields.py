@@ -14,6 +14,7 @@ from orbitron.fields import (
     Linear,
     _components,
     _field_components,
+    _jet_terms,
     _join,
     eval_jet,
     SOURCE_EPS,
@@ -769,6 +770,44 @@ def test_pair_jet_names_the_source_whose_powers_overflow(z):
     got = _outcome(eval_jet, model, 1e-36, z)
     assert got == _outcome(_pair_reference, model, 1e-36, z)
     assert got == (NonFinite, "dipole jet overflows at squared distance 1e-72 from the source")
+
+
+def _prefix_points():
+    """(pair, points): ordinary points, one ulp either side of the source guard, and the overflowing points above."""
+    inside, outside = _guard_edge(1.0)
+    unit = [(0.8, 0.0), (1.7, -0.4), (0.0, 0.3), (math.nan, 0.8), (1e200, 0.0)]
+    unit += [(r, z) for r in (inside, outside) for z in (1.0, -1.0)]
+    return [
+        (DipolePair(1.0, 1.0), unit),
+        (DipolePair(1.0, 1e-40), [(0.8e-40, 0.0)]),
+        (DipolePair(1.0, 1e-100), [(0.8e-100, 0.0)]),
+        (DipolePair(1.0, 1e-200), [(0.8e-200, 0.0)]),
+        (DipolePair(1.0, 1e-30), [(1e-36, 1e-30), (1e-36, -1e-30)]),
+    ]
+
+
+def test_jet_prefix_is_the_full_jet_cut_to_n():
+    # a caller asking for n terms gets the first n of the full jet bit for
+    # bit, or the exception the full jet raises, with its message
+    seen = set()
+    for pair, points in _prefix_points():
+        models = [
+            pair,
+            Linear(0.7, -1.3),
+            Composite((Linear(1.0, 3.0), pair)),
+            Composite((Composite((pair, DipolePair(0.3, 1.6 * pair.h))), Linear(0.7, -1.3))),
+        ]
+        rs, zs = zip(*points)
+        calls = list(points) + [(np.array([r]), np.array([z])) for r, z in points]
+        calls.append((np.array(rs), np.array(zs)))
+        for model, (r, z) in itertools.product(models, calls):
+            with np.errstate(all="ignore"):
+                full = _outcome(_jet_terms, model, r, z)
+                for n in (2, 4, 5, 8):
+                    got = _outcome(_jet_terms, model, r, z, n)
+                    assert got == (full if isinstance(full, tuple) else full[:n]), (model, r, z, n)
+            seen.add(full[0] if isinstance(full, tuple) else "ok")
+    assert seen == {"ok", NonFinite, SourceSingularity}
 
 
 def _jet_digest() -> str:

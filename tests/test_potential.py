@@ -176,9 +176,13 @@ def test_float_radius_is_np_hypot_bit_for_bit():
     special = [0.0, -0.0, 5e-324, -2.5e-320, 2.2e-308, 1e-310, 1.7976931348623157e308, math.inf, -math.inf, math.nan]
     a = np.concatenate([a, np.repeat(special, len(special))])
     b = np.concatenate([b, np.tile(special, len(special))])
+    # a band near the largest float, where most radii overflow to inf
+    band = rng.choice([-1.0, 1.0], (2, 50_000)) * rng.uniform(0.5, 1.0, (2, 50_000)) * 1.797e308
+    a, b = np.concatenate([a, band[0]]), np.concatenate([b, band[1]])
     got = np.array([_radius(x, y) for x, y in zip(a.tolist(), b.tolist())])
     with np.errstate(over="ignore"):
         assert got.tobytes() == np.hypot(a, b).tobytes()
+        assert 0.5 < np.isinf(np.hypot(*band)).mean() < 0.9
 
 
 def test_float_gradient_terms_calls_no_np_hypot(monkeypatch):
