@@ -13,6 +13,7 @@ line, starting ``config error:`` or ``numerical failure:`` respectively.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -115,35 +116,45 @@ def _scalar_text(x, nonfinite: str) -> str:
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
+_json_str = json.encoder.encode_basestring_ascii  # what json.dumps writes for a str
+
+
 def _json_scalar(x) -> str:
     if x is None:
         return "null"
-    return json.dumps(x) if isinstance(x, str) else _scalar_text(x, "null")
+    return _json_str(x) if isinstance(x, str) else _scalar_text(x, "null")
 
 
 def dumps17(obj, indent: int = 0) -> str:
     """JSON text with all floats at 17 significant digits."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
+    kind = type(obj)
+    if kind is float:
+        return fmt17(obj) if math.isfinite(obj) else "null"
+    if kind is dict or kind is list or kind is tuple:
         if not obj:
-            return "{}"
-        items = [
-            f"{inner}{json.dumps(str(k))}: {dumps17(v, indent + 1)}" for k, v in obj.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            return "[]"
-        items = [f"{inner}{dumps17(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+            return "{}" if kind is dict else "[]"
+        sep = ",\n" + "  " * (indent + 1)
+        if kind is dict:
+            items = sep.join(f"{_json_str(str(k))}: {dumps17(v, indent + 1)}" for k, v in obj.items())
+            return "{" + sep[1:] + items + "\n" + "  " * indent + "}"
+        items = sep.join(dumps17(v, indent + 1) for v in obj)
+        return "[" + sep[1:] + items + "\n" + "  " * indent + "]"
     return _json_scalar(obj)
 
 
+def _write_lines(path: str, lines) -> None:
+    """Write the lines, each with a newline, to ``path``; a path that cannot be opened is a ConfigError."""
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+    with fh:
+        for line in lines:
+            fh.write(line + "\n")
+
+
 def _write_json(path: str, obj) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(dumps17(obj))
-        fh.write("\n")
+    _write_lines(path, [dumps17(obj)])
 
 
 def _csv_cell(v) -> str:
@@ -151,10 +162,7 @@ def _csv_cell(v) -> str:
 
 
 def _write_csv(path: str, header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_csv_cell(v) for v in row) + "\n")
+    _write_lines(path, (",".join(map(_csv_cell, row)) for row in itertools.chain([header], rows)))
 
 
 def _load_config(path: str) -> dict:
@@ -266,14 +274,7 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
     return [eq.time_reversed() for eq in eqs] if negative_omega else eqs
 
 
-TRAJECTORY_HEADER = (
-    ["t"]
-    + [f"x{i}" for i in (1, 2, 3)]
-    + [f"p{i}" for i in (1, 2, 3)]
-    + [f"nu{i}" for i in (1, 2, 3)]
-    + [f"pi{i}" for i in (1, 2, 3)]
-    + ["h", "J3", "C1", "C2"]
-)
+TRAJECTORY_HEADER = ["t", *(f"{v}{i}" for v in ("x", "p", "nu", "pi") for i in (1, 2, 3)), "h", "J3", "C1", "C2"]
 
 
 def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir: bool) -> int:
@@ -386,7 +387,7 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
 
 def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int:
     kind = require(sec, "kind", str, "scan")
-
+    sidecar = None
     if kind == "dipoletron_window":
         q = require(sec, "q", float, "scan")
         h = require(sec, "h", float, "scan")
@@ -397,9 +398,8 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
         n = _size(require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
         sigma = require(sec, "sigma", int, "scan", 1)
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
-        if refine:
-            lower, upper = window_endpoints(sigma=sigma, ratio_range=ratio_range)
-            _write_json(out + ".endpoints.json", {"lower": lower, "upper": upper})
+        if refine:  # written after the CSV, so that an out path that cannot be written leaves no file
+            sidecar = dict(zip(("lower", "upper"), window_endpoints(sigma=sigma, ratio_range=ratio_range)))
     elif kind == "levitation_sweep":
         model = _model_from_config(cfg)
         kappas = require(sec, "kappa_values", list, "scan")
@@ -430,6 +430,8 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
 
     # Every row holds the same keys in the same order, so its values are the CSV cells.
     _write_csv(out, list(rows[0]), (row.values() for row in rows))
+    if sidecar is not None:
+        _write_json(out + ".endpoints.json", sidecar)
     return 0
 
 

@@ -91,10 +91,10 @@ def _error_names(failures: tuple, code: np.ndarray) -> np.ndarray:
 def _scatter(n: int, at: np.ndarray, values: np.ndarray, fill) -> list:
     """A column of n Python values: ``values`` at the indices ``at``, ``fill`` elsewhere.
 
-    Values of shape (k, len(at)) give k such columns at once.  The columns
-    are object arrays, so every cell outside ``at`` shares the one fill object.
+    Values of shape (k, len(at)) give k such columns at once.  Float values give float
+    columns; others object ones, whose cells outside ``at`` share the one fill object.
     """
-    column = np.full((*values.shape[:-1], n), fill, dtype=object)
+    column = np.full((*values.shape[:-1], n), fill, dtype=float if values.dtype == float else object)
     column[..., at] = values
     return column.tolist()
 
@@ -216,8 +216,7 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
             f"[{vals[k_min]:g}, 0) of the mirror part"
         )
     lo, hi = float(grid[k_min]), float(grid[-1])
-    if f(hi) < 0.0:
-        raise ValueError("Br_z does not recover to the target on the search range")
+    f(hi)  # every pair (q > 0) has Br_z > 0 > target at 8 h, so this only raises NonFinite
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if f(mid) <= 0.0:
@@ -284,7 +283,8 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
 
     The axis is sigma e3 in every cell, so the field enters only through
     its jet at (r0, 0), which is one array :func:`fields.eval_jet` call over
-    all cells.  The branch tests of :func:`equilibrium.solve_orbitron_equatorial`
+    the points of the r0 axis, or at the fixed r0; each cell reads the jet
+    at its position on that axis.  The branch tests of :func:`equilibrium.solve_orbitron_equatorial`
     and the closed-form blocks of :func:`potential.hessian_blocks` are then
     elementwise, all cells are certified together on stacked arrays, and
     each output is one column over the grid.  ``spec.outputs`` names fields
@@ -307,15 +307,11 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
         raise ConfigError("scan needs r0 and pi0 via an axis or a fixed value")
 
     v1, v2 = spec.axis1.values(), spec.axis2.values()
-    grid = {spec.axis1.name: np.repeat(v1, len(v2)), spec.axis2.name: np.tile(v2, len(v1))}
     n = len(v1) * len(v2)
-
-    def param(name: str) -> np.ndarray:
-        if name in grid:
-            return grid[name]
-        return np.full(n, float(spec.fixed.get(name, 1.0)))
-
-    r0, pi0, sigma = param("r0"), param("pi0"), param("sigma")
+    at1, at2 = np.divmod(np.arange(n), len(v2))  # each cell's position on each axis
+    axes = {spec.axis1.name: (v1, at1), spec.axis2.name: (v2, at2)}
+    grid = {name: points[at] for name, (points, at) in axes.items()}
+    r0, pi0, sigma = (grid.get(name, np.full(n, float(spec.fixed.get(name, 1.0)))) for name in ("r0", "pi0", "sigma"))
     if not (np.isfinite(r0).all() and np.isfinite(pi0).all()):
         raise ValueError("r0 and pi0 must be finite")
     outside = ~np.isin(sigma, (-1.0, 1.0)) | (r0 <= 0.0) | (b.g != 0.0)
@@ -325,7 +321,8 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
 
     # Cells with a non-finite jet or margin are flagged NonFinite, so their arithmetic stays silent.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        jet = eval_jet(model, r0, 0.0)
+        radii, at = axes.get("r0", (r0[:1], np.zeros(n, dtype=int)))
+        jet = FieldJet(*(v[at] for v in eval_jet(model, radii, 0.0)))
         code, omega2 = _equatorial_tests(jet, b, r0, sigma)
         nonfinite = ~np.isfinite(list(jet)).all(axis=0)
         errors = _error_names(EQUATORIAL_FAILURES, code)

@@ -228,14 +228,13 @@ class _Sweep(NamedTuple):
 
     For one form the fields are Python values, pivots is an (n,) array and
     x_block a (2, 2) one; for K forms each field has a leading cell axis,
-    and cell k of a stack is ``field[k]``.  pivots[..., i] is the pivot of
-    step i, NaN past the last step taken; stop is that last step.  A cell
-    is ``completed`` when every pivot was positive; otherwise its last pivot
-    is the first non-positive one, and ``zero`` flags the cells where it
-    was zero to working precision.  margin is the smallest pivot over |Q|
-    when the sweep completes, else the first non-positive pivot over |Q|.
-    x_block holds the trailing 2 x 2 block just before the last two
-    eliminations, NaN where the sweep stopped earlier.
+    and cell k of a stack is ``field[k]``.  stop is the first step whose
+    pivot is non-positive or, as ``zero`` flags, zero to working precision;
+    it is n - 1 where there is none, and the cell is ``completed``.
+    pivots[..., i] is the pivot of step i, NaN past stop.  margin is the
+    pivot at stop over |Q|, or the least pivot over |Q| (NaN if one is NaN)
+    where the sweep completes.  x_block holds the trailing 2 x 2 block just
+    before the last two eliminations, NaN where stop comes before them.
     """
 
     pivots: np.ndarray
@@ -256,52 +255,57 @@ def _eliminate(S: np.ndarray) -> _Sweep:
     overflow.  The Schur-complement steps then run on the entries of the
     lower triangle, plus the one upper entry that x_block reads: floats for
     one form, views of S of shape (K,) updated in place for a stack.  The
-    sweep ends once every form has met its first non-positive pivot; a form
-    of a stack that ends earlier runs on with the others, and what follows
-    its end is discarded.
+    loop records the pivots and the trailing block, and the fields follow
+    from them after it; one form stops at its stop, where a float division
+    by a zero pivot would raise.  A step whose pivot is not NaN and whose
+    column below it is +0.0, bit for bit, in every form is skipped.
     """
     n = S.shape[0]
     scale = _binary_exponent(S, axis=(0, 1))
     np.ldexp(S, -scale, out=S)
     floor = np.maximum(np.sqrt(np.einsum("ij...,ij...->...", S, S)), 1e-300)
-    if S.ndim == 2:
-        rows, floor, alive = S.tolist(), float(floor), True
-    else:
-        rows, alive = [list(row) for row in S], np.ones(S.shape[2:], dtype=bool)
+    one = S.ndim == 2
+    rows, floor = (S.tolist(), float(floor)) if one else ([list(row) for row in S], floor)
     tol = ZERO_PIVOT_REL * floor
-    # x_block is kept transposed, with its cell axis last; .T turns it.
-    x_block = np.full((2, 2) + S.shape[2:], np.nan)
-    pivots, stop, zero, least, first_bad = [], -1, False, math.inf, math.nan
+    # The trailing block is kept transposed; it and the pivots keep the cell axis last, and .T turns both.
+    pivots, block = [], np.full((2, 2) + S.shape[2:], np.nan)
     for k in range(n):
         if k == n - 2:
             block = np.array([[rows[k][k], rows[k + 1][k]], [rows[k][k + 1], rows[k + 1][k + 1]]])
-            x_block = _where(alive, block, np.nan)
         p = rows[k][k]
-        pivots.append(_where(alive, p, np.nan))
-        small = abs(p) < tol
-        ended = small | (p <= 0.0)
-        # Step k is taken by the cells still alive: count it, and keep the
-        # pivot that ends a cell and the least pivot (NaN if any is NaN).
-        stop = stop + alive
-        zero = zero | (alive & small)
-        first_bad = _where(alive & ended, p, first_bad)
-        least = _where((p < least) | (p != p), p, least)
-        alive = alive & (ended ^ True)  # ^ True negates a bool and a bool array alike
-        if not (alive is True or np.any(alive)):  # a live form skips the array test
+        pivots.append(p)
+        if one and (p <= 0.0 or abs(p) < tol):
             break
-        below = rows[k + 1 :]
-        col = [row[k] for row in below]
+        col = [row[k] for row in rows[k + 1 :]]
+        if _no_op(p, col) if one else not (S[k + 1 :, k].view(np.int64).any() or np.isnan(p).any()):
+            continue
         # Each update rounds as (ci * cj) / p, the order of an outer product over the pivot.
-        for i, (row, ci) in enumerate(zip(below, col), k + 2):
+        for i, (row, ci) in enumerate(zip(rows[k + 1 :], col), k + 2):
             for j, cj in zip(range(k + 1, i), col):
                 row[j] -= ci * cj / p
         if k < n - 2:
             rows[n - 2][n - 1] -= col[n - 3 - k] * col[n - 2 - k] / p
-    P = np.full((n,) + S.shape[2:], np.nan)
-    P[: len(pivots)] = pivots
-    margin = _where(alive, least, first_bad) / floor
-    # .T puts the cell axis first.
-    return _Sweep(np.ldexp(P, scale).T, stop, alive, zero, margin, np.ldexp(x_block, scale).T)
+    P = np.array(pivots + [math.nan] * (n - len(pivots)))  # one form pads the steps past its stop
+    if one:
+        stop, last = len(pivots) - 1, pivots[-1]
+        zero = abs(last) < tol
+        completed = not (zero or last <= 0.0)
+        least = math.nan if any(p != p for p in pivots) else min(pivots)
+        margin = (least if completed else last) / floor
+    else:
+        small = abs(P) < tol
+        ended = small | (P <= 0.0)
+        completed, stop = ~ended.any(axis=0), np.where(ended, np.arange(n)[:, None], n - 1).min(axis=0)
+        at_stop = (stop, np.arange(len(stop)))
+        zero, margin = small[at_stop], np.where(completed, P.min(axis=0), P[at_stop]) / floor
+        P[np.arange(n)[:, None] > stop] = np.nan
+    x_block = np.where(stop >= n - 2, block, np.nan)
+    return _Sweep(np.ldexp(P, scale).T, stop, completed, zero, margin, np.ldexp(x_block, scale).T)
+
+
+def _no_op(p: float, col: list) -> bool:
+    """Whether a step of one form with pivot p over the column col is skipped: p is not NaN and col is +0.0."""
+    return not any(col) and p == p and all(math.copysign(1.0, c) > 0.0 for c in col)
 
 
 def _binary_exponent(a: np.ndarray, axis=None):

@@ -1215,6 +1215,40 @@ def test_dumps17_of_empty_containers():
     assert dumps17({"equilibria": [], "max_drift": {}}, 1) == '{\n    "equilibria": [],\n    "max_drift": {}\n  }'
 
 
+def test_dumps17_lays_out_containers_as_json_dumps_does():
+    from orbitron.cli import dumps17
+
+    # Without floats, the layout and escapes are those of json.dumps at indent 2.
+    obj = {
+        "a": [1, True, None, "x\"\\\n\u00e9\u2603"],
+        "\u00fcber \t": {"nested": [[], {}, [False, -3]], "t": (1, "two")},
+        "empty": "",
+    }
+    assert dumps17(obj) == json.dumps(obj, indent=2)
+    assert dumps17([obj, [obj]]) == json.dumps([obj, [obj]], indent=2)
+    # Floats and numpy scalars take fmt17, and a float that is not finite is null.
+    values = [0.1, -0.0, float("inf"), float("nan"), np.float64(2.5), np.int64(7), np.bool_(True)]
+    assert dumps17(values) == "[\n  0.10000000000000001,\n  0,\n  null,\n  null,\n  2.5,\n  7,\n  true\n]"
+
+
+def test_an_out_path_that_cannot_be_written_exits_2_and_writes_nothing(tmp_path, capsys):
+    config = str(Path(__file__).parent / "data" / "equilibrium_readme.config.json")
+    missing = tmp_path / "missing" / "x.json"
+    assert main(["equilibrium", "--config", config, "--out", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {missing}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+    # A directory as the out path of a refined scan: the CSV fails first, so no sidecar is left behind.
+    config = str(Path(__file__).parent / "data" / "scan_window_refined.config.json")
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    assert main(["scan", "--refine", "--config", config, "--out", str(directory)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write {directory}: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
+    assert list(directory.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "field, section, message",
     [

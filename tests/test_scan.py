@@ -581,6 +581,11 @@ def test_stability_map_matches_per_cell_route():
             ScanSpec(ScanAxis("sigma", -1.0, 1.0, 2), ScanAxis("r0", 0.5, 3.0, 6), fixed={"pi0": 8.0}),
             composite,
         ),
+        # a fixed r0: every cell reads the jet at the one radius
+        (
+            ScanSpec(ScanAxis("pi0", 2.0, 20.0, 5), ScanAxis("sigma", -1.0, 1.0, 2), fixed={"r0": 0.8}),
+            composite,
+        ),
     ]
     seen = set()
     for spec, model in cases:
@@ -662,18 +667,21 @@ def test_stability_map_flags_non_finite_cells():
         ScanSpec(ScanAxis("r0", 0.8, 0.8, 1), ScanAxis("pi0", 10.0, 10.0, 1)),
         ScanSpec(ScanAxis("sigma", -1.0, 1.0, 2), ScanAxis("r0", 0.5, 3.0, 6), fixed={"pi0": 8.0}),
         ScanSpec(ScanAxis("r0", 0.5, 2.6, 40), ScanAxis("pi0", 2.0, 20.0, 40)),
+        ScanSpec(ScanAxis("pi0", 2.0, 20.0, 5), ScanAxis("sigma", -1.0, 1.0, 2), fixed={"r0": 0.8}),
     ],
-    ids=["1x1", "2x6", "40x40"],
+    ids=["1x1", "2x6", "40x40", "fixed-r0"],
 )
 def test_stability_map_makes_one_jet_call(monkeypatch, spec):
     from orbitron import equilibrium, fields, potential, stability
     from orbitron import scan as scan_module
 
     calls = {"eval_jet": 0, "hessian_blocks": 0}
+    points = []
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
+            points.append(np.size(args[1]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -685,6 +693,9 @@ def test_stability_map_makes_one_jet_call(monkeypatch, spec):
     rows = stability_map(spec, Composite((DipolePair(1.0, 1.0), DipolePair(0.3, 1.6))), _body())
     assert len(rows) == spec.axis1.n * spec.axis2.n
     assert calls == {"eval_jet": 1, "hessian_blocks": 0}
+    # one jet per distinct radius: the points of the r0 axis, or the fixed r0
+    axis = {spec.axis1.name: spec.axis1, spec.axis2.name: spec.axis2}
+    assert points == [axis["r0"].n if "r0" in axis else 1]
 
 
 def _radius_for_beta_reference(model, beta):

@@ -747,6 +747,62 @@ def test_eliminate_stack_equals_its_cells():
     assert min(seen.values()) >= 40
 
 
+def _trap_forms():
+    """Named forms (n, n) that probe the sweep's skip of steps whose column below the pivot is +0.0.
+
+    Rows 0 and 1 of the 8 x 8 forms are decoupled, as in every reduced form,
+    unless a trap puts a -0.0 there or sets a pivot that a +0.0 column
+    follows: NaN, +inf, 0 or negative.
+    """
+    rng = np.random.default_rng(37)
+    a = rng.normal(size=(8, 8))
+    base = a @ a.T + 8.0 * np.eye(8)
+    base[:2, 2:] = base[2:, :2] = base[0, 1] = base[1, 0] = 0.0
+    forms = {"decoupled": base}
+    for name, i, value in (("nan", 0, np.nan), ("inf", 0, np.inf), ("zero", 0, 0.0), ("negative", 0, -1.0),
+                           ("nan_second", 1, np.nan), ("negative_second", 1, -2.0)):
+        forms[f"{name}_pivot"] = base.copy()
+        forms[f"{name}_pivot"][i, i] = value
+    # -0.0 in column 0 is not +0.0: the step runs, and turns the -0.0 of the trailing block
+    # that x_block reads into +0.0.
+    minus_zero = np.diag(rng.uniform(1.0, 2.0, 8))
+    minus_zero[7, 0] = minus_zero[0, 7] = minus_zero[7, 6] = minus_zero[6, 7] = -0.0
+    forms["minus_zero"] = minus_zero
+    forms["minus_zero_coupled"] = base.copy()
+    forms["minus_zero_coupled"][5, 1] = forms["minus_zero_coupled"][1, 5] = -0.0
+    for value in (2.0, -1.0, 0.0, np.nan, np.inf):
+        forms[f"1x1_{value}"] = np.array([[value]])
+    forms["2x2_decoupled"] = np.array([[1.0, 0.0], [0.0, 3.0]])
+    forms["2x2_minus_zero"] = np.array([[1.0, -0.0], [-0.0, 3.0]])
+    forms["2x2_nan_pivot"] = np.array([[np.nan, 0.0], [0.0, 3.0]])
+    forms["2x2_negative_pivot"] = np.array([[-1.0, 0.0], [0.0, 3.0]])
+    forms["2x2_coupled"] = np.array([[2.0, 1.0], [1.0, 2.0]])
+    return forms
+
+
+@np.errstate(invalid="ignore")  # the reference's margin is inf / inf on the +inf pivot
+def test_eliminate_equals_the_reference_on_trap_forms():
+    forms = _trap_forms()
+    for name, S in forms.items():
+        one = _cell(stability._eliminate(S.copy()))
+        assert repr(one) == repr(_cell(_vectorized_eliminate(S[:, :, None].copy()), 0)), name
+    by_size = {}
+    for name, S in forms.items():
+        by_size.setdefault(S.shape[0], []).append(name)
+    stacks = list(by_size.values())
+    # A NaN pivot in one cell over a column that is +0.0 in every cell: that cell's later pivots are NaN.
+    stacks += [["nan_pivot", "decoupled"], ["decoupled", "decoupled"], ["minus_zero", "decoupled"],
+               ["2x2_nan_pivot", "2x2_decoupled"]]
+    for names in stacks:
+        S = np.stack([forms[name] for name in names], axis=-1)
+        stack = _cell(stability._eliminate(S.copy()))
+        assert repr(stack) == repr(_cell(_vectorized_eliminate(S.copy()))), names
+    sweep = stability._eliminate(np.stack([forms["nan_pivot"], forms["decoupled"]], axis=-1))
+    assert np.isnan(sweep.pivots[0]).all() and np.isfinite(sweep.pivots[1]).all()
+    assert np.isnan(sweep.x_block[0]).all() and np.isfinite(sweep.x_block[1]).all()
+    assert repr(stability._eliminate(forms["minus_zero"].copy()).x_block.tolist()).count("-0.0") == 0
+
+
 def test_closed_form_failure_codes_equal_the_select_reference():
     rng = np.random.default_rng(31)
     K = 4000
