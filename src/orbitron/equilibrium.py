@@ -59,10 +59,12 @@ LEVITATION_TILT_MIN = 1e-15
 EQUATORIAL_FAILURES = (None, NotMirrorSymmetric, WrongFieldSign)
 _EQUATORIAL_MESSAGES = (None, "field is not mirror symmetric at r = {r0:g}",
                         "need -sigma Bz_r > 0 at r = {r0:g}; got sigma = {sigma:+g}, Bz_r = {Bz_r:g}")
-LEVITATION_FAILURES = (None, BadSign, BadSign, NoRealSolution, NegativeCentrifugal, ArithmeticError)
+LEVITATION_FAILURES = (None, BadSign, BadSign, NoRealSolution, NegativeCentrifugal, ArithmeticError, BadSign,
+                       NoEquilibrium)
 _LEVITATION_MESSAGES = (None, "levitation requires beta < 0", "levitation requires kappa != 0",
                         "discriminant 1 + beta^2 - kappa^2 = {disc:g} < 0", "xi^2 = {xi2:g} <= 0 on this branch",
-                        "axis direction failed to normalize: |nu|^2 - 1 = {err:g}")
+                        "axis direction failed to normalize: |nu|^2 - 1 = {err:g}", "levitation needs g > 0",
+                        "zero tilt cannot balance the radial field of the linear part")
 
 
 @dataclass(frozen=True)
@@ -163,16 +165,18 @@ def equatorial_conditions(jet: FieldJet, b: BodyParams, r0, sigma) -> tuple:
     return axial, radial, omega2
 
 
+def _radial_field(jet: FieldJet):
+    """Elementwise: is Br nonzero to working precision, |Br| > 1e-9 |(Br, Bz)| (by np.hypot)?"""
+    return np.abs(jet.Br) > 1e-9 * np.maximum(np.hypot(jet.Br, jet.Bz), 1e-300)
+
+
 def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
     """Elementwise (code, omega2) of the equatorial branch, from the jet at (r0, 0).
 
     code indexes EQUATORIAL_FAILURES: 1 for a radial field or an axial gradient, else 2 unless omega2 > 0.
     """
-    bnorm = np.hypot(jet.Br, jet.Bz)
     dnorm = np.max(np.abs([jet.Br_r, jet.Br_z, jet.Bz_r, jet.Bz_z]), axis=0)
-    asymmetric = (np.abs(jet.Br) > 1e-9 * np.maximum(bnorm, 1e-300)) | (
-        np.abs(jet.Bz_z) > 1e-9 * np.maximum(dnorm, 1e-300)
-    )
+    asymmetric = _radial_field(jet) | (np.abs(jet.Bz_z) > 1e-9 * np.maximum(dnorm, 1e-300))
     omega2 = equatorial_conditions(jet, b, r0, sigma)[2]
     return _where(asymmetric, 1, _where(omega2 <= 0.0, 2, 0)), omega2
 
@@ -333,15 +337,12 @@ def solve_dipole_equilibrium(model: AxiFieldModel, b: BodyParams, r0: float, C2:
             if w > 1e-12 * max(1.0, w_orb):
                 roots.append((nr, nz, math.sqrt(w)))
 
-    bnorm = math.hypot(jet.Br, jet.Bz)
     out: list[Equilibrium] = []
     for nr, nz, omega in sorted(roots, key=lambda r: (-r[1], r[0])):
         if abs(nr) < EQUATORIAL_TOL:
-            if abs(jet.Br) > 1e-9 * max(bnorm, 1e-300):
-                # A vanishing tilt cannot balance a nonzero radial field.
-                continue
-            sigma = 1 if nz >= 0.0 else -1
-            out.append(_equatorial_equilibrium(model, b, r0, jet, omega, sigma * C2, sigma))
+            if not _radial_field(jet):  # else a vanishing tilt cannot balance the radial field
+                sigma = 1 if nz >= 0.0 else -1
+                out.append(_equatorial_equilibrium(model, b, r0, jet, omega, sigma * C2, sigma))
         else:
             n = math.hypot(nr, nz)
             out.append(_tilted_equilibrium(model, b, r0, jet, omega, nr / n, nz / n))
@@ -363,6 +364,11 @@ def _levitation_roots(beta, kappa) -> tuple:
     balance = _where(disc < 0.0, 3, _where(xi2 <= 0.0, 4, _where(err > 1e-12, 5, 0)))
     code = _where(beta >= 0.0, 1, _where(kappa == 0.0, 2, balance))
     return nu_r, nu_z, xi2, disc, err, code
+
+
+def _levitation_code(code, nu_r, g):
+    """The orbit's LEVITATION_FAILURES code, elementwise: g <= 0 (6), the roots' code, then a zero tilt (7)."""
+    return _where(g <= 0.0, 6, _where((code == 0) & (abs(nu_r) < LEVITATION_TILT_MIN), 7, code))
 
 
 def solve_levitation(beta: float, kappa: float) -> tuple[float, float, float]:
@@ -400,13 +406,12 @@ def build_levitation_equilibrium(
     :func:`solve_levitation`; this fixes omega^2 = xi2 g / r0, and the
     multipliers follow from the tilted-branch conditions.  The reported
     residual measures how consistently (r0, model, b) reproduce the
-    dimensionless inputs.
+    dimensionless inputs.  Raises ValueError unless r0 > 0, then the class of a nonzero :func:`_levitation_code`.
     """
     if r0 <= 0.0:
         raise ValueError("orbit radius must be positive")
-    if b.g <= 0.0:
-        raise ValueError("levitation needs g > 0")
-    if abs(nu_r) < LEVITATION_TILT_MIN:
-        raise NoEquilibrium("zero tilt cannot balance the radial field of the linear part")
+    code = _levitation_code(0, nu_r, b.g)
+    if code:
+        raise LEVITATION_FAILURES[code](_LEVITATION_MESSAGES[code])
     jet = eval_jet(model, r0, 0.0)
     return _tilted_equilibrium(model, b, r0, jet, math.sqrt(xi2 * b.g / r0), nu_r, nu_z)

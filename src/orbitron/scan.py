@@ -17,8 +17,8 @@ from .core import BodyParams
 from .equilibrium import (
     EQUATORIAL_FAILURES,
     LEVITATION_FAILURES,
-    LEVITATION_TILT_MIN,
     _equatorial_tests,
+    _levitation_code,
     _levitation_roots,
     _support_momenta,
     equatorial_conditions,
@@ -235,9 +235,9 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     The orbit radius is chosen once so the mirror part realizes the given
     beta; each kappa then fixes the gravity g = kappa mu B' / M that the
     balance presumes.  One :func:`equilibrium._levitation_roots` call solves
-    every row.  A failed row carries the error name (BadSign for g <= 0,
-    else the roots' code, else NoEquilibrium for a vanishing tilt) and empty
-    numerics.  The others share one jet at r0 and one stacked pass through
+    every row.  A failed row carries the name of its :func:`equilibrium._levitation_code`
+    (BadSign for g <= 0, the roots' code, NoEquilibrium for a zero tilt) and
+    empty numerics.  The others share one jet at r0 and one stacked pass through
     the closed form, which :func:`stability.levitation_conditions` makes on
     one row, and carry NonFinite where their multipliers, pi0, p0 or margin
     are not finite.  A beta out of :func:`radius_for_beta`'s reach raises
@@ -249,9 +249,7 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     n = len(kappas)
     g = np.array(kappas) * b.mu * linear.Bp / b.M
     nu_r, nu_z, xi2, _, _, code = _levitation_roots(np.full(n, beta), np.array(kappas))
-    errors = _error_names(LEVITATION_FAILURES, code)
-    errors[(code == 0) & (np.abs(nu_r) < LEVITATION_TILT_MIN)] = "NoEquilibrium"
-    errors[g <= 0.0] = "BadSign"
+    errors = _error_names(LEVITATION_FAILURES, _levitation_code(code, nu_r, g))
     live = np.flatnonzero(errors == "")
     certified = np.zeros(0, dtype=int)
     numerics = np.zeros((7, 0))  # nu_r, nu_z, xi2, margin, A, B and C of the certified rows
@@ -283,9 +281,9 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
 
     The axis is sigma e3 in every cell, so the field enters only through
     its jet at (r0, 0), which is one array :func:`fields.eval_jet` call over
-    the points of the r0 axis, or at the fixed r0; each cell reads the jet
-    at its position on that axis.  The branch tests of :func:`equilibrium.solve_orbitron_equatorial`
-    and the closed-form blocks of :func:`potential.hessian_blocks` are then
+    the points of the r0 axis, or at the fixed r0, and the branch tests of
+    :func:`equilibrium.solve_orbitron_equatorial` run once per (r0 point, sigma point); each
+    cell reads both at its position on the axes.  The closed-form blocks of :func:`potential.hessian_blocks` are then
     elementwise, all cells are certified together on stacked arrays, and
     each output is one column over the grid.  ``spec.outputs`` names fields
     of ``CERTIFICATE_FIELDS``; any other name is a ConfigError, raised
@@ -312,6 +310,7 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     axes = {spec.axis1.name: (v1, at1), spec.axis2.name: (v2, at2)}
     grid = {name: points[at] for name, (points, at) in axes.items()}
     r0, pi0, sigma = (grid.get(name, np.full(n, float(spec.fixed.get(name, 1.0)))) for name in ("r0", "pi0", "sigma"))
+    (radii, at_r), (signs, at_s) = (axes.get(k, (c[:1], np.zeros_like(at1))) for k, c in (("r0", r0), ("sigma", sigma)))
     if not (np.isfinite(r0).all() and np.isfinite(pi0).all()):
         raise ValueError("r0 and pi0 must be finite")
     outside = ~np.isin(sigma, (-1.0, 1.0)) | (r0 <= 0.0) | (b.g != 0.0)
@@ -321,13 +320,13 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
 
     # Cells with a non-finite jet or margin are flagged NonFinite, so their arithmetic stays silent.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        radii, at = axes.get("r0", (r0[:1], np.zeros(n, dtype=int)))
-        jet = FieldJet(*(v[at] for v in eval_jet(model, radii, 0.0)))
-        code, omega2 = _equatorial_tests(jet, b, r0, sigma)
-        nonfinite = ~np.isfinite(list(jet)).all(axis=0)
+        jet = eval_jet(model, radii[:, None], 0.0)
+        code, omega2 = (v[at_r, at_s] for v in _equatorial_tests(jet, b, radii[:, None], signs))
+        nonfinite = ~np.isfinite(list(jet)).all(axis=0).take(at_r)
         errors = _error_names(EQUATORIAL_FAILURES, code)
         live = np.flatnonzero(code == 0)
-        jet = FieldJet(*(v[live] for v in jet))
+        at_live = at_r[live]
+        jet = FieldJet(*(v.take(at_live) for v in jet))
         nz, r_live, omega = sigma[live], r0[live], np.sqrt(omega2[live])
         mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
         certs = _certify(b, _support_cells(jet, b, r_live, np.zeros(len(live)), nz, mult))

@@ -29,7 +29,7 @@ from orbitron.errors import (
     OrbitronError,
     WrongFieldSign,
 )
-from orbitron.fields import Composite, DipolePair, Linear, eval_jet
+from orbitron.fields import Composite, DipolePair, FieldJet, Linear, eval_jet
 from orbitron.potential import DipolePotential
 from orbitron.scan import split_levitation_model
 
@@ -404,7 +404,8 @@ def test_levitation_roots_stack_is_solve_levitation_cell_by_cell():
             got = solve_levitation(beta, kappa)
             assert all(type(v) is float for v in got)
             assert repr(got) == repr((float(nu_r[i]), float(nu_z[i]), float(xi2[i])))
-    assert set(code.tolist()) == set(range(len(equilibrium.LEVITATION_FAILURES)))
+    # the roots' codes; 6 and 7, the orbit's g and tilt rules, are test_scan.py's
+    assert set(code.tolist()) == set(range(6))
 
 
 def test_equatorial_codes_are_solve_orbitron_equatorial_raises():
@@ -423,6 +424,42 @@ def test_equatorial_codes_are_solve_orbitron_equatorial_raises():
                 else:
                     assert solve_orbitron_equatorial(model, b, r, 10.0, sigma).mult.omega == math.sqrt(omega2[i])
     assert seen == {0, 1, 2}
+
+
+def _threshold_jets():
+    """Jets with Br one ulp below, at and one ulp above the untilted axis's threshold 1e-9 |(Br, Bz)|, either sign.
+
+    Near the threshold hypot(Br, Bz) rounds to |Bz|, or is below the 1e-300 floor, so the threshold is
+    1e-9 max(|Bz|, 1e-300).  Bz_z = 0 leaves only the radial clause of the equatorial tests, and
+    Br_z = Bz_r = -1 makes the untilted nu = e3 the one root of the dipole solver at g = 0, with omega^2 > 0.
+    """
+    jets, radial = [], []
+    for Bz in (1.0, -3.7, 6.02e-17, 2.0**-1000, 0.0):
+        threshold = 1e-9 * max(abs(Bz), 1e-300)
+        below, above = math.nextafter(threshold, 0.0), math.nextafter(threshold, 1.0)
+        for Br, is_radial in ((below, False), (threshold, False), (above, True)):
+            for sign in (1.0, -1.0):
+                jets.append(FieldJet(sign * Br, Bz, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0))
+                radial.append(is_radial)
+    return jets, radial
+
+
+def test_radial_field_is_one_test_of_the_untilted_axis(monkeypatch):
+    jets, radial = _threshold_jets()
+    model, b = DipolePair(1.0, 1.0), _body()
+    stack = FieldJet(*np.array(jets).T)
+    assert equilibrium._radial_field(stack).tolist() == radial
+    code, _ = equilibrium._equatorial_tests(stack, b, 0.8, 1)
+    assert code.tolist() == [1 if r else 0 for r in radial]
+    for k, jet in enumerate(jets):
+        assert equilibrium._radial_field(jet) == radial[k]  # a float call is the array's element
+        monkeypatch.setattr(equilibrium, "eval_jet", lambda model, r, z, jet=jet: jet)
+        if code[k] == 1:  # the solver drops the untilted root, and with it its one branch
+            with pytest.raises(NoEquilibrium):
+                solve_dipole_equilibrium(model, b, 0.8, 10.0)
+        else:
+            (eq,) = solve_dipole_equilibrium(model, b, 0.8, 10.0)
+            assert eq.nu0.tolist() == [0.0, 0.0, 1.0] and eq.mult.omega == math.sqrt(1.25)
 
 
 def test_build_levitation_equilibrium():
@@ -445,7 +482,7 @@ def test_build_levitation_equilibrium_errors():
     nr, nz, xi2 = solve_levitation(beta, kappa)
     with pytest.raises(ValueError):
         build_levitation_equilibrium(model, b, -0.8, nr, nz, xi2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadSign):
         build_levitation_equilibrium(model, _body(g=0.0), 0.8, nr, nz, xi2)
     with pytest.raises(NoEquilibrium):
         build_levitation_equilibrium(model, b, 0.8, 0.0, 1.0, xi2)

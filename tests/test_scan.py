@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from orbitron.core import BodyParams
-from orbitron.errors import BadSign, ConfigError, NonFinite, OrbitronError
+from orbitron.errors import BadSign, ConfigError, NoEquilibrium, NonFinite, OrbitronError
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import hessian_blocks
 from orbitron.scan import (
@@ -264,6 +264,30 @@ def test_levitation_sweep_covers_every_row_kind():
     assert failed == ["lambda", None, None, None, "A"]
     verdicts = [row["verdict"] for row in expected if row["verdict"]]
     assert verdicts == ["not_certified", "stable", "stable", "stable", "not_certified"]
+
+
+def test_levitation_g_and_tilt_rules_are_one_code():
+    # g <= 0 is BadSign before the roots' codes, and the tilt nu_r = +-0 of kappa = +-1 at beta < 0 is
+    # NoEquilibrium: the builder raises them and the sweep names its rows by them, BadSign where both hold
+    model = _lev_model()
+    linear, o_model = split_levitation_model(model)
+    beta = eval_jet(o_model, 0.8, 0.0).Br_z / linear.Bp
+    with pytest.raises(BadSign, match=r"^levitation needs g > 0$") as no_gravity:
+        build_levitation_equilibrium(model, _body(), 0.8, *solve_levitation(beta, 1.001))
+    no_tilt, message = [], "^zero tilt cannot balance the radial field of the linear part$"
+    for kappa in (1.0, -1.0):
+        nu_r, nu_z, xi2 = solve_levitation(beta, kappa)
+        assert nu_r == 0.0
+        with pytest.raises(NoEquilibrium, match=message) as info:
+            build_levitation_equilibrium(model, replace(_body(), g=3.0), 0.8, nu_r, nu_z, xi2)
+        no_tilt.append(type(info.value).__name__)
+    # kappa B' <= 0 (kappa = -1, 0, -1.1) is g <= 0, and kappa = 1 is the zero tilt
+    rows = levitation_sweep(model, _body(), [-1.0, 0.0, 1.0, -1.1, 1.001], beta)
+    bad_sign = type(no_gravity.value).__name__
+    assert [row["error"] for row in rows] == [bad_sign, bad_sign, no_tilt[0], bad_sign, ""]
+    # with B' < 0 only a beta > 0 is in reach, and every row is BadSign
+    rows = levitation_sweep(Composite((Linear(1.0, -3.0), DipolePair(1.0, 1.0))), _body(), [1.0, -1.0], 0.9)
+    assert [row["error"] for row in rows] == [bad_sign, bad_sign]
 
 
 @pytest.mark.parametrize(
@@ -675,13 +699,15 @@ def test_stability_map_makes_one_jet_call(monkeypatch, spec):
     from orbitron import equilibrium, fields, potential, stability
     from orbitron import scan as scan_module
 
-    calls = {"eval_jet": 0, "hessian_blocks": 0}
-    points = []
+    calls = {"eval_jet": 0, "hessian_blocks": 0, "_equatorial_tests": 0}
+    points = {name: [] for name in calls}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
             calls[name] += 1
-            points.append(np.size(args[1]))
+            # a jet's points (r, args[1]); the branch tests' (jet, r0, sigma) values, broadcast
+            tests = name == "_equatorial_tests"
+            points[name].append(np.broadcast(*args[0], *args[2:]).size if tests else np.size(args[1]))
             return fn(*args, **kwargs)
 
         return wrapper
@@ -692,10 +718,12 @@ def test_stability_map_makes_one_jet_call(monkeypatch, spec):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
     rows = stability_map(spec, Composite((DipolePair(1.0, 1.0), DipolePair(0.3, 1.6))), _body())
     assert len(rows) == spec.axis1.n * spec.axis2.n
-    assert calls == {"eval_jet": 1, "hessian_blocks": 0}
-    # one jet per distinct radius: the points of the r0 axis, or the fixed r0
+    assert calls == {"eval_jet": 1, "hessian_blocks": 0, "_equatorial_tests": 1}
+    # one jet per distinct radius, the points of the r0 axis or the fixed r0, and
+    # one branch test per (r0 point, sigma point)
     axis = {spec.axis1.name: spec.axis1, spec.axis2.name: spec.axis2}
-    assert points == [axis["r0"].n if "r0" in axis else 1]
+    radii, signs = (axis[name].n if name in axis else 1 for name in ("r0", "sigma"))
+    assert points == {"eval_jet": [radii], "hessian_blocks": [], "_equatorial_tests": [radii * signs]}
 
 
 def _radius_for_beta_reference(model, beta):
