@@ -43,7 +43,7 @@ from .errors import (
     finite_float,
     require,
 )
-from .fields import AxiFieldModel, eval_jet, model_from_config
+from .fields import AxiFieldModel, _jet_terms, model_from_config
 from .potential import DipolePotential, hessian_blocks
 from .scan import (
     ScanAxis,
@@ -96,13 +96,13 @@ NO_SOLUTION_ERRORS = (
 )
 
 
-def fmt17(x: float) -> str:
-    """A float with 17 significant digits (shortest round-trip superset).
+def fmt17(x: float, nonfinite: str = "nan") -> str:
+    """The text of a Python float: 17 significant digits (shortest round-trip superset), in one step.
 
-    Negative zero prints as 0, so the sign of a zero never shows.
+    Adding 0.0 turns -0 into 0, so the sign of a zero never shows.  inf and
+    nan, where x - x is not 0, print as ``nonfinite``: "nan" in CSV, "null" in JSON.
     """
-    x = float(x)
-    return format(0.0 if x == 0.0 else x, ".17g")
+    return format(x + 0.0, ".17g") if x - x == 0.0 else nonfinite
 
 
 def _scalar_text(x, nonfinite: str) -> str:
@@ -112,7 +112,7 @@ def _scalar_text(x, nonfinite: str) -> str:
     if isinstance(x, (int, np.integer)):
         return str(int(x))
     if isinstance(x, (float, np.floating)):
-        return fmt17(x) if math.isfinite(x) else nonfinite
+        return fmt17(float(x), nonfinite)
     raise TypeError(f"cannot serialize {type(x).__name__}")
 
 
@@ -129,7 +129,7 @@ def dumps17(obj, indent: int = 0) -> str:
     """JSON text with all floats at 17 significant digits."""
     kind = type(obj)
     if kind is float:
-        return fmt17(obj) if math.isfinite(obj) else "null"
+        return fmt17(obj, "null")
     if kind is dict or kind is list or kind is tuple:
         if not obj:
             return "{}" if kind is dict else "[]"
@@ -158,6 +158,8 @@ def _write_json(path: str, obj) -> None:
 
 
 def _csv_cell(v) -> str:
+    if type(v) is float:  # most cells
+        return fmt17(v)
     return v if isinstance(v, str) else _scalar_text(v, "nan")
 
 
@@ -267,7 +269,7 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
         if r0 <= 0.0:  # beta is read off the jet at r0, before build_levitation_equilibrium checks r0
             raise ValueError("orbit radius must be positive")
         kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
-        beta = eval_jet(o_model, r0, 0.0).Br_z / linear.Bp
+        beta = _jet_terms(o_model, r0, 0.0, 4)[3] / linear.Bp  # Br_z, from the jet's 4-term prefix
         eqs = [build_levitation_equilibrium(model, b, r0, *solve_levitation(beta, kappa))]
     else:
         raise ConfigError(f"unknown solver {solver!r}")
@@ -316,10 +318,8 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
         dt = 1e-3 if eq is None else (2.0 * math.pi / abs(eq.mult.omega)) / 2000.0
         icfg = replace(icfg, dt=finite_float(dt, "simulate.dt"))
     samples = integrate(s0, icfg, b, V, include_casimir=include_casimir)
-    rows = (
-        [s.t, *s.state.x, *s.state.p, *s.state.nu, *s.state.pi, s.h, s.J3, s.C1, s.C2]
-        for s in samples
-    )
+    # Python floats, not numpy scalars, so that every cell takes _csv_cell's float path
+    rows = ([s.t, *s.state.as_vector().tolist(), s.h, s.J3, s.C1, s.C2] for s in samples)
     _write_csv(out, TRAJECTORY_HEADER, rows)
 
     first = samples[0]
@@ -365,8 +365,9 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
         return 0
 
     blocks = hessian_blocks(eq.r0, eq.nu0, model, b) if method == "closed_form" or oracle else None
+    Q = reduced_hessian(eq, b, blocks) if oracle else None  # built once, for the sweep and the oracle
     if method == "closed_form":
-        cert = closed_form_conditions(eq, b, blocks)
+        cert = closed_form_conditions(eq, b, blocks, Q)
     elif method == "orbitron":
         cert = orbitron_conditions(eq, b, model)
     else:
@@ -374,7 +375,7 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
 
     result = {"equilibrium": eq.to_record(), "certificate": cert.to_record()}
     if oracle:
-        eig = eigen_certificate(reduced_hessian(eq, b, blocks))
+        eig = eigen_certificate(Q)
         result["eigen"] = {
             "verdict": eig.verdict,
             "lambda_min": eig.eigenvalues[0],

@@ -27,7 +27,7 @@ from .equilibrium import (
     tilted_multipliers,
 )
 from .errors import ConfigError, NonFinite
-from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, eval_jet
+from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, _jet_terms, eval_jet
 from .stability import CERTIFICATE_FIELDS, _certify, _classify, _levitation_certificates, _support_cells
 
 __all__ = [
@@ -183,14 +183,15 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     """Radius at which the mirror part's Br_z matches beta times the gradient.
 
     Only the outer branch (to the right of the most negative Br_z) is
-    searched, since that is where the geometric window can lie.  The
-    4096-point grid on 0.01 h <= r <= 8 h that locates that minimum is one
-    array :func:`fields.eval_jet` call; bisection from the grid minimum to
-    the grid's end then refines the root to 1e-14 h.  Raises ValueError
-    when beta is out of reach for the model, and NonFinite when the jet on
-    the grid over- or underflows to nan.  A grid minimum of -inf still
-    brackets the root, so the bisection goes on from there; a Br_z that is
-    not finite at the range end or at a midpoint raises NonFinite.
+    searched, since that is where the geometric window can lie.  Br_z is
+    jet term 3, so every evaluation builds only the jet's 4-term prefix.
+    The 4096-point grid on 0.01 h <= r <= 8 h that locates that minimum is
+    one array prefix; bisection from the grid minimum to the grid's end
+    then refines the root to 1e-14 h.  Raises ValueError when beta is out
+    of reach for the model, and NonFinite when the jet on the grid over- or
+    underflows to nan.  A grid minimum of -inf still brackets the root, so
+    the bisection goes on from there; a Br_z that is not finite at the
+    range end or at a midpoint raises NonFinite.
     """
     linear, o_model = split_levitation_model(model)
     target = beta * linear.Bp
@@ -198,7 +199,7 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     h = max(p.h for p in model.parts if isinstance(p, DipolePair))
 
     def f(r: float) -> float:
-        Br_z = eval_jet(o_model, r, 0.0).Br_z
+        Br_z = _jet_terms(o_model, r, 0.0, 4)[3]
         if not math.isfinite(Br_z):
             raise NonFinite(f"Br_z of the mirror part is {Br_z!r} at r = {r!r} for beta = {beta:g}")
         return Br_z - target
@@ -206,7 +207,7 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
     # A grid or jet that over- or underflows gives inf or nan, silently.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         grid = np.linspace(0.01 * h, 8.0 * h, 4096)
-        vals = eval_jet(o_model, grid, 0.0).Br_z
+        vals = _jet_terms(o_model, grid, 0.0, 4)[3]
     k_min = int(np.argmin(vals))  # the first nan, if there is one
     if math.isnan(vals[k_min]):
         raise NonFinite(f"Br_z of the mirror part is nan on the radius grid for beta = {beta:g}")

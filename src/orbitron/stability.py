@@ -430,15 +430,17 @@ class _Certificates:
         return getattr(self, name)
 
 
-def _certify(b: BodyParams, cells: _Cells) -> _Certificates:
+def _certify(b: BodyParams, cells: _Cells, Q: np.ndarray | None = None) -> _Certificates:
     """Closed-form conditions and elimination verdicts of one cell, or of K cells.
 
     The margin is the elimination's.  Cells flagged in ``sweep.zero`` hit a
-    zero pivot and carry no verdict.
+    zero pivot and carry no verdict.  Q, when given, is the cells' reduced
+    forms; the sweep, which scales its input in place, eliminates a copy.
     """
     den1, cond2, A, B, C, failed = _closed_form(b, cells)
     cond2 = np.where(den1 <= 0.0, np.nan, cond2)
-    return _Certificates(_eliminate(_reduced_forms(b, cells)), den1, cond2, A, B, C, failed)
+    S = _reduced_forms(b, cells) if Q is None else Q.copy()
+    return _Certificates(_eliminate(S), den1, cond2, A, B, C, failed)
 
 
 def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
@@ -456,7 +458,7 @@ def reduced_hessian(eq: Equilibrium, b: BodyParams, blocks: PotentialHessianBloc
 
 
 def closed_form_conditions(
-    eq: Equilibrium, b: BodyParams, blocks: PotentialHessianBlocks
+    eq: Equilibrium, b: BodyParams, blocks: PotentialHessianBlocks, Q: np.ndarray | None = None
 ) -> StabilityCertificate:
     """Closed-form sufficient conditions equivalent to the elimination route.
 
@@ -471,9 +473,11 @@ def closed_form_conditions(
     with nu_top = nu_z E1 - |nu_perp| e3.  A non-positive denominator makes
     the remaining expressions inconclusive; this is recorded in the
     certificate rather than raised.  The verdict and margin come from the
-    isolated-squares pivots, which raise ZeroPivot when one vanishes.
+    isolated-squares pivots, which raise ZeroPivot when one vanishes.  A
+    caller that also needs Q may pass ``reduced_hessian(eq, b, blocks)``,
+    which the sweep then reads, unchanged, instead of building Q again.
     """
-    certs = _certify(b, _one_cell(eq, blocks))
+    certs = _certify(b, _one_cell(eq, blocks), Q)
     cell = {name: np.asarray(certs.column(name)).tolist() for name in CERTIFICATE_FIELDS if name != "verdict"}
     if certs.sweep.zero:
         raise _zero_pivot(cell["pivots"][-1], certs.sweep.stop)

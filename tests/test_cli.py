@@ -964,6 +964,25 @@ def test_certify_oracle_solves_hessian_once(tmp_path, monkeypatch, method):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name", ["certify_closed_form", "certify_orbitron", "certify_levitation"])
+def test_certify_oracle_builds_one_reduced_form(tmp_path, monkeypatch, name):
+    # the closed-form sweep eliminates a copy of the Q that the oracle then reads
+    from orbitron import stability
+
+    calls = []
+    reduced_forms = stability._reduced_forms
+
+    def counted(*args):
+        calls.append(args)
+        return reduced_forms(*args)
+
+    monkeypatch.setattr(stability, "_reduced_forms", counted)
+    out = tmp_path / f"{name}.out.json"
+    assert main(["certify", "--oracle", "--config", str(CASE_DIR / f"{name}.config.json"), "--out", str(out)]) == 0
+    assert len(calls) == 1
+    assert out.read_bytes() == (CASE_DIR / f"{name}.out.json").read_bytes()
+
+
 @pytest.mark.parametrize("method", ["orbitron", "levitation"])
 def test_certify_builds_no_hessian_blocks_it_does_not_read(tmp_path, monkeypatch, method):
     from orbitron import cli
@@ -1198,6 +1217,68 @@ def test_scalar_text_of_json_and_csv(value, as_json, as_csv):
 
     assert _json_scalar(value) == as_json
     assert _csv_cell(value) == as_csv
+
+
+def _fmt17_before(x) -> str:
+    """fmt17 as it read before the one-step float rule: zero compared out, then formatted."""
+    x = float(x)
+    return format(0.0 if x == 0.0 else x, ".17g")
+
+
+def _scalar_text_before(x, nonfinite: str) -> str:
+    """_scalar_text as it read before the one-step float rule, for every scalar type."""
+    if isinstance(x, (bool, np.bool_)):
+        return "true" if x else "false"
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    if isinstance(x, (float, np.floating)):
+        return _fmt17_before(x) if math.isfinite(x) else nonfinite
+    raise TypeError(f"cannot serialize {type(x).__name__}")
+
+
+def _float_bit_patterns(per_exponent=50, seed=32):
+    """Seeded float64 bit patterns: per_exponent random signs and mantissas for each of the
+    2048 biased exponents (0 gives zeros and subnormals, 2047 infinities and NaN payloads),
+    then the zeros, infinities and quiet and signalling NaNs of both signs by name."""
+    rng = np.random.default_rng(seed)
+    n = 2048 * per_exponent
+    exponent = np.repeat(np.arange(2048, dtype=np.uint64), per_exponent)
+    mantissa = rng.integers(0, 2**52, size=n, dtype=np.uint64)
+    sign = rng.integers(0, 2, size=n, dtype=np.uint64)
+    bits = (sign << np.uint64(63)) | (exponent << np.uint64(52)) | mantissa
+    named = [0, 1, 2**52 - 1, 0x7FF << 52, (0x7FF << 52) | 1, (0x7FF << 52) | (1 << 51), (0x7FF << 52) | 2**52 - 1]
+    named += [b | (1 << 63) for b in named]
+    return np.concatenate([bits, np.array(named, dtype=np.uint64)]).view(np.float64)
+
+
+def test_float_text_is_the_earlier_rule_on_every_exponent():
+    from orbitron.cli import _csv_cell, dumps17, fmt17
+
+    values = _float_bit_patterns()
+    floats = values.tolist()
+    assert len(floats) >= 100_000 and all(type(x) is float for x in floats)
+    finite = np.isfinite(values)
+    assert (values[finite] == 0.0).any() and (np.abs(values[finite]) < 2.0**-1022).sum() > 40
+    assert np.isinf(values).sum() == 2 and np.isnan(values).sum() > 50
+    for x in floats:
+        assert _csv_cell(x) == _scalar_text_before(x, "nan"), x.hex()
+        assert dumps17(x) == _scalar_text_before(x, "null"), x.hex()
+    for x in values[finite].tolist():
+        assert fmt17(x) == _fmt17_before(x), x.hex()
+
+
+def test_float_text_of_other_scalars_is_the_earlier_rule():
+    from orbitron.cli import _csv_cell, dumps17
+
+    values = _float_bit_patterns(per_exponent=2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        numpy_floats = [*values, *values.astype(np.float32)]
+    scalars = [*numpy_floats, True, False, np.bool_(True), np.bool_(False), 0, -1, 2**70, -(2**70)]
+    scalars += [np.int64(-7), np.int32(2**31 - 1), np.uint64(2**64 - 1), np.uint8(255)]
+    assert {type(x) for x in numpy_floats} == {np.float64, np.float32}
+    for x in scalars:
+        assert _csv_cell(x) == _scalar_text_before(x, "nan"), repr(x)
+        assert dumps17(x) == _scalar_text_before(x, "null"), repr(x)
 
 
 def test_scalar_text_of_none_and_unknown_types():

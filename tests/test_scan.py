@@ -1,17 +1,19 @@
 """Tests for window scans, levitation sweeps, and stability maps."""
 
 import itertools
+import json
 import math
 import random
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from orbitron.core import BodyParams
 from orbitron.errors import BadSign, ConfigError, NoEquilibrium, NonFinite, OrbitronError
-from orbitron.fields import Composite, DipolePair, Linear, eval_jet
+from orbitron.fields import Composite, DipolePair, Linear, eval_jet, model_from_config
 from orbitron.potential import hessian_blocks
 from orbitron.scan import (
     ScanAxis,
@@ -29,6 +31,9 @@ from orbitron.equilibrium import (
     solve_levitation,
     solve_orbitron_equatorial,
 )
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def _body():
@@ -312,19 +317,30 @@ def test_levitation_sweep_makes_one_jet_call(monkeypatch, kappas, jets):
         for name in calls:
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    prefixes = []  # the n of every jet-prefix call, eval_jet's own included
+    jet_terms = fields._jet_terms
+
+    def prefix_counted(model, r, z, n=8):
+        prefixes.append(n)
+        return jet_terms(model, r, z, n)
+
+    monkeypatch.setattr(fields, "_jet_terms", prefix_counted)
+    monkeypatch.setattr(scan_module, "_jet_terms", prefix_counted)
     in_radius = {}
     radius = scan_module.radius_for_beta
 
     def radius_counted(*args):
-        before = calls["eval_jet"]
+        before, first = calls["eval_jet"], len(prefixes)
         out = radius(*args)
-        in_radius["eval_jet"] = calls["eval_jet"] - before
+        in_radius["eval_jet"], in_radius["prefixes"] = calls["eval_jet"] - before, prefixes[first:]
         return out
 
     monkeypatch.setattr(scan_module, "radius_for_beta", radius_counted)
     rows = levitation_sweep(_lev_model(), _body(), kappas, -0.9)
     assert len(rows) == len(kappas)
-    assert in_radius["eval_jet"] > 0
+    # the radius search reads Br_z, jet term 3, off the 4-term prefix alone
+    assert in_radius["eval_jet"] == 0
+    assert set(in_radius["prefixes"]) == {4}
     assert calls["eval_jet"] - in_radius["eval_jet"] == jets
     assert calls["first_order_residual"] == 0
     assert calls["solve_levitation"] == 0  # the rows are one elementwise root call
@@ -764,6 +780,86 @@ def _radius_for_beta_reference(model, beta):
 def test_radius_for_beta_matches_pointwise_search(model, beta):
     expected, h = _radius_for_beta_reference(model, beta)
     assert abs(radius_for_beta(model, beta) - expected) <= 1e-14 * h
+
+
+def _radius_for_beta_full_jet(model, beta):
+    """The radius search as it read Br_z off the full 8-term eval_jet, before the 4-term prefix."""
+    linear, o_model = split_levitation_model(model)
+    target = beta * linear.Bp
+    h = max(p.h for p in model.parts if isinstance(p, DipolePair))
+
+    def f(r: float) -> float:
+        Br_z = eval_jet(o_model, r, 0.0).Br_z
+        if not math.isfinite(Br_z):
+            raise NonFinite(f"Br_z of the mirror part is {Br_z!r} at r = {r!r} for beta = {beta:g}")
+        return Br_z - target
+
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        grid = np.linspace(0.01 * h, 8.0 * h, 4096)
+        vals = eval_jet(o_model, grid, 0.0).Br_z
+    k_min = int(np.argmin(vals))
+    if math.isnan(vals[k_min]):
+        raise NonFinite(f"Br_z of the mirror part is nan on the radius grid for beta = {beta:g}")
+    if not (vals[k_min] <= target <= 0.0) or target == 0.0:
+        raise ValueError(
+            f"beta Bprime = {target:g} is outside the reachable Br_z range "
+            f"[{vals[k_min]:g}, 0) of the mirror part"
+        )
+    lo, hi = float(grid[k_min]), float(grid[-1])
+    f(hi)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if f(mid) <= 0.0:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-14 * h:
+            break
+    return 0.5 * (lo + hi)
+
+
+def _radius_outcome(search, model, beta):
+    """repr of the radius a search returns, or the class and message of what it raised."""
+    try:
+        return repr(search(model, beta))
+    except (OrbitronError, ArithmeticError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _seeded_radius_models(seed=32):
+    """Seeded levitation fields: one pair, two pairs, and two pairs with the linear part nested."""
+    rng = random.Random(seed)
+    for _ in range(20):
+        linear = Linear(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 4.0))
+        pairs = [DipolePair(rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0)) for _ in range(2)]
+        yield Composite((linear, pairs[0]))
+        yield Composite((linear, *pairs))
+        yield Composite((Composite((linear, pairs[0])), pairs[1]))
+
+
+def test_radius_for_beta_is_the_full_jet_search_bit_for_bit():
+    rng = random.Random(33)
+    found = 0
+    for model in _seeded_radius_models():
+        for beta in [-rng.uniform(0.01, 1.5) for _ in range(5)]:
+            got = _radius_outcome(radius_for_beta, model, beta)
+            assert got == _radius_outcome(_radius_for_beta_full_jet, model, beta)
+            found += isinstance(got, str)
+    assert found >= 200
+
+
+def test_radius_for_beta_raises_as_the_full_jet_search_does():
+    # the extreme-scale draws, and the fields whose jet is inf at a midpoint or nan on the grid
+    cases = [(model, beta) for _, model, _, beta in _extreme_sweeps(4000)]
+    for name in ("scan_levitation_inf_jet", "scan_levitation_nan_grid"):
+        cfg = json.loads((DATA / f"{name}.config.json").read_text())
+        cases += [(model_from_config(cfg["field"]), beta) for beta in (cfg["scan"]["beta"], -0.9, -0.01)]
+    kinds = set()
+    for model, beta in cases:
+        got = _radius_outcome(radius_for_beta, model, beta)
+        assert got == _radius_outcome(_radius_for_beta_full_jet, model, beta)
+        kinds.add(got[0] if isinstance(got, tuple) else "radius")
+    assert kinds >= {"radius", "ValueError", "NonFinite"}
 
 
 def test_window_with_non_finite_conditions_raises():
