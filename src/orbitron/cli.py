@@ -2,12 +2,12 @@
 
 Each command reads a JSON run configuration holding a ``body`` record, a
 ``field`` record, and exactly one task section named after the command.
-``main`` reads the body and the task section once for every command.
-Floats are written with 17 significant digits, so runs are bitwise reproducible.
+``main`` reads the body and the task section once, and writes the files a command
+returns.  Floats are written with 17 significant digits, so runs are bitwise reproducible.
 
 Exit codes: 0 on success (including "no solution found"), 2 for a configuration
-error, 3 for a numerical failure; either writes no file and prints one stderr
-line, starting ``config error:`` or ``numerical failure:`` respectively.
+error, 3 for a numerical failure; either leaves every output path as it was and
+prints one stderr line, starting ``config error:`` or ``numerical failure:``.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import argparse
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 
@@ -142,29 +143,40 @@ def dumps17(obj, indent: int = 0) -> str:
     return _json_scalar(obj)
 
 
-def _write_lines(path: str, lines) -> None:
-    """Write the lines, each with a newline, to ``path``; a path that cannot be opened is a ConfigError."""
-    try:
-        fh = open(path, "w", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-    with fh:
-        for line in lines:
-            fh.write(line + "\n")
-
-
-def _write_json(path: str, obj) -> None:
-    _write_lines(path, [dumps17(obj)])
-
-
 def _csv_cell(v) -> str:
     if type(v) is float:  # most cells
         return fmt17(v)
     return v if isinstance(v, str) else _scalar_text(v, "nan")
 
 
-def _write_csv(path: str, header: list[str], rows) -> None:
-    _write_lines(path, (",".join(map(_csv_cell, row)) for row in itertools.chain([header], rows)))
+def _csv_lines(header: list[str], rows):
+    return (",".join(map(_csv_cell, row)) for row in itertools.chain([header], rows))
+
+
+def _write_files(out: str, files: dict) -> None:
+    """Write the lines of each file, each with a newline, to ``out`` + its suffix, once every path is open.
+
+    A path that cannot be opened is a ConfigError, and removes the files this run created: every path is as it was.
+    """
+    opened = []  # (file, whether this run created it), --out first
+    try:
+        for suffix in files:
+            try:
+                opened.append((open(out + suffix, "x", encoding="utf-8", newline="\n"), True))
+            except FileExistsError:  # opened to append, so it keeps its bytes until every path is open
+                opened.append((open(out + suffix, "a", encoding="utf-8", newline="\n"), False))
+    except OSError as exc:
+        for fh, created in opened:
+            fh.close()
+            if created:
+                os.remove(fh.name)
+        raise ConfigError(f"cannot write {exc.filename}: {exc}") from exc
+    for (fh, created), lines in zip(opened, files.values()):
+        with fh:
+            if not created and os.fstat(fh.fileno()).st_size:  # a pipe cannot be truncated, nor need it be
+                fh.truncate(0)
+            for line in lines:
+                fh.write(line + "\n")
 
 
 def _load_config(path: str) -> dict:
@@ -279,7 +291,7 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
 TRAJECTORY_HEADER = ["t", *(f"{v}{i}" for v in ("x", "p", "nu", "pi") for i in (1, 2, 3)), "h", "J3", "C1", "C2"]
 
 
-def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir: bool) -> int:
+def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, include_casimir: bool) -> dict:
     model = _model_from_config(cfg)
     V = DipolePotential(model, b)
     # The integrator settings are checked before any solve, so a malformed
@@ -307,9 +319,7 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
         try:
             eq = _solve_branch(spec, model, b, "simulate.from_equilibrium")
         except NO_SOLUTION_ERRORS as exc:
-            _write_csv(out, TRAJECTORY_HEADER, [])
-            _write_json(out + ".summary.json", {"reason": type(exc).__name__})
-            return 0
+            return {"": _csv_lines(TRAJECTORY_HEADER, []), ".summary.json": [dumps17({"reason": type(exc).__name__})]}
         s0 = build_support_state(eq)
 
     if dt is None:
@@ -320,14 +330,9 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
     samples = integrate(s0, icfg, b, V, include_casimir=include_casimir)
     # Python floats, not numpy scalars, so that every cell takes _csv_cell's float path
     rows = ([s.t, *s.state.as_vector().tolist(), s.h, s.J3, s.C1, s.C2] for s in samples)
-    _write_csv(out, TRAJECTORY_HEADER, rows)
 
-    first = samples[0]
-    drift = {}
-    for name in ("h", "J3", "C1", "C2"):
-        q0 = getattr(first, name)
-        dmax = max(abs(getattr(s, name) - q0) for s in samples)
-        drift[name] = dmax / max(1.0, abs(q0))
+    q0 = {name: getattr(samples[0], name) for name in ("h", "J3", "C1", "C2")}
+    drift = {name: max(abs(getattr(s, name) - q) for s in samples) / max(1.0, abs(q)) for name, q in q0.items()}
     summary = {"max_drift": drift, "steps": icfg.steps, "dt": icfg.dt}
     if eq is not None:
         last = samples[-1]
@@ -336,21 +341,18 @@ def cmd_simulate(cfg: dict, b: BodyParams, sec: dict, out: str, include_casimir:
         summary["final_state_deviation"] = float(
             max(abs(g - r) / max(1.0, abs(r)) for g, r in zip(got, ref))
         )
-    _write_json(out + ".summary.json", summary)
-    return 0
+    return {"": _csv_lines(TRAJECTORY_HEADER, rows), ".summary.json": [dumps17(summary)]}
 
 
-def cmd_equilibrium(cfg: dict, b: BodyParams, sec: dict, out: str, _flag: bool) -> int:
+def cmd_equilibrium(cfg: dict, b: BodyParams, sec: dict, _flag: bool) -> dict:
     try:
         eqs = _solve_from_spec(sec, _model_from_config(cfg), b)
     except NO_SOLUTION_ERRORS as exc:
-        _write_json(out, {"equilibria": [], "reason": type(exc).__name__})
-        return 0
-    _write_json(out, {"equilibria": [eq.to_record() for eq in eqs]})
-    return 0
+        return {"": [dumps17({"equilibria": [], "reason": type(exc).__name__})]}
+    return {"": [dumps17({"equilibria": [eq.to_record() for eq in eqs]})]}
 
 
-def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> int:
+def cmd_certify(cfg: dict, b: BodyParams, sec: dict, oracle: bool) -> dict:
     model = _model_from_config(cfg)
     spec = require(sec, "equilibrium", dict, "certify")
     method = require(sec, "method", str, "certify", "closed_form")
@@ -361,8 +363,7 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
     try:
         eq = _solve_branch(spec, model, b, "certify.equilibrium")
     except NO_SOLUTION_ERRORS as exc:
-        _write_json(out, {"certificate": None, "reason": type(exc).__name__})
-        return 0
+        return {"": [dumps17({"certificate": None, "reason": type(exc).__name__})]}
 
     blocks = hessian_blocks(eq.r0, eq.nu0, model, b) if method == "closed_form" or oracle else None
     Q = reduced_hessian(eq, b, blocks) if oracle else None  # built once, for the sweep and the oracle
@@ -382,13 +383,12 @@ def cmd_certify(cfg: dict, b: BodyParams, sec: dict, out: str, oracle: bool) -> 
             "margin": eig.margin,
             "agrees": eig.verdict == cert.verdict,
         }
-    _write_json(out, result)
-    return 0
+    return {"": [dumps17(result)]}
 
 
-def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int:
+def cmd_scan(cfg: dict, b: BodyParams, sec: dict, refine: bool) -> dict:
     kind = require(sec, "kind", str, "scan")
-    sidecar = None
+    sidecars = {}
     if kind == "dipoletron_window":
         q = require(sec, "q", float, "scan")
         h = require(sec, "h", float, "scan")
@@ -399,8 +399,8 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
         n = _size(require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
         sigma = require(sec, "sigma", int, "scan", 1)
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
-        if refine:  # written after the CSV, so that an out path that cannot be written leaves no file
-            sidecar = dict(zip(("lower", "upper"), window_endpoints(sigma=sigma, ratio_range=ratio_range)))
+        if refine:
+            sidecars[".endpoints.json"] = [dumps17(dict(zip(("lower", "upper"), window_endpoints(sigma, ratio_range))))]
     elif kind == "levitation_sweep":
         model = _model_from_config(cfg)
         kappas = require(sec, "kappa_values", list, "scan")
@@ -430,10 +430,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, out: str, refine: bool) -> int
         raise ConfigError(f"unknown scan kind {kind!r}")
 
     # Every row holds the same keys in the same order, so its values are the CSV cells.
-    _write_csv(out, list(rows[0]), (row.values() for row in rows))
-    if sidecar is not None:
-        _write_json(out + ".endpoints.json", sidecar)
-    return 0
+    return {"": _csv_lines(list(rows[0]), (row.values() for row in rows)), **sidecars}
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -472,7 +469,8 @@ def main(argv=None) -> int:
         sec = require(cfg, task, dict, "config")
         run = {"simulate": cmd_simulate, "equilibrium": cmd_equilibrium,
                "certify": cmd_certify, "scan": cmd_scan}[task]
-        return run(cfg, b, sec, args.out, getattr(args, task, False))
+        _write_files(args.out, run(cfg, b, sec, getattr(args, task, False)))
+        return 0
     except (ConfigError, KeyError, TypeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

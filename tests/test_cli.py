@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -510,6 +511,13 @@ def test_config_error_exit_codes(tmp_path):
     assert main(["equilibrium", "--config", bad_field, "--out", out]) == 2
 
 
+def _child_env():
+    """The environment of a child process that imports the package the tests import, also when only
+    pytest's pythonpath setting put it on sys.path."""
+    src = str(Path(orbitron.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_module_entry_point(tmp_path):
     cfg = _cfg(
         tmp_path,
@@ -520,15 +528,11 @@ def test_module_entry_point(tmp_path):
         },
     )
     out = str(tmp_path / "eq.json")
-    # the child process imports the package the tests import, also when
-    # only pytest's pythonpath setting put it on sys.path
-    src = str(Path(orbitron.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "orbitron.cli", "equilibrium", "--config", cfg, "--out", out],
         capture_output=True,
         text=True,
-        env=dict(os.environ, PYTHONPATH=path),
+        env=_child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     doc = json.loads((tmp_path / "eq.json").read_text())
@@ -1328,6 +1332,26 @@ def test_an_out_path_that_cannot_be_written_exits_2_and_writes_nothing(tmp_path,
     assert err.startswith(f"config error: cannot write {directory}: ") and err.count("\n") == 1
     assert [p.name for p in tmp_path.iterdir()] == ["dir"]
     assert list(directory.iterdir()) == []
+    # A directory at a sidecar path: every path is opened before any is written, so an --out that was
+    # absent stays absent and one that held bytes keeps them.
+    for name, sidecar in [
+        ("scan_window_refined", ".endpoints.json"),
+        ("simulate_readme_rk4", ".summary.json"),
+        ("simulate_no_orbit", ".summary.json"),  # a header-only CSV and a reason
+    ]:
+        command = name.split("_")[0]
+        for before in (None, b"an earlier run\n"):
+            run = tmp_path / f"{name}-{before is None}"
+            out = run / "o.csv"
+            (run / f"o.csv{sidecar}").mkdir(parents=True)
+            if before is not None:
+                out.write_bytes(before)
+            config = str(CASE_DIR / f"{name}.config.json")
+            assert main([command, *CASE_FLAGS.get(command, []), "--config", config, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"config error: cannot write {out}{sidecar}: ") and err.count("\n") == 1
+            assert sorted(p.name for p in run.iterdir()) == ["o.csv"] * (before is not None) + [f"o.csv{sidecar}"]
+            assert before is None or out.read_bytes() == before
 
 
 @pytest.mark.parametrize(
@@ -1621,8 +1645,8 @@ def test_infinite_bisection_value_exits_3_naming_beta(tmp_path, capsys):
     assert not out.exists()
 
 
-# Valid configs that reach every solver and certificate route; the fuzz
-# mutates up to two of their entries.
+# Valid configs that reach every solver and certificate route, and every
+# command's outputs; the fuzz mutates up to two of their entries.
 _BASES = [
     (BODY, PAIR, ORBIT),
     (BODY, PAIR, dict(ORBIT, negative_omega=True, branch=0)),
@@ -1633,7 +1657,12 @@ _BASES = [
 _METHODS = ("closed_form", "orbitron", "levitation")
 # A sweep base whose rows hit lambda, NoEquilibrium, stable, A and NoRealSolution.
 _SWEEP = {"kind": "levitation_sweep", "kappa_values": [0.9, 1.0, 1.001, 1.2, 1.5], "beta": -0.95}
-_SWEEP_HEADER = "kappa,beta,r0,nu_r,nu_z,xi2,verdict,margin,A,B,C,error\n"
+# The header line of each CSV the fuzz can write, by command or scan kind.
+_CSV_HEADERS = {
+    "levitation_sweep": "kappa,beta,r0,nu_r,nu_z,xi2,verdict,margin,A,B,C,error",
+    "dipoletron_window": "ratio,r0,axial,radial,omega2,in_window",
+    "simulate": ",".join(CSV_HEADER),
+}
 # Config values the contract must survive: plausible, extreme and
 # non-finite numbers, zeros, wrong types, nested lists, and a missing key.
 _NUMBERS = st.sampled_from(
@@ -1658,11 +1687,13 @@ def _paths(obj, prefix=()):
 @st.composite
 def _configs(draw):
     body, field, spec = draw(st.sampled_from(_BASES))
-    command = draw(st.sampled_from(["equilibrium", "certify", "scan"]))
+    command = draw(st.sampled_from(["equilibrium", "certify", "scan", "simulate"]))
     if command == "scan":
-        body, field, spec = LEV_BODY, LEV_FIELD, _SWEEP
+        body, field, spec = draw(st.sampled_from([(LEV_BODY, LEV_FIELD, _SWEEP), (BODY, PAIR, dict(WINDOW_SCAN, n=5))]))
     if command == "certify":
         spec = {"method": draw(st.sampled_from(_METHODS)), "equilibrium": spec}
+    if command == "simulate":
+        spec = {"from_equilibrium": spec, "steps": 3}
     doc = json.loads(json.dumps({"body": body, "field": field, command: spec}))
     for _ in range(draw(st.sampled_from((0, 1, 1, 2)))):
         path = draw(st.sampled_from(_paths(doc)))
@@ -1674,7 +1705,7 @@ def _configs(draw):
             parent[path[-1]] = value
         elif isinstance(parent, dict):
             del parent[path[-1]]
-    flags = ["--oracle"] if command == "certify" and draw(st.booleans()) else []
+    flags = CASE_FLAGS.get(command, []) if draw(st.booleans()) else []
     return command, flags, doc
 
 
@@ -1691,19 +1722,23 @@ def test_cli_contract_fuzz(case):
         cfg.write_text(json.dumps(doc))  # NaN and Infinity tokens, which json.load accepts
         runs = []
         for _ in range(2):
-            out = Path(tmp) / "out.json"
-            err = io.StringIO()
-            with contextlib.redirect_stderr(err):
-                code = main([command, "--config", str(cfg), "--out", str(out), *flags])
-            assert code in (0, 2, 3)
-            assert "Traceback" not in err.getvalue()
-            text = out.read_text() if out.exists() else None
-            if code == 0 and command == "scan":
-                assert text.startswith(_SWEEP_HEADER)
-            elif code == 0:
-                json.loads(text, parse_constant=_reject_constant)
-            runs.append((code, text))
-            out.unlink(missing_ok=True)
+            out = Path(tmp) / ("out.csv" if command in ("scan", "simulate") else "out.json")
+            code, stdout, err = in_process([command, "--config", str(cfg), "--out", str(out), *flags])
+            files = {p.name: p.read_text() for p in sorted(Path(tmp).iterdir()) if p != cfg}
+            assert stdout == ""
+            if code == 0:
+                assert err == "" and out.name in files
+                for name, text in files.items():
+                    if name.endswith(".json"):
+                        json.loads(text, parse_constant=_reject_constant)
+                    else:
+                        assert text.startswith(_CSV_HEADERS[doc[command].get("kind", command)] + "\n")
+            else:  # one stderr line, whose prefix names the exit code, and no file
+                assert err.count("\n") == 1 and err.endswith("\n") and EXIT_CODES[err.split(": ")[0]] == code, err
+                assert files == {}
+            runs.append((code, err, files))
+            for name in files:
+                (Path(tmp) / name).unlink()
         assert runs[0] == runs[1]
         event(f"{command} exit {code}")
 
@@ -1762,8 +1797,8 @@ def test_config_contract_paths_exit_2(tmp_path, capsys, command, doc, message):
 # --oracle and a scan with --refine.  Beside it lies one expectation.  Either the run exits 0, prints
 # nothing and writes exactly the files <command>_<case>.out.<ext> (its --out) and
 # <command>_<case>.out.<ext>.<sidecar>, byte for byte; or <command>_<case>.err holds the one line the run
-# prints, the run exits 2 after "config error: " or 3 after "numerical failure: ", and writes nothing.
-# The CI console-script step applies the same rule through the installed script.
+# prints to stderr, the run exits 2 after "config error: " or 3 after "numerical failure: ", and writes
+# nothing.  check_case applies this rule to one run, by main in-process or by the installed orbitron script.
 CASE_DIR = Path(__file__).parent / "data"
 CASE_NAMES = sorted(p.name.removesuffix(".config.json") for p in CASE_DIR.glob("*.config.json"))
 CASE_FLAGS = {"certify": ["--oracle"], "scan": ["--refine"]}
@@ -1818,28 +1853,52 @@ def test_case_pairing_rejects_a_config_without_one_expectation(tmp_path, files):
         contract_cases(tmp_path)
 
 
-@pytest.mark.parametrize("name", CASE_NAMES)
-def test_golden_config_writes_its_golden_bytes(tmp_path, capsys, name):
+def in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)``; a warning, which the installed script would print, fails."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def installed_script(argv):
+    """Exit code, stdout and stderr of the orbitron console script, importing the package under test."""
+    proc = subprocess.run(["orbitron", *argv], capture_output=True, text=True, env=_child_env())
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def check_case(run, name, tmp_path):
+    """Run the contract case ``name`` by ``run`` with its outputs in the empty ``tmp_path``, and check its expectation."""
     expected = contract_cases(CASE_DIR)[name]
     command = name.split("_")[0]
     err_case = expected == [f"{name}.err"]
     out = tmp_path / (f"{name}.out" if err_case else expected[0])
     config = CASE_DIR / f"{name}.config.json"
-    argv = [command, *CASE_FLAGS.get(command, []), "--config", str(config), "--out", str(out)]
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")  # a warning the installed script would print
-        code = main(argv)
-    assert [str(w.message) for w in caught] == []
-    err = capsys.readouterr().err
+    code, stdout, err = run([command, *CASE_FLAGS.get(command, []), "--config", str(config), "--out", str(out)])
     written = sorted(p.name for p in tmp_path.iterdir())
     if err_case:
         line = (CASE_DIR / expected[0]).read_text()
         assert line.count("\n") == 1 and line.endswith("\n")
-        assert (err, code, written) == (line, EXIT_CODES[line.split(": ")[0]], [])
+        assert (stdout, err, code, written) == ("", line, EXIT_CODES[line.split(": ")[0]], []), name
     else:
-        assert (err, code, written) == ("", 0, expected)
+        assert (stdout, err, code, written) == ("", "", 0, expected), name
         for file in expected:
             assert (tmp_path / file).read_bytes() == (CASE_DIR / file).read_bytes(), file
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_golden_config_writes_its_golden_bytes(tmp_path, name):
+    check_case(in_process, name, tmp_path)
+
+
+@pytest.mark.skipif(shutil.which("orbitron") is None, reason="the orbitron console script is not on PATH")
+def test_installed_script_writes_every_golden(tmp_path):
+    for name in CASE_NAMES:
+        (tmp_path / name).mkdir()
+        check_case(installed_script, name, tmp_path / name)
 
 
 def test_reversed_readme_golden_negates_exactly_the_time_odd_values():
