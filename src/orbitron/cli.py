@@ -7,7 +7,9 @@ returns.  Floats are written with 17 significant digits, so runs are bitwise rep
 
 Exit codes: 0 on success (including "no solution found"), 2 for a configuration
 error, 3 for a numerical failure; either leaves every output path as it was and
-prints one stderr line, starting ``config error:`` or ``numerical failure:``.
+prints one stderr line, starting ``config error:`` or ``numerical failure:``.  A
+usage error is the one exception to that line: argparse prints its usage text and
+exits 2.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ FLAGS = {
         "simulate", "add the constant axial spin energy to reported energies"
     ),
     "--oracle": ("certify", "cross-check the verdict against the eigenvalue oracle"),
-    "--refine": ("scan", "write closed-form window endpoints to an .endpoints.json sidecar"),
+    "--refine": ("scan", "write a dipoletron_window's endpoints to <out>.endpoints.json; other kinds, only the CSV"),
 }
 CERTIFY_METHODS = ("closed_form", "orbitron", "levitation")
 
@@ -396,6 +398,8 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, refine: bool) -> dict:
         if len(ratio_range) != 2:
             raise ConfigError("scan.ratio_range must be a list of exactly 2 numbers")
         ratio_range = tuple(finite_float(x, "scan.ratio_range") for x in ratio_range)
+        if not ratio_range[0] < ratio_range[1]:
+            raise ConfigError("scan.ratio_range must be increasing")
         n = _size(require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
         sigma = require(sec, "sigma", int, "scan", 1)
         rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)

@@ -64,10 +64,65 @@ def _cfg(tmp_path, obj, name="cfg.json"):
     return str(path)
 
 
-def _read_csv(path):
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def _read_csv(data):
+    rows = list(csv.reader(data.decode().splitlines()))
     return rows[0], rows[1:]
+
+
+def _child_env():
+    """The environment of a child process that imports the package the tests import, also when only
+    pytest's pythonpath setting put it on sys.path."""
+    src = str(Path(orbitron.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
+def in_process(argv):
+    """Exit code, stdout and stderr of ``main(argv)``; a warning, which the installed script would print, fails."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(argv)
+    assert [str(w.message) for w in caught] == []
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+def child_process(*command):
+    """A runner like in_process that runs ``command`` in a child process, importing the package under test."""
+    def run(argv):
+        proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=_child_env())
+        return proc.returncode, proc.stdout, proc.stderr
+    return run
+
+
+installed_script = child_process("orbitron")
+EXIT_CODES = {"config error": 2, "numerical failure": 3}
+
+
+def _snapshot(directory):
+    """Every path under ``directory``, relative to it, with its bytes (None for a directory)."""
+    return {p.relative_to(directory).as_posix(): None if p.is_dir() else p.read_bytes() for p in directory.rglob("*")}
+
+
+def check_run(argv, directory, expect="", run=in_process):
+    """Run the CLI on ``argv`` by ``run`` and check the output contract on the outputs under ``directory``.
+
+    Every run prints nothing to stdout.  A run exits 0 with empty stderr, or fails: it exits 2 or 3 as the
+    prefix of its one stderr line says ("config error: ", "numerical failure: ") and leaves every path under
+    ``directory`` as it was, names and bytes.  ``expect`` is the exact stderr: "" for a run that must exit 0,
+    the one line of a run that must fail, or None for either.  Returns the files the run added or changed.
+    """
+    before = _snapshot(directory)
+    code, stdout, err = run(argv)
+    after = _snapshot(directory)
+    assert stdout == ""
+    if code == 0:
+        assert err == ""
+    else:
+        assert err.count("\n") == 1 and err.endswith("\n") and EXIT_CODES.get(err.split(": ")[0]) == code, err
+        assert after == before
+    assert expect is None or err == expect, (code, err)
+    return dict(after.items() - before.items())
 
 
 def test_simulate_from_equilibrium_one_period(tmp_path):
@@ -83,13 +138,12 @@ def test_simulate_from_equilibrium_one_period(tmp_path):
             },
         },
     )
-    out = str(tmp_path / "traj.csv")
-    assert main(["simulate", "--config", cfg, "--out", out]) == 0
-    header, rows = _read_csv(out)
+    files = check_run(["simulate", "--config", cfg, "--out", str(tmp_path / "traj.csv")], tmp_path)
+    header, rows = _read_csv(files["traj.csv"])
     assert header == CSV_HEADER
     assert len(rows) == 21
     assert float(rows[0][1]) == 0.8
-    summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
+    summary = json.loads(files["traj.csv.summary.json"])
     assert summary["steps"] == 2000
     # default dt resolves one period with 2000 steps, so the trajectory closes
     omega2 = 3.568922026299016
@@ -113,12 +167,11 @@ def test_simulate_state_default_dt(tmp_path):
             "simulate": {"state": TILTED_STATE, "steps": 10},
         },
     )
-    out = str(tmp_path / "traj.csv")
-    assert main(["simulate", "--config", cfg, "--out", out]) == 0
-    header, rows = _read_csv(out)
+    files = check_run(["simulate", "--config", cfg, "--out", str(tmp_path / "traj.csv")], tmp_path)
+    header, rows = _read_csv(files["traj.csv"])
     assert header == CSV_HEADER
     assert len(rows) == 11
-    summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
+    summary = json.loads(files["traj.csv.summary.json"])
     assert summary["dt"] == 1e-3
     assert "final_state_deviation" not in summary
 
@@ -132,12 +185,11 @@ def test_simulate_casimir_energy_flag(tmp_path):
             "simulate": {"state": TILTED_STATE, "steps": 4, "dt": 1e-3},
         },
     )
-    plain = str(tmp_path / "plain.csv")
-    shifted = str(tmp_path / "shifted.csv")
-    assert main(["simulate", "--config", cfg, "--out", plain]) == 0
-    assert main(["simulate", "--config", cfg, "--out", shifted, "--include-casimir-energy"]) == 0
-    _, rows_p = _read_csv(plain)
-    _, rows_s = _read_csv(shifted)
+    plain = check_run(["simulate", "--config", cfg, "--out", str(tmp_path / "p.csv")], tmp_path)
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "s.csv"), "--include-casimir-energy"]
+    shifted = check_run(argv, tmp_path)
+    _, rows_p = _read_csv(plain["p.csv"])
+    _, rows_s = _read_csv(shifted["s.csv"])
     nu = TILTED_STATE["nu"]
     pi = TILTED_STATE["pi"]
     c2 = sum(a * b for a, b in zip(nu, pi))
@@ -158,10 +210,8 @@ def test_simulate_nonfinite_exit_code(tmp_path):
             "simulate": {"state": state, "steps": 50, "dt": 1.0},
         },
     )
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]) == 3
+    argv = ["simulate", "--config", cfg, "--out", str(tmp_path / "t.csv")]
+    check_run(argv, tmp_path, "numerical failure: NonFinite: non-finite sample at step 0\n")
 
 
 def test_equilibrium_picks_admissible_sigma(tmp_path):
@@ -175,8 +225,7 @@ def test_equilibrium_picks_admissible_sigma(tmp_path):
                 "equilibrium": {"solver": "orbitron", "r0": r0, "pi0": 10.0},
             },
         )
-        assert main(["equilibrium", "--config", cfg, "--out", out]) == 0
-        doc = json.loads((tmp_path / "eq.json").read_text())
+        doc = json.loads(check_run(["equilibrium", "--config", cfg, "--out", out], tmp_path)["eq.json"])
         assert len(doc["equilibria"]) == 1
         rec = doc["equilibria"][0]
         assert rec["sigma"] == sigma
@@ -193,9 +242,8 @@ def test_equilibrium_no_solution_reports_reason(tmp_path):
             "equilibrium": {"solver": "orbitron", "r0": 2.0, "pi0": 10.0},
         },
     )
-    out = str(tmp_path / "eq.json")
-    assert main(["equilibrium", "--config", cfg, "--out", out]) == 0
-    doc = json.loads((tmp_path / "eq.json").read_text())
+    argv = ["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]
+    doc = json.loads(check_run(argv, tmp_path)["eq.json"])
     assert doc["equilibria"] == []
     assert doc["reason"] == "WrongFieldSign"
 
@@ -221,10 +269,10 @@ def test_equilibrium_levitation_r0_and_beta_agree(tmp_path):
         },
         "b.json",
     )
-    assert main(["equilibrium", "--config", cfg_r, "--out", out_r]) == 0
-    assert main(["equilibrium", "--config", cfg_b, "--out", out_b]) == 0
-    rec_r = json.loads((tmp_path / "eq_r.json").read_text())["equilibria"][0]
-    rec_b = json.loads((tmp_path / "eq_b.json").read_text())["equilibria"][0]
+    argv = ["equilibrium", "--config", cfg_r, "--out", out_r]
+    rec_r = json.loads(check_run(argv, tmp_path)["eq_r.json"])["equilibria"][0]
+    argv = ["equilibrium", "--config", cfg_b, "--out", out_b]
+    rec_b = json.loads(check_run(argv, tmp_path)["eq_b.json"])["equilibria"][0]
     assert abs(rec_r["r0"] - rec_b["r0"]) <= 1e-10
     assert abs(rec_r["omega"] - rec_b["omega"]) <= 1e-10
     assert rec_r["residual"] < 1e-10
@@ -244,9 +292,8 @@ def test_certify_closed_form_with_oracle(tmp_path):
             },
         },
     )
-    out = str(tmp_path / "cert.json")
-    assert main(["certify", "--config", cfg, "--out", out, "--oracle"]) == 0
-    doc = json.loads((tmp_path / "cert.json").read_text())
+    argv = ["certify", "--config", cfg, "--out", str(tmp_path / "cert.json"), "--oracle"]
+    doc = json.loads(check_run(argv, tmp_path)["cert.json"])
     cert = doc["certificate"]
     assert cert["verdict"] == "stable"
     assert cert["failed_condition"] is None
@@ -267,9 +314,8 @@ def test_certify_orbitron_names_failed_condition(tmp_path):
             },
         },
     )
-    out = str(tmp_path / "cert.json")
-    assert main(["certify", "--config", cfg, "--out", out, "--oracle"]) == 0
-    doc = json.loads((tmp_path / "cert.json").read_text())
+    argv = ["certify", "--config", cfg, "--out", str(tmp_path / "cert.json"), "--oracle"]
+    doc = json.loads(check_run(argv, tmp_path)["cert.json"])
     assert doc["certificate"]["verdict"] == "not_certified"
     assert doc["certificate"]["failed_condition"] == "radial"
     assert doc["eigen"]["agrees"] is True
@@ -287,32 +333,37 @@ def test_certify_orbitron_lambda_failure_keeps_exact_b(tmp_path):
             },
         },
     )
-    out = tmp_path / "cert.json"
-    assert main(["certify", "--config", cfg, "--out", str(out), "--oracle"]) == 0
-    text = out.read_text()
-    assert '"B": 0,' in text
+    argv = ["certify", "--config", cfg, "--out", str(tmp_path / "cert.json"), "--oracle"]
+    text = check_run(argv, tmp_path)["cert.json"]
+    assert b'"B": 0,' in text
     cert = json.loads(text)["certificate"]
     assert cert["failed_condition"] == "lambda"
     assert cert["margin"] == -1.0
     assert cert["C"] is None
 
 
+# The config errors of a levitation certify on a field without a linear part, and on a body with g = 0.
+NO_LINEAR_PART = (
+    "config error: levitation needs a composite field with exactly one linear part and at least one"
+    " mirror-symmetric part\n"
+)
+NO_GRAVITY = "config error: levitation requires g > 0 in the body record\n"
+
+
 @pytest.mark.parametrize(
-    "field, equilibrium",
+    "field, equilibrium, line",
     [
-        (PAIR, {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}),
-        (LEV_FIELD, {"solver": "dipole", "r0": 0.8, "C2": 1.0}),
+        (PAIR, {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}, NO_LINEAR_PART),
+        (LEV_FIELD, {"solver": "dipole", "r0": 0.8, "C2": 1.0}, NO_GRAVITY),
     ],
     ids=["no_linear_part", "no_gravity"],
 )
-def test_certify_levitation_method_needs_a_levitation_setup(tmp_path, capsys, field, equilibrium):
+def test_certify_levitation_method_needs_a_levitation_setup(tmp_path, field, equilibrium, line):
     cfg = _cfg(
         tmp_path,
         {"body": BODY, "field": field, "certify": {"method": "levitation", "equilibrium": equilibrium}},
     )
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "cert.json")]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (tmp_path / "cert.json").exists()
+    check_run(["certify", "--config", cfg, "--out", str(tmp_path / "cert.json")], tmp_path, line)
 
 
 def test_certify_levitation_matches_closed_form(tmp_path):
@@ -329,10 +380,8 @@ def test_certify_levitation_matches_closed_form(tmp_path):
         {"body": LEV_BODY, "field": LEV_FIELD, "certify": {"method": "closed_form", "equilibrium": eq_spec}},
         "c.json",
     )
-    assert main(["certify", "--config", cfg_l, "--out", out_l]) == 0
-    assert main(["certify", "--config", cfg_c, "--out", out_c]) == 0
-    cert_l = json.loads((tmp_path / "lev.json").read_text())["certificate"]
-    cert_c = json.loads((tmp_path / "cf.json").read_text())["certificate"]
+    cert_l = json.loads(check_run(["certify", "--config", cfg_l, "--out", out_l], tmp_path)["lev.json"])["certificate"]
+    cert_c = json.loads(check_run(["certify", "--config", cfg_c, "--out", out_c], tmp_path)["cf.json"])["certificate"]
     assert cert_l["verdict"] == cert_c["verdict"] == "stable"
     for key in ("A", "B", "C"):
         assert abs(cert_l[key] - cert_c[key]) <= 1e-10 * max(1.0, abs(cert_c[key]))
@@ -349,9 +398,8 @@ def test_certify_no_solution(tmp_path):
             },
         },
     )
-    out = str(tmp_path / "cert.json")
-    assert main(["certify", "--config", cfg, "--out", out]) == 0
-    doc = json.loads((tmp_path / "cert.json").read_text())
+    argv = ["certify", "--config", cfg, "--out", str(tmp_path / "cert.json")]
+    doc = json.loads(check_run(argv, tmp_path)["cert.json"])
     assert doc["certificate"] is None
     assert doc["reason"] == "WrongFieldSign"
 
@@ -365,21 +413,17 @@ def test_scan_window_with_refined_endpoints(tmp_path):
             "scan": {"kind": "dipoletron_window", "q": 1.0, "h": 1.0, "n": 25},
         },
     )
-    out = str(tmp_path / "win.csv")
-    assert main(["scan", "--config", cfg, "--out", out, "--refine"]) == 0
-    header, rows = _read_csv(out)
+    argv = ["scan", "--config", cfg, "--out", str(tmp_path / "win.csv"), "--refine"]
+    files = check_run(argv, tmp_path)
+    header, rows = _read_csv(files["win.csv"])
     assert header == ["ratio", "r0", "axial", "radial", "omega2", "in_window"]
     assert len(rows) == 25
     assert {r[-1] for r in rows} == {"true", "false"}
-    side = json.loads((tmp_path / "win.csv.endpoints.json").read_text())
+    side = json.loads(files["win.csv.endpoints.json"])
     assert abs(side["lower"] - math.sqrt(4.0 - 2.0 * math.sqrt(30.0) / 3.0)) <= 5e-12
     assert abs(side["upper"] - math.sqrt(9.0 - math.sqrt(65.0))) <= 5e-12
-    # byte-identical rerun
-    first_csv = (tmp_path / "win.csv").read_bytes()
-    first_side = (tmp_path / "win.csv.endpoints.json").read_bytes()
-    assert main(["scan", "--config", cfg, "--out", out, "--refine"]) == 0
-    assert (tmp_path / "win.csv").read_bytes() == first_csv
-    assert (tmp_path / "win.csv.endpoints.json").read_bytes() == first_side
+    # byte-identical rerun: it changes no file
+    assert check_run(argv, tmp_path) == {}
 
 
 def test_scan_levitation_sweep(tmp_path):
@@ -395,9 +439,8 @@ def test_scan_levitation_sweep(tmp_path):
             },
         },
     )
-    out = str(tmp_path / "sweep.csv")
-    assert main(["scan", "--config", cfg, "--out", out]) == 0
-    header, rows = _read_csv(out)
+    argv = ["scan", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]
+    header, rows = _read_csv(check_run(argv, tmp_path)["sweep.csv"])
     assert header[:3] == ["kappa", "beta", "r0"]
     assert len(rows) == 3
     verdicts = [row[header.index("verdict")] for row in rows]
@@ -412,9 +455,8 @@ def test_scan_levitation_sweep_survives_an_arithmetic_error(tmp_path):
     body = {"M": 1.0, "I_perp": 1.0, "I3": 1.0, "mu": 1.0, "g": 0.0}
     section = {"kind": "levitation_sweep", "kappa_values": [1.2, 50000.0000025, 2.0], "beta": -1e5}
     cfg = _cfg(tmp_path, {"body": body, "field": field, "scan": section})
-    out = str(tmp_path / "sweep.csv")
-    assert main(["scan", "--config", cfg, "--out", out]) == 0
-    header, rows = _read_csv(out)
+    argv = ["scan", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]
+    header, rows = _read_csv(check_run(argv, tmp_path)["sweep.csv"])
     assert [row[header.index("error")] for row in rows] == ["", "ArithmeticError", ""]
     assert [row[header.index("verdict")] for row in rows] == ["not_certified", "", "not_certified"]
 
@@ -432,90 +474,57 @@ def test_scan_stability_map(tmp_path):
             },
         },
     )
-    out = str(tmp_path / "map.csv")
-    assert main(["scan", "--config", cfg, "--out", out]) == 0
-    header, rows = _read_csv(out)
+    argv = ["scan", "--config", cfg, "--out", str(tmp_path / "map.csv")]
+    header, rows = _read_csv(check_run(argv, tmp_path)["map.csv"])
     assert header[:2] == ["r0", "pi0"]
     assert [row[header.index("verdict")] for row in rows] == [
         "not_certified",
         "stable",
         "not_certified",
     ]
-    # byte-identical rerun
-    first = (tmp_path / "map.csv").read_bytes()
-    assert main(["scan", "--config", cfg, "--out", out]) == 0
-    assert (tmp_path / "map.csv").read_bytes() == first
+    # byte-identical rerun: it changes no file
+    assert check_run(argv, tmp_path) == {}
 
 
 def test_config_error_exit_codes(tmp_path):
     out = str(tmp_path / "o")
     bad_json = tmp_path / "bad.json"
     bad_json.write_text("{not json")
-    assert main(["equilibrium", "--config", str(bad_json), "--out", out]) == 2
-
-    missing_body = _cfg(
-        tmp_path, {"field": PAIR, "equilibrium": {"solver": "orbitron"}}, "m.json"
-    )
-    assert main(["equilibrium", "--config", missing_body, "--out", out]) == 2
-
-    two_tasks = _cfg(
-        tmp_path,
-        {"body": BODY, "field": PAIR, "equilibrium": {}, "certify": {}},
-        "two.json",
-    )
-    assert main(["equilibrium", "--config", two_tasks, "--out", out]) == 2
-
-    mismatch = _cfg(
-        tmp_path,
-        {"body": BODY, "field": PAIR, "equilibrium": {"solver": "orbitron", "r0": 0.8, "pi0": 10.0}},
-        "mm.json",
-    )
-    assert main(["certify", "--config", mismatch, "--out", out]) == 2
-
-    bad_solver = _cfg(
-        tmp_path,
-        {"body": BODY, "field": PAIR, "equilibrium": {"solver": "bogus"}},
-        "bs.json",
-    )
-    assert main(["equilibrium", "--config", bad_solver, "--out", out]) == 2
-
-    bad_method = _cfg(
-        tmp_path,
-        {
-            "body": BODY,
-            "field": PAIR,
-            "certify": {
-                "method": "bogus",
-                "equilibrium": {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1},
-            },
-        },
-        "bm.json",
-    )
-    assert main(["certify", "--config", bad_method, "--out", out]) == 2
-
-    bad_kind = _cfg(
-        tmp_path, {"body": BODY, "field": PAIR, "scan": {"kind": "bogus"}}, "bk.json"
-    )
-    assert main(["scan", "--config", bad_kind, "--out", out]) == 2
-
-    no_state = _cfg(
-        tmp_path, {"body": BODY, "field": PAIR, "simulate": {"steps": 5}}, "ns.json"
-    )
-    assert main(["simulate", "--config", no_state, "--out", out]) == 2
-
-    bad_field = _cfg(
-        tmp_path,
-        {"body": BODY, "field": {"type": "hexapole"}, "equilibrium": {"solver": "orbitron"}},
-        "bf.json",
-    )
-    assert main(["equilibrium", "--config", bad_field, "--out", out]) == 2
-
-
-def _child_env():
-    """The environment of a child process that imports the package the tests import, also when only
-    pytest's pythonpath setting put it on sys.path."""
-    src = str(Path(orbitron.__file__).resolve().parents[1])
-    return dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    line = f"config error: config {bad_json} is not valid JSON: Expecting property name enclosed in double quotes: "
+    check_run(["equilibrium", "--config", str(bad_json), "--out", out], tmp_path, line + "line 1 column 2 (char 1)\n")
+    orbit = {"solver": "orbitron", "r0": 0.8, "pi0": 10.0}
+    runs = [
+        ("equilibrium", {"field": PAIR, "equilibrium": {"solver": "orbitron"}}, "missing 'body' in config"),
+        (
+            "equilibrium",
+            {"body": BODY, "field": PAIR, "equilibrium": {}, "certify": {}},
+            "config needs exactly one of 'simulate', 'equilibrium', 'certify', 'scan'",
+        ),
+        (
+            "certify",
+            {"body": BODY, "field": PAIR, "equilibrium": orbit},
+            "config has a 'equilibrium' section but the 'certify' command was invoked",
+        ),
+        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": {"solver": "bogus"}}, "unknown solver 'bogus'"),
+        (
+            "certify",
+            {"body": BODY, "field": PAIR, "certify": {"method": "bogus", "equilibrium": dict(orbit, sigma=1)}},
+            "unknown certify method 'bogus'",
+        ),
+        ("scan", {"body": BODY, "field": PAIR, "scan": {"kind": "bogus"}}, "unknown scan kind 'bogus'"),
+        (
+            "simulate",
+            {"body": BODY, "field": PAIR, "simulate": {"steps": 5}},
+            "simulate needs exactly one of 'state', 'from_equilibrium'",
+        ),
+        (
+            "equilibrium",
+            {"body": BODY, "field": {"type": "hexapole"}, "equilibrium": {"solver": "orbitron"}},
+            "unknown field type 'hexapole'",
+        ),
+    ]
+    for command, doc, message in runs:
+        check_run([command, "--config", _cfg(tmp_path, doc), "--out", out], tmp_path, f"config error: {message}\n")
 
 
 def test_module_entry_point(tmp_path):
@@ -527,43 +536,33 @@ def test_module_entry_point(tmp_path):
             "equilibrium": {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1},
         },
     )
-    out = str(tmp_path / "eq.json")
-    proc = subprocess.run(
-        [sys.executable, "-m", "orbitron.cli", "equilibrium", "--config", cfg, "--out", out],
-        capture_output=True,
-        text=True,
-        env=_child_env(),
-    )
-    assert proc.returncode == 0, proc.stderr
-    doc = json.loads((tmp_path / "eq.json").read_text())
-    assert doc["equilibria"][0]["sigma"] == 1
+    module = child_process(sys.executable, "-m", "orbitron.cli")
+    files = check_run(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")], tmp_path, run=module)
+    assert json.loads(files["eq.json"])["equilibria"][0]["sigma"] == 1
 
 
-def test_branch_index_out_of_range(tmp_path, capsys):
+def test_branch_index_out_of_range(tmp_path):
     out = str(tmp_path / "o.json")
     spec = {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}
     for branch in (2, -1):
         sections = (
-            ("certify", {"method": "closed_form", "equilibrium": dict(spec, branch=branch)}),
-            ("simulate", {"from_equilibrium": dict(spec, branch=branch), "steps": 5}),
+            ("certify", "certify.equilibrium", {"method": "closed_form", "equilibrium": dict(spec, branch=branch)}),
+            ("simulate", "simulate.from_equilibrium", {"from_equilibrium": dict(spec, branch=branch), "steps": 5}),
         )
-        for command, section in sections:
+        for command, where, section in sections:
             cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, command: section})
-            assert main([command, "--config", cfg, "--out", out]) == 2
-            err = capsys.readouterr().err
-            assert f"branch = {branch} is out of range" in err
-            assert "found 1 branch" in err
-            assert "Traceback" not in err
+            line = f"config error: {where}.branch = {branch} is out of range: the solver found 1 branch(es)\n"
+            check_run([command, "--config", cfg, "--out", out], tmp_path, line)
 
 
-def test_nonfinite_config_values_rejected(tmp_path, capsys):
+def test_nonfinite_config_values_rejected(tmp_path):
     out = tmp_path / "o.json"
     eq = {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}
     linear = {"type": "linear", "B0": 1.0, "Bprime": 0.0}
     cases = [
-        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(eq, r0=math.nan)}),
-        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(eq, r0=math.inf)}),
-        ("equilibrium", {"body": dict(BODY, M=math.nan), "field": PAIR, "equilibrium": eq}),
+        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(eq, r0=math.nan)}, "equilibrium.r0", "nan"),
+        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(eq, r0=math.inf)}, "equilibrium.r0", "inf"),
+        ("equilibrium", {"body": dict(BODY, M=math.nan), "field": PAIR, "equilibrium": eq}, "body.M", "nan"),
         (
             "certify",
             {
@@ -571,6 +570,8 @@ def test_nonfinite_config_values_rejected(tmp_path, capsys):
                 "field": {"type": "composite", "parts": [PAIR, dict(linear, B0=math.inf)]},
                 "certify": {"equilibrium": eq},
             },
+            "field.B0",
+            "inf",
         ),
         (
             "scan",
@@ -584,6 +585,8 @@ def test_nonfinite_config_values_rejected(tmp_path, capsys):
                     "fixed": {"pi0": -math.inf},
                 },
             },
+            "scan.fixed.pi0",
+            "-inf",
         ),
         (
             "simulate",
@@ -592,15 +595,15 @@ def test_nonfinite_config_values_rejected(tmp_path, capsys):
                 "field": PAIR,
                 "simulate": {"state": dict(TILTED_STATE, x=[math.nan, 0.0, 0.0]), "steps": 2},
             },
+            "state.x",
+            "nan",
         ),
     ]
-    for command, doc in cases:
+    for command, doc, name, value in cases:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(doc))  # writes the NaN / Infinity tokens json.load accepts
-        assert main([command, "--config", str(path), "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error:") and "Traceback" not in err
-        assert not out.exists()
+        line = f"config error: {name} must be finite, got {value}\n"
+        check_run([command, "--config", str(path), "--out", str(out)], tmp_path, line)
 
 
 def test_negative_zero_prints_as_zero(tmp_path):
@@ -618,9 +621,7 @@ def test_negative_zero_prints_as_zero(tmp_path):
             },
         },
     )
-    out = tmp_path / "cert.json"
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == 0
-    text = out.read_text()
+    text = check_run(["certify", "--config", cfg, "--out", str(tmp_path / "cert.json")], tmp_path)["cert.json"].decode()
     assert '"B": 0,' in text
     assert "-0," not in text and "-0\n" not in text
 
@@ -638,13 +639,10 @@ ORBIT = {"solver": "orbitron", "r0": 0.8, "pi0": 10.0, "sigma": 1}
         ("simulate", {"from_equilibrium": ORBIT, "steps": 4, "record_every": 2.5}, "simulate.record_every"),
     ],
 )
-def test_integer_fields_reject_non_integers(tmp_path, capsys, command, section, field):
+def test_integer_fields_reject_non_integers(tmp_path, command, section, field):
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, command: section})
-    out = tmp_path / "o.dat"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and f"{field} must be of type int" in err
-    assert not out.exists()
+    line = f"config error: {field} must be of type int\n"
+    check_run([command, "--config", cfg, "--out", str(tmp_path / "o.dat")], tmp_path, line)
 
 
 @pytest.mark.parametrize(
@@ -665,13 +663,11 @@ def test_integer_fields_reject_non_integers(tmp_path, capsys, command, section, 
     ],
     ids=["radius_grid", "window_radii"],
 )
-def test_overflowing_grids_warn_nothing(tmp_path, capsys, doc, message):
-    # the grid of radii overflows: a numerical failure, and no RuntimeWarning on the way
+def test_overflowing_grids_warn_nothing(tmp_path, doc, message):
+    # the grid of radii overflows: a numerical failure, and no RuntimeWarning on the way (in_process fails on one)
     command = "equilibrium" if "equilibrium" in doc else "scan"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")]) == 3
-    assert capsys.readouterr().err == f"numerical failure: NonFinite: {message}\n"
+    argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")]
+    check_run(argv, tmp_path, f"numerical failure: NonFinite: {message}\n")
 
 
 MAP_SCAN = {
@@ -683,68 +679,91 @@ SWEEP_SCAN = {"kind": "levitation_sweep", "kappa_values": [1.001, 1.2], "beta": 
 
 
 @pytest.mark.parametrize(
-    "command, doc, field",
+    "command, doc, field, kind",
     [
-        ("equilibrium", {"body": dict(BODY, M="2"), "field": PAIR, "equilibrium": ORBIT}, "body.M"),
-        ("equilibrium", {"body": dict(BODY, M=True), "field": PAIR, "equilibrium": ORBIT}, "body.M"),
-        ("equilibrium", {"body": BODY, "field": dict(PAIR, h=True), "equilibrium": ORBIT}, "field.h"),
+        ("equilibrium", {"body": dict(BODY, M="2"), "field": PAIR, "equilibrium": ORBIT}, "body.M", "float"),
+        ("equilibrium", {"body": dict(BODY, M=True), "field": PAIR, "equilibrium": ORBIT}, "body.M", "float"),
+        ("equilibrium", {"body": BODY, "field": dict(PAIR, h=True), "equilibrium": ORBIT}, "field.h", "float"),
         (
             "simulate",
             {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": 2, "dt": "0.001"}},
             "simulate.dt",
+            "float",
         ),
         (
             "scan",
             {"body": LEV_BODY, "field": LEV_FIELD, "scan": dict(SWEEP_SCAN, kappa_values=["1.01", True])},
             "scan.kappa_values",
+            "float",
         ),
-        ("scan", {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, fixed={"sigma": "1"})}, "scan.fixed.sigma"),
-        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=["0.3", "1.5"])}, "scan.ratio_range"),
+        (
+            "scan",
+            {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, fixed={"sigma": "1"})},
+            "scan.fixed.sigma",
+            "float",
+        ),
+        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=["0.3", "1.5"])}, "scan.ratio_range", "float"),
         # true and false are not integers either: a true sigma or steps ran as 1, a false branch as 0
         (
             "certify",
             {"body": BODY, "field": PAIR, "certify": {"equilibrium": dict(ORBIT, sigma=True)}},
-            "equilibrium.sigma must be of type int",
+            "equilibrium.sigma",
+            "int",
         ),
-        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, sigma=True)}, "scan.sigma must be of type int"),
+        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, sigma=True)}, "scan.sigma", "int"),
         (
             "certify",
             {"body": BODY, "field": PAIR, "certify": {"equilibrium": dict(ORBIT, branch=False)}},
-            "certify.equilibrium.branch must be of type int",
+            "certify.equilibrium.branch",
+            "int",
         ),
         (
             "simulate",
             {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": True}},
-            "simulate.steps must be of type int",
+            "simulate.steps",
+            "int",
         ),
         (
             "simulate",
             {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": 4, "record_every": True}},
-            "simulate.record_every must be of type int",
+            "simulate.record_every",
+            "int",
         ),
-        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, n=True)}, "scan.n must be of type int"),
+        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, n=True)}, "scan.n", "int"),
         (
             "scan",
             {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, axis1=dict(MAP_SCAN["axis1"], n=True))},
-            "scan.axis1.n must be of type int",
+            "scan.axis1.n",
+            "int",
         ),
         # null is not an absent key: "dt": null ran with the default dt
         (
             "simulate",
             {"body": BODY, "field": PAIR, "simulate": {"from_equilibrium": ORBIT, "steps": 4, "dt": None}},
-            "simulate.dt must be of type float",
+            "simulate.dt",
+            "float",
         ),
-        ("equilibrium", {"body": BODY, "field": PAIR, "equilibrium": dict(ORBIT, sigma=None)}, "equilibrium.sigma"),
+        (
+            "equilibrium",
+            {"body": BODY, "field": PAIR, "equilibrium": dict(ORBIT, sigma=None)},
+            "equilibrium.sigma",
+            "int",
+        ),
+    ],
+    ids=[
+        "equilibrium-doc0-body.M", "equilibrium-doc1-body.M", "equilibrium-doc2-field.h", "simulate-doc3-simulate.dt",
+        "scan-doc4-scan.kappa_values", "scan-doc5-scan.fixed.sigma", "scan-doc6-scan.ratio_range",
+        "certify-doc7-equilibrium.sigma must be of type int", "scan-doc8-scan.sigma must be of type int",
+        "certify-doc9-certify.equilibrium.branch must be of type int",
+        "simulate-doc10-simulate.steps must be of type int", "simulate-doc11-simulate.record_every must be of type int",
+        "scan-doc12-scan.n must be of type int", "scan-doc13-scan.axis1.n must be of type int",
+        "simulate-doc14-simulate.dt must be of type float", "equilibrium-doc15-equilibrium.sigma",
     ],
 )
-def test_config_numbers_reject_strings_and_booleans(tmp_path, capsys, command, doc, field):
+def test_config_numbers_reject_strings_and_booleans(tmp_path, command, doc, field, kind):
     # float() takes "2" and True; a config number must be a JSON int or float
-    cfg = _cfg(tmp_path, doc)
-    out = tmp_path / "o.dat"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and field in err and "Traceback" not in err
-    assert not out.exists()
+    line = f"config error: {field} must be of type {kind}\n"
+    check_run([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")], tmp_path, line)
 
 
 @pytest.mark.parametrize(
@@ -756,10 +775,10 @@ def test_config_numbers_reject_strings_and_booleans(tmp_path, capsys, command, d
     ],
     ids=["dipole_pair", "linear", "composite"],
 )
-def test_missing_field_key_is_named(tmp_path, capsys, field, key):
+def test_missing_field_key_is_named(tmp_path, field, key):
     cfg = _cfg(tmp_path, {"body": BODY, "field": field, "equilibrium": ORBIT})
-    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o.json")]) == 2
-    assert capsys.readouterr().err == f"config error: missing {key!r} in field\n"
+    line = f"config error: missing {key!r} in field\n"
+    check_run(["equilibrium", "--config", cfg, "--out", str(tmp_path / "o.json")], tmp_path, line)
 
 
 def test_nested_composite_gives_the_flat_fields_output(tmp_path):
@@ -770,7 +789,7 @@ def test_nested_composite_gives_the_flat_fields_output(tmp_path):
     for field in (LEV_FIELD, nested):
         cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": field, "certify": section})
         out = tmp_path / "cert.json"
-        assert main(["certify", "--config", cfg, "--out", str(out), "--oracle"]) == 0
+        check_run(["certify", "--config", cfg, "--out", str(out), "--oracle"], tmp_path)
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
     assert b'"agrees": true' in outputs[1]
@@ -779,19 +798,17 @@ def test_nested_composite_gives_the_flat_fields_output(tmp_path):
 @pytest.mark.parametrize(
     "flag, code, sign", [("false", 2, None), ("no", 2, None), (0, 2, None), (False, 0, 1.0), (True, 0, -1.0)]
 )
-def test_negative_omega_must_be_boolean(tmp_path, capsys, flag, code, sign):
+def test_negative_omega_must_be_boolean(tmp_path, flag, code, sign):
     # "false" is a true string, so reading it with bool() picked the retrograde branch
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "equilibrium": dict(ORBIT, negative_omega=flag)})
     out = tmp_path / "eq.json"
-    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == code
-    if code:
-        assert "equilibrium.negative_omega must be of type bool" in capsys.readouterr().err
-        assert not out.exists()
-    else:
+    line = "config error: equilibrium.negative_omega must be of type bool\n" if code else ""
+    check_run(["equilibrium", "--config", cfg, "--out", str(out)], tmp_path, line)
+    if not code:
         assert math.copysign(1.0, json.loads(out.read_text())["equilibria"][0]["omega"]) == sign
 
 
-def test_stability_map_rejects_non_unit_sigma(tmp_path, capsys):
+def test_stability_map_rejects_non_unit_sigma(tmp_path):
     scan = {
         "kind": "stability_map",
         "axis1": {"name": "r0", "lo": 0.6, "hi": 0.9, "n": 2},
@@ -799,19 +816,17 @@ def test_stability_map_rejects_non_unit_sigma(tmp_path, capsys):
         "fixed": {"sigma": 1.7},
     }
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "scan": scan})
-    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "map.csv")]) == 2
-    assert "sigma must be +1 or -1" in capsys.readouterr().err
+    line = "config error: sigma must be +1 or -1\n"
+    check_run(["scan", "--config", cfg, "--out", str(tmp_path / "map.csv")], tmp_path, line)
 
 
 def test_simulate_no_solution_reports_reason(tmp_path):
     # the unit dipole pair pulls outward beyond r0 = 2h, so r0 = 3 has no sigma = +1 orbit
     section = {"from_equilibrium": dict(ORBIT, r0=3.0), "steps": 10}
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "simulate": section})
-    out = tmp_path / "traj.csv"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 0
-    assert out.read_text() == ",".join(CSV_HEADER) + "\n"
-    summary = json.loads((tmp_path / "traj.csv.summary.json").read_text())
-    assert summary == {"reason": "WrongFieldSign"}
+    files = check_run(["simulate", "--config", cfg, "--out", str(tmp_path / "traj.csv")], tmp_path)
+    assert files["traj.csv"].decode() == ",".join(CSV_HEADER) + "\n"
+    assert json.loads(files["traj.csv.summary.json"]) == {"reason": "WrongFieldSign"}
 
 
 # r0 = 3 has no sigma = +1 orbit on the unit pair, so these configs would
@@ -823,67 +838,56 @@ NO_ORBIT = dict(ORBIT, r0=3.0)
     "section, message",
     [
         ({"steps": "many"}, "simulate.steps must be of type int"),
-        ({"steps": 10, "scheme": "euler"}, "scheme must be one of"),
-        ({"steps": 0}, "steps must be at least 1"),
+        ({"steps": 10, "scheme": "euler"}, "scheme must be one of ('rk4', 'rk4_projected')"),
+        ({"steps": 0}, "simulate.steps must be at least 1"),
         ({"steps": 10, "record_every": 0}, "record_every must be at least 1"),
         ({"steps": 10, "dt": -1.0}, "dt must be positive"),
     ],
+    ids=[
+        "section0-simulate.steps must be of type int", "section1-scheme must be one of",
+        "section2-steps must be at least 1", "section3-record_every must be at least 1", "section4-dt must be positive",
+    ],
 )
-def test_simulate_checks_integrator_before_solving(tmp_path, capsys, section, message):
+def test_simulate_checks_integrator_before_solving(tmp_path, section, message):
     section = dict(section, from_equilibrium=NO_ORBIT)
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "simulate": section})
-    out = tmp_path / "traj.csv"
-    assert main(["simulate", "--config", cfg, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and message in err
-    assert not out.exists()
+    line = f"config error: {message}\n"
+    check_run(["simulate", "--config", cfg, "--out", str(tmp_path / "traj.csv")], tmp_path, line)
 
 
-def test_certify_checks_method_before_solving(tmp_path, capsys):
+def test_certify_checks_method_before_solving(tmp_path):
     section = {"method": "eigen", "equilibrium": NO_ORBIT}
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "certify": section})
-    out = tmp_path / "cert.json"
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
-    assert "unknown certify method 'eigen'" in capsys.readouterr().err
-    assert not out.exists()
+    line = "config error: unknown certify method 'eigen'\n"
+    check_run(["certify", "--config", cfg, "--out", str(tmp_path / "cert.json")], tmp_path, line)
 
 
 @pytest.mark.parametrize(
-    "field, message",
-    [(PAIR, "levitation needs a composite field"), (LEV_FIELD, "levitation requires g > 0")],
-    ids=["no_linear_part", "no_gravity"],
+    "field, line", [(PAIR, NO_LINEAR_PART), (LEV_FIELD, NO_GRAVITY)], ids=["no_linear_part", "no_gravity"]
 )
-def test_certify_checks_levitation_setup_before_solving(tmp_path, capsys, field, message):
+def test_certify_checks_levitation_setup_before_solving(tmp_path, field, line):
     # the failed solve (WrongFieldSign, NotMirrorSymmetric) does not get to answer first
     section = {"method": "levitation", "equilibrium": NO_ORBIT}
     cfg = _cfg(tmp_path, {"body": BODY, "field": field, "certify": section})
-    out = tmp_path / "cert.json"
-    assert main(["certify", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"config error: {message}")
-    assert not out.exists()
+    check_run(["certify", "--config", cfg, "--out", str(tmp_path / "cert.json")], tmp_path, line)
 
 
 @pytest.mark.parametrize("command", ["certify", "simulate"])
-def test_branch_type_is_checked_before_solving(tmp_path, capsys, command):
+def test_branch_type_is_checked_before_solving(tmp_path, command):
     spec = dict(NO_ORBIT, branch="x")
     section, where = {
         "certify": ({"equilibrium": spec}, "certify.equilibrium"),
         "simulate": ({"from_equilibrium": spec, "steps": 5}, "simulate.from_equilibrium"),
     }[command]
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, command: section})
-    out = tmp_path / "o.dat"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {where}.branch must be of type int\n"
-    assert list(tmp_path.glob("o.dat*")) == []
+    line = f"config error: {where}.branch must be of type int\n"
+    check_run([command, "--config", cfg, "--out", str(tmp_path / "o.dat")], tmp_path, line)
 
 
-def test_levitation_solver_takes_r0_or_beta_not_both(tmp_path, capsys):
+def test_levitation_solver_takes_r0_or_beta_not_both(tmp_path):
     spec = {"solver": "levitation", "r0": 0.8, "beta": -0.3}
     cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, "equilibrium": spec})
-    out = tmp_path / "eq.json"
-    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: equilibrium needs exactly one of 'r0', 'beta'\n"
-    assert not out.exists()
+    check_run(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")], tmp_path, ONE_OF["levitation"])
 
 
 ONE_OF = {
@@ -908,26 +912,20 @@ ONE_OF = {
         ),
     ],
 )
-def test_exactly_one_of_is_one_rule(tmp_path, capsys, command, doc, rule):
+def test_exactly_one_of_is_one_rule(tmp_path, command, doc, rule):
     # none and both exit 2 with the one message naming the section and its keys
-    cfg = _cfg(tmp_path, doc)
-    out = tmp_path / "o.dat"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == ONE_OF[rule]
-    assert list(tmp_path.glob("o.dat*")) == []
+    check_run([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")], tmp_path, ONE_OF[rule])
 
 
 @pytest.mark.parametrize("r0", [0.0, -0.8, -3.0])
 @pytest.mark.parametrize("command", ["equilibrium", "certify", "simulate"])
-def test_levitation_r0_must_be_positive(tmp_path, capsys, command, r0):
+def test_levitation_r0_must_be_positive(tmp_path, command, r0):
     # beta is read off the jet at r0, so r0 is checked first, as the other solvers check it
     spec = {"solver": "levitation", "r0": r0}
     section = {"equilibrium": spec, "certify": {"equilibrium": spec}, "simulate": {"from_equilibrium": spec, "steps": 5}}
     cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, command: section[command]})
-    out = tmp_path / "o.dat"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: orbit radius must be positive\n"
-    assert list(tmp_path.glob("o.dat*")) == []
+    line = "config error: orbit radius must be positive\n"
+    check_run([command, "--config", cfg, "--out", str(tmp_path / "o.dat")], tmp_path, line)
 
 
 @pytest.mark.parametrize(
@@ -941,13 +939,11 @@ def test_levitation_r0_must_be_positive(tmp_path, capsys, command, r0):
         ({"g": "x", **{k: v for k, v in BODY.items() if k not in ("M", "g")}}, "M"),
     ],
 )
-def test_every_body_key_is_required(tmp_path, capsys, body, key):
+def test_every_body_key_is_required(tmp_path, body, key):
     # the first missing key in the order M, I_perp, I3, mu, g is named, as a field record's is
     cfg = _cfg(tmp_path, {"body": body, "field": PAIR, "equilibrium": ORBIT})
-    out = tmp_path / "eq.json"
-    assert main(["equilibrium", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: missing {key!r} in body\n"
-    assert not out.exists()
+    line = f"config error: missing {key!r} in body\n"
+    check_run(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")], tmp_path, line)
 
 
 @pytest.mark.parametrize("method", ["closed_form", "orbitron"])
@@ -964,7 +960,7 @@ def test_certify_oracle_solves_hessian_once(tmp_path, monkeypatch, method):
     monkeypatch.setattr(cli, "hessian_blocks", counted)
     section = {"method": method, "equilibrium": ORBIT}
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "certify": section})
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json"), "--oracle"]) == 0
+    check_run(["certify", "--config", cfg, "--out", str(tmp_path / "c.json"), "--oracle"], tmp_path)
     assert len(calls) == 1
 
 
@@ -981,10 +977,10 @@ def test_certify_oracle_builds_one_reduced_form(tmp_path, monkeypatch, name):
         return reduced_forms(*args)
 
     monkeypatch.setattr(stability, "_reduced_forms", counted)
-    out = tmp_path / f"{name}.out.json"
-    assert main(["certify", "--oracle", "--config", str(CASE_DIR / f"{name}.config.json"), "--out", str(out)]) == 0
+    out = f"{name}.out.json"
+    argv = ["certify", "--oracle", "--config", str(CASE_DIR / f"{name}.config.json"), "--out", str(tmp_path / out)]
+    assert check_run(argv, tmp_path) == {out: (CASE_DIR / out).read_bytes()}
     assert len(calls) == 1
-    assert out.read_bytes() == (CASE_DIR / f"{name}.out.json").read_bytes()
 
 
 @pytest.mark.parametrize("method", ["orbitron", "levitation"])
@@ -996,58 +992,69 @@ def test_certify_builds_no_hessian_blocks_it_does_not_read(tmp_path, monkeypatch
     levitation = (LEV_BODY, LEV_FIELD, {"solver": "levitation", "r0": 0.8})
     body, field, spec = levitation if method == "levitation" else (BODY, PAIR, ORBIT)
     cfg = _cfg(tmp_path, {"body": body, "field": field, "certify": {"method": method, "equilibrium": spec}})
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 0
+    check_run(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")], tmp_path)
     assert calls == []
 
 
 @pytest.mark.parametrize("ratio_range", [[0.3], [0.3, 1.5, 2.0]], ids=["one", "three"])
-def test_scan_window_ratio_range_takes_two_numbers(tmp_path, capsys, ratio_range):
+def test_scan_window_ratio_range_takes_two_numbers(tmp_path, ratio_range):
     cfg = _cfg(tmp_path, {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=ratio_range)})
-    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
-    err = capsys.readouterr().err
-    assert err == "config error: scan.ratio_range must be a list of exactly 2 numbers\n"
-    assert not (tmp_path / "w.csv").exists()
+    line = "config error: scan.ratio_range must be a list of exactly 2 numbers\n"
+    check_run(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv")], tmp_path, line)
 
 
-def test_scan_window_rejects_nonpositive_ratio(tmp_path, capsys):
+@pytest.mark.parametrize("flags", [[], ["--refine"]], ids=["plain", "refine"])
+@pytest.mark.parametrize("ratio_range", [[1.5, 0.3], [0.9, 0.9]], ids=["decreasing", "equal"])
+def test_scan_window_ratio_range_must_increase(tmp_path, ratio_range, flags):
+    # a decreasing range used to scan downwards and exit 0, and to exit 2 with --refine, finding no window
+    cfg = _cfg(tmp_path, {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=ratio_range, n=3)})
+    line = "config error: scan.ratio_range must be increasing\n"
+    check_run(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv"), *flags], tmp_path, line)
+
+
+def test_scan_window_rejects_nonpositive_ratio(tmp_path):
     cfg = _cfg(tmp_path, {"body": BODY, "scan": dict(WINDOW_SCAN, ratio_range=[0.0, 1.5])})
-    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv")]) == 2
-    assert "r0 / h > 0" in capsys.readouterr().err
+    line = "config error: ratio_range (0.0, 1.5) must lie in r0 / h > 0\n"
+    check_run(["scan", "--config", cfg, "--out", str(tmp_path / "w.csv")], tmp_path, line)
 
 
-def test_levitation_precision_loss_is_a_numerical_failure(tmp_path, capsys):
+def test_levitation_precision_loss_is_a_numerical_failure(tmp_path):
     # a gradient of 1e-150 makes beta and kappa about 1e150, and the axis
     # direction of the levitation closed form loses its normalization
     weak = {"type": "linear", "B0": 1.0, "Bprime": 1e-150}
     field = {"type": "composite", "parts": [weak, PAIR]}
     section = {"solver": "levitation", "r0": 0.8}
     cfg = _cfg(tmp_path, {"body": dict(BODY, g=1.0), "field": field, "equilibrium": section})
-    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 3
-    assert capsys.readouterr().err.startswith("numerical failure: ArithmeticError")
+    line = "numerical failure: ArithmeticError: axis direction failed to normalize: |nu|^2 - 1 = 0.877328\n"
+    check_run(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")], tmp_path, line)
 
 
-def test_compute_overflow_is_a_numerical_failure(tmp_path, capsys):
+def test_compute_overflow_is_a_numerical_failure(tmp_path):
     # the config is valid; the jet overflows only at the tiny scale of the orbit
     field = {"type": "dipole_pair", "q": 1, "h": 1e-40}
     section = {"method": "orbitron", "equilibrium": {"solver": "orbitron", "r0": 0.8e-40, "pi0": 10, "sigma": 1}}
     cfg = _cfg(tmp_path, {"body": BODY, "field": field, "certify": section})
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 3
-    assert capsys.readouterr().err.startswith("numerical failure: NonFinite")
+    line = "numerical failure: NonFinite: dipole jet overflows at squared distance 1.64e-80 from the source\n"
+    check_run(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")], tmp_path, line)
 
 
-@pytest.mark.parametrize("doc", [{"equilibrium": dict(ORBIT, r0=10**400)}, {"field": dict(PAIR, h=10**400)}])
-def test_out_of_range_config_integer_is_a_config_error(tmp_path, capsys, doc):
+@pytest.mark.parametrize(
+    "doc, name",
+    [({"equilibrium": dict(ORBIT, r0=10**400)}, "equilibrium.r0"), ({"field": dict(PAIR, h=10**400)}, "field.h")],
+    ids=["doc0", "doc1"],
+)
+def test_out_of_range_config_integer_is_a_config_error(tmp_path, doc, name):
     cfg = _cfg(tmp_path, dict({"body": BODY, "field": PAIR, "equilibrium": ORBIT}, **doc))
-    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    line = f"config error: {name} is out of the float range\n"
+    check_run(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.json")], tmp_path, line)
 
 
-def test_orbitron_spin_overflow_is_a_numerical_failure(tmp_path, capsys):
+def test_orbitron_spin_overflow_is_a_numerical_failure(tmp_path):
     # with q = 1e200 the spin threshold squares an overflowing Bz_r, and C overflows
     section = {"method": "orbitron", "equilibrium": ORBIT}
     cfg = _cfg(tmp_path, {"body": BODY, "field": dict(PAIR, q=1e200), "certify": section})
-    assert main(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")]) == 3
-    assert capsys.readouterr().err.startswith("numerical failure: NonFinite")
+    line = "numerical failure: NonFinite: orbitron spin threshold is inf\n"
+    check_run(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")], tmp_path, line)
 
 
 # Each command flag and the one command it belongs to.
@@ -1175,7 +1182,7 @@ _SIZED = {
     ],
     ids=lambda v: "10**400" if v == 10**400 else None,
 )
-def test_scan_sizes_and_steps_are_bounded(tmp_path, capsys, monkeypatch, case, size, accepted):
+def test_scan_sizes_and_steps_are_bounded(tmp_path, monkeypatch, case, size, accepted):
     from orbitron import cli
 
     command, compute, section, message = _SIZED[case]
@@ -1189,13 +1196,9 @@ def test_scan_sizes_and_steps_are_bounded(tmp_path, capsys, monkeypatch, case, s
     monkeypatch.setattr(cli, compute, stub)
     field = LEV_FIELD if case == "kappa_values" else PAIR
     cfg = _cfg(tmp_path, {"body": BODY, "field": field, command: section(size)})
-    code = main([command, "--config", cfg, "--out", str(tmp_path / "o.dat")])
-    err = capsys.readouterr().err
-    if accepted:
-        assert code == 3 and len(reached) == 1
-    else:
-        assert code == 2 and not reached
-        assert err == f"config error: {message}\n"
+    line = "numerical failure: OrbitronError: compute stage reached\n" if accepted else f"config error: {message}\n"
+    check_run([command, "--config", cfg, "--out", str(tmp_path / "o.dat")], tmp_path, line)
+    assert len(reached) == int(accepted)
 
 
 @pytest.mark.parametrize(
@@ -1316,22 +1319,17 @@ def test_dumps17_lays_out_containers_as_json_dumps_does():
     assert dumps17(values) == "[\n  0.10000000000000001,\n  0,\n  null,\n  null,\n  2.5,\n  7,\n  true\n]"
 
 
-def test_an_out_path_that_cannot_be_written_exits_2_and_writes_nothing(tmp_path, capsys):
-    config = str(Path(__file__).parent / "data" / "equilibrium_readme.config.json")
+def test_an_out_path_that_cannot_be_written_exits_2_and_writes_nothing(tmp_path):
+    config = str(CASE_DIR / "equilibrium_readme.config.json")
     missing = tmp_path / "missing" / "x.json"
-    assert main(["equilibrium", "--config", config, "--out", str(missing)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write {missing}: ") and err.count("\n") == 1
-    assert list(tmp_path.iterdir()) == []
+    line = f"config error: cannot write {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    check_run(["equilibrium", "--config", config, "--out", str(missing)], tmp_path, line)
     # A directory as the out path of a refined scan: the CSV fails first, so no sidecar is left behind.
-    config = str(Path(__file__).parent / "data" / "scan_window_refined.config.json")
+    config = str(CASE_DIR / "scan_window_refined.config.json")
     directory = tmp_path / "dir"
     directory.mkdir()
-    assert main(["scan", "--refine", "--config", config, "--out", str(directory)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"config error: cannot write {directory}: ") and err.count("\n") == 1
-    assert [p.name for p in tmp_path.iterdir()] == ["dir"]
-    assert list(directory.iterdir()) == []
+    line = f"config error: cannot write {directory}: [Errno 21] Is a directory: '{directory}'\n"
+    check_run(["scan", "--refine", "--config", config, "--out", str(directory)], tmp_path, line)
     # A directory at a sidecar path: every path is opened before any is written, so an --out that was
     # absent stays absent and one that held bytes keeps them.
     for name, sidecar in [
@@ -1346,12 +1344,9 @@ def test_an_out_path_that_cannot_be_written_exits_2_and_writes_nothing(tmp_path,
             (run / f"o.csv{sidecar}").mkdir(parents=True)
             if before is not None:
                 out.write_bytes(before)
-            config = str(CASE_DIR / f"{name}.config.json")
-            assert main([command, *CASE_FLAGS.get(command, []), "--config", config, "--out", str(out)]) == 2
-            err = capsys.readouterr().err
-            assert err.startswith(f"config error: cannot write {out}{sidecar}: ") and err.count("\n") == 1
-            assert sorted(p.name for p in run.iterdir()) == ["o.csv"] * (before is not None) + [f"o.csv{sidecar}"]
-            assert before is None or out.read_bytes() == before
+            argv = [command, *CASE_FLAGS.get(command, []), "--config", str(CASE_DIR / f"{name}.config.json")]
+            line = f"config error: cannot write {out}{sidecar}: [Errno 21] Is a directory: '{out}{sidecar}'\n"
+            check_run([*argv, "--out", str(out)], run, line)
 
 
 @pytest.mark.parametrize(
@@ -1363,33 +1358,26 @@ def test_an_out_path_that_cannot_be_written_exits_2_and_writes_nothing(tmp_path,
     ],
     ids=["window_n_0", "window_n_-1", "no_kappa_values"],
 )
-def test_empty_scans_exit_2_before_writing(tmp_path, capsys, field, section, message):
+def test_empty_scans_exit_2_before_writing(tmp_path, field, section, message):
     cfg = _cfg(tmp_path, {"body": BODY, "field": field, "scan": section})
-    out = tmp_path / "scan.csv"
-    assert main(["scan", "--refine", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {message}\n"
-    assert list(tmp_path.iterdir()) == [Path(cfg)]
+    line = f"config error: {message}\n"
+    check_run(["scan", "--refine", "--config", cfg, "--out", str(tmp_path / "scan.csv")], tmp_path, line)
 
 
-def test_sweep_beta_follows_the_equilibrium_beta_route(tmp_path, capsys):
+def test_sweep_beta_follows_the_equilibrium_beta_route(tmp_path):
     # radius_for_beta owns the range of beta: a sweep and the levitation solver exit alike
+    line = "config error: beta Bprime = 1.5 is outside the reachable Br_z range [-5.4856, 0) of the mirror part\n"
     cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, "scan": dict(SWEEP_SCAN, beta=0.5)})
-    assert main(["scan", "--config", cfg, "--out", str(tmp_path / "sweep.csv")]) == 2
-    sweep_err = capsys.readouterr().err
+    check_run(["scan", "--config", cfg, "--out", str(tmp_path / "sweep.csv")], tmp_path, line)
     section = {"solver": "levitation", "beta": 0.5}
     cfg = _cfg(tmp_path, {"body": LEV_BODY, "field": LEV_FIELD, "equilibrium": section}, "eq.json")
-    assert main(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.out.json")]) == 2
-    assert sweep_err == capsys.readouterr().err
-    assert sweep_err.startswith("config error: beta Bprime = 1.5 is outside")
-    assert not (tmp_path / "sweep.csv").exists() and not (tmp_path / "eq.out.json").exists()
+    check_run(["equilibrium", "--config", cfg, "--out", str(tmp_path / "eq.out.json")], tmp_path, line)
 
 
-def test_map_axis_also_fixed_is_a_config_error(tmp_path, capsys):
+def test_map_axis_also_fixed_is_a_config_error(tmp_path):
     cfg = _cfg(tmp_path, {"body": BODY, "field": PAIR, "scan": dict(MAP_SCAN, fixed={"r0": 1.2})})
-    out = tmp_path / "map.csv"
-    assert main(["scan", "--config", cfg, "--out", str(out)]) == 2
-    assert capsys.readouterr().err == "config error: scan parameters ['r0'] are both an axis and fixed\n"
-    assert not out.exists()
+    line = "config error: scan parameters ['r0'] are both an axis and fixed\n"
+    check_run(["scan", "--config", cfg, "--out", str(tmp_path / "map.csv")], tmp_path, line)
 
 
 _HUGE_PAIR_FIELD = {"type": "composite", "parts": [{"type": "linear", "B0": 1, "Bprime": 3}, dict(PAIR, q=1e300)]}
@@ -1404,7 +1392,7 @@ def _huge_pair_certify(method):
 
 
 @pytest.mark.parametrize(
-    "command, doc, flags, code",
+    "command, doc, flags, line",
     [
         # the radius_for_beta grid overflows near the tiny pair before the levitation solve fails
         (
@@ -1418,10 +1406,15 @@ def _huge_pair_certify(method):
                 "certify": {"method": "levitation", "equilibrium": {"solver": "levitation", "beta": -0.9}},
             },
             ["--oracle"],
-            3,
+            "numerical failure: NonFinite: dipole jet overflows at squared distance 6.5e-79 from the source\n",
         ),
         # the window jet overflows at every ratio of a pair this small: NonFinite
-        ("scan", {"body": BODY, "scan": dict(WINDOW_SCAN, h=1e-110, n=3)}, [], 3),
+        (
+            "scan",
+            {"body": BODY, "scan": dict(WINDOW_SCAN, h=1e-110, n=3)},
+            [],
+            "numerical failure: NonFinite: window conditions are not finite at r0 / h = 0.3, r0 = 3e-111\n",
+        ),
         # p . p overflows in the energy of the first sample: NonFinite at step 0
         (
             "simulate",
@@ -1435,7 +1428,7 @@ def _huge_pair_certify(method):
                 },
             },
             [],
-            3,
+            "numerical failure: NonFinite: non-finite sample at step 0\n",
         ),
         # a zero axis cannot be projected onto the unit sphere: NonFinite at step 0
         (
@@ -1446,7 +1439,7 @@ def _huge_pair_certify(method):
                 "simulate": {"state": dict(TILTED_STATE, nu=[0, 0, 0]), "steps": 3, "scheme": "rk4_projected"},
             },
             [],
-            3,
+            "numerical failure: NonFinite: non-finite sample at step 0\n",
         ),
         # the axis width hi - lo overflows: a configuration error before any linspace
         (
@@ -1461,7 +1454,7 @@ def _huge_pair_certify(method):
                 },
             },
             [],
-            2,
+            "config error: axis 'pi0' range width must be finite\n",
         ),
         # with q = 1e300 the closed form's products overflow: a sweep of NonFinite rows
         (
@@ -1472,19 +1465,29 @@ def _huge_pair_certify(method):
                 "scan": {"kind": "levitation_sweep", "kappa_values": [1.001, 1.2], "beta": -0.95},
             },
             [],
-            0,
+            "",
         ),
         # the same products on one tilted cell: a zero pivot in the closed form
-        ("certify", _huge_pair_certify("closed_form"), [], 3),
+        (
+            "certify",
+            _huge_pair_certify("closed_form"),
+            [],
+            "numerical failure: ZeroPivot: pivot 1 for variable 0 is zero to working precision\n",
+        ),
         # the levitation route's margin is nan there: NonFinite, before the oracle runs
-        ("certify", _huge_pair_certify("levitation"), [], 3),
-        ("certify", _huge_pair_certify("levitation"), ["--oracle"], 3),
+        ("certify", _huge_pair_certify("levitation"), [], "numerical failure: NonFinite: certificate margin is nan\n"),
+        (
+            "certify",
+            _huge_pair_certify("levitation"),
+            ["--oracle"],
+            "numerical failure: NonFinite: certificate margin is nan\n",
+        ),
         # lambda2 I_perp nu0 is inf times 0 in the assembled spin: NonFinite names pi0
         (
             "equilibrium",
             {"body": dict(BODY, I_perp=1e300, mu=1e300), "field": PAIR, "equilibrium": ORBIT},
             [],
-            3,
+            "numerical failure: NonFinite: equilibrium pi0 is not finite at r0 = 0.8\n",
         ),
         # omega = inf: NonFinite from the equilibrium, before the support blocks
         (
@@ -1495,7 +1498,7 @@ def _huge_pair_certify(method):
                 "certify": {"method": "closed_form", "equilibrium": ORBIT},
             },
             [],
-            3,
+            "numerical failure: NonFinite: equilibrium omega is not finite at r0 = 0.8\n",
         ),
     ],
     ids=[
@@ -1512,18 +1515,11 @@ def _huge_pair_certify(method):
         "certify_support_blocks",
     ],
 )
-def test_jet_overflow_prints_no_runtime_warning(tmp_path, command, doc, flags, code):
-    cfg = _cfg(tmp_path, doc)
-    runs = []
+def test_jet_overflow_prints_no_runtime_warning(tmp_path, command, doc, flags, line):
+    # in_process fails on any warning, and a rerun prints the same line
+    argv = [command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat"), *flags]
     for _ in range(2):
-        err = io.StringIO()
-        with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            assert main([command, "--config", cfg, "--out", str(tmp_path / "o.dat"), *flags]) == code
-        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
-        runs.append(err.getvalue())
-    assert runs[0] == runs[1]
-    assert "RuntimeWarning" not in runs[0]
+        check_run(argv, tmp_path, line)
 
 
 # Configs whose float quotients divide by a product that underflows to 0.
@@ -1586,10 +1582,9 @@ _TINY_LEVITATION = {
     ],
     ids=["levitation_lambda2", "certify_lambda2", "dipole_line", "dipole_rate", "levitation_kappa", "levitation_details"],
 )
-def test_underflowing_divisor_exits_3_naming_the_quantity(tmp_path, capsys, command, doc, name):
-    assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")]) == 3
-    err = capsys.readouterr().err
-    assert err == f"numerical failure: NonFinite: {name} is not finite: its divisor underflows to 0\n"
+def test_underflowing_divisor_exits_3_naming_the_quantity(tmp_path, command, doc, name):
+    line = f"numerical failure: NonFinite: {name} is not finite: its divisor underflows to 0\n"
+    check_run([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")], tmp_path, line)
 
 
 # A pair with h ~ 1e-125 whose jet overflows to nan on the radius_for_beta grid.
@@ -1612,14 +1607,11 @@ _NAN_GRID_BETA = -0.9461822473612319
     ],
     ids=["sweep", "equilibrium"],
 )
-def test_non_finite_radius_grid_exits_3_naming_beta(tmp_path, capsys, command, section):
+def test_non_finite_radius_grid_exits_3_naming_beta(tmp_path, command, section):
     # np.argmin picks the grid's first nan; this used to exit 2 as an unreachable beta
     doc = {"body": _NAN_GRID_BODY, "field": _NAN_GRID_FIELD, command: section}
-    assert main([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")]) == 3
-    err = capsys.readouterr().err
-    assert err == (
-        f"numerical failure: NonFinite: Br_z of the mirror part is nan on the radius grid for beta = {_NAN_GRID_BETA:g}\n"
-    )
+    line = f"numerical failure: NonFinite: Br_z of the mirror part is nan on the radius grid for beta = {_NAN_GRID_BETA:g}\n"
+    check_run([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")], tmp_path, line)
 
 
 # A pair whose single-point jet overflows to Br_z = -inf at r = h and to +inf
@@ -1634,15 +1626,11 @@ _INF_JET_FIELD = {
 }
 
 
-def test_infinite_bisection_value_exits_3_naming_beta(tmp_path, capsys):
+def test_infinite_bisection_value_exits_3_naming_beta(tmp_path):
     section = {"kind": "levitation_sweep", "kappa_values": [0.9, 1.2], "beta": -0.363}
     doc = {"body": LEV_BODY, "field": _INF_JET_FIELD, "scan": section}
-    out = tmp_path / "sweep.csv"
-    assert main(["scan", "--config", _cfg(tmp_path, doc), "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("numerical failure: NonFinite: Br_z of the mirror part is inf at r = ")
-    assert err.endswith(" for beta = -0.363\n")
-    assert not out.exists()
+    line = "numerical failure: NonFinite: Br_z of the mirror part is inf at r = 3.1767316729908436e+40 for beta = -0.363\n"
+    check_run(["scan", "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "sweep.csv")], tmp_path, line)
 
 
 # Valid configs that reach every solver and certificate route, and every
@@ -1717,28 +1705,30 @@ def _reject_constant(name):
 @given(case=_configs())
 def test_cli_contract_fuzz(case):
     command, flags, doc = case
+    outcomes = []
+
+    def run(argv):
+        outcomes.append(in_process(argv))
+        return outcomes[-1]
+
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "cfg.json"
+        tmp = Path(tmp)
+        cfg = tmp / "cfg.json"
         cfg.write_text(json.dumps(doc))  # NaN and Infinity tokens, which json.load accepts
+        out = tmp / ("out.csv" if command in ("scan", "simulate") else "out.json")
         runs = []
         for _ in range(2):
-            out = Path(tmp) / ("out.csv" if command in ("scan", "simulate") else "out.json")
-            code, stdout, err = in_process([command, "--config", str(cfg), "--out", str(out), *flags])
-            files = {p.name: p.read_text() for p in sorted(Path(tmp).iterdir()) if p != cfg}
-            assert stdout == ""
-            if code == 0:
-                assert err == "" and out.name in files
-                for name, text in files.items():
-                    if name.endswith(".json"):
-                        json.loads(text, parse_constant=_reject_constant)
-                    else:
-                        assert text.startswith(_CSV_HEADERS[doc[command].get("kind", command)] + "\n")
-            else:  # one stderr line, whose prefix names the exit code, and no file
-                assert err.count("\n") == 1 and err.endswith("\n") and EXIT_CODES[err.split(": ")[0]] == code, err
-                assert files == {}
+            files = check_run([command, "--config", str(cfg), "--out", str(out), *flags], tmp, None, run)
+            code, _, err = outcomes[-1]
+            assert code != 0 or out.name in files
+            for name, data in files.items():
+                if name.endswith(".json"):
+                    json.loads(data, parse_constant=_reject_constant)
+                else:
+                    assert data.decode().startswith(_CSV_HEADERS[doc[command].get("kind", command)] + "\n")
             runs.append((code, err, files))
             for name in files:
-                (Path(tmp) / name).unlink()
+                (tmp / name).unlink()
         assert runs[0] == runs[1]
         event(f"{command} exit {code}")
 
@@ -1746,22 +1736,19 @@ def test_cli_contract_fuzz(case):
 @pytest.mark.parametrize(
     "text, message",
     [
-        (None, "config error: cannot read config "),
+        (None, "config error: cannot read config {0}: [Errno 21] Is a directory: '{0}'\n"),
         ("[1, 2]", "config error: config root must be a JSON object\n"),
         ("3", "config error: config root must be a JSON object\n"),
     ],
     ids=["unreadable", "list", "number"],
 )
-def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys, text, message):
+def test_unreadable_or_non_object_config_exits_2(tmp_path, text, message):
     path = tmp_path / "cfg.json"
     if text is None:
         path.mkdir()  # a path that exists but cannot be read as a file
     else:
         path.write_text(text)
-    out = tmp_path / "o.dat"
-    assert main(["equilibrium", "--config", str(path), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(message)
-    assert list(tmp_path.glob("o.dat*")) == []
+    check_run(["equilibrium", "--config", str(path), "--out", str(tmp_path / "o.dat")], tmp_path, message.format(path))
 
 
 @pytest.mark.parametrize(
@@ -1770,7 +1757,7 @@ def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys, text, message
         (
             "equilibrium",
             {"body": dict(BODY, spin=1.0), "field": PAIR, "equilibrium": ORBIT},
-            "unknown body keys ['spin']",
+            "unknown body keys ['spin']; known: ['I3', 'I_perp', 'M', 'g', 'mu']",
         ),
         (
             "simulate",
@@ -1785,24 +1772,19 @@ def test_unreadable_or_non_object_config_exits_2(tmp_path, capsys, text, message
     ],
     ids=["body-key", "state-length", "dipole-r0"],
 )
-def test_config_contract_paths_exit_2(tmp_path, capsys, command, doc, message):
-    cfg = _cfg(tmp_path, doc)
-    out = tmp_path / "o.dat"
-    assert main([command, "--config", cfg, "--out", str(out)]) == 2
-    assert message in capsys.readouterr().err
-    assert list(tmp_path.glob("o.dat*")) == []
+def test_config_contract_paths_exit_2(tmp_path, command, doc, message):
+    line = f"config error: {message}\n"
+    check_run([command, "--config", _cfg(tmp_path, doc), "--out", str(tmp_path / "o.dat")], tmp_path, line)
 
 
 # Contract cases: tests/data/<command>_<case>.config.json is run as `orbitron <command>`, a certify with
-# --oracle and a scan with --refine.  Beside it lies one expectation.  Either the run exits 0, prints
-# nothing and writes exactly the files <command>_<case>.out.<ext> (its --out) and
-# <command>_<case>.out.<ext>.<sidecar>, byte for byte; or <command>_<case>.err holds the one line the run
-# prints to stderr, the run exits 2 after "config error: " or 3 after "numerical failure: ", and writes
-# nothing.  check_case applies this rule to one run, by main in-process or by the installed orbitron script.
+# --oracle and a scan with --refine.  Beside it lies one expectation: the files <command>_<case>.out.<ext>
+# (its --out) and <command>_<case>.out.<ext>.<sidecar> that a run exiting 0 writes, exactly and byte for
+# byte; or <command>_<case>.err, the one stderr line of a run that fails.  check_case finds a case's config
+# and expectation, and check_run, which every CLI run in this file goes through, checks the rest of the rule.
 CASE_DIR = Path(__file__).parent / "data"
 CASE_NAMES = sorted(p.name.removesuffix(".config.json") for p in CASE_DIR.glob("*.config.json"))
 CASE_FLAGS = {"certify": ["--oracle"], "scan": ["--refine"]}
-EXIT_CODES = {"config error": 2, "numerical failure": 3}
 
 
 def contract_cases(directory):
@@ -1853,40 +1835,15 @@ def test_case_pairing_rejects_a_config_without_one_expectation(tmp_path, files):
         contract_cases(tmp_path)
 
 
-def in_process(argv):
-    """Exit code, stdout and stderr of ``main(argv)``; a warning, which the installed script would print, fails."""
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stdout(stdout), \
-            contextlib.redirect_stderr(stderr):
-        warnings.simplefilter("always")
-        code = main(argv)
-    assert [str(w.message) for w in caught] == []
-    return code, stdout.getvalue(), stderr.getvalue()
-
-
-def installed_script(argv):
-    """Exit code, stdout and stderr of the orbitron console script, importing the package under test."""
-    proc = subprocess.run(["orbitron", *argv], capture_output=True, text=True, env=_child_env())
-    return proc.returncode, proc.stdout, proc.stderr
-
-
 def check_case(run, name, tmp_path):
     """Run the contract case ``name`` by ``run`` with its outputs in the empty ``tmp_path``, and check its expectation."""
     expected = contract_cases(CASE_DIR)[name]
     command = name.split("_")[0]
     err_case = expected == [f"{name}.err"]
     out = tmp_path / (f"{name}.out" if err_case else expected[0])
-    config = CASE_DIR / f"{name}.config.json"
-    code, stdout, err = run([command, *CASE_FLAGS.get(command, []), "--config", str(config), "--out", str(out)])
-    written = sorted(p.name for p in tmp_path.iterdir())
-    if err_case:
-        line = (CASE_DIR / expected[0]).read_text()
-        assert line.count("\n") == 1 and line.endswith("\n")
-        assert (stdout, err, code, written) == ("", line, EXIT_CODES[line.split(": ")[0]], []), name
-    else:
-        assert (stdout, err, code, written) == ("", "", 0, expected), name
-        for file in expected:
-            assert (tmp_path / file).read_bytes() == (CASE_DIR / file).read_bytes(), file
+    argv = [command, *CASE_FLAGS.get(command, []), "--config", str(CASE_DIR / f"{name}.config.json"), "--out", str(out)]
+    files = check_run(argv, tmp_path, (CASE_DIR / expected[0]).read_text() if err_case else "", run)
+    assert files == {file: (CASE_DIR / file).read_bytes() for file in expected if not err_case}, name
 
 
 @pytest.mark.parametrize("name", CASE_NAMES)
