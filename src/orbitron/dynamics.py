@@ -73,13 +73,21 @@ class IntegratorConfig:
             raise ValueError("record_every must be at least 1")
 
 
-def _rhs(c: list, b: BodyParams, V: DipolePotential) -> list:
-    """The 12 components of the right-hand side at the 12 components c of a state.
+def _rhs(c: list, b: BodyParams, V: DipolePotential, h=None, k=None) -> list:
+    """The 12 components of the right-hand side at the state c, or at the RK4 stage c + h k.
 
     The components are Python floats for one state and arrays for a stack;
-    the outputs are elementwise formulas on them, from one field jet.
+    the outputs are elementwise formulas on them, from one field jet.  A
+    stage takes the previous stage's outputs k and forms each of its
+    components as a + h * d from those of c and k, so no stage state is built.
     """
     x1, x2, x3, p1, p2, p3, n1, n2, n3, q1, q2, q3 = c
+    if k is not None:
+        dx1, dx2, dx3, dp1, dp2, dp3, dn1, dn2, dn3, dq1, dq2, dq3 = k
+        x1, x2, x3 = x1 + h * dx1, x2 + h * dx2, x3 + h * dx3
+        p1, p2, p3 = p1 + h * dp1, p2 + h * dp2, p3 + h * dp3
+        n1, n2, n3 = n1 + h * dn1, n2 + h * dn2, n3 + h * dn3
+        q1, q2, q3 = q1 + h * dq1, q2 + h * dq2, q3 + h * dq3
     g1, g2, g3, f1, f2, f3 = V.gradient_terms(x1, x2, x3, n1, n2, n3)
     M, I = b.M, b.I_perp
     return [
@@ -87,6 +95,23 @@ def _rhs(c: list, b: BodyParams, V: DipolePotential) -> list:
         -g1, -g2, -g3,
         (q2 * n3 - q3 * n2) / I, (q3 * n1 - q1 * n3) / I, (q1 * n2 - q2 * n1) / I,
         f2 * n3 - f3 * n2, f3 * n1 - f1 * n3, f1 * n2 - f2 * n1,
+    ]
+
+
+def _rk4_combination(c, h6, k1, k2, k3, k4) -> list:
+    """The RK4 update c + h6 (k1 + 2 k2 + 2 k3 + k4), component by component, in that association."""
+    a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12 = c
+    p1, p2, p3, p4, p5, p6, p7, p8, p9, p10, p11, p12 = k1
+    q1, q2, q3, q4, q5, q6, q7, q8, q9, q10, q11, q12 = k2
+    r1, r2, r3, r4, r5, r6, r7, r8, r9, r10, r11, r12 = k3
+    s1, s2, s3, s4, s5, s6, s7, s8, s9, s10, s11, s12 = k4
+    return [
+        a1 + h6 * (p1 + 2.0 * q1 + 2.0 * r1 + s1), a2 + h6 * (p2 + 2.0 * q2 + 2.0 * r2 + s2),
+        a3 + h6 * (p3 + 2.0 * q3 + 2.0 * r3 + s3), a4 + h6 * (p4 + 2.0 * q4 + 2.0 * r4 + s4),
+        a5 + h6 * (p5 + 2.0 * q5 + 2.0 * r5 + s5), a6 + h6 * (p6 + 2.0 * q6 + 2.0 * r6 + s6),
+        a7 + h6 * (p7 + 2.0 * q7 + 2.0 * r7 + s7), a8 + h6 * (p8 + 2.0 * q8 + 2.0 * r8 + s8),
+        a9 + h6 * (p9 + 2.0 * q9 + 2.0 * r9 + s9), a10 + h6 * (p10 + 2.0 * q10 + 2.0 * r10 + s10),
+        a11 + h6 * (p11 + 2.0 * q11 + 2.0 * r11 + s11), a12 + h6 * (p12 + 2.0 * q12 + 2.0 * r12 + s12),
     ]
 
 
@@ -148,10 +173,10 @@ def integrate(
     h2, h6 = 0.5 * dt, dt / 6.0
     for i in range(1, cfg.steps + 1):
         k1 = _rhs(c, b, V)
-        k2 = _rhs([a + h2 * k for a, k in zip(c, k1)], b, V)
-        k3 = _rhs([a + h2 * k for a, k in zip(c, k2)], b, V)
-        k4 = _rhs([a + dt * k for a, k in zip(c, k3)], b, V)
-        c = [a + h6 * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
+        k2 = _rhs(c, b, V, h2, k1)
+        k3 = _rhs(c, b, V, h2, k2)
+        k4 = _rhs(c, b, V, dt, k3)
+        c = _rk4_combination(c, h6, k1, k2, k3, k4)
         c1_preproj = None
         if projected:
             # the ndarray dot, as casimirs takes it: a sum of float squares rounds differently

@@ -125,9 +125,11 @@ def _inverse_powers(Dt, Db) -> tuple:
 def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
     """The first ``n`` components of the jet of ``model`` at (r, z), in FieldJet order.
 
-    A pair builds its curvature terms only for n > 5.  The source guard and
-    the inverse powers run first for every n, so each n raises where the
-    full jet does, and each term is that of the full jet bit for bit.
+    A pair builds only the terms of the prefix: the values for n <= 2, up to
+    Bz_r for n <= 4, up to Bz_z for n = 5 and the curvature terms only for
+    n > 5.  The source guard and the inverse powers run first for every n,
+    so each n raises where the full jet does, and each term is that of the
+    full jet bit for bit.
     """
     if isinstance(model, DipolePair):
         # Each component is the top source's term plus the bottom one's, each
@@ -154,15 +156,19 @@ def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
         t5, t7, t9, b5, b7, b9 = _inverse_powers(r2 + Zt2, r2 + Zb2)
         q3 = 3.0 * q
         q3r = q3 * r
-        r2_3, r2_4 = 3.0 * r2, 4.0 * r2
-        Zt2_4, Zb2_4 = 4.0 * Zt2, 4.0 * Zb2
         Br = q3r * Zt * t5 + q3r * Zb * b5
         Bz = q * (2.0 * Zt2 - r2) * t5 + q * (2.0 * Zb2 - r2) * b5
+        if n <= 2:
+            return [Br, Bz][:n]
+        r2_4, Zt2_4, Zb2_4 = 4.0 * r2, 4.0 * Zt2, 4.0 * Zb2
         Br_r = q3 * Zt * (Zt2 - r2_4) * t7 + q3 * Zb * (Zb2 - r2_4) * b7
         Bz_r = q3r * (r2 - Zt2_4) * t7 + q3r * (r2 - Zb2_4) * b7
+        if n <= 4:
+            return [Br, Bz, Br_r, Bz_r][:n]
+        r2_3 = 3.0 * r2
         Bz_z = q3 * Zt * (r2_3 - 2.0 * Zt2) * t7 + q3 * Zb * (r2_3 - 2.0 * Zb2) * b7
         if n <= 5:
-            return [Br, Bz, Br_r, Bz_r, Bz_z][:n]
+            return [Br, Bz, Br_r, Bz_r, Bz_z]
         q15r = 15.0 * q * r
         r2_24, r2_27 = 24.0 * r2, 27.0 * r2
         r4_m4 = -4.0 * r2 * r2

@@ -82,6 +82,8 @@ class DipolePotential:
     def __init__(self, model: AxiFieldModel, b: BodyParams):
         self.model = model
         self.b = b
+        # read once here, not per call: b is frozen
+        self._mu, self._Mg = b.mu, b.M * b.g
 
     def _field(self, x1, x2, x3) -> tuple:
         """The Cartesian components of B at x, from the first two jet terms at (r, x3) with r = |x_perp|."""
@@ -92,7 +94,7 @@ class DipolePotential:
         x1, x2, x3 = _components(x)
         B1, B2, B3 = self._field(x1, x2, x3)
         nu1, nu2, nu3 = _components(nu)
-        return -self.b.mu * (nu1 * B1 + nu2 * B2 + nu3 * B3) + self.b.M * self.b.g * x3
+        return -self._mu * (nu1 * B1 + nu2 * B2 + nu3 * B3) + self._Mg * x3
 
     def gradient_terms(self, x1, x2, x3, nu1, nu2, nu3) -> tuple:
         """The components of grad_x V and grad_nu V = -mu B, from the first five terms of one field jet.
@@ -108,11 +110,11 @@ class DipolePotential:
         on_axis = r == 0.0
         if on_axis is not False and np.any(on_axis):
             raise AxisDegeneracy("the potential gradient is evaluated off axis only")
-        mu = self.b.mu
+        mu = self._mu
         f, e1, e2 = Br / r, x1 / r, x2 / r
         d = e1 * nu1 + e2 * nu2
         w = (Br_r - f) * d + Bz_r * nu3
-        g3 = -mu * (Bz_r * d + Bz_z * nu3) + self.b.M * self.b.g
+        g3 = -mu * (Bz_r * d + Bz_z * nu3) + self._Mg
         # grad_nu V = -mu B, with B as _field_components gives it off the axis
         B1, B2 = Br * x1 / r, Br * x2 / r
         return -mu * (f * nu1 + e1 * w), -mu * (f * nu2 + e2 * w), g3, -mu * B1, -mu * B2, -mu * Bz
@@ -123,7 +125,7 @@ class DipolePotential:
 
     def grad_nu(self, x: np.ndarray, nu: np.ndarray) -> np.ndarray:
         """-mu B, also on the axis."""
-        return _join([-self.b.mu * B for B in self._field(*_components(x))])
+        return _join([-self._mu * B for B in self._field(*_components(x))])
 
 
 def _planar_direction(nx, ny):

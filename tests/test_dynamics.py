@@ -11,6 +11,8 @@ from orbitron.core import BodyParams, ReducedState, casimirs, hamiltonian, momen
 from orbitron.dynamics import (
     IntegratorConfig,
     TrajectorySample,
+    _rhs,
+    _rk4_combination,
     distance_to_orbit,
     eom_rhs,
     integrate,
@@ -146,6 +148,87 @@ def test_eom_rhs_on_the_axis_raises():
     s = ReducedState(x=np.array([0.0, 0.0, 0.3]), p=np.zeros(3), nu=E3, pi=10.0 * E3)
     with pytest.raises(AxisDegeneracy):
         eom_rhs(s.as_vector(), b, V)
+
+
+def _outcome(f, *args):
+    """repr of f(*args), with array components as lists, or the type and message of what it raises."""
+    try:
+        return repr([x.tolist() if isinstance(x, np.ndarray) else x for x in f(*args)])
+    except Exception as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _stage_reference(c, b, V, h, k):
+    """_rhs at the stage state as the integrator used to build it, a list of c + h k."""
+    return _rhs([a + h * d for a, d in zip(c, k)], b, V)
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan]
+
+
+def _stage_cases():
+    """(b, V, c, h, k) on floats: a tilted composite state c and stage k, then each with one special component or h."""
+    b = BodyParams(M=1.3, I_perp=0.1, I3=0.05, mu=1.0, g=0.7)
+    V = DipolePotential(Composite((Linear(0.5, 1.2), DipolePair(1.0, 1.0))), b)
+    c = _tilted_state().as_vector().tolist()
+    k = _rhs(c, b, V)
+    yield b, V, c, 0.002, k
+    for i in range(12):
+        for v in SPECIAL:
+            yield b, V, c[:i] + [v] + c[i + 1 :], 0.002, k
+            yield b, V, c, 0.002, k[:i] + [v] + k[i + 1 :]
+        yield b, V, c, SPECIAL[i % 5], k
+
+
+def test_fused_stage_equals_the_stage_list_on_floats():
+    cases = list(_stage_cases())
+    assert len(cases) == 1 + 12 * 11
+    for b, V, c, h, k in cases:
+        assert repr(_rhs(c, b, V, h, k)) == repr(_stage_reference(c, b, V, h, k)), (c, h, k)
+
+
+@np.errstate(all="ignore")
+def test_fused_stage_equals_the_stage_list_on_stacks():
+    """A (K, 12) stack of the float cases, split into components, gives their outputs as rows."""
+    cases = list(_stage_cases())
+    b, V, _, h, _ = cases[0]
+    C = np.array([c for _, _, c, h_, _ in cases if h_ == h])
+    K = np.array([k for _, _, _, h_, k in cases if h_ == h])
+    got = np.column_stack(_rhs(list(C.T), b, V, h, list(K.T)))
+    want = np.column_stack(_stage_reference(list(C.T), b, V, h, list(K.T)))
+    assert got.shape == (12 * 10 + 1, 12)
+    assert repr(got.tolist()) == repr(want.tolist())
+
+
+def test_fused_stage_on_the_axis_raises_as_the_stage_list():
+    b = _body()
+    V = DipolePotential(DipolePair(1.0, 1.0), b)
+    c = [0.5, 0.25, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 10.0]
+    k = [-1.0, -0.5, 0.2] + [0.1] * 9  # c + 0.5 k has x1 = x2 = 0
+    want = _outcome(_stage_reference, c, b, V, 0.5, k)
+    assert want.startswith("AxisDegeneracy: ")
+    assert _outcome(_rhs, c, b, V, 0.5, k) == want
+    # one on-axis row of a stack raises the same
+    stack_c, stack_k = np.array([c, [0.8] + c[1:]]).T, np.array([k, k]).T
+    assert _outcome(_rhs, list(stack_c), b, V, 0.5, list(stack_k)) == want
+
+
+@np.errstate(all="ignore")
+def test_rk4_combination_equals_the_zipped_comprehension():
+    rng = np.random.default_rng(35)
+    for trial in range(200):
+        rows = rng.normal(0.0, 1.0, (5, 12)) * 10.0 ** rng.integers(-300, 300, (5, 12))
+        if trial % 2:
+            rows.flat[rng.integers(0, 60, 3)] = rng.choice(SPECIAL, 3)
+        c, k1, k2, k3, k4 = rows.tolist()
+        h6 = float(rng.uniform(1e-6, 1e-1))
+        want = [a + h6 * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
+        assert repr(_rk4_combination(c, h6, k1, k2, k3, k4)) == repr(want)
+    # on the (K,) components of a stack
+    c, k1, k2, k3, k4 = (list(a) for a in rng.normal(0.0, 1.0, (5, 12, 7)))
+    want = [a + 0.01 * (p + 2.0 * q + 2.0 * r + s) for a, p, q, r, s in zip(c, k1, k2, k3, k4)]
+    got = _rk4_combination(c, 0.01, k1, k2, k3, k4)
+    assert repr([x.tolist() for x in got]) == repr([x.tolist() for x in want])
 
 
 @np.errstate(all="ignore")
