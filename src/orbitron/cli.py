@@ -28,12 +28,11 @@ from .core import BodyParams, ReducedState
 from .dynamics import IntegratorConfig, integrate, relative_equilibrium_orbit
 from .equilibrium import (
     Equilibrium,
-    _quotient,
-    build_levitation_equilibrium,
     build_support_state,
     solve_dipole_equilibrium,
-    solve_levitation,
+    solve_levitation_equilibrium,
     solve_orbitron_equatorial,
+    split_levitation_model,
 )
 from .errors import (
     BadSign,
@@ -46,7 +45,7 @@ from .errors import (
     finite_float,
     require,
 )
-from .fields import AxiFieldModel, _jet_terms, model_from_config
+from .fields import AxiFieldModel, model_from_config
 from .potential import DipolePotential, hessian_blocks
 from .scan import (
     ScanAxis,
@@ -54,7 +53,6 @@ from .scan import (
     dipoletron_window,
     levitation_sweep,
     radius_for_beta,
-    split_levitation_model,
     stability_map,
     window_endpoints,
 )
@@ -245,15 +243,11 @@ def _solve_branch(spec: dict, model: AxiFieldModel, b: BodyParams, where: str) -
     return eqs[branch]
 
 
-def _levitation_setup(model: AxiFieldModel, b: BodyParams):
-    """The linear part and the mirror part of a levitation field.
-
-    Raises ConfigError unless the field has exactly one linear part and g > 0.
-    """
-    linear, o_model = split_levitation_model(model)
+def _levitation_setup(model: AxiFieldModel, b: BodyParams) -> None:
+    """Raises ConfigError unless the field has exactly one linear part and g > 0."""
+    split_levitation_model(model)
     if b.g <= 0.0:
         raise ConfigError("levitation requires g > 0 in the body record")
-    return linear, o_model
 
 
 def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Equilibrium]:
@@ -278,13 +272,9 @@ def _solve_from_spec(spec: dict, model: AxiFieldModel, b: BodyParams) -> list[Eq
         eqs = solve_dipole_equilibrium(model, b, r0, require(spec, "C2", float, "equilibrium"))
     elif solver == "levitation":
         given = require(spec, _one_of(spec, ("r0", "beta"), "equilibrium"), float, "equilibrium")
-        linear, o_model = _levitation_setup(model, b)  # before beta's radius search: g <= 0 fails alike on both routes
+        _levitation_setup(model, b)  # before beta's radius search: g <= 0 fails alike on both routes
         r0 = given if "r0" in spec else radius_for_beta(model, given)
-        if r0 <= 0.0:  # beta is read off the jet at r0, before build_levitation_equilibrium checks r0
-            raise ValueError("orbit radius must be positive")
-        kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
-        beta = _jet_terms(o_model, r0, 0.0, 4)[3] / linear.Bp  # Br_z, from the jet's 4-term prefix
-        eqs = [build_levitation_equilibrium(model, b, r0, *solve_levitation(beta, kappa))]
+        eqs = [solve_levitation_equilibrium(model, b, r0)]
     else:
         raise ConfigError(f"unknown solver {solver!r}")
     return [eq.time_reversed() for eq in eqs] if negative_omega else eqs

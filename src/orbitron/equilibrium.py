@@ -23,6 +23,7 @@ import numpy as np
 from .core import BodyParams, Multipliers, ReducedState
 from .errors import (
     BadSign,
+    ConfigError,
     NegativeCentrifugal,
     NoEquilibrium,
     NonFinite,
@@ -30,7 +31,7 @@ from .errors import (
     NotMirrorSymmetric,
     WrongFieldSign,
 )
-from .fields import AxiFieldModel, FieldJet, eval_jet
+from .fields import AxiFieldModel, Composite, FieldJet, Linear, _jet_terms, eval_jet
 from .potential import DipolePotential, _where
 
 __all__ = [
@@ -42,8 +43,10 @@ __all__ = [
     "equatorial_multipliers",
     "tilted_multipliers",
     "solve_dipole_equilibrium",
+    "split_levitation_model",
     "solve_levitation",
     "build_levitation_equilibrium",
+    "solve_levitation_equilibrium",
 ]
 
 E3 = np.array([0.0, 0.0, 1.0])
@@ -175,7 +178,7 @@ def _equatorial_tests(jet: FieldJet, b: BodyParams, r0, sigma):
 
     code indexes EQUATORIAL_FAILURES: 1 for a radial field or an axial gradient, else 2 unless omega2 > 0.
     """
-    dnorm = np.max(np.abs([jet.Br_r, jet.Br_z, jet.Bz_r, jet.Bz_z]), axis=0)
+    dnorm = np.max(np.abs([jet.Br_r, jet.Bz_r, jet.Bz_z]), axis=0)  # Br_z is Bz_r
     asymmetric = _radial_field(jet) | (np.abs(jet.Bz_z) > 1e-9 * np.maximum(dnorm, 1e-300))
     omega2 = equatorial_conditions(jet, b, r0, sigma)[2]
     return _where(asymmetric, 1, _where(omega2 <= 0.0, 2, 0)), omega2
@@ -351,6 +354,20 @@ def solve_dipole_equilibrium(model: AxiFieldModel, b: BodyParams, r0: float, C2:
     return out
 
 
+def split_levitation_model(model: AxiFieldModel) -> tuple[Linear, AxiFieldModel]:
+    """Separate the linear part from the mirror-symmetric remainder."""
+    parts = list(model.parts) if isinstance(model, Composite) else [model]
+    linear = [p for p in parts if isinstance(p, Linear)]
+    rest = [p for p in parts if not isinstance(p, Linear)]
+    if len(linear) != 1 or not rest:
+        raise ConfigError("levitation needs a composite field with exactly one linear part "
+                          "and at least one mirror-symmetric part")
+    if linear[0].Bp == 0.0:
+        raise ConfigError("levitation needs a nonzero linear gradient")
+    o_model = rest[0] if len(rest) == 1 else Composite(tuple(rest))
+    return linear[0], o_model
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _levitation_roots(beta, kappa) -> tuple:
     """Elementwise (nu_r, nu_z, xi2, disc, err, code) of solve_levitation; code indexes LEVITATION_FAILURES."""
@@ -415,3 +432,19 @@ def build_levitation_equilibrium(
         raise LEVITATION_FAILURES[code](_LEVITATION_MESSAGES[code])
     jet = eval_jet(model, r0, 0.0)
     return _tilted_equilibrium(model, b, r0, jet, math.sqrt(xi2 * b.g / r0), nu_r, nu_z)
+
+
+def solve_levitation_equilibrium(model: AxiFieldModel, b: BodyParams, r0: float) -> Equilibrium:
+    """The levitating orbit at radius r0: the one route from a field and a body to the levitation branch.
+
+    kappa = M g / (mu B') and beta = Br_z / B', with Br_z of the mirror part at (r0, 0) (jet term 3, from the
+    4-term prefix), go to :func:`solve_levitation`, and its root to :func:`build_levitation_equilibrium`.
+    Raises ValueError unless r0 > 0, ConfigError where :func:`split_levitation_model` does, NonFinite when
+    mu B' underflows to 0, then what those two raise.
+    """
+    if r0 <= 0.0:  # beta is read off the jet at r0, before build_levitation_equilibrium checks r0
+        raise ValueError("orbit radius must be positive")
+    linear, o_model = split_levitation_model(model)
+    kappa = _quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
+    beta = _jet_terms(o_model, r0, 0.0, 4)[3] / linear.Bp
+    return build_levitation_equilibrium(model, b, r0, *solve_levitation(beta, kappa))

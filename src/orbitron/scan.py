@@ -24,10 +24,11 @@ from .equilibrium import (
     equatorial_conditions,
     equatorial_multipliers,
     solve_orbitron_equatorial,
+    split_levitation_model,
     tilted_multipliers,
 )
 from .errors import ConfigError, NonFinite
-from .fields import AxiFieldModel, Composite, DipolePair, FieldJet, Linear, _jet_terms, eval_jet
+from .fields import AxiFieldModel, DipolePair, FieldJet, _jet_terms, eval_jet
 from .stability import CERTIFICATE_FIELDS, _certify, _classify, _levitation_certificates, _support_cells
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "window_endpoints",
     "levitation_sweep",
     "stability_map",
-    "split_levitation_model",
     "radius_for_beta",
 ]
 
@@ -161,22 +161,6 @@ def window_endpoints(sigma: int = 1, ratio_range: tuple[float, float] = (0.3, 1.
     if not lower < upper:
         raise ValueError(f"no stability window found in ratio range {ratio_range}")
     return float(lower), float(upper)
-
-
-def split_levitation_model(model: AxiFieldModel) -> tuple[Linear, AxiFieldModel]:
-    """Separate the linear part from the mirror-symmetric remainder."""
-    parts = list(model.parts) if isinstance(model, Composite) else [model]
-    linear = [p for p in parts if isinstance(p, Linear)]
-    rest = [p for p in parts if not isinstance(p, Linear)]
-    if len(linear) != 1 or not rest:
-        raise ConfigError(
-            "levitation needs a composite field with exactly one linear part "
-            "and at least one mirror-symmetric part"
-        )
-    if linear[0].Bp == 0.0:
-        raise ConfigError("levitation needs a nonzero linear gradient")
-    o_model = rest[0] if len(rest) == 1 else Composite(tuple(rest))
-    return linear[0], o_model
 
 
 def radius_for_beta(model: AxiFieldModel, beta: float) -> float:

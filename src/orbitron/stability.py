@@ -89,19 +89,27 @@ class EliminationResult:
 
 
 @dataclass(frozen=True)
-class StabilityCertificate:
+class _Verdict:
+    """A finite margin and the verdict :func:`_classify` derives from it; a margin that is not finite raises NonFinite."""
+
+    verdict: str = field(init=False)
+    margin: float
+
+    def __post_init__(self) -> None:
+        _require_finite(self.margin)
+        object.__setattr__(self, "verdict", _classify(self.margin))
+
+
+@dataclass(frozen=True)
+class StabilityCertificate(_Verdict):
     """Result of a closed-form stability test.
 
     margin is the smallest normalized condition value: positive and outside
     the marginal band for a certified equilibrium, negative when some
-    condition fails.  The verdict is derived from it by :func:`_classify`.
-    failed_condition names the first violated condition.  pivots is empty
-    for the field-level routes.  A margin that is not finite raises
-    NonFinite.
+    condition fails.  failed_condition names the first violated condition.
+    pivots is empty for the field-level routes.
     """
 
-    verdict: str = field(init=False)
-    margin: float
     lambda_ok: bool
     A: float
     B: float
@@ -110,29 +118,16 @@ class StabilityCertificate:
     failed_condition: str | None = None
     details: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        _require_finite(self.margin)
-        object.__setattr__(self, "verdict", _classify(self.margin))
-
     def to_record(self) -> dict:
         record = {name: getattr(self, name) for name in CERTIFICATE_FIELDS}
         return dict(record, pivots=[float(p) for p in self.pivots])
 
 
 @dataclass(frozen=True)
-class EigenCertificate:
-    """Spectrum-based verdict on the reduced quadratic form: a finite margin, its verdict and the eigenvalues.
+class EigenCertificate(_Verdict):
+    """Spectrum-based verdict on the reduced quadratic form: a finite margin, its verdict and the ascending eigenvalues."""
 
-    The verdict is derived from the margin by :func:`_classify`; the eigenvalues ascend.
-    """
-
-    verdict: str = field(init=False)
-    margin: float
     eigenvalues: tuple
-
-    def __post_init__(self) -> None:
-        _require_finite(self.margin)
-        object.__setattr__(self, "verdict", _classify(self.margin))
 
 
 def _require_finite(value: float, what: str = "certificate margin") -> None:

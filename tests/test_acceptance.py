@@ -23,12 +23,14 @@ from orbitron.equilibrium import (
     first_order_residual,
     solve_dipole_equilibrium,
     solve_levitation,
+    solve_levitation_equilibrium,
     solve_orbitron_equatorial,
+    split_levitation_model,
 )
 from orbitron.errors import ZeroPivot
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential, hessian_blocks
-from orbitron.scan import split_levitation_model, window_endpoints
+from orbitron.scan import window_endpoints
 from orbitron.stability import (
     closed_form_conditions,
     isolated_squares_reduce,
@@ -173,9 +175,8 @@ def test_criterion_3_equilibrium_fidelity():
             (solve_orbitron_equatorial(model, b, 0.8, 10.0, 1), b, model),
             (solve_orbitron_equatorial(model, b, 3.0, 10.0, -1), b, model),
         ]
-        lmodel, lb, beta, kappa = _levitation_setup()
-        nr, nz, xi2 = solve_levitation(beta, kappa)
-        leq = build_levitation_equilibrium(lmodel, lb, 0.8, nr, nz, xi2)
+        lmodel, lb, _, _ = _levitation_setup()
+        leq = solve_levitation_equilibrium(lmodel, lb, 0.8)
         eqs.append((leq, lb, lmodel))
         for branch in solve_dipole_equilibrium(lmodel, lb, 0.8, leq.C2):
             eqs.append((branch, lb, lmodel))

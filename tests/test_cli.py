@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface."""
 
+import ast
 import contextlib
 import csv
 import io
@@ -994,6 +995,39 @@ def test_certify_builds_no_hessian_blocks_it_does_not_read(tmp_path, monkeypatch
     cfg = _cfg(tmp_path, {"body": body, "field": field, "certify": {"method": method, "equilibrium": spec}})
     check_run(["certify", "--config", cfg, "--out", str(tmp_path / "c.json")], tmp_path)
     assert calls == []
+
+
+@pytest.mark.parametrize("name, searches", [("certify_levitation", 0), ("equilibrium_levitation_beta", 1)])
+def test_levitation_spec_solves_one_orbit(tmp_path, monkeypatch, name, searches):
+    # the r0 and beta routes each solve and build one orbit; only the beta route searches for its radius
+    from orbitron import cli, equilibrium
+
+    calls = []
+    for module, fn in ((equilibrium, "solve_levitation"), (equilibrium, "build_levitation_equilibrium"),
+                       (cli, "radius_for_beta")):
+        def counted(*args, fn=fn, original=getattr(module, fn)):
+            calls.append(fn)
+            return original(*args)
+
+        monkeypatch.setattr(module, fn, counted)
+    out = f"{name}.out.json"
+    flags = ["--oracle"] if name.startswith("certify") else []
+    argv = [name.split("_")[0], *flags, "--config", str(CASE_DIR / f"{name}.config.json"), "--out", str(tmp_path / out)]
+    assert check_run(argv, tmp_path) == {out: (CASE_DIR / out).read_bytes()}
+    assert sorted(calls) == sorted(["solve_levitation", "build_levitation_equilibrium"] + ["radius_for_beta"] * searches)
+
+
+def test_cli_imports_no_private_library_name():
+    # the CLI reads configs and writes files: what it computes comes from public library functions
+    source = Path(__file__).resolve().parents[1] / "src" / "orbitron" / "cli.py"
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "orbitron")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 @pytest.mark.parametrize("ratio_range", [[0.3], [0.3, 1.5, 2.0]], ids=["one", "three"])

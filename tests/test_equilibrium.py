@@ -1,10 +1,12 @@
 """Tests for relative-equilibrium solvers and the levitation closed form."""
 
+import json
 import math
 import random
 import re
 from dataclasses import replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,9 @@ from orbitron.equilibrium import (
     first_order_residual,
     solve_dipole_equilibrium,
     solve_levitation,
+    solve_levitation_equilibrium,
     solve_orbitron_equatorial,
+    split_levitation_model,
     tilted_multipliers,
 )
 from orbitron.errors import (
@@ -29,11 +33,12 @@ from orbitron.errors import (
     OrbitronError,
     WrongFieldSign,
 )
-from orbitron.fields import Composite, DipolePair, FieldJet, Linear, eval_jet
+from orbitron.fields import Composite, DipolePair, FieldJet, Linear, _jet_terms, eval_jet, model_from_config
 from orbitron.potential import DipolePotential
-from orbitron.scan import split_levitation_model
+from orbitron.scan import radius_for_beta
 
 from test_core import augmented_hamiltonian
+from test_scan import _extreme_sweeps
 
 FROZEN_OMEGA_SQ = 3.568922026299016
 
@@ -132,9 +137,8 @@ def _dipole_branches(negative_omega):
 
 
 def _levitation_branch(negative_omega):
-    model, b, beta, kappa = _levitation_setup()
-    nr, nz, xi2 = solve_levitation(beta, kappa)
-    return _twins([build_levitation_equilibrium(model, b, 0.8, nr, nz, xi2)], negative_omega)
+    model, b, _, _ = _levitation_setup()
+    return _twins([solve_levitation_equilibrium(model, b, 0.8)], negative_omega)
 
 
 @pytest.mark.parametrize(
@@ -201,9 +205,8 @@ def _solver_cases():
         (solve_orbitron_equatorial(model, b, 0.8, 10.0), b, model),
         (solve_orbitron_equatorial(model, b, 3.0, 10.0, sigma=-1), b, model)
     ]
-    lmodel, lb, beta, kappa = _levitation_setup()
-    nr, nz, xi2 = solve_levitation(beta, kappa)
-    cases.append((build_levitation_equilibrium(lmodel, lb, 0.8, nr, nz, xi2), lb, lmodel))
+    lmodel, lb, _, _ = _levitation_setup()
+    cases.append((solve_levitation_equilibrium(lmodel, lb, 0.8), lb, lmodel))
     return cases
 
 
@@ -651,3 +654,95 @@ def test_float_sigma_raises_wrong_field_sign(sigma, r0):
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     assert f"sigma = {sigma:+d}," in messages[0]
+
+
+def _cli_levitation_glue(model, b, r0):
+    """The levitation route as the CLI wrote it before solve_levitation_equilibrium, kept as its reference."""
+    linear, o_model = split_levitation_model(model)  # the parts the CLI's setup check returned
+    if r0 <= 0.0:
+        raise ValueError("orbit radius must be positive")
+    kappa = equilibrium._quotient(b.M * b.g, b.mu * linear.Bp, "kappa = M g / (mu B')")
+    beta = _jet_terms(o_model, r0, 0.0, 4)[3] / linear.Bp
+    return build_levitation_equilibrium(model, b, r0, *solve_levitation(beta, kappa))
+
+
+def _route_outcome(route, model, b, r0):
+    """The bytes of a levitation route's record, nu0 and pi0, or the type and message of its error."""
+    try:
+        eq = route(model, b, r0)
+    except (OrbitronError, ValueError, ArithmeticError) as exc:
+        return type(exc).__name__, str(exc)
+    return repr(eq.to_record()), eq.nu0.tobytes(), eq.pi0.tobytes()
+
+
+def _with_kappa(b, Bp, kappa):
+    """b with the g that gives kappa = M g / (mu B'), or None if that g is negative."""
+    g = kappa * b.mu * Bp / b.M
+    return None if g < 0.0 else replace(b, g=g)
+
+
+def _radii(model, spec):
+    """The spec's r0, and the radius_for_beta of its beta where that search succeeds."""
+    radii = [spec["r0"]] if "r0" in spec else []
+    try:
+        radii += [radius_for_beta(model, spec["beta"])] if "beta" in spec else []
+    except (OrbitronError, ValueError):
+        pass
+    return radii
+
+
+def _data_levitation_cases():
+    """(model, body, r0) of the levitation configs under tests/data; a sweep gives one body per kappa."""
+    for path in sorted((Path(__file__).parent / "data").glob("*levitation*.config.json")):
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        spec = cfg.get("equilibrium") or cfg.get("certify", {}).get("equilibrium") or cfg["scan"]
+        if spec.get("solver", "levitation") != "levitation":
+            continue
+        model, b = model_from_config(cfg["field"]), BodyParams(**cfg["body"])
+        Bp = split_levitation_model(model)[0].Bp
+        bodies = [_with_kappa(b, Bp, k) for k in spec["kappa_values"]] if "kappa_values" in spec else [b]
+        yield from ((model, body, r0) for body in bodies if body for r0 in _radii(model, spec))
+
+
+def _levitation_route_draws(n, seed=36):
+    """Seeded (model, body, r0) on Linear(1, B') + the unit pair, a sixth each of: r0 <= 0, B' < 0,
+    kappa = 1 exactly, no real root, mu B' underflowing to 0, and kappa in [0.5, 1.6]."""
+    rng = random.Random(seed)
+    for i in range(n):
+        kind, r0, Bp = i % 6, rng.uniform(0.3, 3.0), rng.uniform(0.5, 5.0)
+        b = BodyParams(M=rng.uniform(0.5, 2.0), I_perp=rng.uniform(0.05, 0.5), I3=1.0, mu=rng.uniform(0.5, 2.0))
+        kappa = rng.uniform(0.5, 1.6)
+        if kind == 0:
+            r0 = rng.choice([0.0, -0.0, -r0])
+        elif kind == 1:
+            Bp = -Bp
+            kappa = -kappa  # g > 0 on a negative gradient
+        elif kind == 2:
+            b, kappa = replace(b, M=1.0, mu=1.0, g=Bp), None  # M g / (mu B') = B' / B' = 1
+        elif kind == 3:
+            Bp, kappa = rng.uniform(20.0, 100.0), rng.uniform(2.0, 5.0)  # |beta| < 1 < 2 <= kappa
+        elif kind == 4:
+            b, kappa = replace(b, mu=1e-200 * b.mu, g=rng.uniform(1.0, 5.0)), None
+            Bp *= 1e-200
+        model = Composite((Linear(1.0, Bp), DipolePair(1.0, 1.0)))
+        yield model, b if kappa is None else _with_kappa(b, Bp, kappa), r0
+
+
+def _extreme_levitation_cases(n):
+    """(model, body, r0) at extreme scales, drawn as test_scan's sweeps: the beta's radius, or 0.8 h without one."""
+    for b, model, kappas, beta in _extreme_sweeps(n):
+        radii = _radii(model, {"beta": beta}) or [0.8 * model.parts[1].h]
+        bodies = (_with_kappa(b, model.parts[0].Bp, kappa) for kappa in kappas)
+        yield from ((model, body, radii[0]) for body in bodies if body)
+
+
+def test_solve_levitation_equilibrium_is_the_cli_route():
+    cases = [*_data_levitation_cases(), *_levitation_route_draws(300), *_extreme_levitation_cases(200)]
+    got = [_route_outcome(solve_levitation_equilibrium, *case) for case in cases]
+    assert got == [_route_outcome(_cli_levitation_glue, *case) for case in cases]
+    kinds = [g[0] if len(g) == 2 else "solved" for g in got]
+    assert kinds.count("solved") >= 150
+    for kind in ("ValueError", "BadSign", "NoEquilibrium", "NoRealSolution", "NonFinite"):
+        assert kind in kinds, kind
+    assert ("NonFinite", "kappa = M g / (mu B') is not finite: its divisor underflows to 0") in got
+    assert ("ValueError", "orbit radius must be positive") in got

@@ -21,7 +21,6 @@ from orbitron.scan import (
     dipoletron_window,
     levitation_sweep,
     radius_for_beta,
-    split_levitation_model,
     stability_map,
     window_endpoints,
 )
@@ -30,6 +29,7 @@ from orbitron.equilibrium import (
     build_levitation_equilibrium,
     solve_levitation,
     solve_orbitron_equatorial,
+    split_levitation_model,
 )
 
 

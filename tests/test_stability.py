@@ -15,12 +15,12 @@ from orbitron.equilibrium import (
     solve_dipole_equilibrium,
     solve_levitation,
     solve_orbitron_equatorial,
+    split_levitation_model,
 )
 from orbitron.errors import NonFinite, NotEquatorial, OrbitronError, PolarDegeneracy, ZeroPivot
 from orbitron.fields import Composite, DipolePair, Linear, eval_jet
 from orbitron.potential import DipolePotential, PotentialHessianBlocks, _planar_direction, hessian_blocks
 from orbitron import stability
-from orbitron.scan import split_levitation_model
 from orbitron.stability import (
     MARGIN_BAND,
     VARIATION_LABELS,
