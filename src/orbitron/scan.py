@@ -29,7 +29,7 @@ from .equilibrium import (
 )
 from .errors import ConfigError, NonFinite
 from .fields import AxiFieldModel, DipolePair, FieldJet, _jet_terms, eval_jet
-from .stability import CERTIFICATE_FIELDS, _certify, _classify, _levitation_certificates, _support_cells
+from .stability import CERTIFICATE_FIELDS, _certify, _levitation_certificates, _support_cells
 
 __all__ = [
     "ScanAxis",
@@ -64,6 +64,10 @@ class ScanAxis:
         return np.linspace(self.lo, self.hi, self.n)
 
 
+# The certificate fields of a levitation sweep row, and of a map cell unless its spec asks for others.
+CERTIFICATE_COLUMNS = ("verdict", "margin", "A", "B", "C")
+
+
 @dataclass(frozen=True)
 class ScanSpec:
     """Axes, fixed parameters, and requested output columns of a 2-D map."""
@@ -71,7 +75,7 @@ class ScanSpec:
     axis1: ScanAxis
     axis2: ScanAxis
     fixed: dict = field(default_factory=dict)
-    outputs: tuple = ("verdict", "margin", "A", "B", "C")
+    outputs: tuple = CERTIFICATE_COLUMNS
 
 
 def _rows(keys, columns) -> list[dict]:
@@ -97,6 +101,14 @@ def _scatter(n: int, at: np.ndarray, values: np.ndarray, fill) -> list:
     column = np.full((*values.shape[:-1], n), fill, dtype=float if values.dtype == float else object)
     column[..., at] = values
     return column.tolist()
+
+
+def _certificate_columns(n: int, at: np.ndarray, certs, ok: np.ndarray, outputs: tuple) -> list:
+    """Both scans' n-row columns of the fields ``outputs``: cells ``ok`` of ``certs`` at rows ``at``, else "" or NaN."""
+    fills = ["" if name == "verdict" else math.nan for name in outputs]
+    if certs is None:
+        return [[fill] * n for fill in fills]
+    return [_scatter(n, at, certs.column(name)[ok], fill) for name, fill in zip(outputs, fills)]
 
 
 def dipoletron_window(
@@ -222,11 +234,12 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     balance presumes.  One :func:`equilibrium._levitation_roots` call solves
     every row.  A failed row carries the name of its :func:`equilibrium._levitation_code`
     (BadSign for g <= 0, the roots' code, NoEquilibrium for a zero tilt) and
-    empty numerics.  The others share one jet at r0 and one stacked pass through
-    the closed form, which :func:`stability.levitation_conditions` makes on
-    one row, and carry NonFinite where their multipliers, pi0, p0 or margin
-    are not finite.  A beta out of :func:`radius_for_beta`'s reach raises
-    ValueError; every row of a beta >= 0 in reach (B' < 0) carries BadSign.
+    empty numerics.  The others share one jet at r0 and one certificate table,
+    the stacked pass that :func:`stability.levitation_conditions` makes on one
+    row, whose verdict, margin, A, B and C columns the map's column step reads;
+    they carry NonFinite where their multipliers, pi0, p0 or margin are not
+    finite.  A beta out of :func:`radius_for_beta`'s reach raises ValueError;
+    every row of a beta >= 0 in reach (B' < 0) carries BadSign.
     """
     linear, _ = split_levitation_model(model)
     r0 = radius_for_beta(model, beta)
@@ -236,23 +249,21 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     nu_r, nu_z, xi2, _, _, code = _levitation_roots(np.full(n, beta), np.array(kappas))
     errors = _error_names(LEVITATION_FAILURES, _levitation_code(code, nu_r, g))
     live = np.flatnonzero(errors == "")
-    certified = np.zeros(0, dtype=int)
-    numerics = np.zeros((7, 0))  # nu_r, nu_z, xi2, margin, A, B and C of the certified rows
+    nu_r, nu_z, xi2, g = nu_r[live], nu_z[live], xi2[live], g[live]
+    certs, ok = None, np.zeros(0, dtype=bool)
     if live.size:
         jet = eval_jet(model, r0, 0.0)
-        nu_r, nu_z, xi2, g = nu_r[live], nu_z[live], xi2[live], g[live]
         omega = np.sqrt(xi2 * g / r0)
         mult = tilted_multipliers(b, jet.Br, jet.Bz, omega, nu_r, nu_z)
         pi0, p0 = _support_momenta(b, r0, np.array([nu_r, np.zeros_like(nu_r), nu_z]), mult)
-        _, _, A, B, C, _, margin = _levitation_certificates(b, jet, r0, nu_r, nu_z, mult)
-        ok = np.isfinite([*vars(mult).values(), *pi0, p0, margin]).all(axis=0)
+        certs = _levitation_certificates(b, jet, r0, nu_r, nu_z, mult)
+        ok = np.isfinite([*vars(mult).values(), *pi0, p0, certs.margin]).all(axis=0)
         errors[live[~ok]] = "NonFinite"
-        certified = live[ok]
-        numerics = np.array([nu_r, nu_z, xi2, margin, A, B, C])[:, ok]
-    keys = ("kappa", "beta", "r0", "nu_r", "nu_z", "xi2", "verdict", "margin", "A", "B", "C", "error")
-    floats = _scatter(n, certified, numerics, math.nan)
-    verdicts = _scatter(n, certified, _classify(numerics[3]), "")
-    return _rows(keys, [kappas, [beta] * n, [r0] * n, *floats[:3], verdicts, *floats[3:], errors.tolist()])
+    certified = live[ok]
+    floats = _scatter(n, certified, np.array([nu_r, nu_z, xi2])[:, ok], math.nan)
+    columns = _certificate_columns(n, certified, certs, ok, CERTIFICATE_COLUMNS)
+    keys = ("kappa", "beta", "r0", "nu_r", "nu_z", "xi2", *CERTIFICATE_COLUMNS, "error")
+    return _rows(keys, [kappas, [beta] * n, [r0] * n, *floats, *columns, errors.tolist()])
 
 
 def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[dict]:
@@ -316,11 +327,10 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
         mult = equatorial_multipliers(b, jet.Bz, omega, pi0[live], nz)
         certs = _certify(b, _support_cells(jet, b, r_live, np.zeros(len(live)), nz, mult))
     errors[live[certs.sweep.zero]] = "ZeroPivot"
-    nonfinite[live] |= ~np.isfinite(certs.sweep.margin)
+    nonfinite[live] |= ~np.isfinite(certs.margin)
     errors[nonfinite] = "NonFinite"
     ok = errors[live] == ""
     certified = live[ok]
     columns = [grid[spec.axis1.name].tolist(), grid[spec.axis2.name].tolist()]
-    for name in spec.outputs:
-        columns.append(_scatter(n, certified, certs.column(name)[ok], "" if name == "verdict" else math.nan))
+    columns += _certificate_columns(n, certified, certs, ok, spec.outputs)
     return _rows([spec.axis1.name, spec.axis2.name, *spec.outputs, "error"], [*columns, errors.tolist()])

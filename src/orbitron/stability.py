@@ -59,13 +59,12 @@ _VERDICTS = np.array(["not_certified", "stable", "marginal"], dtype=object)
 # Index arrays of the strict lower triangle of the 8 x 8 reduced form.
 _LOWER = np.tril_indices(8, -1)
 
-# Closed-form conditions by failure code; code 0 means all of them hold.
+# Each route's condition names by failure code; code 0 means all of them hold.  The
+# levitation route has the closed form's codes, but its first condition is lambda
+# itself, as the pure axis blocks vanish there; the orbitron route has its own.
 FAILED_CONDITIONS = (None, "nu2_block", "nu1_block", "A", "C", "det")
-_FAILED_CONDITIONS = np.array(FAILED_CONDITIONS, dtype=object)
-
-# The same codes as levitation_conditions names them: there the first
-# condition is lambda itself, as the pure axis blocks vanish.
 LEVITATION_CONDITIONS = (None, "lambda") + FAILED_CONDITIONS[2:]
+ORBITRON_CONDITIONS = (None, "lambda", "axial", "radial", "spin")
 
 # StabilityCertificate fields that hold one value per certified cell.
 CERTIFICATE_FIELDS = ("verdict", "margin", "lambda_ok", "A", "B", "C", "pivots", "failed_condition")
@@ -390,43 +389,55 @@ def _closed_form(b: BodyParams, cells: _Cells) -> tuple:
     return den1, cond2, A, B, C, failed
 
 
-@dataclass(frozen=True)
-class _Certificates:
-    """Closed-form certificates of one cell, or of K cells as arrays over the cells; the margin is the sweep's."""
+class _Certificates(NamedTuple):
+    """The certificate table of every route and scan: floats for one cell, or arrays over K cells.
 
-    sweep: _Sweep
-    den1: np.ndarray
-    cond2: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    failed: np.ndarray
+    margin is the route's own, den1 its first condition, cond2 the axis-block
+    one and A, B, C the positional block; failed indexes ``names``, the
+    route's condition names, and sweep is the elimination where the route
+    runs one.  Every StabilityCertificate field is derived from these here.
+    """
 
-    def column(self, name: str) -> np.ndarray:
+    margin: float | np.ndarray
+    den1: float | np.ndarray
+    cond2: float | np.ndarray
+    A: float | np.ndarray
+    B: float | np.ndarray
+    C: float | np.ndarray
+    failed: int | np.ndarray
+    names: tuple
+    sweep: _Sweep | None = None
+
+    def column(self, name: str):
         """The StabilityCertificate field ``name`` of the cell, or of every cell as one array over the cells.
 
-        Its ``np.asarray(...).tolist()`` gives the field's Python values:
-        str, float, bool, a list of pivots, or a condition name or None.
+        Its ``np.asarray(...).tolist()`` gives the field's Python values; no sweep gives no pivots.
         """
         if name == "verdict":
-            return _classify(self.sweep.margin)
-        if name == "margin":
-            return self.sweep.margin
+            return _classify(self.margin)
         if name == "lambda_ok":
             return self.den1 > 0.0
         if name == "pivots":
+            if self.sweep is None:
+                return ()
             pivots, stop = self.sweep.pivots, self.sweep.stop
             if pivots.ndim == 1:
                 return pivots[: stop + 1]
             rows = zip(pivots.tolist(), stop.tolist())
             return np.fromiter((row[: s + 1] for row, s in rows), dtype=object, count=len(stop))
         if name == "failed_condition":
-            return _FAILED_CONDITIONS[self.failed]
+            return (np.array(self.names, dtype=object) if isinstance(self.failed, np.ndarray) else self.names)[self.failed]
         return getattr(self, name)
+
+    def certificate(self, details: dict) -> StabilityCertificate:
+        """The certificate of the one cell, with the route's details; a margin that is not finite raises NonFinite."""
+        lambda_ok, pivots, failed = self.column("lambda_ok"), self.column("pivots"), self.column("failed_condition")
+        margin, A, B, C = float(self.margin), float(self.A), float(self.B), float(self.C)
+        return StabilityCertificate(margin, bool(lambda_ok), A, B, C, tuple(map(float, pivots)), failed, details)
 
 
 def _certify(b: BodyParams, cells: _Cells, Q: np.ndarray | None = None) -> _Certificates:
-    """Closed-form conditions and elimination verdicts of one cell, or of K cells.
+    """The closed-form route's table of one cell, or of K cells.
 
     The margin is the elimination's.  Cells flagged in ``sweep.zero`` hit a
     zero pivot and carry no verdict.  Q, when given, is the cells' reduced
@@ -434,8 +445,8 @@ def _certify(b: BodyParams, cells: _Cells, Q: np.ndarray | None = None) -> _Cert
     """
     den1, cond2, A, B, C, failed = _closed_form(b, cells)
     cond2 = np.where(den1 <= 0.0, np.nan, cond2)
-    S = _reduced_forms(b, cells) if Q is None else Q.copy()
-    return _Certificates(_eliminate(S), den1, cond2, A, B, C, failed)
+    sweep = _eliminate(_reduced_forms(b, cells) if Q is None else Q.copy())
+    return _Certificates(sweep.margin, den1, cond2, A, B, C, failed, FAILED_CONDITIONS, sweep)
 
 
 def _one_cell(eq: Equilibrium, blocks: PotentialHessianBlocks) -> _Cells:
@@ -473,11 +484,9 @@ def closed_form_conditions(
     which the sweep then reads, unchanged, instead of building Q again.
     """
     certs = _certify(b, _one_cell(eq, blocks), Q)
-    cell = {name: np.asarray(certs.column(name)).tolist() for name in CERTIFICATE_FIELDS if name != "verdict"}
     if certs.sweep.zero:
-        raise _zero_pivot(cell["pivots"][-1], certs.sweep.stop)
-    details = {"den1": float(certs.den1), "cond2": float(certs.cond2)}
-    return StabilityCertificate(**dict(cell, pivots=tuple(cell["pivots"])), details=details)
+        raise _zero_pivot(float(certs.sweep.pivots[certs.sweep.stop]), certs.sweep.stop)
+    return certs.certificate({"den1": float(certs.den1), "cond2": float(certs.cond2)})
 
 
 @np.errstate(invalid="ignore")
@@ -493,16 +502,16 @@ def _normalized_min(values, defined):
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def _levitation_certificates(b: BodyParams, jet: FieldJet, r0, nu_r, nu_z, mult: Multipliers) -> tuple:
-    """(lambda, cond2, A, B, C, failed, margin) of levitation rows: floats give one row, arrays K.
+def _levitation_certificates(b: BodyParams, jet: FieldJet, r0, nu_r, nu_z, mult: Multipliers) -> _Certificates:
+    """The levitation route's table of rows: floats give one row, arrays K.
 
     Silently inf or nan where they overflow; the margin counts A, C and A C - B^2 only where A is finite.
     """
-    lam, cond2, A, B, C, failed = _closed_form(b, _support_cells(jet, b, r0, nu_r, nu_z, mult))
+    den1, cond2, A, B, C, failed = _closed_form(b, _support_cells(jet, b, r0, nu_r, nu_z, mult))
     has_abc = np.isfinite(A)
     always = np.ones_like(has_abc)
-    margin = _normalized_min((lam, cond2, A, C, A * C - B * B), (always, always, has_abc, has_abc, has_abc))
-    return lam, cond2, A, B, C, failed, margin
+    margin = _normalized_min((den1, cond2, A, C, A * C - B * B), (always, always, has_abc, has_abc, has_abc))
+    return _Certificates(margin, den1, cond2, A, B, C, failed, LEVITATION_CONDITIONS)
 
 
 def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:
@@ -529,34 +538,20 @@ def orbitron_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) ->
     pi0 = float(eq.pi0[2])
     jet = eval_jet(model, eq.r0, 0.0)
     cells = _support_cells(jet, b, eq.r0, nu_r, nu_z, eq.mult)
-    lam, _, _, _, C, _ = (float(v) for v in _closed_form(b, cells))
+    lam, cond2, _, _, C, _ = (float(v) for v in _closed_form(b, cells))
     axial, radial, _ = equatorial_conditions(jet, b, eq.r0, sigma)
-    A = b.mu * radial
-    B = 0.0
+    A, B = b.mu * radial, 0.0
     spin_rhs = math.nan
-    failed: str | None = None
-    if lam <= 0.0:
-        failed = "lambda"
-    elif axial <= 0.0:
-        failed = "axial"
-    elif radial <= 0.0:
-        failed = "radial"
-    else:
+    failed = 1 if lam <= 0.0 else 2 if axial <= 0.0 else 3 if radial <= 0.0 else 0  # indexes ORBITRON_CONDITIONS
+    if not failed:
         spin_rhs = -sigma * b.mu * jet.Bz + b.I_perp * (om * om) + b.mu * (jet.Bz_r * jet.Bz_r) / axial
         _require_finite(spin_rhs, "orbitron spin threshold")
-        if not om * pi0 > spin_rhs:
-            failed = "spin"
+        failed = 0 if om * pi0 > spin_rhs else 4
     if lam > 0.0:  # else C is undefined (NaN)
         _require_finite(C, "orbitron condition C")
     margin = float(_normalized_min((lam, A, C, A * C - B * B), (True, True, lam > 0.0, lam > 0.0)))
-    details = {
-        "lambda": lam,
-        "axial": axial,
-        "radial": radial,
-        "spin_lhs": om * pi0,
-        "spin_rhs": spin_rhs,
-    }
-    return StabilityCertificate(margin, lam > 0.0, A, B, C, failed_condition=failed, details=details)
+    details = {"lambda": lam, "axial": axial, "radial": radial, "spin_lhs": om * pi0, "spin_rhs": spin_rhs}
+    return _Certificates(margin, lam, cond2, A, B, C, failed, ORBITRON_CONDITIONS).certificate(details)
 
 
 def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) -> StabilityCertificate:
@@ -564,8 +559,8 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
 
     lambda, the axis-block condition and A, B, C are those of the general
     closed form; at a levitation support point the pure axis blocks of V
-    vanish, so its first condition is lambda > 0 itself.  This is the one-row call
-    of the pass :func:`scan.levitation_sweep` makes, margin rule included.  The
+    vanish, so its first condition is lambda > 0 itself.  Its certificate is one row of
+    the table that :func:`scan.levitation_sweep` stacks, margin rule included.  The
     certificate also reports the scaled diagnostics (a, b, c) = (r0 / M g)(A, B, C)
     and the spin threshold omega pi0 > -sigma mu Bz + I_perp omega^2 + M g r0.
     """
@@ -573,10 +568,10 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
     om = eq.mult.omega
     nu_r, _, nu_z = eq.nu0.tolist()
     jet = eval_jet(model, r0, 0.0)
-    lam, cond2, A, B, C, code, margin = _levitation_certificates(b, jet, r0, nu_r, nu_z, eq.mult)
-    lam, cond2, A, B, C, margin = (float(v) for v in (lam, cond2, A, B, C, margin))
+    certs = _levitation_certificates(b, jet, r0, nu_r, nu_z, eq.mult)
+    lam, A, B, C = (float(v) for v in (certs.den1, certs.A, certs.B, certs.C))
     details = {
-        "cond2": cond2,
+        "cond2": float(certs.cond2),
         "a": _quotient(A * r0, M * g, "a = A r0 / (M g)"),
         "b": _quotient(B * r0, M * g, "b = B r0 / (M g)"),
         "c": _quotient(C * r0, M * g, "c = C r0 / (M g)"),
@@ -584,8 +579,7 @@ def levitation_conditions(eq: Equilibrium, b: BodyParams, model: AxiFieldModel) 
         "dynamic_rhs": -eq.sigma * mu * jet.Bz + I * om**2 + M * g * r0,
         "lambda_over_mgr": _quotient(lam, M * g * r0, "lambda / (M g r0)"),
     }
-    failed = LEVITATION_CONDITIONS[int(code)]
-    return StabilityCertificate(margin, lam > 0.0, A, B, C, failed_condition=failed, details=details)
+    return certs.certificate(details)
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")

@@ -28,6 +28,7 @@ from orbitron.stability import CERTIFICATE_FIELDS, closed_form_conditions, levit
 from orbitron.equilibrium import (
     build_levitation_equilibrium,
     solve_levitation,
+    solve_levitation_equilibrium,
     solve_orbitron_equatorial,
     split_levitation_model,
 )
@@ -435,6 +436,66 @@ def test_levitation_sweep_matches_per_row_route_at_extreme_scales():
         assert got == _sweep_outcome(reference, model, b, kappas, beta)
         live += got.count("'error': ''")
     assert live >= 200
+
+
+def _levitation_route_row(model, b, r0, kappa):
+    """(error name, row fields) of the library's one levitation route at r0, under the gravity kappa presumes.
+
+    The route is solve_levitation_equilibrium, which reads beta off the field at
+    r0 and kappa back from g, then levitation_conditions.
+    """
+    linear, _ = split_levitation_model(model)
+    b_row = replace(b, g=kappa * b.mu * linear.Bp / b.M)
+    try:
+        eq = solve_levitation_equilibrium(model, b_row, r0)
+        cert = levitation_conditions(eq, b_row, model)
+    except (OrbitronError, ArithmeticError) as exc:  # as the sweep catches them
+        return type(exc).__name__, {}
+    fields = {"nu_r": eq.nu0[0], "nu_z": eq.nu0[2], "margin": cert.margin, "A": cert.A, "B": cert.B, "C": cert.C}
+    return "", dict(fields, verdict=cert.verdict)
+
+
+def _ordinary_sweeps(n, seed=23):
+    """Seeded sweeps of Linear(1, B') plus a pair at ordinary scales, with B' the gradient the pair's Br_z reaches."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        M, I, mu, q, h = (rng.uniform(0.5, 2.0) for _ in range(5))
+        beta, ratio = -rng.uniform(0.05, 1.5), rng.uniform(0.6, 1.5)
+        Bp = eval_jet(DipolePair(q, h), ratio * h, 0.0).Br_z / beta
+        kappas = [rng.uniform(0.5, 1.8) for _ in range(10)]
+        yield BodyParams(M=M, I_perp=I, I3=1.0, mu=mu), Composite((Linear(1.0, Bp), DipolePair(q, h))), kappas, beta
+
+
+def test_levitation_sweep_rows_agree_with_the_levitation_route():
+    # The sweep solves at its nominal beta, which r0 realizes only to the bisection's 1e-14 h, while the
+    # route reads beta off the field at r0: the two agree in verdict and error, and their numbers to 1e-10.
+    configs = [json.loads(path.read_text()) for path in sorted(DATA.glob("scan_levitation_*.config.json"))]
+    sweeps = list(_ordinary_sweeps(100))
+    for cfg in configs:
+        b, model = BodyParams(**cfg["body"]), model_from_config(cfg["field"])
+        try:
+            radius_for_beta(model, cfg["scan"]["beta"])
+        except (OrbitronError, ValueError):  # a config whose sweep raises has no rows
+            continue
+        sweeps.append((b, model, cfg["scan"]["kappa_values"], cfg["scan"]["beta"]))
+    assert len(sweeps) == 102
+    rows, errors, verdicts = 0, set(), set()
+    for b, model, kappas, beta in sweeps:
+        for row in levitation_sweep(model, b, kappas, beta):
+            if not row["kappa"] > 0.0:
+                continue
+            error, fields = _levitation_route_row(model, b, row["r0"], row["kappa"])
+            assert row["error"] == error
+            rows, verdicts = rows + 1, verdicts | {row["verdict"]}
+            errors.add(error)
+            if error:
+                continue
+            assert row["verdict"] == fields.pop("verdict")
+            for name, value in fields.items():
+                assert row[name] == pytest.approx(value, rel=1e-10, nan_ok=True), name
+    assert rows >= 1000
+    assert {"", "NoRealSolution", "NoEquilibrium", "ArithmeticError"} <= errors
+    assert {"stable", "not_certified"} <= verdicts
 
 
 def test_scan_axis_validation():

@@ -1,8 +1,10 @@
 """Tests for the reduced second variation and the stability certificates."""
 
+import ast
 import math
 from dataclasses import fields, replace
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -589,9 +591,13 @@ def test_levitation_certificates_of_one_row_equal_the_stacked_rows(kappa):
     nu_r, nu_z = (np.array([eq.nu0[i] for eq in eqs]) for i in (0, 2))
     mult = Multipliers(*np.array([list(vars(eq.mult).values()) for eq in eqs]).T)
     stacked = stability._levitation_certificates(b, jet, 0.8, nu_r, nu_z, mult)
+    assert stacked.names == stability.LEVITATION_CONDITIONS and stacked.sweep is None
+    table = ("margin", "den1", "cond2", "A", "B", "C", "failed", "verdict", "lambda_ok", "failed_condition")
     for k, eq in enumerate(eqs):
         one = stability._levitation_certificates(b, jet, 0.8, float(nu_r[k]), float(nu_z[k]), eq.mult)
-        assert repr([float(v) for v in one]) == repr([float(v[k]) for v in stacked])
+        assert one.names == stacked.names and one.sweep is None
+        for name in table:
+            assert repr(np.asarray(one.column(name)).tolist()) == repr(np.asarray(stacked.column(name)).tolist()[k])
 
 
 def test_one_cell_certificates_raise_on_a_non_finite_margin():
@@ -935,6 +941,51 @@ def test_time_reversal_is_a_symmetry_of_every_route(route):
         assert repr(_route_outcomes(twin, b, model)) == repr(outcomes)
         verdicts.add(outcomes[-1][0])
     assert {"stable", "not_certified"} <= verdicts
+
+
+def test_every_route_derives_its_record_by_one_rule():
+    # every route's record holds plain Python values, names a condition of the route's own tuple, and has
+    # lambda_ok False exactly where the failed condition is the route's first one
+    reached = {}
+    for kind in ("orbitron", "dipole", "levitation"):
+        for eq, b, model in _reversal_draws(kind, 300):
+            blocks = hessian_blocks(eq.r0, eq.nu0, model, b)
+            routes = {stability.FAILED_CONDITIONS: partial(closed_form_conditions, eq, b, blocks)}
+            if eq.nu0[0] == 0.0:
+                routes[stability.ORBITRON_CONDITIONS] = partial(orbitron_conditions, eq, b, model)
+            if b.g > 0.0:
+                routes[stability.LEVITATION_CONDITIONS] = partial(levitation_conditions, eq, b, model)
+            for names, route in routes.items():
+                try:
+                    record = route().to_record()
+                except OrbitronError:
+                    continue
+                pivots = record.pop("pivots")
+                assert type(pivots) is list and {type(p) for p in pivots} <= {float}
+                assert {type(v) for v in record.values()} <= {float, bool, str, type(None)}
+                assert record["failed_condition"] in names
+                assert record["lambda_ok"] is (record["failed_condition"] != names[1])
+                reached.setdefault(names, set()).add(record["failed_condition"])
+    # each route passes, fails its first condition and fails a later one; the orbitron route fails each of its own
+    assert len(reached) == 3 and all({None, names[1]} < seen for names, seen in reached.items())
+    assert reached[stability.ORBITRON_CONDITIONS] == set(stability.ORBITRON_CONDITIONS)
+
+
+def _certificate_sites(package: Path) -> list:
+    """file:line of every call of StabilityCertificate in the package's modules."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(package.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call)
+        and "StabilityCertificate" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_one_site_builds_a_stability_certificate():
+    # every route's certificate is built by the one table method, so a field is added there for every route
+    sites = _certificate_sites(Path(__file__).resolve().parents[1] / "src" / "orbitron")
+    assert len(sites) == 1, sites
 
 
 def test_a_certificate_verdict_is_derived_from_its_margin():
