@@ -105,14 +105,26 @@ class Multipliers:
         return Multipliers(omega, 0.5 * (lambda_ + lambda2 * lambda2 * I_perp), lambda2, lambda_)
 
 
+def _dot3(a, b):
+    """a . b as (a1 b1 + a2 b2) + a3 b3 from the components: floats, or arrays elementwise.
+
+    A BLAS dot sums in the order of the kernel OpenBLAS picks for the CPU; this order is fixed.
+    """
+    a1, a2, a3 = a
+    b1, b2, b3 = b
+    return a1 * b1 + a2 * b2 + a3 * b3
+
+
 def casimirs(s: ReducedState) -> tuple[float, float]:
     """Return (C1, C2) = (nu . nu, nu . pi)."""
-    return float(s.nu.dot(s.nu)), float(s.nu.dot(s.pi))
+    nu = s.nu.tolist()
+    return _dot3(nu, nu), _dot3(nu, s.pi.tolist())
 
 
 def momentum_j3(s: ReducedState) -> float:
     """Axial momentum J3 = pi3 + x1 p2 - x2 p1 conserved by axisymmetry."""
-    return float(s.pi[2] + s.x[0] * s.p[1] - s.x[1] * s.p[0])
+    (x1, x2, _), (p1, p2, _) = s.x.tolist(), s.p.tolist()
+    return s.pi.tolist()[2] + x1 * p2 - x2 * p1
 
 
 def hamiltonian(
@@ -128,10 +140,11 @@ def hamiltonian(
     and added back only when ``include_casimir`` is set, so that reported
     energies match the full top.
     """
-    h = float(s.p.dot(s.p)) / (2.0 * b.M) + float(s.pi.dot(s.pi)) / (2.0 * b.I_perp)
+    p, pi = s.p.tolist(), s.pi.tolist()
+    h = _dot3(p, p) / (2.0 * b.M) + _dot3(pi, pi) / (2.0 * b.I_perp)
     h += V.value(s.x, s.nu)
     if include_casimir:
-        c2 = float(s.nu.dot(s.pi))
+        c2 = _dot3(s.nu.tolist(), pi)
         h += (0.5 / b.I3 - 0.5 / b.I_perp) * c2**2
     return h
 

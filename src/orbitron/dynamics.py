@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BodyParams, ReducedState, casimirs, hamiltonian, momentum_j3
+from .core import BodyParams, ReducedState, _dot3, casimirs, hamiltonian, momentum_j3
 from .equilibrium import Equilibrium, build_support_state
 from .errors import NonFinite
 from .fields import _components, _join
@@ -125,6 +125,19 @@ def eom_rhs(y: np.ndarray, b: BodyParams, V: DipolePotential) -> np.ndarray:
     return _join(_rhs(_components(y), b, V))
 
 
+def _project(c: list) -> float:
+    """Scale the nu components of the state c to unit length in place; return nu . nu from before.
+
+    A nu . nu that is 0 or not finite, where it underflowed or overflowed,
+    leaves nu NaN, so the state is reported non-finite.
+    """
+    n1, n2, n3 = nu = c[6:9]
+    c1 = _dot3(nu, nu)
+    n = math.sqrt(c1) if 0.0 < c1 < math.inf else math.nan
+    c[6], c[7], c[8] = n1 / n, n2 / n, n3 / n
+    return c1
+
+
 @np.errstate(all="ignore")
 def integrate(
     s0: ReducedState,
@@ -143,12 +156,11 @@ def integrate(
     J3, C1 or C2, step 0 included.
     """
     projected = cfg.scheme == "rk4_projected"
-    y = s0.as_vector()
-    if projected:
-        y[6:9] /= np.linalg.norm(y[6:9])
     # The state is carried as its 12 components between stages; an ndarray
     # is built only for a recorded sample.
-    c = y.tolist()
+    c = s0.as_vector().tolist()
+    if projected:
+        _project(c)
 
     samples: list[TrajectorySample] = []
 
@@ -177,13 +189,7 @@ def integrate(
         k3 = _rhs(c, b, V, h2, k2)
         k4 = _rhs(c, b, V, dt, k3)
         c = _rk4_combination(c, h6, k1, k2, k3, k4)
-        c1_preproj = None
-        if projected:
-            # the ndarray dot, as casimirs takes it: a sum of float squares rounds differently
-            nu = np.array(c[6:9])
-            c1_preproj = float(nu.dot(nu))
-            n = math.sqrt(c1_preproj)
-            c[6:9] = [c[6] / n, c[7] / n, c[8] / n]
+        c1_preproj = _project(c) if projected else None
         if not all(map(math.isfinite, c)):
             raise NonFinite(f"non-finite state component at step {i}")
         if i % cfg.record_every == 0 or i == cfg.steps:
@@ -209,18 +215,16 @@ def distance_to_orbit(s: ReducedState, eq: Equilibrium) -> float:
     K - 2 (P cos phi + Q sin phi), so its minimum K - 2 sqrt(P^2 + Q^2) is
     taken in closed form.
     """
-    ref = [np.array([eq.r0, 0.0, 0.0]), np.array([0.0, eq.p0, 0.0]), eq.nu0, eq.pi0]
+    ref = [(float(eq.r0), 0.0, 0.0), (0.0, float(eq.p0), 0.0), eq.nu0.tolist(), eq.pi0.tolist()]
     K = 0.0
     P = 0.0
     Q = 0.0
-    for u, v in zip((s.x, s.p, s.nu, s.pi), ref):
-        # u.u and v.v are ndarray dots, as np.linalg.norm takes v.v: a plain
-        # sum of float squares rounds differently.  The rest is on floats.
-        vv = float(v.dot(v))
+    for u, v in zip((s.x.tolist(), s.p.tolist(), s.nu.tolist(), s.pi.tolist()), ref):
+        vv = _dot3(v, v)
         scale = max(math.sqrt(vv), 1.0)
         w = 1.0 / (scale * scale)
-        (u1, u2, u3), (v1, v2, v3) = u.tolist(), v.tolist()
-        K += w * (float(u.dot(u)) + vv - 2.0 * u3 * v3)
+        (u1, u2, u3), (v1, v2, v3) = u, v
+        K += w * (_dot3(u, u) + vv - 2.0 * u3 * v3)
         P += w * (u1 * v1 + u2 * v2)
         Q += w * (u2 * v1 - u1 * v2)
     best = K - 2.0 * math.hypot(P, Q)

@@ -98,30 +98,6 @@ class Composite:
 AxiFieldModel = Union[DipolePair, Linear, Composite]
 
 
-def _inverse_powers(Dt, Db) -> tuple:
-    """D^-5/2, D^-7/2 and D^-9/2 for the squared distances Dt and Db to the top and bottom source.
-
-    Each D takes one correctly rounded square root, so a float call gives the
-    element of an array call bit for bit.  A float call raises NonFinite where
-    the powers overflow, naming Dt if its powers do and Db otherwise.
-    """
-    if not isinstance(Dt, float):
-        t5, b5 = 1.0 / (Dt * Dt * np.sqrt(Dt)), 1.0 / (Db * Db * np.sqrt(Db))
-        t7, b7 = t5 / Dt, b5 / Db
-        return t5, t7, t7 / Dt, b5, b7, b7 / Db
-    dt, db = Dt * Dt * math.sqrt(Dt), Db * Db * math.sqrt(Db)
-    if dt and db:
-        t5, b5 = 1.0 / dt, 1.0 / db
-        t7, b7 = t5 / Dt, b5 / Db
-        t9, b9 = t7 / Dt, b7 / Db
-        if t9 != math.inf and b9 != math.inf:
-            return t5, t7, t9, b5, b7, b9
-    # Some powers overflow; a dt or db that underflowed to 0, where a float
-    # quotient raises and an array gives inf, counts as an overflow too.
-    D = Dt if not dt or 1.0 / dt / Dt / Dt == math.inf else Db
-    raise NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
-
-
 def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
     """The first ``n`` components of the jet of ``model`` at (r, z), in FieldJet order.
 
@@ -153,7 +129,25 @@ def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
         # left-to-right order, so each term rounds as written out in full.
         r2 = r * r
         Zt2, Zb2 = Zt * Zt, Zb * Zb
-        t5, t7, t9, b5, b7, b9 = _inverse_powers(r2 + Zt2, r2 + Zb2)
+        # D^-5/2, D^-7/2 and D^-9/2 for the squared distances D to the top and
+        # bottom source.  Each D takes one correctly rounded square root, so a
+        # float call gives the element of an array call bit for bit.
+        Dt, Db = r2 + Zt2, r2 + Zb2
+        scalar = isinstance(Dt, float)
+        if scalar:
+            dt, db = Dt * Dt * math.sqrt(Dt), Db * Db * math.sqrt(Db)
+            # A dt or db that underflowed to 0, where a float quotient raises
+            # and an array gives inf, counts as an overflow of the powers.
+            if not (dt and db):
+                raise _overflow(Dt if not dt or 1.0 / dt / Dt / Dt == math.inf else Db)
+        else:
+            dt, db = Dt * Dt * np.sqrt(Dt), Db * Db * np.sqrt(Db)
+        t5, b5 = 1.0 / dt, 1.0 / db
+        t7, b7 = t5 / Dt, b5 / Db
+        t9, b9 = t7 / Dt, b7 / Db
+        # a float call raises NonFinite where the powers overflow, naming Dt if its powers do and Db otherwise
+        if scalar and (t9 == math.inf or b9 == math.inf):
+            raise _overflow(Dt if t9 == math.inf else Db)
         q3 = 3.0 * q
         q3r = q3 * r
         Br = q3r * Zt * t5 + q3r * Zb * b5
@@ -194,6 +188,10 @@ def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
             total = list(map(operator.add, total, _jet_terms(part, r, z, n)))
         return total
     raise TypeError(f"unknown field model {type(model).__name__}")
+
+
+def _overflow(D: float) -> NonFinite:
+    return NonFinite(f"dipole jet overflows at squared distance {D:g} from the source")
 
 
 def eval_jet(model: AxiFieldModel, r, z) -> FieldJet:

@@ -88,10 +88,11 @@ def in_process(argv):
     return code, stdout.getvalue(), stderr.getvalue()
 
 
-def child_process(*command):
-    """A runner like in_process that runs ``command`` in a child process, importing the package under test."""
+def child_process(*command, **env):
+    """A runner like in_process that runs ``command`` in a child process, importing the package under test,
+    with the variables ``env`` added to the child's environment."""
     def run(argv):
-        proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=_child_env())
+        proc = subprocess.run([*command, *argv], capture_output=True, text=True, env=dict(_child_env(), **env))
         return proc.returncode, proc.stdout, proc.stderr
     return run
 
@@ -1475,6 +1476,20 @@ def _huge_pair_certify(method):
             [],
             "numerical failure: NonFinite: non-finite sample at step 0\n",
         ),
+        # nu . nu overflows, or underflows to 0: no unit axis either, NonFinite at step 0
+        *(
+            (
+                "simulate",
+                {
+                    "body": BODY,
+                    "field": PAIR,
+                    "simulate": {"state": dict(TILTED_STATE, nu=[0, 0, nu3]), "steps": 3, "scheme": "rk4_projected"},
+                },
+                [],
+                "numerical failure: NonFinite: non-finite sample at step 0\n",
+            )
+            for nu3 in (1e160, 1e-200)
+        ),
         # the axis width hi - lo overflows: a configuration error before any linspace
         (
             "scan",
@@ -1540,6 +1555,8 @@ def _huge_pair_certify(method):
         "dipoletron_window",
         "simulate_energy",
         "simulate_zero_axis",
+        "simulate_axis_overflow",
+        "simulate_axis_underflow",
         "scan_axis_width",
         "sweep_closed_form",
         "certify_closed_form",
@@ -1890,6 +1907,14 @@ def test_installed_script_writes_every_golden(tmp_path):
     for name in CASE_NAMES:
         (tmp_path / name).mkdir()
         check_case(installed_script, name, tmp_path / name)
+
+
+@pytest.mark.parametrize("kernel", ["Haswell", "Prescott"])
+def test_projected_trajectory_golden_under_another_blas_kernel(tmp_path, kernel):
+    # OpenBLAS picks its kernels for the CPU at run time, and the summation order of a dot is the kernel's;
+    # a tilted rk4_projected run sums every 3-vector product in one written order, so it writes the same bytes
+    module = child_process(sys.executable, "-m", "orbitron.cli", OPENBLAS_CORETYPE=kernel)
+    check_case(module, "simulate_tilted_projected", tmp_path)
 
 
 def test_reversed_readme_golden_negates_exactly_the_time_odd_values():

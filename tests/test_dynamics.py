@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -231,13 +232,18 @@ def test_rk4_combination_equals_the_zipped_comprehension():
     assert repr([x.tolist() for x in got]) == repr([x.tolist() for x in want])
 
 
+def _rule_dot(u, v):
+    """u . v of 3-vectors, written out in the sum rule's order: (u1 v1 + u2 v2) + u3 v3."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
 @np.errstate(all="ignore")
 def _integrate_reference(s0, cfg, b, V, include_casimir=False):
     """The RK4 loop on a (12,) ndarray state, which integrate runs on the 12 float components."""
     projected = cfg.scheme == "rk4_projected"
     y = s0.as_vector()
     if projected:
-        y[6:9] /= np.linalg.norm(y[6:9])
+        y[6:9] /= math.sqrt(_rule_dot(y[6:9], y[6:9]))
     samples = []
 
     def record(i, c1_preproj):
@@ -258,7 +264,7 @@ def _integrate_reference(s0, cfg, b, V, include_casimir=False):
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         c1_preproj = None
         if projected:
-            c1_preproj = float(y[6:9] @ y[6:9])
+            c1_preproj = float(_rule_dot(y[6:9], y[6:9]))
             y[6:9] /= math.sqrt(c1_preproj)
         if not np.all(np.isfinite(y)):
             raise NonFinite(f"non-finite state component at step {i}")
@@ -522,13 +528,13 @@ def test_distance_to_orbit_grows_with_perturbation():
 
 
 def _distance_reference(s, eq):
-    """distance_to_orbit on ndarray blocks with np.linalg.norm scales, which distance_to_orbit takes on floats."""
+    """distance_to_orbit on ndarray blocks with each squared norm written out, which distance_to_orbit takes on floats."""
     ref = [np.array([eq.r0, 0.0, 0.0]), np.array([0.0, eq.p0, 0.0]), eq.nu0, eq.pi0]
-    scales = [max(float(np.linalg.norm(v)), 1.0) for v in ref]
+    scales = [max(math.sqrt(_rule_dot(v, v)), 1.0) for v in ref]
     K = P = Q = 0.0
     for u, v, scale in zip([s.x, s.p, s.nu, s.pi], ref, scales):
         w = 1.0 / (scale * scale)
-        K += w * (float(u @ u) + float(v @ v) - 2.0 * u[2] * v[2])
+        K += w * (_rule_dot(u, u) + _rule_dot(v, v) - 2.0 * u[2] * v[2])
         P += w * (u[0] * v[0] + u[1] * v[1])
         Q += w * (u[1] * v[0] - u[0] * v[1])
     best = K - 2.0 * math.hypot(P, Q)
@@ -560,6 +566,39 @@ def test_distance_to_orbit_equals_the_ndarray_reference_bit_for_bit(case):
         for eq in eqs:
             got = [repr(distance_to_orbit(x.state, eq)) for x in samples]
             assert got == [repr(_distance_reference(x.state, eq)) for x in samples]
+
+
+def _fused_dot(a, b):
+    """a . b as a chain of fused multiply-adds from a1 b1, each rounded once: an AVX-512 OpenBLAS ddot's order."""
+    acc = a[0] * b[0]
+    for x, y in zip(a[1:], b[1:]):
+        acc = float(Fraction(x) * Fraction(y) + Fraction(acc))
+    return acc
+
+
+def test_sums_of_products_take_the_sum_rule_where_a_blas_dot_rounds_differently():
+    """casimirs, the kinetic terms of hamiltonian and distance_to_orbit on draws where np.dot or the fused
+    chain rounds a . a or a . b differently from (a1 b1 + a2 b2) + a3 b3."""
+    rng = np.random.default_rng(38)
+    draws, fused = [], 0
+    for a, c in rng.standard_normal((400, 2, 3)).tolist():
+        pairs = [(a, a), (c, c), (a, c)]
+        by_fused = any(_fused_dot(u, v) != _rule_dot(u, v) for u, v in pairs)
+        if by_fused or any(float(np.dot(u, v)) != _rule_dot(u, v) for u, v in pairs):
+            draws.append((a, c))
+        fused += by_fused
+    assert fused >= 100  # on every host, whatever order its np.dot takes
+    b = BodyParams(M=1.3, I_perp=0.1, I3=0.05, mu=1.0, g=0.0)
+    V = _zero_potential(b)  # V = 0, so h is the kinetic terms alone
+    eqs = _distance_equilibria()
+    for a, c in draws:
+        s = ReducedState(x=c, p=a, nu=a, pi=c)
+        aa, cc, ac = _rule_dot(a, a), _rule_dot(c, c), _rule_dot(a, c)
+        assert casimirs(s) == (aa, ac)
+        h = aa / (2.0 * b.M) + cc / (2.0 * b.I_perp)
+        assert hamiltonian(s, b, V) == h
+        assert hamiltonian(s, b, V, include_casimir=True) == h + (0.5 / b.I3 - 0.5 / b.I_perp) * ac**2
+        assert [repr(distance_to_orbit(s, eq)) for eq in eqs] == [repr(_distance_reference(s, eq)) for eq in eqs]
 
 
 def test_distance_to_orbit_builds_no_state_and_takes_no_jet(monkeypatch):
