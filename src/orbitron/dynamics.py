@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import BodyParams, ReducedState, _dot3, casimirs, hamiltonian, momentum_j3
-from .equilibrium import Equilibrium, build_support_state
+from .equilibrium import Equilibrium
 from .errors import NonFinite
 from .fields import _components, _join
 from .potential import DipolePotential
@@ -197,12 +197,21 @@ def integrate(
     return samples
 
 
+def _support_blocks(eq: Equilibrium) -> list:
+    """The blocks (x, p, nu, pi) of the support state, as float triples."""
+    return [(float(eq.r0), 0.0, 0.0), (0.0, float(eq.p0), 0.0), eq.nu0.tolist(), eq.pi0.tolist()]
+
+
+def _rotated(v, c: float, s: float) -> tuple:
+    """The 3-vector v turned about e3 by the angle of cosine c and sine s: (c v1 - s v2, s v1 + c v2, v3)."""
+    v1, v2, v3 = v
+    return c * v1 - s * v2, s * v1 + c * v2, v3
+
+
 def relative_equilibrium_orbit(eq: Equilibrium, t: float) -> ReducedState:
     """The exact rigidly rotating solution through the support state."""
     c, s = math.cos(eq.mult.omega * t), math.sin(eq.mult.omega * t)
-    R = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    s0 = build_support_state(eq)
-    return ReducedState(x=R @ s0.x, p=R @ s0.p, nu=R @ s0.nu, pi=R @ s0.pi)
+    return ReducedState(*(_rotated(v, c, s) for v in _support_blocks(eq)))
 
 
 def distance_to_orbit(s: ReducedState, eq: Equilibrium) -> float:
@@ -212,20 +221,26 @@ def distance_to_orbit(s: ReducedState, eq: Equilibrium) -> float:
     scaled by the corresponding block norm of the reference state (with a
     floor of 1), and the root mean square over blocks is minimized over the
     rotation phase.  As a function of the phase phi the squared distance is
-    K - 2 (P cos phi + Q sin phi), so its minimum K - 2 sqrt(P^2 + Q^2) is
-    taken in closed form.
+    K - 2 (P cos phi + Q sin phi), so the minimizing phase has (cos, sin)
+    = (P, Q) / hypot(P, Q), or phi = 0 where hypot(P, Q) is 0.  The distance
+    then sums the weighted squared differences |u - R(phi) v|^2 block by
+    block, which keeps full precision where K - 2 hypot(P, Q) would cancel.
     """
-    ref = [(float(eq.r0), 0.0, 0.0), (0.0, float(eq.p0), 0.0), eq.nu0.tolist(), eq.pi0.tolist()]
-    K = 0.0
-    P = 0.0
-    Q = 0.0
-    for u, v in zip((s.x.tolist(), s.p.tolist(), s.nu.tolist(), s.pi.tolist()), ref):
-        vv = _dot3(v, v)
-        scale = max(math.sqrt(vv), 1.0)
+    blocks = []
+    P = Q = 0.0
+    for u, v in zip((s.x.tolist(), s.p.tolist(), s.nu.tolist(), s.pi.tolist()), _support_blocks(eq)):
+        scale = max(math.sqrt(_dot3(v, v)), 1.0)
         w = 1.0 / (scale * scale)
-        (u1, u2, u3), (v1, v2, v3) = u, v
-        K += w * (_dot3(u, u) + vv - 2.0 * u3 * v3)
+        (u1, u2, _), (v1, v2, _) = u, v
         P += w * (u1 * v1 + u2 * v2)
         Q += w * (u2 * v1 - u1 * v2)
-    best = K - 2.0 * math.hypot(P, Q)
-    return math.sqrt(max(best, 0.0) / 4.0)
+        blocks.append((u, v, w))
+    h = math.hypot(P, Q)
+    c, sn = (P / h, Q / h) if h > 0.0 else (1.0, 0.0)
+    total = 0.0
+    for (u1, u2, u3), v, w in blocks:
+        r1, r2, r3 = _rotated(v, c, sn)
+        d1, d2, d3 = u1 - r1, u2 - r2, u3 - r3
+        # |d|^2 in _dot3's order, written out: a call per block costs more than the sum.
+        total += w * ((d1 * d1 + d2 * d2) + d3 * d3)
+    return math.sqrt(total / 4.0)

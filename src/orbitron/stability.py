@@ -255,9 +255,7 @@ def _eliminate(S: np.ndarray) -> _Sweep:
     column below it is +0.0, bit for bit, in every form is skipped.
     """
     n = S.shape[0]
-    scale = _binary_exponent(S, axis=(0, 1))
-    np.ldexp(S, -scale, out=S)
-    floor = np.maximum(np.sqrt(np.einsum("ij...,ij...->...", S, S)), 1e-300)
+    scale, floor = _scale(S)
     one = S.ndim == 2
     rows, floor = (S.tolist(), float(floor)) if one else ([list(row) for row in S], floor)
     tol = ZERO_PIVOT_REL * floor
@@ -302,9 +300,17 @@ def _no_op(p: float, col: list) -> bool:
     return not any(col) and p == p and all(math.copysign(1.0, c) > 0.0 for c in col)
 
 
-def _binary_exponent(a: np.ndarray, axis=None):
-    """The exponent e with max |a| in [0.5, 1) 2**e; 0 where a is zero or not finite."""
-    return np.frexp(np.maximum(a.max(axis=axis), -a.min(axis=axis)))[1]
+def _scale(S: np.ndarray):
+    """Scale one form (n, n), or K stacked ones (n, n, K), in place by 2**-e, e bringing its largest |entry| into
+    [0.5, 1) (0 where that is zero or not finite); return e and |S|, at least 1e-300, the root of the sum of its
+    squares in index order.  accumulate fixes that order on one form; on a stack of 1600 cells it takes ten times
+    einsum's time, and einsum adds a stack's cells in index order (the tests check both against a float loop).
+    """
+    e = np.frexp(np.maximum(S.max(axis=(0, 1)), -S.min(axis=(0, 1))))[1]
+    np.ldexp(S, -e, out=S)
+    one = S[0, 0].size == 1
+    squares = np.add.accumulate((S * S).reshape(-1, *S.shape[2:]))[-1] if one else np.einsum("ij...,ij...->...", S, S)
+    return e, np.maximum(np.sqrt(squares), 1e-300)
 
 
 def _zero_pivot(piv: float, idx: int) -> ZeroPivot:
@@ -595,7 +601,6 @@ def eigen_certificate(Q: np.ndarray) -> EigenCertificate:
     if not np.isfinite(Q).all():
         raise NonFinite("reduced form Q has an entry that is not finite")
     eigs = np.linalg.eigvalsh(Q)
-    scale = int(_binary_exponent(Q))
-    qnorm = max(float(np.linalg.norm(np.ldexp(Q, -scale))), 1e-300)
-    margin = math.ldexp(float(eigs[0]), -scale) / qnorm
+    scale, qnorm = _scale(Q.copy())
+    margin = math.ldexp(float(eigs[0]), -int(scale)) / float(qnorm)
     return EigenCertificate(margin, tuple(float(e) for e in eigs))

@@ -1,5 +1,6 @@
 """Tests for the reduced equations of motion and the RK4 integrators."""
 
+import decimal
 import math
 import warnings
 from fractions import Fraction
@@ -528,17 +529,22 @@ def test_distance_to_orbit_grows_with_perturbation():
 
 
 def _distance_reference(s, eq):
-    """distance_to_orbit on ndarray blocks with each squared norm written out, which distance_to_orbit takes on floats."""
+    """distance_to_orbit on ndarray blocks with each sum written out: the phase from P and Q, then the weighted
+    squared differences from the reference blocks turned to that phase."""
     ref = [np.array([eq.r0, 0.0, 0.0]), np.array([0.0, eq.p0, 0.0]), eq.nu0, eq.pi0]
     scales = [max(math.sqrt(_rule_dot(v, v)), 1.0) for v in ref]
-    K = P = Q = 0.0
-    for u, v, scale in zip([s.x, s.p, s.nu, s.pi], ref, scales):
-        w = 1.0 / (scale * scale)
-        K += w * (_rule_dot(u, u) + _rule_dot(v, v) - 2.0 * u[2] * v[2])
+    weights = [1.0 / (scale * scale) for scale in scales]
+    P = Q = 0.0
+    for u, v, w in zip([s.x, s.p, s.nu, s.pi], ref, weights):
         P += w * (u[0] * v[0] + u[1] * v[1])
         Q += w * (u[1] * v[0] - u[0] * v[1])
-    best = K - 2.0 * math.hypot(P, Q)
-    return math.sqrt(max(best, 0.0) / 4.0)
+    h = math.hypot(P, Q)
+    c, sn = (P / h, Q / h) if h > 0.0 else (1.0, 0.0)
+    total = 0.0
+    for u, v, w in zip([s.x, s.p, s.nu, s.pi], ref, weights):
+        d = u - np.array([c * v[0] - sn * v[1], sn * v[0] + c * v[1], v[2]])
+        total += w * _rule_dot(d, d)
+    return math.sqrt(total / 4.0)
 
 
 def _distance_equilibria():
@@ -566,6 +572,40 @@ def test_distance_to_orbit_equals_the_ndarray_reference_bit_for_bit(case):
         for eq in eqs:
             got = [repr(distance_to_orbit(x.state, eq)) for x in samples]
             assert got == [repr(_distance_reference(x.state, eq)) for x in samples]
+
+
+def _distance_at_60_digits(s, eq):
+    """distance_to_orbit's definition in 60-digit decimals, where K - 2 hypot(P, Q) keeps 40 digits or more."""
+    with decimal.localcontext(decimal.Context(prec=60)):
+        K = P = Q = decimal.Decimal(0)
+        for u, v in zip((s.x, s.p, s.nu, s.pi), ([eq.r0, 0.0, 0.0], [0.0, eq.p0, 0.0], eq.nu0, eq.pi0)):
+            u, v = [decimal.Decimal(float(x)) for x in u], [decimal.Decimal(float(x)) for x in v]
+            w = 1 / max(sum(x * x for x in v).sqrt(), decimal.Decimal(1)) ** 2
+            K += w * (sum(x * x for x in u) + sum(x * x for x in v) - 2 * u[2] * v[2])
+            P += w * (u[0] * v[0] + u[1] * v[1])
+            Q += w * (u[1] * v[0] - u[0] * v[1])
+        return ((K - 2 * (P * P + Q * Q).sqrt()) / 4).sqrt()
+
+
+@pytest.mark.parametrize("rel, bound", [(1e-4, 1e-10), (1e-6, 1e-10), (1e-8, 1e-8)])
+def test_distance_to_orbit_keeps_full_precision_near_the_orbit(rel, bound):
+    """50 criterion-8 starts, each block moved by rel of its norm, integrated for 200 steps: each sample's
+    distance against 60 digits.  K - 2 hypot(P, Q) was off by up to 1.8e-8, 1.9e-4 and 1.3 relative here."""
+    model, b, eq = _dipoletron()
+    V = DipolePotential(model, b)
+    s0 = build_support_state(eq)
+    cfg = IntegratorConfig(dt=0.015 / eq.mult.omega, steps=200, record_every=20)
+    rng = np.random.default_rng(16)
+    worst = 0.0
+    for _ in range(50):
+        parts = []
+        for v in (s0.x, s0.p, s0.nu, s0.pi):
+            d = rng.standard_normal(3)
+            parts.append(v + rel * max(float(np.linalg.norm(v)), 1.0) * d / np.linalg.norm(d))
+        for x in integrate(ReducedState(*parts), cfg, b, V):
+            exact = _distance_at_60_digits(x.state, eq)
+            worst = max(worst, float(abs(decimal.Decimal(distance_to_orbit(x.state, eq)) - exact) / exact))
+    assert worst <= bound
 
 
 def _fused_dot(a, b):

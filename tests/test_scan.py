@@ -660,12 +660,23 @@ def _assert_map_matches_cells(spec, model, b):
             continue
         for key in ("verdict", "lambda_ok", "failed_condition"):
             assert row[key] == want[key]
-        for key in ("A", "B", "C"):
-            assert row[key] == want[key] or (math.isnan(row[key]) and math.isnan(want[key]))
-        assert math.isclose(row["margin"], want["margin"], rel_tol=1e-12)
-        assert len(row["pivots"]) == len(want["pivots"])
-        np.testing.assert_allclose(row["pivots"], want["pivots"], rtol=1e-12)
+        for key in ("A", "B", "C", "margin", "pivots"):
+            assert repr(row[key]) == repr(want[key])
     return rows
+
+
+def test_a_cell_has_one_record_alone_in_any_map_and_in_closed_form_conditions():
+    b, pair = _body(), DipolePair(1.0, 1.0)
+    for r0 in np.linspace(0.6, 0.95, 36).tolist():
+        for pi0 in (3.0, 5.0, 10.0, 20.0):
+            alone = ScanSpec(ScanAxis("r0", r0, r0, 1), ScanAxis("pi0", pi0, pi0, 1), outputs=CERTIFICATE_FIELDS)
+            pair_of_cells = replace(alone, axis2=ScanAxis("pi0", pi0, pi0 + 1.0, 2))
+            eq = solve_orbitron_equatorial(pair, b, r0, pi0)
+            want = repr(closed_form_conditions(eq, b, hessian_blocks(eq.r0, eq.nu0, pair, b)).to_record())
+            for spec in (alone, pair_of_cells):
+                row = stability_map(spec, pair, b)[0]
+                assert row["error"] == "" and (row["r0"], row["pi0"]) == (r0, pi0)
+                assert repr({name: row[name] for name in CERTIFICATE_FIELDS}) == want
 
 
 def test_stability_map_matches_per_cell_route():

@@ -3,6 +3,7 @@
 import ast
 import math
 from dataclasses import fields, replace
+from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -691,6 +692,18 @@ def _stacked_forms(seed=29, K=12):
             yield np.ldexp(S, rng.choice([-500, 0, 500], K))
 
 
+def _loop_squares(form):
+    """The squares of the entries of form added left to right, in index order, as Python floats."""
+    squares = 0.0
+    for v in np.asarray(form).ravel().tolist():
+        squares += v * v
+    return squares
+
+
+def _loop_norm(form):
+    return math.sqrt(_loop_squares(form))
+
+
 def _vectorized_eliminate(S):
     """Reference sweep of K stacked forms (n, n, K): every step one Schur update of the whole stack.
 
@@ -699,9 +712,9 @@ def _vectorized_eliminate(S):
     with the cell axis first.
     """
     n, _, K = S.shape
-    scale = stability._binary_exponent(S, axis=(0, 1))
+    scale = np.frexp(np.abs(S).max(axis=(0, 1)))[1]
     np.ldexp(S, -scale, out=S)
-    qnorm = np.sqrt(np.einsum("ijk,ijk->k", S, S))
+    qnorm = np.array([_loop_norm(S[:, :, k]) for k in range(K)])
     pivots = np.empty((n, K))
     x_block = np.full((2, 2, K), np.nan)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -730,7 +743,6 @@ def _cell(sweep, k=None):
 
 
 def test_eliminate_stack_equals_its_cells():
-    margin_index = stability._Sweep._fields.index("margin")
     seen = {"completed": 0, "ended": 0, "zero": 0}
     for S in _stacked_forms():
         stack = _cell(stability._eliminate(S.copy()))
@@ -738,19 +750,65 @@ def test_eliminate_stack_equals_its_cells():
         for k in range(S.shape[2]):
             one = _cell(stability._eliminate(S[:, :, k].copy()))
             assert repr(one) == repr(_cell(_vectorized_eliminate(S[:, :, k : k + 1].copy()), 0))
-            cell = [field[k] for field in stack]
-            margins = one.pop(margin_index), cell.pop(margin_index)
-            # Every field but the margin is equal by repr, x_block included.
-            assert repr(one) == repr(cell)
-            # The margin is a pivot over |Q|, einsum's sum of squares, which
-            # adds one form's squares in another order than a stack's: the
-            # two agree to the last bits.
-            assert math.isnan(margins[0]) == math.isnan(margins[1])
-            if not math.isnan(margins[0]):
-                assert math.isclose(*margins, rel_tol=4 * 2.0**-52, abs_tol=0.0)
+            # Every field is equal by repr, the margin and x_block included.
+            assert repr(one) == repr([field[k] for field in stack])
             sweep = stability._eliminate(S[:, :, k].copy())
             seen["zero" if sweep.zero else "completed" if sweep.completed else "ended"] += 1
     assert min(seen.values()) >= 40
+
+
+def _spread_forms(rng, count):
+    """Seeded symmetric 8 x 8 forms, definite and not, whose entries span four decades and 2**-500 to 2**500."""
+    for _ in range(count):
+        a = rng.normal(size=(8, 8))
+        d = 10.0 ** rng.uniform(-2.0, 2.0, 8)
+        form = d[:, None] * (a @ a.T + rng.uniform(-1.5, 1.0) * np.eye(8)) * d[None, :]
+        yield np.ldexp(form, int(rng.choice([-500, 0, 500])))
+
+
+def test_scaled_norm_adds_each_cell_in_index_order_alone_and_in_any_stack():
+    forms = list(_spread_forms(np.random.default_rng(39), 2000))
+    exponent = [int(np.frexp(np.abs(f).max())[1]) for f in forms]
+    norm = [_loop_norm(np.ldexp(f, -e)) for f, e in zip(forms, exponent)]
+    # einsum adds one form's squares in an unrolled order, not the loop's: on these forms a cell's margin
+    # alone differed from the same cell's margin in a stack, so the small stacks below are made of them
+    scaled = [np.ldexp(f, -e) for f, e in zip(forms, exponent)]
+    differs = [np.sqrt(np.einsum("ij,ij->", f, f)) != n for f, n in zip(scaled, norm)]
+    assert sum(differs) >= 500
+    order = sorted(range(len(forms)), key=lambda i: not differs[i])
+    for K in (1, 2, 3, 7, 1600):
+        cells = order[:K]
+        S = np.stack([forms[i] for i in cells], axis=-1)
+        e, qnorm = stability._scale(S.copy())
+        assert e.tolist() == [exponent[i] for i in cells]
+        assert np.asarray(qnorm).tolist() == [norm[i] for i in cells]
+        stack = _cell(stability._eliminate(S.copy()))
+        for k, i in enumerate(cells):
+            one_e, one_norm = stability._scale(forms[i].copy())
+            assert (int(one_e), float(one_norm)) == (exponent[i], norm[i])
+            assert repr(_cell(stability._eliminate(forms[i].copy()))) == repr([field[k] for field in stack])
+
+
+def _eight_lane_squares(values):
+    """A sum of squares in an AVX-512 ddot's order: eight lanes of fused multiply-adds, then the lanes in a tree."""
+    lanes = [0.0] * 8
+    for i, v in enumerate(values):
+        lanes[i % 8] = float(Fraction(v) * Fraction(v) + Fraction(lanes[i % 8]))
+    while len(lanes) > 1:
+        lanes = [a + b for a, b in zip(lanes[: len(lanes) // 2], lanes[len(lanes) // 2 :])]
+    return lanes[0]
+
+
+def test_eigen_margin_is_lambda_min_over_the_index_order_norm():
+    lanes_differ = 0
+    for Q in _spread_forms(np.random.default_rng(40), 300):
+        e = int(np.frexp(np.abs(Q).max())[1])
+        S = np.ldexp(Q, -e)
+        lanes_differ += _eight_lane_squares(S.ravel().tolist()) != _loop_squares(S)
+        cert = eigen_certificate(Q)
+        assert cert.margin == math.ldexp(float(np.linalg.eigvalsh(Q)[0]), -e) / _loop_norm(S)
+    # an eight-lane ddot, the order of an AVX-512 kernel, rounds |S|**2 otherwise on these forms
+    assert lanes_differ >= 100
 
 
 def _trap_forms():
