@@ -105,12 +105,15 @@ def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
     Bz_r for n <= 4, up to Bz_z for n = 5 and the curvature terms only for
     n > 5.  The source guard and the inverse powers run first for every n,
     so each n raises where the full jet does, and each term is that of the
-    full jet bit for bit.
+    full jet bit for bit.  At z = 0.0, a Python float, a pair computes its
+    top source alone (:func:`_midplane_pair_terms`), with the same bits.
     """
     if isinstance(model, DipolePair):
+        q, h = model.q, model.h
+        if type(z) is float and z == 0.0:
+            return _midplane_pair_terms(q, h, r, n)
         # Each component is the top source's term plus the bottom one's, each
         # that of one axial dipole at height Z = z - h (t) or Z = z + h (b) above it.
-        q, h = model.q, model.h
         Zt, Zb = z - h, z + h
         # Distances in units of h: squaring them cannot underflow the
         # threshold for small h, and products overflow to inf (not
@@ -188,6 +191,58 @@ def _jet_terms(model: AxiFieldModel, r, z, n: int = 8) -> list:
             total = list(map(operator.add, total, _jet_terms(part, r, z, n)))
         return total
     raise TypeError(f"unknown field model {type(model).__name__}")
+
+
+def _midplane_pair_terms(q: float, h: float, r, n: int) -> list:
+    """The first ``n`` jet components of ``DipolePair(q, h)`` at (r, 0.0), from its top source alone.
+
+    On the midplane Zb = -Zt, so Db = Dt, and each bottom term is the top
+    one (Bz, Bz_r, Bz_rr, Bz_zz) or its negation (Br, Br_r, Bz_z, Bz_rz)
+    exactly, as a sign change commutes with rounding.  Each component is
+    then t + t or t - t (+0.0, or NaN where t is not finite): the bits of
+    the two-source block in :func:`_jet_terms`, including its raises.  The
+    source guard has nothing to do here: every point of the midplane is at
+    least h from both sources, as (r/h)^2 + (-h/h)^2 >= 1.
+    """
+    # The two-source block with the top source's names; see there for each step.
+    Z = -h
+    r2 = r * r
+    Z2 = Z * Z
+    D = r2 + Z2
+    scalar = isinstance(D, float)
+    if scalar:
+        d = D * D * math.sqrt(D)
+        if not d:
+            raise _overflow(D)
+    else:
+        d = D * D * np.sqrt(D)
+    t5 = 1.0 / d
+    t7 = t5 / D
+    t9 = t7 / D
+    if scalar and t9 == math.inf:
+        raise _overflow(D)
+    q3 = 3.0 * q
+    q3r = q3 * r
+    Br = q3r * Z * t5
+    Bz = q * (2.0 * Z2 - r2) * t5
+    if n <= 2:
+        return [Br - Br, Bz + Bz][:n]
+    r2_4, Z2_4 = 4.0 * r2, 4.0 * Z2
+    Br_r = q3 * Z * (Z2 - r2_4) * t7
+    Bz_r = q3r * (r2 - Z2_4) * t7
+    if n <= 4:
+        return [Br - Br, Bz + Bz, Br_r - Br_r, Bz_r + Bz_r][:n]
+    r2_3 = 3.0 * r2
+    Bz_z = q3 * Z * (r2_3 - 2.0 * Z2) * t7
+    if n <= 5:
+        return [Br - Br, Bz + Bz, Br_r - Br_r, Bz_r + Bz_r, Bz_z - Bz_z]
+    q15r = 15.0 * q * r
+    Bz_rr = q3 * (-4.0 * r2 * r2 + 27.0 * r2 * Z2 - Z2_4 * Z2) * t9
+    Bz_rz = q15r * Z * (Z2_4 - r2_3) * t9
+    Bz_zz = q3 * (r2_3 * r2 - 24.0 * r2 * Z2 + 8.0 * Z2 * Z2) * t9
+    return [
+        Br - Br, Bz + Bz, Br_r - Br_r, Bz_r + Bz_r, Bz_z - Bz_z, Bz_rr + Bz_rr, Bz_rz - Bz_rz, Bz_zz + Bz_zz,
+    ][:n]
 
 
 def _overflow(D: float) -> NonFinite:

@@ -80,7 +80,9 @@ class ScanSpec:
 
 def _rows(keys, columns) -> list[dict]:
     """Row dicts with the given keys, in order, filled from equal-length columns."""
-    rows = [{} for _ in range(len(columns[0]))]
+    # Each row starts with every key, so no row dict resizes as its values go in.
+    template = dict.fromkeys(keys)
+    rows = [template.copy() for _ in range(len(columns[0]))]
     for key, column in zip(keys, columns):
         for row, v in zip(rows, column):
             row[key] = v

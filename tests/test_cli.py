@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import orbitron
 from orbitron.cli import main
 from orbitron.errors import OrbitronError
+from test_fields import count_pair_jets
 
 BODY = {"M": 1.0, "I_perp": 0.1, "I3": 0.05, "mu": 1.0, "g": 0.0}
 PAIR = {"type": "dipole_pair", "q": 1.0, "h": 1.0}
@@ -1900,6 +1901,20 @@ def check_case(run, name, tmp_path):
 @pytest.mark.parametrize("name", CASE_NAMES)
 def test_golden_config_writes_its_golden_bytes(tmp_path, name):
     check_case(in_process, name, tmp_path)
+
+
+@pytest.mark.parametrize("name", CASE_NAMES)
+def test_golden_config_takes_every_pair_jet_on_the_midplane_path(tmp_path, monkeypatch, name):
+    # every solver, certificate route, scan and on-orbit trajectory evaluates the field at z = 0.0, where a
+    # pair's jet computes its top source alone; only a start state off the midplane leaves that path
+    counts = count_pair_jets(monkeypatch)
+    check_case(in_process, name, tmp_path)
+    if name == "simulate_tilted_projected":
+        assert counts["midplane"] < counts["pair"]
+    else:
+        assert counts["midplane"] == counts["pair"]
+    if not contract_cases(CASE_DIR)[name][0].endswith(".err"):
+        assert counts["pair"] > 0
 
 
 @pytest.mark.skipif(shutil.which("orbitron") is None, reason="the orbitron console script is not on PATH")

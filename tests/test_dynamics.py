@@ -24,6 +24,7 @@ from orbitron.equilibrium import build_support_state, solve_dipole_equilibrium, 
 from orbitron.errors import AxisDegeneracy, NonFinite, SourceSingularity
 from orbitron.fields import Composite, DipolePair, Linear, _jet_terms
 from orbitron.potential import DipolePotential
+from test_fields import count_pair_jets
 
 E3 = np.array([0.0, 0.0, 1.0])
 
@@ -350,6 +351,19 @@ def test_integrate_takes_one_jet_per_rhs_call(monkeypatch):
     # a stage reads the values and first derivatives, an energy the values
     assert calls.count(5) == 4 * cfg.steps
     assert calls.count(2) == len(samples)
+
+
+@pytest.mark.parametrize("scheme", ["rk4", "rk4_projected"])
+def test_equatorial_orbit_stays_on_the_midplane_path(monkeypatch, scheme):
+    # from the exact support state of the README orbit, x3 and p3 stay 0.0 in every sample, so every
+    # stage jet and every energy jet is the one-source midplane jet
+    model, b, eq = _dipoletron()
+    cfg = IntegratorConfig(dt=2.0 * math.pi / eq.mult.omega / 2000.0, steps=300, scheme=scheme)
+    counts = count_pair_jets(monkeypatch)
+    samples = integrate(build_support_state(eq), cfg, b, DipolePotential(model, b))
+    assert len(samples) == cfg.steps + 1
+    assert all(s.state.x[2] == 0.0 and s.state.p[2] == 0.0 for s in samples)
+    assert counts == {"pair": 4 * cfg.steps + len(samples), "midplane": 4 * cfg.steps + len(samples)}
 
 
 @pytest.mark.parametrize(

@@ -3,10 +3,12 @@
 import hashlib
 import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from orbitron import fields
 from orbitron.errors import AxisDegeneracy, ConfigError, NonFinite, SourceSingularity
 from orbitron.fields import (
     Composite,
@@ -810,6 +812,117 @@ def test_jet_prefix_is_the_full_jet_cut_to_n():
                     assert got == (full if isinstance(full, tuple) else full[:n]), (model, r, z, n)
             seen.add(full[0] if isinstance(full, tuple) else "ok")
     assert seen == {"ok", NonFinite, SourceSingularity}
+
+
+def count_pair_jets(monkeypatch) -> dict:
+    """Count the dipole-pair jets from now on: ``"pair"`` all of them, ``"midplane"`` those on the one-source path.
+
+    Every orbitron module that imported ``_jet_terms`` gets the counting wrapper, and a composite's
+    parts come back through it, so each pair part of a composite counts as one pair jet.
+    """
+    counts = {"pair": 0, "midplane": 0}
+    jet_terms, midplane = fields._jet_terms, fields._midplane_pair_terms
+
+    def counted_jet_terms(model, r, z, n=8):
+        counts["pair"] += isinstance(model, DipolePair)
+        return jet_terms(model, r, z, n)
+
+    def counted_midplane(*args):
+        counts["midplane"] += 1
+        return midplane(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("orbitron") and getattr(module, "_jet_terms", None) is jet_terms:
+            monkeypatch.setattr(module, "_jet_terms", counted_jet_terms)
+    monkeypatch.setattr(fields, "_midplane_pair_terms", counted_midplane)
+    return counts
+
+
+def _bits(f, *args):
+    """f's result as the bytes of its components, or its exception's type and message."""
+    try:
+        terms = f(*args)
+    except (NonFinite, SourceSingularity) as exc:
+        return type(exc), str(exc)
+    return [np.asarray(t, dtype=float).tobytes() for t in terms]
+
+
+def _two_source_terms(model, r, n):
+    """The jet prefix at z = 0 by the two-source block: a numpy zero is not the Python float that selects the
+    midplane path.  Numpy scalars warn where floats overflow silently, so callers run it under np.errstate."""
+    return _jet_terms(model, r, np.float64(0.0), n)
+
+
+def _overflow_kind(q, h, r):
+    """Which float raise a midplane point meets: the powers' product underflowing to 0, D^-9/2 overflowing, or none."""
+    D = r * r + h * h
+    d = D * D * math.sqrt(D) if D == D else math.nan
+    return "underflow" if d == 0.0 else "overflow" if d == d and 1.0 / d / D / D == math.inf else None
+
+
+def test_midplane_jet_is_the_two_source_jet_bit_for_bit(monkeypatch):
+    # q, h and r / h spread over 10^(-300, 300), and 0, NaN and inf radii: at z = 0.0 every prefix of a
+    # pair, a Linear + pair composite and a nested one gives the two-source block's bytes or its
+    # exception and message, for float and array radii alike
+    counts = count_pair_jets(monkeypatch)
+
+    def both(model, r, n):
+        """The midplane and two-source outcomes, each checked to take its own path."""
+        before = counts["midplane"]
+        got = _bits(_jet_terms, model, r, 0.0, n)
+        taken = counts["midplane"]
+        ref = _bits(_two_source_terms, model, r, n)
+        assert before < taken == counts["midplane"]
+        return got, ref
+
+    rng = np.random.default_rng(40)
+    kinds = {"ok": 0, "underflow": 0, "overflow": 0}
+    with np.errstate(all="ignore"):
+        for _ in range(150):
+            q, h = (10.0 ** rng.uniform(-300, 300, 2)).tolist()
+            radii = (h * 10.0 ** rng.uniform(-300, 300, 5)).tolist() + [0.0, math.nan, math.inf]
+            pair = DipolePair(q, h)
+            models = [
+                pair,
+                Composite((Linear(0.7, -1.3), pair)),
+                Composite((Composite((pair, DipolePair(0.3, 1.6))), Linear(1.0, 3.0))),
+            ]
+            for model, n in itertools.product(models, range(1, 9)):
+                for r in radii:
+                    got, ref = both(model, r, n)
+                    assert got == ref, (model, r, n)
+                    if model is pair:
+                        kinds[_overflow_kind(q, h, r) or "ok"] += 1
+                        if isinstance(got, tuple):
+                            assert got == (NonFinite, str(fields._overflow(r * r + h * h)))
+                        else:
+                            assert all(type(t) is float for t in _jet_terms(model, r, 0.0, n))
+                got, ref = both(model, np.array(radii), n)
+                assert got == ref, (model, n)
+                assert not isinstance(got, tuple)  # an array jet raises neither on the midplane
+    # both float raises occurred, and no SourceSingularity: no midplane point is within SOURCE_EPS h of a source
+    assert min(kinds.values()) > 100, kinds
+
+
+def test_midplane_jet_at_the_found_point():
+    # finite Br and Bz, NaN derivatives where the powers' products overflow: the bits of the two-source block
+    pair, r = DipolePair(1.2514957089912237e37, 1.7752808059103912e127), 4.2814500849597535e-45
+    jet = eval_jet(pair, r, 0.0)
+    assert repr(list(jet)) == "[0.0, 0.0, nan, -0.0, nan, nan, nan, nan]"
+    with np.errstate(all="ignore"):
+        assert _bits(_jet_terms, pair, r, 0.0) == _bits(_two_source_terms, pair, r, 8)
+
+
+def test_only_a_python_float_zero_takes_the_midplane_path(monkeypatch):
+    counts = count_pair_jets(monkeypatch)
+    pair = DipolePair(1.3, 0.9)
+    for z in (0.0, -0.0):
+        eval_jet(pair, 0.8, z)
+        eval_jet(pair, np.array([0.8, 1.1]), z)
+    assert counts == {"pair": 4, "midplane": 4}
+    for z in (np.float64(0.0), np.array(0.0), np.zeros(2), 1e-300, 0):
+        eval_jet(pair, 0.8, z)
+    assert counts == {"pair": 9, "midplane": 4}
 
 
 def _jet_digest() -> str:

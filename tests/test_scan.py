@@ -32,6 +32,7 @@ from orbitron.equilibrium import (
     solve_orbitron_equatorial,
     split_levitation_model,
 )
+from test_fields import count_pair_jets
 
 
 DATA = Path(__file__).parent / "data"
@@ -132,6 +133,28 @@ def test_radius_for_beta_roundtrip():
     beta = eval_jet(o_model, 0.8, 0.0).Br_z / linear.Bp
     assert beta < 0.0
     assert abs(radius_for_beta(model, beta) - 0.8) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "scan",
+    ["stability_map", "stability_map_composite", "dipoletron_window", "radius_for_beta", "levitation_sweep"],
+)
+def test_scans_take_every_pair_jet_on_the_midplane_path(monkeypatch, scan):
+    # the scans' jets are at z = 0.0, so each pair jet computes the top source alone; radius_for_beta's
+    # grid, its range end and every bisection midpoint included
+    spec = ScanSpec(ScanAxis("r0", 0.55, 1.25, 40), ScanAxis("pi0", -30.0, 30.0, 40))
+    pairs = Composite((DipolePair(1.0, 1.0), DipolePair(0.5, 1.7)))
+    lev_body = BodyParams(M=1.0, I_perp=0.1, I3=0.05, mu=1.0, g=3.3)
+    run = {
+        "stability_map": lambda: stability_map(spec, DipolePair(1.0, 1.0), _body()),
+        "stability_map_composite": lambda: stability_map(spec, pairs, _body()),
+        "dipoletron_window": lambda: dipoletron_window(1.3, 0.9, _body(), n=41),
+        "radius_for_beta": lambda: radius_for_beta(_lev_model(), -0.9),
+        "levitation_sweep": lambda: levitation_sweep(_lev_model(), lev_body, [1.02, 1.1, 1.4], -0.9),
+    }[scan]
+    counts = count_pair_jets(monkeypatch)
+    run()
+    assert counts["midplane"] == counts["pair"] >= (40 if scan == "radius_for_beta" else 1)
 
 
 def test_radius_for_beta_errors():
