@@ -392,7 +392,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, refine: bool) -> dict:
             raise ConfigError("scan.ratio_range must be increasing")
         n = _size(require(sec, "n", int, "scan", 121), MAX_SCAN_POINTS, "scan.n")
         sigma = require(sec, "sigma", int, "scan", 1)
-        rows = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
+        table = dipoletron_window(q, h, b, ratio_range=ratio_range, n=n, sigma=sigma)
         if refine:
             sidecars[".endpoints.json"] = [dumps17(dict(zip(("lower", "upper"), window_endpoints(sigma, ratio_range))))]
     elif kind == "levitation_sweep":
@@ -400,7 +400,7 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, refine: bool) -> dict:
         kappas = require(sec, "kappa_values", list, "scan")
         _size(len(kappas), MAX_SCAN_POINTS, "the length of scan.kappa_values")
         kappas = [finite_float(k, "scan.kappa_values") for k in kappas]
-        rows = levitation_sweep(model, b, kappas, require(sec, "beta", float, "scan"))
+        table = levitation_sweep(model, b, kappas, require(sec, "beta", float, "scan"))
     elif kind == "stability_map":
         model = _model_from_config(cfg)
 
@@ -419,12 +419,12 @@ def cmd_scan(cfg: dict, b: BodyParams, sec: dict, refine: bool) -> dict:
             fixed={k: finite_float(v, f"scan.fixed.{k}") for k, v in fixed.items()},
         )
         _size(spec.axis1.n * spec.axis2.n, MAX_SCAN_POINTS, "scan.axis1.n * scan.axis2.n")
-        rows = stability_map(spec, model, b)
+        table = stability_map(spec, model, b)
     else:
         raise ConfigError(f"unknown scan kind {kind!r}")
 
-    # Every row holds the same keys in the same order, so its values are the CSV cells.
-    return {"": _csv_lines(list(rows[0]), (row.values() for row in rows)), **sidecars}
+    # The table's columns hold plain Python values, so its rows, read across the columns, are the CSV cells.
+    return {"": _csv_lines(list(table.keys), zip(*table.columns)), **sidecars}
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -1,9 +1,9 @@
 """Parameter scans: stability windows, levitation sweeps, and 2-D maps.
 
 Scans evaluate the certificate machinery over parameter grids and return
-plain row dictionaries ready for CSV serialization.  Rows that fail with a
-domain error carry the error name in an ``error`` column and the scan
-continues.
+one :class:`Table` each: column names and equal-length columns of plain
+Python values, ready for CSV serialization.  Rows that fail with a domain
+error carry the error name in an ``error`` column and the scan continues.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .stability import CERTIFICATE_FIELDS, _certify, _levitation_certificates, _
 __all__ = [
     "ScanAxis",
     "ScanSpec",
+    "Table",
     "dipoletron_window",
     "window_endpoints",
     "levitation_sweep",
@@ -78,15 +79,32 @@ class ScanSpec:
     outputs: tuple = CERTIFICATE_COLUMNS
 
 
-def _rows(keys, columns) -> list[dict]:
-    """Row dicts with the given keys, in order, filled from equal-length columns."""
-    # Each row starts with every key, so no row dict resizes as its values go in.
-    template = dict.fromkeys(keys)
-    rows = [template.copy() for _ in range(len(columns[0]))]
-    for key, column in zip(keys, columns):
-        for row, v in zip(rows, column):
-            row[key] = v
-    return rows
+@dataclass(frozen=True, eq=False)
+class Table:
+    """A scan's ``keys`` and equal-length ``columns`` of plain Python values; its row reads build row dicts when asked."""
+
+    keys: tuple
+    columns: tuple
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(Table(self.keys, tuple(c[i] for c in self.columns)))
+        return dict(zip(self.keys, [c[i] for c in self.columns]))
+
+    def __iter__(self):
+        # Rows copied from one template and filled column by column: no dict resizes, half the time of a dict per row.
+        template = dict.fromkeys(self.keys)
+        rows = [template.copy() for _ in range(len(self))]
+        for key, column in zip(self.keys, self.columns):
+            for row, v in zip(rows, column):
+                row[key] = v
+        return iter(rows)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == (list(other) if isinstance(other, Table) else other)
 
 
 def _error_names(failures: tuple, code: np.ndarray) -> np.ndarray:
@@ -120,8 +138,8 @@ def dipoletron_window(
     ratio_range: tuple[float, float] = (0.3, 1.5),
     n: int = 121,
     sigma: int = 1,
-) -> list[dict]:
-    """Tabulate the geometric stability conditions along r0 / h.
+) -> Table:
+    """Tabulate the geometric stability conditions along r0 / h, one :class:`Table` row per ratio.
 
     Each row reports the two field-level conditions -sigma Bz_zz and
     -sigma (3 Bz_r / r0 + Bz_rr), the squared orbit rate they imply, and
@@ -150,7 +168,7 @@ def dipoletron_window(
     in_window = (axial > 0.0) & (radial > 0.0) & (omega2 > 0.0)
     keys = ("ratio", "r0", "axial", "radial", "omega2", "in_window")
     columns = (ratio, r0, axial, radial, omega2, in_window)
-    return _rows(keys, [c.tolist() for c in columns])
+    return Table(keys, tuple(c.tolist() for c in columns))
 
 
 def window_endpoints(sigma: int = 1, ratio_range: tuple[float, float] = (0.3, 1.5)) -> tuple[float, float]:
@@ -228,8 +246,8 @@ def radius_for_beta(model: AxiFieldModel, beta: float) -> float:
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
-def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: float) -> list[dict]:
-    """Certify the levitating branch across a range of kappa at fixed beta.
+def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: float) -> Table:
+    """Certify the levitating branch across a range of kappa at fixed beta, one :class:`Table` row per kappa.
 
     The orbit radius is chosen once so the mirror part realizes the given
     beta; each kappa then fixes the gravity g = kappa mu B' / M that the
@@ -265,11 +283,11 @@ def levitation_sweep(model: AxiFieldModel, b: BodyParams, kappa_values, beta: fl
     floats = _scatter(n, certified, np.array([nu_r, nu_z, xi2])[:, ok], math.nan)
     columns = _certificate_columns(n, certified, certs, ok, CERTIFICATE_COLUMNS)
     keys = ("kappa", "beta", "r0", "nu_r", "nu_z", "xi2", *CERTIFICATE_COLUMNS, "error")
-    return _rows(keys, [kappas, [beta] * n, [r0] * n, *floats, *columns, errors.tolist()])
+    return Table(keys, (kappas, [beta] * n, [r0] * n, *floats, *columns, errors.tolist()))
 
 
-def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[dict]:
-    """Certify equatorial equilibria over a 2-D parameter grid.
+def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> Table:
+    """Certify equatorial equilibria over a 2-D parameter grid, one :class:`Table` row per cell, axis2 fastest.
 
     Supported axis and fixed-parameter names are ``r0``, ``pi0`` and
     ``sigma``, each an axis or fixed, never both.  Each cell solves the
@@ -283,9 +301,8 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     :func:`equilibrium.solve_orbitron_equatorial` run once per (r0 point, sigma point); each
     cell reads both at its position on the axes.  The closed-form blocks of :func:`potential.hessian_blocks` are then
     elementwise, all cells are certified together on stacked arrays, and
-    each output is one column over the grid.  ``spec.outputs`` names fields
-    of ``CERTIFICATE_FIELDS``; any other name is a ConfigError, raised
-    before any jet.
+    each output is one column over the grid, a repeated one once, in its first place.  ``spec.outputs``
+    names fields of ``CERTIFICATE_FIELDS``; any other name is a ConfigError, raised before any jet.
     """
     known = {"r0", "pi0", "sigma"}
     axes = {spec.axis1.name, spec.axis2.name}
@@ -334,5 +351,6 @@ def stability_map(spec: ScanSpec, model: AxiFieldModel, b: BodyParams) -> list[d
     ok = errors[live] == ""
     certified = live[ok]
     columns = [grid[spec.axis1.name].tolist(), grid[spec.axis2.name].tolist()]
-    columns += _certificate_columns(n, certified, certs, ok, spec.outputs)
-    return _rows([spec.axis1.name, spec.axis2.name, *spec.outputs, "error"], [*columns, errors.tolist()])
+    outputs = tuple(dict.fromkeys(spec.outputs))
+    columns += _certificate_columns(n, certified, certs, ok, outputs)
+    return Table((spec.axis1.name, spec.axis2.name, *outputs, "error"), (*columns, errors.tolist()))

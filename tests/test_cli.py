@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import orbitron
 from orbitron.cli import main
 from orbitron.errors import OrbitronError
+from orbitron.scan import Table
 from test_fields import count_pair_jets
 
 BODY = {"M": 1.0, "I_perp": 0.1, "I3": 0.05, "mu": 1.0, "g": 0.0}
@@ -1915,6 +1916,29 @@ def test_golden_config_takes_every_pair_jet_on_the_midplane_path(tmp_path, monke
         assert counts["midplane"] == counts["pair"]
     if not contract_cases(CASE_DIR)[name][0].endswith(".err"):
         assert counts["pair"] > 0
+
+
+SCAN_GOLDENS = [
+    name for name in CASE_NAMES if name.startswith("scan_") and contract_cases(CASE_DIR)[name][0] != f"{name}.err"
+]
+
+
+def test_scan_goldens_cover_every_scan_kind():
+    assert SCAN_GOLDENS == [
+        "scan_levitation_arithmetic_error", "scan_levitation_failures", "scan_map_not_mirror_symmetric",
+        "scan_map_single_r0", "scan_map_small", "scan_map_wrong_field_sign", "scan_window_refined",
+    ]
+
+
+@pytest.mark.parametrize("name", SCAN_GOLDENS)
+def test_scan_writes_its_csv_from_the_columns_without_a_row(tmp_path, monkeypatch, name):
+    # cmd_scan reads the table's columns alone: a row read raises, and every golden byte is still written
+    def row_read(*_):
+        raise AssertionError("cmd_scan read a row of the scan table")
+
+    monkeypatch.setattr(Table, "__iter__", row_read)
+    monkeypatch.setattr(Table, "__getitem__", row_read)
+    check_case(in_process, name, tmp_path)
 
 
 @pytest.mark.skipif(shutil.which("orbitron") is None, reason="the orbitron console script is not on PATH")

@@ -18,6 +18,7 @@ from orbitron.potential import hessian_blocks
 from orbitron.scan import (
     ScanAxis,
     ScanSpec,
+    Table,
     dipoletron_window,
     levitation_sweep,
     radius_for_beta,
@@ -278,7 +279,7 @@ def test_levitation_sweep_matches_per_row_route(model, r_beta, b):
     linear, o_model = split_levitation_model(model)
     beta = eval_jet(o_model, r_beta, 0.0).Br_z / linear.Bp
     expected, failed = _levitation_sweep_reference(model, b, _SWEEP_KAPPAS, beta)
-    assert repr(levitation_sweep(model, b, _SWEEP_KAPPAS, beta)) == repr(expected)
+    assert repr(list(levitation_sweep(model, b, _SWEEP_KAPPAS, beta))) == repr(expected)
     assert {"BadSign", "NoEquilibrium"} <= {row["error"] for row in expected}
     assert "lambda" in failed
 
@@ -376,7 +377,7 @@ def test_levitation_sweep_flags_non_finite_rows():
     b = BodyParams(M=1.0, I_perp=1e-300, I3=0.05, mu=1e-310, g=0.0)
     model = Composite((Linear(1.0, 3.0), DipolePair(1.0, 1.0)))
     rows = levitation_sweep(model, b, [0.0, 1.001, 1.2], -0.9)
-    assert repr(rows) == repr(_levitation_sweep_reference(model, b, [0.0, 1.001, 1.2], -0.9)[0])
+    assert repr(list(rows)) == repr(_levitation_sweep_reference(model, b, [0.0, 1.001, 1.2], -0.9)[0])
     assert [row["error"] for row in rows] == ["BadSign", "NonFinite", "NonFinite"]
     for row in rows:
         assert row["verdict"] == "" and math.isnan(row["nu_r"]) and math.isnan(row["margin"])
@@ -401,7 +402,7 @@ def test_levitation_sweep_row_carries_an_arithmetic_error():
     assert [row["error"] for row in rows] == ["", "ArithmeticError", ""]
     assert rows[1]["verdict"] == "" and math.isnan(rows[1]["nu_r"]) and math.isnan(rows[1]["margin"])
     # the whole sweep is the per-row route, whose closed form raises in the middle row
-    assert repr(rows) == repr(_levitation_sweep_reference(model, b, [1.2, 50000.0000025, 2.0], beta)[0])
+    assert repr(list(rows)) == repr(_levitation_sweep_reference(model, b, [1.2, 50000.0000025, 2.0], beta)[0])
 
 
 def _extreme_sweeps(n, seed=15):
@@ -426,9 +427,9 @@ def _extreme_sweeps(n, seed=15):
 
 
 def _sweep_outcome(route, model, b, kappas, beta):
-    """repr of the rows of a sweep route, or the name of the error it raised."""
+    """repr of the rows of a sweep route, as a list, or the name of the error it raised."""
     try:
-        return repr(route(model, b, kappas, beta))
+        return repr(list(route(model, b, kappas, beta)))
     except (OrbitronError, ValueError) as exc:
         return type(exc).__name__
 
@@ -647,6 +648,39 @@ def test_stability_map_rows_are_plain_python():
     # a repeated output keeps its first place, as a dict built from the keys would
     rows = stability_map(replace(spec, outputs=("margin", "verdict", "margin")), model, b)
     assert all(list(row) == ["r0", "pi0", "margin", "verdict", "error"] for row in rows)
+    assert rows.keys == ("r0", "pi0", "margin", "verdict", "error") and len(rows.columns) == 5
+
+
+def _scan_table(kind):
+    b, model = _body(), _lev_model()
+    if kind == "window":
+        return dipoletron_window(1.3, 0.9, b, n=7)
+    if kind == "sweep":
+        linear, o_model = split_levitation_model(model)
+        return levitation_sweep(model, b, _SWEEP_KAPPAS, eval_jet(o_model, 0.8, 0.0).Br_z / linear.Bp)
+    spec = ScanSpec(ScanAxis("r0", 0.6, 1.6, 6), ScanAxis("pi0", -5.0, 20.0, 4), outputs=CERTIFICATE_FIELDS)
+    return stability_map(spec, DipolePair(1.0, 1.0), b)
+
+
+@pytest.mark.parametrize("kind", ["window", "sweep", "map"])
+def test_scan_table_row_reads_agree_with_its_rows(kind):
+    table = _scan_table(kind)
+    rows = list(table)
+    n = len(rows)
+    assert len(table) == n >= 7 and all(type(c) is list and len(c) == n for c in table.columns)
+    assert all(type(row) is dict and tuple(row) == table.keys for row in rows)
+    assert all(type(v) in PLAIN for row in rows for v in row.values())
+    # NaN cells compare by repr
+    assert repr(list(table)) == repr(rows)
+    assert repr(table[0]) == repr(rows[0]) and repr(table[-1]) == repr(rows[-1])
+    assert all(repr(table[i]) == repr(rows[i]) for i in range(-n, n))
+    for part in (slice(None), slice(1, 3), slice(-2, None), slice(None, None, -3), slice(n, n + 2)):
+        assert type(table[part]) is list and repr(table[part]) == repr(rows[part])
+    with pytest.raises(IndexError):
+        table[n]
+    # a row dict holds the column's own objects, so equality needs no repr
+    assert table == rows and table == Table(table.keys, table.columns) and table == table
+    assert table != rows[:-1] and table != Table(table.keys, tuple(c[::-1] for c in table.columns))
 
 
 OUTPUTS = ("verdict", "margin", "A", "B", "C", "lambda_ok", "failed_condition", "pivots")
